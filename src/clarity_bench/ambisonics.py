@@ -20,17 +20,6 @@ from .audio import SampleBuffer
 MAX_ORDER = 8
 
 
-def acn_degrees(order):
-    """Per-channel (degree l, index m) arrays in ACN order."""
-    n = []
-    m = []
-    for l in range(order + 1):
-        for mm in range(-l, l + 1):
-            n.append(l)
-            m.append(mm)
-    return np.array(n), np.array(m)
-
-
 def acn_index(l, m):
     """Ambisonic Channel Number of degree l, index m."""
     return l * l + l + m

@@ -179,13 +179,3 @@ def rms_array(x):
     if x.size == 0:
         return 0.0
     return float(np.sqrt(np.mean(x * x)))
-
-
-def db(x, floor=-400.0):
-    """20*log10 with a floor for silence."""
-    x = np.maximum(np.abs(x), 10.0 ** (floor / 20.0))
-    return 20.0 * np.log10(x)
-
-
-def from_db(level_db):
-    return 10.0 ** (np.asarray(level_db, dtype=np.float64) / 20.0)

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -23,13 +22,12 @@ from .audio import read_wav
 from .errors import StatisticsError
 from .hearing_aid import amplify, flat_audiogram
 from .metrics import (
-    DEFAULT_CONFIG,
     better_ear,
     combined_score,
     intelligibility_score,
     quality_score,
 )
-from .scenes import thread_count
+from .workers import ordered_map
 
 ROUNDING_TOLERANCE = 0.0005
 
@@ -184,38 +182,46 @@ class RunManifest:
                 raise ValueError(f"aggregate {key} does not match its records")
 
 
-def score_dataset(manifest_path, audiogram=None, config=DEFAULT_CONFIG, taps=127):
+def _dataset_file(base, scene_id, name):
+    """Path of a file a manifest entry names; it must lie inside `base`."""
+    path = os.path.normpath(os.path.join(base, name))
+    if os.path.isabs(name) or os.path.commonpath([base, path]) != base:
+        raise ValueError(f"{scene_id}: {name!r} lies outside the dataset directory")
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"{scene_id}: missing {path}")
+    return path
+
+
+def score_dataset(manifest_path, audiogram=None):
     """Run the baseline (passthrough + amplification) over a dataset.
 
     For every scene the rendered ear signals are amplified with the
     audiogram's prescription and scored per ear against the stored
-    reference; each metric keeps its better ear. Rows come back sorted
-    by scene id regardless of worker scheduling.
+    reference; each metric keeps its better ear. Each record also counts
+    the samples amplification clipped. Rows come back sorted by scene id.
     """
     audiogram = audiogram or flat_audiogram(40.0)
     with open(manifest_path, encoding="utf-8") as fp:
         manifest = json.load(fp)
+    if not manifest.get("scenes"):
+        raise ValueError(f"{manifest_path}: dataset has no scenes")
     base = os.path.dirname(os.path.abspath(manifest_path))
     rate = manifest["rate"]
 
     def score_one(entry):
         scene_id = entry["id"]
-        mix_path = os.path.join(base, entry["mix"])
-        ref_path = os.path.join(base, entry["reference"])
-        for path in (mix_path, ref_path):
-            if not os.path.exists(path):
-                raise FileNotFoundError(f"{scene_id}: missing {path}")
-        ears = read_wav(mix_path, expected_rate=rate)
-        reference = read_wav(ref_path, expected_rate=rate)
-        amplified = amplify(ears, audiogram, taps=taps).ears
+        ears = read_wav(_dataset_file(base, scene_id, entry["mix"]), expected_rate=rate)
+        reference = read_wav(_dataset_file(base, scene_id, entry["reference"]), expected_rate=rate)
+        amplified = amplify(ears, audiogram)
         ref = reference.channel(0)
+        left, right = amplified.ears.channel(0), amplified.ears.channel(1)
         haspi = better_ear(
-            intelligibility_score(ref, amplified.channel(0), audiogram.ear("left"), config, rate),
-            intelligibility_score(ref, amplified.channel(1), audiogram.ear("right"), config, rate),
+            intelligibility_score(ref, left, audiogram.ear("left"), rate=rate),
+            intelligibility_score(ref, right, audiogram.ear("right"), rate=rate),
         )
         hasqi = better_ear(
-            quality_score(ref, amplified.channel(0), audiogram.ear("left"), config, rate),
-            quality_score(ref, amplified.channel(1), audiogram.ear("right"), config, rate),
+            quality_score(ref, left, audiogram.ear("left"), rate=rate),
+            quality_score(ref, right, audiogram.ear("right"), rate=rate),
         )
         score = combined_score(haspi, hasqi)
         return {
@@ -223,11 +229,10 @@ def score_dataset(manifest_path, audiogram=None, config=DEFAULT_CONFIG, taps=127
             "haspi_like": score.haspi_like,
             "hasqi_like": score.hasqi_like,
             "ave": score.combined,
+            "clipped": amplified.clipped,
         }
 
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        records = list(pool.map(score_one, manifest["scenes"]))
-    records.sort(key=lambda r: r["scene"])
+    records = sorted(ordered_map(score_one, manifest["scenes"]), key=lambda r: r["scene"])
 
     aggregates = {
         key: sum(r[key] for r in records) / len(records)

@@ -148,11 +148,6 @@ class HrtfSet:
         return self.left[idx], self.right[idx]
 
 
-def nearest_filters(hrtf_set, azimuth, elevation):
-    """Module-level alias for HrtfSet.nearest."""
-    return hrtf_set.nearest(azimuth, elevation)
-
-
 def build_hrtf_set(azimuths, elevations, model=None, rate=DEFAULT_RATE, taps=DEFAULT_TAPS):
     """Synthesize an HrtfSet at the given directions."""
     pairs = [

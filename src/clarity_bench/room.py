@@ -13,6 +13,7 @@ late arrivals from summing coherently and skewing decay measurements.
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -32,17 +33,19 @@ class RoomSpec:
     speed_of_sound: float = SPEED_OF_SOUND
 
     def __post_init__(self):
-        dims = tuple(float(d) for d in self.dimensions)
-        if len(dims) != 3 or any(d <= 0 for d in dims):
-            raise ValueError(f"dimensions must be three positive lengths, got {self.dimensions}")
-        if not 0.0 < self.absorption <= 1.0:
-            raise ValueError(f"absorption must lie in (0, 1], got {self.absorption}")
-        object.__setattr__(self, "dimensions", dims)
-
-    def contains(self, position, margin=0.0):
-        return all(
-            margin < p < d - margin for p, d in zip(position, self.dimensions)
-        )
+        """Raise one ValueError that names every broken rule."""
+        try:
+            dims = tuple(self.dimensions)
+        except TypeError:
+            dims = ()
+        problems = []
+        if len(dims) != 3 or not all(isinstance(d, Real) and d > 0 for d in dims):
+            problems.append(f"dimensions must be three positive lengths, got {self.dimensions}")
+        if not (isinstance(self.absorption, Real) and 0.0 < self.absorption <= 1.0):
+            problems.append(f"absorption must lie in (0, 1], got {self.absorption}")
+        if problems:
+            raise ValueError("; ".join(problems))
+        object.__setattr__(self, "dimensions", tuple(float(d) for d in dims))
 
 
 @dataclass(frozen=True)

@@ -11,23 +11,22 @@ aid ear signals:
 The fidelity profile bundles the four knobs that separate the idealized
 simulation from a measurement-like capture: Ambisonic order, interferer
 directivity, microphone self-noise, and a perturbation of the room
-absorption. Each knob can be toggled alone, which is what the ablation
-harness does.
+absorption. Each knob can be toggled alone (`FidelityProfile.with_knob`).
 """
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import signals
-from .ambisonics import AmbiSignal, apply_rotation, binaural_decode, yaw_rotation
+from .ambisonics import AmbiSignal, binaural_decode, yaw_rotation
 from .audio import DEFAULT_RATE, SampleBuffer, convolve_channels, mono, read_wav, rms_array, write_wav
 from .errors import MixError, SceneValidationError
 from .hrtf import default_hrtf_set
 from .room import RoomSpec, SourceSpec, image_source_rir
+from .workers import ordered_map
 
 PAPER_ROOM = RoomSpec(dimensions=(6.6, 5.8, 2.8), absorption=0.438)
 
@@ -43,14 +42,6 @@ ROTATION_BLOCK_SECONDS = 0.01
 EAR_CALIBRATION_GAIN = 2.0
 
 FIDELITY_NAMES = ("simulated", "measured_like")
-
-
-def thread_count():
-    """Worker cap for scene-parallel stages (CLARITY_BENCH_THREADS)."""
-    env = os.environ.get("CLARITY_BENCH_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -116,7 +107,10 @@ class RotationTrajectory:
     breakpoints: tuple  # ((time_s, yaw_rad), ...)
 
     def __post_init__(self):
-        pts = tuple((float(t), float(y)) for t, y in self.breakpoints)
+        try:
+            pts = tuple((float(t), float(y)) for t, y in self.breakpoints)
+        except (TypeError, ValueError):
+            raise ValueError("trajectory breakpoints must be (time, yaw) number pairs") from None
         if not pts:
             raise ValueError("trajectory needs at least one breakpoint")
         if pts[0][0] != 0.0:
@@ -183,27 +177,28 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        problems = validate_scene_dict(scene_to_dict(self, validate=False))
+        problems = validate_scene_dict(scene_to_dict(self))
         if problems:
             raise SceneValidationError(problems)
 
 
 def validate_scene_dict(payload):
-    """Collect every schema violation in a scene dictionary."""
+    """Collect every schema violation in a scene dictionary.
+
+    The room and the listener trajectory are checked by building a
+    RoomSpec and a RotationTrajectory, so their rules live in one place.
+    """
     problems = []
 
     room = payload.get("room")
+    dims = None
     if not isinstance(room, dict):
         problems.append("room: missing or not an object")
-        room = {}
-    dims = room.get("dimensions")
-    if not (isinstance(dims, (list, tuple)) and len(dims) == 3 and all(
-            isinstance(v, (int, float)) and v > 0 for v in dims)):
-        problems.append("room.dimensions: need three positive numbers")
-        dims = None
-    absorption = room.get("absorption")
-    if not (isinstance(absorption, (int, float)) and 0 < absorption <= 1):
-        problems.append("room.absorption: must lie in (0, 1]")
+    else:
+        try:
+            dims = RoomSpec(room.get("dimensions"), room.get("absorption")).dimensions
+        except ValueError as exc:
+            problems.append(f"room: {exc}")
 
     def check_position(path, pos):
         if not (isinstance(pos, (list, tuple)) and len(pos) == 3 and all(
@@ -241,17 +236,10 @@ def validate_scene_dict(payload):
         problems.append("listener: missing or not an object")
     else:
         check_position("listener.position", listener.get("position"))
-        traj = listener.get("trajectory")
-        if not (isinstance(traj, list) and traj):
-            problems.append("listener.trajectory: need a non-empty breakpoint list")
-        else:
-            times = [p[0] for p in traj if isinstance(p, (list, tuple)) and len(p) == 2]
-            if len(times) != len(traj):
-                problems.append("listener.trajectory: breakpoints must be [time, yaw] pairs")
-            elif times[0] != 0:
-                problems.append("listener.trajectory: first breakpoint must be at t=0")
-            elif any(b <= a for a, b in zip(times, times[1:])):
-                problems.append("listener.trajectory: times must be strictly increasing")
+        try:
+            RotationTrajectory(tuple(listener.get("trajectory") or ()))
+        except (TypeError, ValueError) as exc:
+            problems.append(f"listener.trajectory: {exc}")
 
     snr = payload.get("snr_db")
     if snr is not None and not isinstance(snr, (int, float)):
@@ -264,14 +252,7 @@ def validate_scene_dict(payload):
 
 
 def _source_signal_to_dict(src):
-    out = {"kind": src.kind}
-    if src.file is not None:
-        out["file"] = src.file
-    if src.duration_s is not None:
-        out["duration_s"] = src.duration_s
-    if src.synth_seed is not None:
-        out["synth_seed"] = src.synth_seed
-    return out
+    return {key: value for key, value in asdict(src).items() if value is not None}
 
 
 def _source_signal_from_dict(kind, payload):
@@ -283,8 +264,8 @@ def _source_signal_from_dict(kind, payload):
     )
 
 
-def scene_to_dict(scene, validate=True):
-    payload = {
+def scene_to_dict(scene):
+    return {
         "room": {
             "dimensions": list(scene.room.dimensions),
             "absorption": scene.room.absorption,
@@ -313,11 +294,6 @@ def scene_to_dict(scene, validate=True):
         "fidelity": scene.fidelity,
         "seed": scene.seed,
     }
-    if validate:
-        problems = validate_scene_dict(payload)
-        if problems:
-            raise SceneValidationError(problems)
-    return payload
 
 
 def scene_from_dict(payload):
@@ -376,7 +352,8 @@ def mix_at_snr(target, interferers, snr_db, active_range):
 
     The SNR is defined on the omnidirectional (W) channel over the
     target-active frame range, before any decoding. One scalar gain is
-    applied to the interferer sum; the return value is target + gain*sum.
+    applied to the interferer sum; snr_db None leaves it at 1. Returns
+    (target + gain*sum, gain).
     """
     if not interferers:
         raise MixError("no interferer fields to mix")
@@ -387,21 +364,23 @@ def mix_at_snr(target, interferers, snr_db, active_range):
     total = np.zeros((target.channels, frames))
     for f in interferers:
         total[:, : f.frames] += f.data
-    start, stop = active_range
-    start = max(0, int(start))
-    stop = min(frames, int(stop))
-    if stop <= start:
-        raise ValueError("empty target-active range")
-    target_rms = rms_array(target.w[start : min(stop, target.frames)])
-    interferer_rms = rms_array(total[0, start:stop])
-    if interferer_rms == 0.0:
-        raise MixError("interferer sum is silent over the target-active range")
-    if target_rms == 0.0:
-        raise MixError("target is silent over the target-active range")
-    gain = target_rms / interferer_rms * 10.0 ** (-snr_db / 20.0)
+    gain = 1.0
+    if snr_db is not None:
+        start, stop = active_range
+        start = max(0, int(start))
+        stop = min(frames, int(stop))
+        if stop <= start:
+            raise ValueError("empty target-active range")
+        target_rms = rms_array(target.w[start : min(stop, target.frames)])
+        interferer_rms = rms_array(total[0, start:stop])
+        if interferer_rms == 0.0:
+            raise MixError("interferer sum is silent over the target-active range")
+        if target_rms == 0.0:
+            raise MixError("target is silent over the target-active range")
+        gain = target_rms / interferer_rms * 10.0 ** (-snr_db / 20.0)
     mixed = total * gain
     mixed[:, : target.frames] += target.data
-    return AmbiSignal(mixed, target.order, target.rate)
+    return AmbiSignal(mixed, target.order, target.rate), gain
 
 
 def apply_trajectory(field, trajectory, block_s=ROTATION_BLOCK_SECONDS):
@@ -493,88 +472,60 @@ def _scene_child_seeds(scene_seed):
     return [int(c.generate_state(1)[0]) for c in children]
 
 
-def render_scene(scene, hrtfs=None, profile=None, rate=DEFAULT_RATE,
-                 rir_seconds=DEFAULT_RIR_SECONDS, keep_components=False,
-                 ear_gain=EAR_CALIBRATION_GAIN):
+def render_scene(scene, hrtfs=None, profile=None, keep_components=False):
     """Render a scene to hearing-aid ear signals plus the scoring reference.
 
-    Deterministic in (scene, profile). The reference is the dry target
-    utterance RMS-normalized to -26 dBFS.
+    Deterministic in (scene, profile). The stages are: dry source ->
+    room impulse response -> wet field placed at its onset (every source,
+    target first) -> SNR mix -> transducer noise -> head rotation ->
+    binaural decode. The reference is the dry target utterance
+    RMS-normalized to -26 dBFS. keep_components adds the target,
+    interferer and noise ear signals, which sum to the ears.
     """
     profile = profile or FidelityProfile.from_name(scene.fidelity)
-    hrtfs = hrtfs or default_hrtf_set(rate=rate)
+    hrtfs = hrtfs or default_hrtf_set()
+    rate = DEFAULT_RATE
+    order = profile.ambisonic_order
     listener = np.asarray(scene.listener.position)
-
     absorption = min(1.0, scene.room.absorption * profile.absorption_scale)
     room = RoomSpec(scene.room.dimensions, absorption, scene.room.speed_of_sound)
-    order = profile.ambisonic_order
-
     child_seeds = _scene_child_seeds(scene.seed)
 
-    def wet_field(position, dry, directivity, aim):
-        src = SourceSpec(tuple(position), directivity, aim)
-        rir = image_source_rir(room, src, listener, order, rir_seconds, rate=rate)
-        return convolve_channels(rir.signal.data, dry)
-
-    target_source = scene.target.source
-    if target_source.synth_seed is None and target_source.file is None:
-        target_source = replace(target_source, synth_seed=child_seeds[0])
-    target_dry = target_source.resolve(rate)
-    target_wet = wet_field(scene.target.position, target_dry, "omni", None)
-
-    interferer_wets = []
-    for idx, interferer in enumerate(scene.interferers):
-        source = interferer.source
+    placed = []   # (onset frame, wet channels) per source, target first
+    for index, spec in enumerate((scene.target, *scene.interferers)):
+        source = spec.source
         if source.synth_seed is None and source.file is None:
-            source = replace(source, synth_seed=child_seeds[1 + idx])
+            source = replace(source, synth_seed=child_seeds[index])
         dry = source.resolve(rate)
-        aim = None
-        if profile.interferer_directivity == "cardioid":
-            aim = listener - np.asarray(interferer.position)
-        interferer_wets.append(
-            (interferer.onset_s, wet_field(interferer.position, dry,
-                                           profile.interferer_directivity, aim))
-        )
+        if index == 0:
+            target_dry = dry
+        directivity, aim = "omni", None
+        if index > 0 and profile.interferer_directivity == "cardioid":
+            directivity, aim = "cardioid", listener - np.asarray(spec.position)
+        src = SourceSpec(tuple(spec.position), directivity, aim)
+        rir = image_source_rir(room, src, listener, order, DEFAULT_RIR_SECONDS, rate=rate)
+        placed.append((int(round(spec.onset_s * rate)), convolve_channels(rir.signal.data, dry)))
 
-    target_onset = int(round(scene.target.onset_s * rate))
-    ends = [target_onset + target_wet.shape[1]]
-    for onset_s, wet in interferer_wets:
-        ends.append(int(round(onset_s * rate)) + wet.shape[1])
-    frames = max(ends)
-    k = target_wet.shape[0]
-
-    target_field = np.zeros((k, frames))
-    target_field[:, target_onset : target_onset + target_wet.shape[1]] = target_wet
-    target_field = AmbiSignal(target_field, order, rate)
-
-    interferer_fields = []
-    for onset_s, wet in interferer_wets:
-        onset = int(round(onset_s * rate))
-        buf = np.zeros((k, frames))
+    frames = max(onset + wet.shape[1] for onset, wet in placed)
+    fields = []
+    for onset, wet in placed:
+        buf = np.zeros((wet.shape[0], frames))
         buf[:, onset : onset + wet.shape[1]] = wet
-        interferer_fields.append(AmbiSignal(buf, order, rate))
-
+        fields.append(AmbiSignal(buf, order, rate))
+    target_field, interferer_fields = fields[0], fields[1:]
+    target_onset, target_wet = placed[0]
     active = (target_onset, target_onset + target_wet.shape[1])
-    if scene.snr_db is None:
-        mixed = target_field.data + sum(f.data for f in interferer_fields)
-        mixed = AmbiSignal(mixed, order, rate)
-        interferer_gain = 1.0
-    else:
-        mixed = mix_at_snr(target_field, interferer_fields, scene.snr_db, active)
-        # bookkeeping: recover the gain for the manifest record
-        target_rms = rms_array(target_field.w[active[0] : active[1]])
-        total_w = sum(f.data[0] for f in interferer_fields)
-        interferer_gain = (
-            target_rms / rms_array(total_w[active[0] : active[1]])
-            * 10.0 ** (-scene.snr_db / 20.0)
-        )
 
+    mixed, interferer_gain = mix_at_snr(target_field, interferer_fields, scene.snr_db, active)
     target_w_rms = rms_array(target_field.w[active[0] : active[1]])
     noisy = add_transducer_noise(mixed, profile.transducer_noise_db,
                                  child_seeds[4], target_w_rms)
-    rotated = apply_trajectory(noisy, scene.listener.trajectory)
-    decoded = binaural_decode(rotated, hrtfs)
-    ears = SampleBuffer(decoded.data * ear_gain, rate)
+
+    def to_ears(field):
+        decoded = binaural_decode(apply_trajectory(field, scene.listener.trajectory), hrtfs)
+        return SampleBuffer(decoded.data * EAR_CALIBRATION_GAIN, rate)
+
+    ears = to_ears(noisy)
 
     reference_rms = rms_array(target_dry)
     reference_level = 10.0 ** (-26.0 / 20.0)
@@ -593,25 +544,21 @@ def render_scene(scene, hrtfs=None, profile=None, rate=DEFAULT_RATE,
         },
         "duration_s": frames / rate,
         "interferer_gain": float(interferer_gain),
-        "ear_gain": float(ear_gain),
+        "ear_gain": float(EAR_CALIBRATION_GAIN),
         "target_onset_s": scene.target.onset_s,
     }
 
     components = None
     if keep_components:
-        def decode_path(field):
-            out = binaural_decode(apply_trajectory(field, scene.listener.trajectory), hrtfs)
-            return SampleBuffer(out.data * ear_gain, rate)
-
-        scaled = [AmbiSignal(f.data * interferer_gain, order, rate) for f in interferer_fields]
+        # Rotation and decode are linear, so the noise share is what the
+        # target and interferer decodes leave of the ears.
+        target_ears = to_ears(target_field)
+        interferer_sum = sum(f.data for f in interferer_fields) * interferer_gain
+        interferer_ears = to_ears(AmbiSignal(interferer_sum, order, rate))
         components = {
-            "target_ears": decode_path(target_field),
-            "interferer_ears": decode_path(
-                AmbiSignal(sum(f.data for f in scaled), order, rate)
-            ),
-            "noise_ears": decode_path(
-                AmbiSignal(noisy.data - mixed.data, order, rate)
-            ),
+            "target_ears": target_ears,
+            "interferer_ears": interferer_ears,
+            "noise_ears": SampleBuffer(ears.data - target_ears.data - interferer_ears.data, rate),
         }
     return RenderResult(ears=ears, reference=reference, record=record, components=components)
 
@@ -631,7 +578,7 @@ def _draw_positions(rng, room, count, margin=0.5, spacing=1.0):
     return placed
 
 
-def _build_scene(index, rng_seed, room, fidelity, rate):
+def _build_scene(rng_seed, room, fidelity):
     """Draw one randomized scene; deterministic in rng_seed."""
     rng = np.random.default_rng(rng_seed)
     n_interferers = int(rng.integers(1, 4))
@@ -684,18 +631,16 @@ def _build_scene(index, rng_seed, room, fidelity, rate):
     )
 
 
-def draw_scenes(count, seed, room=None, fidelity="simulated", rate=DEFAULT_RATE):
-    """Draw a seeded batch of randomized scenes (no rendering)."""
-    room = room or PAPER_ROOM
+def draw_scenes(count, seed, fidelity="simulated"):
+    """Draw a seeded batch of randomized scenes in PAPER_ROOM (no rendering)."""
     children = np.random.SeedSequence(seed).spawn(count)
     return [
-        _build_scene(i, int(c.generate_state(1)[0]), room, fidelity, rate)
-        for i, c in enumerate(children)
+        _build_scene(int(c.generate_state(1)[0]), PAPER_ROOM, fidelity)
+        for c in children
     ]
 
 
-def generate_dataset(out_dir, count, seed, fidelity="simulated", room=None,
-                     rate=DEFAULT_RATE, hrtfs=None):
+def generate_dataset(out_dir, count, seed, fidelity="simulated"):
     """Render a seeded batch of scenes to WAV/JSON files plus a manifest.
 
     Returns the manifest path. Re-running with identical arguments
@@ -703,21 +648,19 @@ def generate_dataset(out_dir, count, seed, fidelity="simulated", room=None,
     """
     from . import __version__
 
+    if count < 1:
+        raise ValueError(f"scene count must be at least 1, got {count}")
     os.makedirs(out_dir, exist_ok=True)
-    scenes = draw_scenes(count, seed, room=room, fidelity=fidelity, rate=rate)
+    scenes = draw_scenes(count, seed, fidelity=fidelity)
     profile = FidelityProfile.from_name(fidelity)
-    hrtfs = hrtfs or default_hrtf_set(rate=rate)
+    hrtfs = default_hrtf_set()
 
-    def render_one(item):
-        index, scene = item
+    def render_one(index):
         scene_id = f"S{index:04d}"
-        result = render_scene(scene, hrtfs=hrtfs, profile=profile, rate=rate)
-        mix_path = os.path.join(out_dir, f"{scene_id}_mix.wav")
-        ref_path = os.path.join(out_dir, f"{scene_id}_ref.wav")
-        scene_path = os.path.join(out_dir, f"{scene_id}_scene.json")
-        write_wav(mix_path, result.ears)
-        write_wav(ref_path, result.reference)
-        save_scene(scene, scene_path)
+        result = render_scene(scenes[index], hrtfs=hrtfs, profile=profile)
+        write_wav(os.path.join(out_dir, f"{scene_id}_mix.wav"), result.ears)
+        write_wav(os.path.join(out_dir, f"{scene_id}_ref.wav"), result.reference)
+        save_scene(scenes[index], os.path.join(out_dir, f"{scene_id}_scene.json"))
         entry = {
             "id": scene_id,
             "mix": f"{scene_id}_mix.wav",
@@ -725,19 +668,15 @@ def generate_dataset(out_dir, count, seed, fidelity="simulated", room=None,
             "scene": f"{scene_id}_scene.json",
         }
         entry.update(result.record)
-        return index, entry
-
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        entries = list(pool.map(render_one, enumerate(scenes)))
-    entries = [e for _, e in sorted(entries, key=lambda pair: pair[0])]
+        return entry
 
     manifest = {
         "version": __version__,
         "seed": seed,
         "count": count,
         "fidelity": fidelity,
-        "rate": rate,
-        "scenes": entries,
+        "rate": DEFAULT_RATE,
+        "scenes": ordered_map(render_one, range(count)),
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
     with open(manifest_path, "w", encoding="utf-8") as fp:

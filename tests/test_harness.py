@@ -232,3 +232,67 @@ def test_bundled_results_path_exists():
     rows = load_published_results(bundled_results_path())
     assert len(rows) == 20
     assert {r.eval_set for r in rows} == {"eval1", "eval2"}
+
+
+# --- bad input ends in one error line -------------------------------------------
+
+
+def assert_one_error_line(code, capsys, *words):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    for word in words:
+        assert word in err
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_cli_generate_rejects_empty_or_negative_count(tmp_path, capsys, count):
+    code = main(["generate", "--n", count, "--seed", "1", "--out", str(tmp_path / "d")])
+    assert_one_error_line(code, capsys, "at least 1")
+    assert not (tmp_path / "d").exists()
+
+
+def test_cli_score_rejects_manifest_without_scenes(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"rate": 16000, "scenes": []}))
+    code = main(["score", "--dataset", str(manifest), "--out", str(tmp_path / "s.csv")])
+    assert_one_error_line(code, capsys, "no scenes")
+
+
+def test_cli_bad_thread_setting_names_the_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CLARITY_BENCH_THREADS", "abc")
+    code = main(["generate", "--n", "1", "--seed", "1", "--out", str(tmp_path / "d")])
+    assert_one_error_line(code, capsys, "CLARITY_BENCH_THREADS")
+
+
+@pytest.mark.parametrize("key", ["mix", "reference"])
+def test_score_dataset_rejects_paths_outside_the_dataset(small_dataset, tmp_path, key):
+    import os
+    import shutil
+
+    escaped = tmp_path / "escaped"
+    shutil.copytree(os.path.dirname(small_dataset), escaped)
+    manifest = json.loads((escaped / "manifest.json").read_text())
+    for name in ("../outside.wav", str(escaped / manifest["scenes"][1][key])):
+        manifest["scenes"][1][key] = name
+        (escaped / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="S0001.*outside the dataset"):
+            score_dataset(escaped / "manifest.json")
+
+
+def test_score_dataset_reports_clipped_samples(small_dataset, tmp_path):
+    import os
+    import shutil
+
+    from clarity_bench.audio import SampleBuffer, read_wav, write_wav
+
+    loud = tmp_path / "loud"
+    shutil.copytree(os.path.dirname(small_dataset), loud)
+    mix = read_wav(loud / "S0000_mix.wav")
+    write_wav(loud / "S0000_mix.wav", SampleBuffer(mix.data * 100.0, mix.rate))
+    run = score_dataset(loud / "manifest.json")
+    assert run.records[0]["clipped"] > 0
+    assert all(isinstance(rec["clipped"], int) for rec in run.records)
+    write_run_manifest(run, tmp_path / "loud.run.json")
+    payload = json.loads((tmp_path / "loud.run.json").read_text())
+    assert payload["records"][0]["clipped"] == run.records[0]["clipped"]
