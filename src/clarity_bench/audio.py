@@ -78,7 +78,8 @@ def read_wav(path, expected_rate=None):
     """Read a RIFF/WAVE file into a SampleBuffer.
 
     Supports little-endian PCM 16-bit integer and IEEE float32. 16-bit
-    samples are scaled by 1/32768 into [-1, 1).
+    samples are scaled by 1/32768 into [-1, 1). A NaN or infinite sample
+    raises FormatError.
 
     Parameters
     ----------
@@ -102,6 +103,8 @@ def read_wav(path, expected_rate=None):
             f"{path}: unsupported sample format {data.dtype}; "
             "only PCM16 and float32 are handled"
         )
+    if not np.isfinite(scaled).all():
+        raise FormatError(f"{path}: holds a NaN or infinite sample")
     if expected_rate is not None and rate != expected_rate:
         raise RateMismatchError(
             f"{path}: rate {rate} Hz but pipeline demands {expected_rate} Hz"

@@ -167,19 +167,19 @@ def report_published(rows, tolerance=ROUNDING_TOLERANCE):
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Record of one scoring run; aggregates recomputable from records."""
+    """Record of one scoring run; its aggregates are the record means."""
 
     version: str
     dataset: str
     fidelity: str
     records: tuple
-    aggregates: dict
 
-    def __post_init__(self):
-        for key in ("haspi_like", "hasqi_like", "ave"):
-            mean = sum(r[key] for r in self.records) / len(self.records)
-            if abs(mean - self.aggregates[key]) > 1e-9:
-                raise ValueError(f"aggregate {key} does not match its records")
+    @property
+    def aggregates(self):
+        return {
+            key: sum(r[key] for r in self.records) / len(self.records)
+            for key in ("haspi_like", "hasqi_like", "ave")
+        }
 
 
 def _dataset_file(base, scene_id, name):
@@ -190,6 +190,26 @@ def _dataset_file(base, scene_id, name):
     if not os.path.exists(path):
         raise FileNotFoundError(f"{scene_id}: missing {path}")
     return path
+
+
+def _check_manifest(manifest, path):
+    """Raise ValueError unless a dataset manifest has the shape scoring reads."""
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: manifest must be a JSON object")
+    scenes = manifest.get("scenes")
+    if not isinstance(scenes, list):
+        raise ValueError(f"{path}: 'scenes' must be a list")
+    if not scenes:
+        raise ValueError(f"{path}: dataset has no scenes")
+    if not isinstance(manifest.get("rate"), int):
+        raise ValueError(f"{path}: 'rate' must be an integer")
+    for index, entry in enumerate(scenes):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: scene {index}: entry must be an object")
+        where = f"{path}: scene {entry['id'] if isinstance(entry.get('id'), str) else index}"
+        for key in ("id", "mix", "reference"):
+            if not isinstance(entry.get(key), str):
+                raise ValueError(f"{where}: '{key}' must be a string")
 
 
 def score_dataset(manifest_path, audiogram=None):
@@ -203,8 +223,7 @@ def score_dataset(manifest_path, audiogram=None):
     audiogram = audiogram or flat_audiogram(40.0)
     with open(manifest_path, encoding="utf-8") as fp:
         manifest = json.load(fp)
-    if not manifest.get("scenes"):
-        raise ValueError(f"{manifest_path}: dataset has no scenes")
+    _check_manifest(manifest, manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     rate = manifest["rate"]
 
@@ -233,19 +252,12 @@ def score_dataset(manifest_path, audiogram=None):
         }
 
     records = sorted(ordered_map(score_one, manifest["scenes"]), key=lambda r: r["scene"])
-
-    aggregates = {
-        key: sum(r[key] for r in records) / len(records)
-        for key in ("haspi_like", "hasqi_like", "ave")
-    }
-    run = RunManifest(
+    return RunManifest(
         version=manifest.get("version", "unknown"),
         dataset=os.path.abspath(manifest_path),
         fidelity=manifest.get("fidelity", "unknown"),
         records=tuple(records),
-        aggregates=aggregates,
     )
-    return run
 
 
 def write_scores_csv(run, path):

@@ -3,9 +3,11 @@
 Two reference-based surrogate metrics mirror the challenge's pair of
 indices: an intelligibility-like score built on per-band envelope
 correlation, and a quality-like score that adds a long-term spectral
-penalty. Both share one auditory front end: a 32-band gammatone filter
-bank on the ERB scale, half-wave rectification, a 32 Hz second-order
-low-pass, decimation to 256 Hz and conversion to dB with a -80 dB floor.
+penalty. Both read one auditory front end, `_front_end`, which runs each
+aligned signal once through a 32-band gammatone filter bank on the ERB
+scale. Half-wave rectification, a 32 Hz second-order low-pass, decimation
+to 256 Hz by linear interpolation and conversion to dB with a -80 dB floor
+give the band envelopes; the band RMS gives the long-term band levels.
 
 Hearing loss enters as pure band attenuation on the processed branch
 (the audiogram interpolated to each band centre); the reference branch
@@ -122,36 +124,30 @@ def _envelope_smoother(config, rate):
     return butter(2, config.envelope_cutoff, fs=rate)
 
 
-def envelope(band, config=DEFAULT_CONFIG, rate=16000):
-    """dB envelope of one band signal at the config's envelope rate.
+def _envelopes(bands, config, rate):
+    """dB envelopes of band signals (..., frames) at the envelope rate.
 
     Half-wave rectification, 2nd-order low-pass at the envelope cutoff,
-    decimation to envelope_rate, then 20*log10 with the config floor.
+    decimation to envelope_rate by linear interpolation (np.interp's own
+    formula, so the two agree bit for bit), then 20*log10 with the floor.
     """
-    x = np.maximum(np.asarray(band, dtype=np.float64), 0.0)
     b, a = _envelope_smoother(config, rate)
-    smooth = lfilter(b, a, x)
-    frames = int(np.floor(x.size / rate * config.envelope_rate))
+    smooth = lfilter(b, a, np.maximum(bands, 0.0), axis=-1)
+    n = smooth.shape[-1]
+    frames = int(np.floor(n / rate * config.envelope_rate))
     positions = np.arange(frames) * (rate / config.envelope_rate)
-    decimated = np.interp(positions, np.arange(x.size), smooth)
+    below = positions.astype(np.intp)
+    frac = positions - below
+    lo = smooth[..., below]
+    hi = smooth[..., np.minimum(below + 1, n - 1)]
+    decimated = np.where(frac == 0.0, lo, (hi - lo) * frac + lo)
     floor_lin = 10.0 ** (config.floor_db / 20.0)
     return 20.0 * np.log10(np.maximum(decimated, floor_lin))
 
 
-def _band_envelopes(x, rate, config, attenuation_db=None):
-    """dB envelopes (bands x frames), optionally attenuating each band."""
-    bands = gammatone_bands(x, config, rate)
-    if attenuation_db is not None:
-        bands = bands * 10.0 ** (-np.asarray(attenuation_db)[:, None] / 20.0)
-    b, a = _envelope_smoother(config, rate)
-    rect = np.maximum(bands, 0.0)
-    smooth = lfilter(b, a, rect, axis=1)
-    frames = int(np.floor(bands.shape[1] / rate * config.envelope_rate))
-    positions = np.arange(frames) * (rate / config.envelope_rate)
-    idx = np.arange(bands.shape[1])
-    decimated = np.stack([np.interp(positions, idx, row) for row in smooth])
-    floor_lin = 10.0 ** (config.floor_db / 20.0)
-    return 20.0 * np.log10(np.maximum(decimated, floor_lin))
+def envelope(band, config=DEFAULT_CONFIG, rate=16000):
+    """dB envelope of one band signal at the config's envelope rate."""
+    return _envelopes(np.asarray(band, dtype=np.float64), config, rate)
 
 
 def audiogram_band_attenuation(ear_levels, centers):
@@ -199,10 +195,13 @@ def _aligned_pair(ref, proc):
 
     Only lags that leave at least 90% of the reference overlapping are
     searched; when no such lag exists (proc shorter than 90% of ref) the
-    inputs are rejected. Degenerate correlation falls back to lag 0.
+    inputs are rejected, and so are non-finite samples. Degenerate
+    correlation falls back to lag 0.
     """
     r = _as_mono_array(ref)
     p = _as_mono_array(proc)
+    if not (np.isfinite(r).all() and np.isfinite(p).all()):
+        raise ValueError("reference and processed signals must be finite")
     needed = int(np.ceil(0.9 * r.size))
     if p.size < needed:
         raise ValueError(
@@ -248,6 +247,23 @@ def _envelope_correlation(ref_env, proc_env, config):
     return float(np.mean(scores))
 
 
+def _front_end(r_seg, p_seg, ear_levels, config, rate):
+    """(ref_env, proc_env, ref_levels, proc_levels) of an aligned pair, in
+    dB: one gammatone pass per segment, and the processed bands attenuated
+    by the ear's audiogram."""
+    _, centers = _gammatone_kernels(config, rate)
+    attenuation = audiogram_band_attenuation(ear_levels, centers)
+    ref_bands = gammatone_bands(r_seg, config, rate)
+    proc_bands = gammatone_bands(p_seg, config, rate) * 10.0 ** (-attenuation[:, None] / 20.0)
+    floor_lin = 10.0 ** (config.floor_db / 20.0)
+
+    def levels(bands):
+        return 20.0 * np.log10(np.maximum(np.sqrt(np.mean(bands**2, axis=1)), floor_lin))
+
+    return (_envelopes(ref_bands, config, rate), _envelopes(proc_bands, config, rate),
+            levels(ref_bands), levels(proc_bands))
+
+
 def intelligibility_score(ref, proc, ear_levels, config=DEFAULT_CONFIG, rate=16000):
     """HASPI-like surrogate in [0, 1].
 
@@ -258,10 +274,7 @@ def intelligibility_score(ref, proc, ear_levels, config=DEFAULT_CONFIG, rate=160
     if isinstance(ref, SampleBuffer):
         rate = ref.rate
     r_seg, p_seg = _aligned_pair(ref, proc)
-    _, centers = _gammatone_kernels(config, rate)
-    attenuation = audiogram_band_attenuation(ear_levels, centers)
-    ref_env = _band_envelopes(r_seg, rate, config)
-    proc_env = _band_envelopes(p_seg, rate, config, attenuation_db=attenuation)
+    ref_env, proc_env, _, _ = _front_end(r_seg, p_seg, ear_levels, config, rate)
     return _envelope_correlation(ref_env, proc_env, config)
 
 
@@ -278,29 +291,15 @@ def quality_score(ref, proc, ear_levels, config=DEFAULT_CONFIG, rate=16000,
     """
     if isinstance(ref, SampleBuffer):
         rate = ref.rate
-    r = _as_mono_array(ref)
-    p = _as_mono_array(proc)
     target = 10.0 ** (config.normalization_dbfs / 20.0)
-    for_arr = []
-    for x in (r, p):
+
+    def normalized(x):
         level = np.sqrt(np.mean(x * x)) if x.size else 0.0
-        for_arr.append(x * (target / level) if level > 0 else x)
-    r, p = for_arr
-    r_seg, p_seg = _aligned_pair(r, p)
+        return x * (target / level) if level > 0 else x
 
-    _, centers = _gammatone_kernels(config, rate)
-    attenuation = audiogram_band_attenuation(ear_levels, centers)
-    ref_env = _band_envelopes(r_seg, rate, config)
-    proc_env = _band_envelopes(p_seg, rate, config, attenuation_db=attenuation)
+    r_seg, p_seg = _aligned_pair(normalized(_as_mono_array(ref)), normalized(_as_mono_array(proc)))
+    ref_env, proc_env, ref_levels, proc_levels = _front_end(r_seg, p_seg, ear_levels, config, rate)
     c_term = _envelope_correlation(ref_env, proc_env, config)
-
-    ref_bands = gammatone_bands(r_seg, config, rate)
-    proc_bands = gammatone_bands(p_seg, config, rate) * 10.0 ** (
-        -attenuation[:, None] / 20.0
-    )
-    floor_lin = 10.0 ** (config.floor_db / 20.0)
-    ref_levels = 20.0 * np.log10(np.maximum(np.sqrt(np.mean(ref_bands**2, axis=1)), floor_lin))
-    proc_levels = 20.0 * np.log10(np.maximum(np.sqrt(np.mean(proc_bands**2, axis=1)), floor_lin))
     s_term = 1.0 - min(1.0, float(np.mean(np.abs(proc_levels - ref_levels))) / config.spectral_scale_db)
     score = 0.5 * c_term + 0.5 * s_term
     if return_terms:

@@ -176,11 +176,6 @@ class SceneSpec:
     fidelity: str = "simulated"
     seed: int = 0
 
-    def __post_init__(self):
-        problems = validate_scene_dict(scene_to_dict(self))
-        if problems:
-            raise SceneValidationError(problems)
-
 
 def validate_scene_dict(payload):
     """Collect every schema violation in a scene dictionary.

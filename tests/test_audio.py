@@ -47,6 +47,13 @@ def test_unsupported_bit_depth_raises_format_error(tmp_path):
         read_wav(path)
 
 
+def test_non_finite_sample_raises_format_error_naming_the_file(tmp_path):
+    path = tmp_path / "nan.wav"
+    wavfile.write(path, 16000, np.array([[0.1, 0.0], [0.2, np.nan]], dtype=np.float32))
+    with pytest.raises(FormatError, match="nan.wav"):
+        read_wav(path)
+
+
 def test_rate_mismatch(tmp_path):
     path = tmp_path / "x.wav"
     write_wav(path, mono(np.zeros(10), rate=44100))

@@ -296,3 +296,59 @@ def test_score_dataset_reports_clipped_samples(small_dataset, tmp_path):
     write_run_manifest(run, tmp_path / "loud.run.json")
     payload = json.loads((tmp_path / "loud.run.json").read_text())
     assert payload["records"][0]["clipped"] == run.records[0]["clipped"]
+
+
+def copy_dataset(small_dataset, target):
+    import os
+    import shutil
+
+    shutil.copytree(os.path.dirname(small_dataset), target)
+    return target / "manifest.json"
+
+
+@pytest.mark.parametrize("breakage, words", [
+    pytest.param(lambda m: m.pop("rate"), ["manifest.json", "'rate'"], id="no-rate"),
+    pytest.param(lambda m: m["scenes"][1].pop("mix"), ["manifest.json", "S0001", "'mix'"],
+                 id="entry-without-mix"),
+    pytest.param(lambda m: m.update(scenes=[m["scenes"][0], "S0001"]), ["manifest.json", "scene 1"],
+                 id="entry-not-an-object"),
+])
+def test_cli_score_rejects_malformed_manifest_entries(small_dataset, tmp_path, capsys, breakage, words):
+    path = copy_dataset(small_dataset, tmp_path / "d")
+    manifest = json.loads(path.read_text())
+    breakage(manifest)
+    path.write_text(json.dumps(manifest))
+    code = main(["score", "--dataset", str(path), "--out", str(tmp_path / "s.csv")])
+    assert_one_error_line(code, capsys, *words)
+
+
+def test_cli_score_rejects_manifest_that_is_a_list(small_dataset, tmp_path, capsys):
+    path = copy_dataset(small_dataset, tmp_path / "d")
+    path.write_text(json.dumps(json.loads(path.read_text())["scenes"]))
+    code = main(["score", "--dataset", str(path), "--out", str(tmp_path / "s.csv")])
+    assert_one_error_line(code, capsys, "manifest.json", "JSON object")
+
+
+def test_cli_score_rejects_nan_in_one_ear(small_dataset, tmp_path, capsys):
+    from scipy.io import wavfile
+
+    path = copy_dataset(small_dataset, tmp_path / "d")
+    rate, data = wavfile.read(tmp_path / "d" / "S0001_mix.wav")
+    data = data.copy()
+    data[1000:1100, 1] = np.nan
+    wavfile.write(tmp_path / "d" / "S0001_mix.wav", rate, data)
+    out = tmp_path / "s.csv"
+    code = main(["score", "--dataset", str(path), "--out", str(out)])
+    assert_one_error_line(code, capsys, "S0001_mix.wav")
+    assert not out.exists()
+
+
+def test_run_manifest_aggregates_are_the_record_means():
+    from clarity_bench.harness import RunManifest
+
+    records = (
+        {"scene": "S0", "haspi_like": 0.5, "hasqi_like": 0.25, "ave": 0.375},
+        {"scene": "S1", "haspi_like": 0.75, "hasqi_like": 0.5, "ave": 0.625},
+    )
+    run = RunManifest(version="v", dataset="d", fidelity="simulated", records=records)
+    assert run.aggregates == {"haspi_like": 0.625, "hasqi_like": 0.375, "ave": 0.5}

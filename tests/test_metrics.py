@@ -230,3 +230,71 @@ def test_config_is_hashable_and_custom():
     assert hash(config) != hash(DEFAULT_CONFIG)
     bands = gammatone_bands(np.zeros(1000), config, rate=RATE)
     assert bands.shape[0] == 16
+
+
+# --- the shared front end -------------------------------------------------
+
+
+def count_gammatone_calls(monkeypatch):
+    from clarity_bench import metrics
+
+    calls = []
+    original = metrics.gammatone_bands
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "gammatone_bands", counted)
+    return calls
+
+
+@pytest.mark.parametrize("score", [intelligibility_score, quality_score])
+def test_each_score_filters_each_signal_once(monkeypatch, score):
+    x = speech(1.0, seed=15)
+    calls = count_gammatone_calls(monkeypatch)
+    score(x, 0.5 * x, ZERO_EAR)
+    assert len(calls) == 2
+
+
+def test_envelope_is_one_row_of_the_multiband_envelopes():
+    from clarity_bench.metrics import _envelopes
+
+    bands = gammatone_bands(speech(1.0, seed=16), rate=RATE)
+    assert bands.shape[0] == 32
+    envelopes = _envelopes(bands, DEFAULT_CONFIG, RATE)
+    for k, row in enumerate(bands):
+        assert np.array_equal(envelope(row, rate=RATE), envelopes[k])
+
+
+def test_envelope_decimation_equals_np_interp():
+    from scipy.signal import butter, lfilter
+
+    band = gammatone_bands(speech(1.0, seed=17), rate=RATE)[9]
+    b, a = butter(2, DEFAULT_CONFIG.envelope_cutoff, fs=RATE)
+    smooth = lfilter(b, a, np.maximum(band, 0.0))
+    positions = np.arange(256) * (RATE / 256.0)
+    expected = 20.0 * np.log10(np.maximum(np.interp(positions, np.arange(band.size), smooth), 1e-4))
+    assert np.array_equal(envelope(band, rate=RATE), expected)
+
+
+def test_quality_correlation_term_is_intelligibility_of_normalized_pair():
+    rng = np.random.default_rng(18)
+    x = speech(2.0, seed=18)
+    proc = 0.3 * x + 0.02 * rng.standard_normal(x.size)
+    ear = np.array([20.0, 25.0, 30.0, 40.0, 50.0, 60.0])
+    target = 10.0 ** (DEFAULT_CONFIG.normalization_dbfs / 20.0)
+    normalized = [v * (target / np.sqrt(np.mean(v * v))) for v in (x, proc)]
+    _, c_term, _ = quality_score(x, proc, ear, return_terms=True)
+    assert c_term == intelligibility_score(*normalized, ear)
+
+
+@pytest.mark.parametrize("score", [intelligibility_score, quality_score])
+@pytest.mark.parametrize("side", ["ref", "proc"])
+def test_scores_reject_nan_input(score, side):
+    x = speech(1.0, seed=19)
+    bad = x.copy()
+    bad[100] = np.nan
+    pair = (bad, x) if side == "ref" else (x, bad)
+    with pytest.raises(ValueError, match="finite"):
+        score(*pair, ZERO_EAR)

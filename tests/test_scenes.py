@@ -145,6 +145,23 @@ def test_scene_validation_takes_room_and_trajectory_rules_from_their_classes():
     assert "seed" in text
 
 
+def test_load_scene_validates_once(tmp_path, monkeypatch):
+    from clarity_bench import scenes
+
+    path = tmp_path / "scene.json"
+    save_scene(simple_scene(), path)
+    calls = []
+    original = scenes.validate_scene_dict
+
+    def counted(payload):
+        calls.append(1)
+        return original(payload)
+
+    monkeypatch.setattr(scenes, "validate_scene_dict", counted)
+    load_scene(path)
+    assert len(calls) == 1
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         RotationTrajectory(())
