@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
-from scipy.special import lpmv
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .audio import SampleBuffer
+from .errors import RateMismatchError
 
 MAX_ORDER = 8
 
@@ -31,6 +31,12 @@ def num_channels(order):
 
 def sh_eval(order, azimuth, elevation):
     """Real spherical harmonics up to `order` at one or many directions.
+
+    The associated Legendre functions P_l^m(sin el), without the
+    Condon-Shortley phase, come from the standard recurrence:
+    P_m^m = (2m-1)!! cos^m(el), P_{m+1}^m = (2m+1) sin(el) P_m^m, and
+    (l-m) P_l^m = (2l-1) sin(el) P_{l-1}^m - (l+m-1) P_{l-2}^m.
+    cos(m az) and sin(m az) come from the angle-addition formulas.
 
     Parameters
     ----------
@@ -53,19 +59,25 @@ def sh_eval(order, azimuth, elevation):
     if np.any(np.abs(el) > np.pi / 2 + 1e-12):
         raise ValueError("elevation outside [-pi/2, pi/2]")
 
-    x = np.sin(el)
+    x, cos_el = np.sin(el), np.cos(el)
+    cos_1, sin_1 = np.cos(az), np.sin(az)
+    cos_m, sin_m = np.ones_like(az), np.zeros_like(az)
+    p_mm = np.ones_like(el)
     out = np.empty((num_channels(order), az.size), dtype=np.float64)
-    for l in range(order + 1):
-        for mm in range(0, l + 1):
-            # lpmv carries the Condon-Shortley phase; remove it.
-            leg = (-1.0) ** mm * lpmv(mm, l, x)
+    for mm in range(order + 1):
+        if mm > 0:
+            p_mm = (2 * mm - 1) * cos_el * p_mm
+            cos_m, sin_m = cos_m * cos_1 - sin_m * sin_1, sin_m * cos_1 + cos_m * sin_1
+        p_lo, p_l = np.zeros_like(el), p_mm  # P_{m-1}^m = 0 starts the recurrence
+        for l in range(mm, order + 1):
+            if l > mm:
+                p_lo, p_l = p_l, ((2 * l - 1) * x * p_l - (l + mm - 1) * p_lo) / (l - mm)
             norm = math.sqrt(math.factorial(l - mm) / math.factorial(l + mm))
-            base = norm * leg
             if mm == 0:
-                out[acn_index(l, 0)] = base
+                out[acn_index(l, 0)] = norm * p_l
             else:
-                out[acn_index(l, mm)] = math.sqrt(2.0) * base * np.cos(mm * az)
-                out[acn_index(l, -mm)] = math.sqrt(2.0) * base * np.sin(mm * az)
+                out[acn_index(l, mm)] = math.sqrt(2.0) * norm * p_l * cos_m
+                out[acn_index(l, -mm)] = math.sqrt(2.0) * norm * p_l * sin_m
     return out[:, 0] if scalar else out
 
 
@@ -196,24 +208,35 @@ DEFAULT_GRID_SIZE = 64
 def binaural_decode(signal, hrtfs, grid=None):
     """Render an AmbiSignal to two ears through virtual loudspeakers.
 
-    The decode matrix is the Moore-Penrose pseudo-inverse of the
-    L x (order+1)^2 matrix of spherical-harmonic rows at the grid
-    directions; each virtual-speaker feed is convolved with its HRTF pair
-    and summed per ear.
+    The virtual-loudspeaker decode feeds each of the L grid directions
+    through the Moore-Penrose pseudo-inverse of the L x K matrix of
+    spherical-harmonic rows (K = (order+1)^2), convolves each feed with
+    its HRTF pair and sums per ear. That map is linear, so it is folded
+    here into one K x taps SH-domain filter bank per ear,
+    pinv(basis) @ firs: each ear is the sum over the K channels of the
+    channel convolved with its filter, computed in the frequency domain
+    from one FFT of the field shared by both ears. No speaker feed is
+    formed.
 
     Parameters
     ----------
     signal : AmbiSignal
     hrtfs : HrtfSet
         Must supply a filter pair for every grid direction (nearest
-        lookup is used).
+        lookup is used) at the signal's rate.
     grid : (azimuths, elevations), optional
         Defaults to a 64-point spherical Fibonacci set.
 
     Returns
     -------
     SampleBuffer, 2 channels (left, right); length frames + taps - 1.
+
+    Raises RateMismatchError when the HRTF rate differs from the signal's.
     """
+    if hrtfs.rate != signal.rate:
+        raise RateMismatchError(
+            f"HRTF set is at {hrtfs.rate} Hz but the signal is at {signal.rate} Hz"
+        )
     if grid is None:
         grid = fibonacci_directions(DEFAULT_GRID_SIZE)
     az, el = np.asarray(grid[0], dtype=np.float64), np.asarray(grid[1], dtype=np.float64)
@@ -224,11 +247,14 @@ def binaural_decode(signal, hrtfs, grid=None):
             f"(need at least {k})"
         )
     basis = sh_eval(signal.order, az, el).T          # L x K
-    decode = np.linalg.pinv(basis)                   # K x L
-    feeds = decode.T @ signal.data                   # L x frames
+    firs = np.stack([hrtfs.nearest(a, e) for a, e in zip(az, el)], axis=1)  # 2 x L x taps
+    filters = np.linalg.pinv(basis) @ firs           # 2 x K x taps
 
-    left_firs = np.stack([hrtfs.nearest(a, e)[0] for a, e in zip(az, el)])
-    right_firs = np.stack([hrtfs.nearest(a, e)[1] for a, e in zip(az, el)])
-    left = fftconvolve(feeds, left_firs, mode="full", axes=1).sum(axis=0)
-    right = fftconvolve(feeds, right_firs, mode="full", axes=1).sum(axis=0)
-    return SampleBuffer(np.stack([left, right]), signal.rate)
+    length = signal.frames + hrtfs.taps - 1
+    nfft = next_fast_len(length, real=True)
+    spectrum = rfft(signal.data, nfft, axis=1)       # K x bins
+    ears = [
+        irfft(np.einsum("kf,kf->f", spectrum, rfft(bank, nfft, axis=1)), nfft)[:length]
+        for bank in filters
+    ]
+    return SampleBuffer(np.stack(ears), signal.rate)

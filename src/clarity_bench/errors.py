@@ -10,7 +10,7 @@ class FormatError(ClarityBenchError):
 
 
 class RateMismatchError(ClarityBenchError):
-    """Audio file sample rate differs from the rate the caller demands."""
+    """A sample rate (audio file or HRTF set) differs from the rate the caller demands."""
 
 
 class InsufficientDecayError(ClarityBenchError):

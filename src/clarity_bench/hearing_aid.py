@@ -58,15 +58,24 @@ def load_audiogram(path):
     """Read {left: {"250": dB, ...}, right: {...}} JSON."""
     with open(path, encoding="utf-8") as fp:
         payload = json.load(fp)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: audiogram must be a JSON object with 'left' and 'right'")
     ears = []
     for name in ("left", "right"):
         if name not in payload:
             raise ValueError(f"{path}: missing '{name}' ear")
         table = payload[name]
-        try:
-            ears.append(tuple(float(table[str(int(f))]) for f in AUDIOGRAM_FREQUENCIES))
-        except KeyError as exc:
-            raise ValueError(f"{path}: {name} ear lacks frequency {exc}") from exc
+        if not isinstance(table, dict):
+            raise ValueError(f"{path}: {name} ear must map frequencies to levels")
+        levels = []
+        for key in (str(int(f)) for f in AUDIOGRAM_FREQUENCIES):
+            if key not in table:
+                raise ValueError(f"{path}: {name} ear lacks frequency '{key}'")
+            level = table[key]
+            if isinstance(level, bool) or not isinstance(level, (int, float)):
+                raise ValueError(f"{path}: {name} ear level at {key} Hz is not a number: {level!r}")
+            levels.append(float(level))
+        ears.append(tuple(levels))
     return Audiogram(left=ears[0], right=ears[1])
 
 

@@ -1,7 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.signal import fftconvolve
+from scipy.special import lpmv
 
 from clarity_bench.ambisonics import (
+    MAX_ORDER,
     AmbiSignal,
     acn_index,
     apply_rotation,
@@ -14,7 +21,8 @@ from clarity_bench.ambisonics import (
     yaw_rotation,
 )
 from clarity_bench.audio import mono, stereo
-from clarity_bench.hrtf import HrtfSet
+from clarity_bench.errors import RateMismatchError
+from clarity_bench.hrtf import HrtfSet, default_hrtf_set
 
 
 def delta_hrtfs(count=64, taps=8):
@@ -219,3 +227,94 @@ def test_fibonacci_grid_is_deterministic_and_unit():
     z = np.sin(el1)
     assert np.all(np.abs(z) <= 1.0)
     assert np.all(np.diff(z) < 0)  # descending z sweep
+
+
+# --- the SH-domain render equals the formulas it replaced -----------------------
+
+
+def legendre_sh_eval(order, azimuth, elevation):
+    """Real SN3D spherical harmonics from lpmv and factorials, one call per (l, m)."""
+    az, el = np.broadcast_arrays(np.atleast_1d(azimuth), np.atleast_1d(elevation))
+    x = np.sin(el)
+    out = np.empty((num_channels(order), az.size))
+    for l in range(order + 1):
+        for mm in range(l + 1):
+            # lpmv carries the Condon-Shortley phase; remove it.
+            base = math.sqrt(math.factorial(l - mm) / math.factorial(l + mm)) * (
+                (-1.0) ** mm * lpmv(mm, l, x)
+            )
+            if mm == 0:
+                out[acn_index(l, 0)] = base
+            else:
+                out[acn_index(l, mm)] = math.sqrt(2.0) * base * np.cos(mm * az)
+                out[acn_index(l, -mm)] = math.sqrt(2.0) * base * np.sin(mm * az)
+    return out
+
+
+def speaker_feed_decode(signal, hrtfs):
+    """Pseudo-inverse feeds on the 64-point grid, each convolved with its
+    nearest HRTF pair and summed per ear."""
+    az, el = fibonacci_directions(64)
+    feeds = np.linalg.pinv(legendre_sh_eval(signal.order, az, el).T).T @ signal.data
+    left = np.stack([hrtfs.nearest(a, e)[0] for a, e in zip(az, el)])
+    right = np.stack([hrtfs.nearest(a, e)[1] for a, e in zip(az, el)])
+    return np.stack([
+        fftconvolve(feeds, left, mode="full", axes=1).sum(axis=0),
+        fftconvolve(feeds, right, mode="full", axes=1).sum(axis=0),
+    ])
+
+
+# lpmv rebuilds cos(el) as sqrt(1 - sin(el)**2), which loses digits within a
+# milliradian of the poles (2e-12 at 1e-5 rad, 2e-10 at 1e-7 rad); the poles
+# themselves are exact, and the recurrence's accuracy there is checked below.
+directions = st.lists(
+    st.tuples(
+        st.floats(-4 * np.pi, 4 * np.pi),
+        st.floats(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(directions)
+@example([(0.0, np.pi / 2), (1.0, -np.pi / 2), (2.5, 0.0), (-3.0, np.pi / 2)])
+def test_sh_eval_equals_legendre_formula(points):
+    az, el = np.array(points).T
+    for order in range(MAX_ORDER + 1):
+        assert np.max(np.abs(sh_eval(order, az, el) - legendre_sh_eval(order, az, el))) < 1e-12
+
+
+def test_sh_eval_sectoral_terms_stay_accurate_near_the_poles():
+    # Y_m^m = sqrt(2 / (2m)!) (2m-1)!! cos(el)^m cos(m az) in SN3D, evaluated
+    # with cos(el) directly, so the comparison holds in relative terms.
+    az = 0.4
+    for delta in np.logspace(-9, -3, 13):
+        for el in (np.pi / 2 - delta, -np.pi / 2 + delta):
+            y = sh_eval(MAX_ORDER, az, el)
+            for mm in range(1, MAX_ORDER + 1):
+                exact = (
+                    math.sqrt(2.0 / math.factorial(2 * mm))
+                    * math.prod(range(1, 2 * mm, 2))
+                    * math.cos(el) ** mm
+                )
+                assert abs(y[acn_index(mm, mm)] - exact * math.cos(mm * az)) <= 1e-13 * exact
+                assert abs(y[acn_index(mm, -mm)] - exact * math.sin(mm * az)) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_binaural_decode_equals_speaker_feed_decode(order):
+    rng = np.random.default_rng(order)
+    hrtfs = default_hrtf_set()
+    field = AmbiSignal(rng.uniform(-1, 1, (num_channels(order), 500)), order, 16000)
+    ears = binaural_decode(field, hrtfs)
+    expected = speaker_feed_decode(field, hrtfs)
+    assert ears.data.shape == expected.shape == (2, 500 + hrtfs.taps - 1)
+    assert np.max(np.abs(ears.data - expected)) < 1e-12
+
+
+def test_binaural_decode_rejects_hrtfs_at_another_rate():
+    field = AmbiSignal(np.zeros((4, 100)), 1, 16000)
+    with pytest.raises(RateMismatchError, match="48000"):
+        binaural_decode(field, default_hrtf_set(rate=48000))

@@ -22,7 +22,7 @@ from clarity_bench.harness import (
     write_run_manifest,
     write_scores_csv,
 )
-from clarity_bench.hearing_aid import flat_audiogram, save_audiogram
+from clarity_bench.hearing_aid import AUDIOGRAM_FREQUENCIES, flat_audiogram, save_audiogram
 from clarity_bench.scenes import generate_dataset
 
 
@@ -352,3 +352,25 @@ def test_run_manifest_aggregates_are_the_record_means():
     )
     run = RunManifest(version="v", dataset="d", fidelity="simulated", records=records)
     assert run.aggregates == {"haspi_like": 0.625, "hasqi_like": 0.375, "ave": 0.5}
+
+
+@pytest.mark.parametrize(
+    "payload, words",
+    [
+        ([40, 40], ["ag.json", "JSON object"]),
+        ({"left": [40], "right": {}}, ["ag.json", "left ear"]),
+        ({"left": {"250": None}, "right": {}}, ["ag.json", "left ear", "250 Hz"]),
+        ({"left": {}, "right": {"4000": True}}, ["ag.json", "right ear", "4000 Hz"]),
+        ({"left": {"1000": "40"}, "right": {}}, ["ag.json", "left ear", "1000 Hz"]),
+    ],
+)
+def test_cli_score_rejects_malformed_audiogram(tmp_path, capsys, payload, words):
+    path = tmp_path / "ag.json"
+    full = {str(int(f)): 40 for f in AUDIOGRAM_FREQUENCIES}
+    if isinstance(payload, dict):
+        payload = {ear: {**full, **table} if isinstance(table, dict) else table
+                   for ear, table in payload.items()}
+    path.write_text(json.dumps(payload))
+    code = main(["score", "--dataset", str(tmp_path / "manifest.json"),
+                 "--audiogram", str(path), "--out", str(tmp_path / "s.csv")])
+    assert_one_error_line(code, capsys, *words)
