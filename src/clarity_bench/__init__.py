@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .ambisonics import (
     AmbiSignal,
-    apply_rotation,
     binaural_decode,
     encode,
     fibonacci_directions,
@@ -18,7 +17,7 @@ from .ambisonics import (
     truncate,
     yaw_rotation,
 )
-from .audio import DEFAULT_RATE, SampleBuffer, convolve, mono, read_wav, rms, stereo, write_wav
+from .audio import DEFAULT_RATE, SampleBuffer, mono, read_wav, write_wav
 from .harness import (
     LeaderboardRow,
     RunManifest,

@@ -171,15 +171,6 @@ def yaw_rotation(order, angle):
     return YawRotation(angle=float(angle), order=order, matrix=mat)
 
 
-def apply_rotation(signal, rotation):
-    """Apply a YawRotation to every frame of an AmbiSignal."""
-    if signal.order != rotation.order:
-        raise ValueError(
-            f"signal order {signal.order} != rotation order {rotation.order}"
-        )
-    return AmbiSignal(rotation.matrix @ signal.data, signal.order, signal.rate)
-
-
 def truncate(signal, new_order):
     """Keep only the channels up to new_order (drop higher degrees)."""
     if new_order > signal.order:
@@ -216,7 +207,9 @@ def binaural_decode(signal, hrtfs, grid=None):
     pinv(basis) @ firs: each ear is the sum over the K channels of the
     channel convolved with its filter, computed in the frequency domain
     from one FFT of the field shared by both ears. No speaker feed is
-    formed.
+    formed. This is why the decode keeps its own rfft/irfft instead of
+    audio.convolve_channels: the K products are summed in the frequency
+    domain, so each ear needs one inverse FFT rather than K.
 
     Parameters
     ----------

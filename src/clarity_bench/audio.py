@@ -1,4 +1,4 @@
-"""Signal containers, WAV I/O and convolution/level primitives.
+"""Signal containers, WAV I/O and the convolution and level primitives.
 
 All internal DSP runs in float64; float32 appears only at file boundaries.
 The pipeline sample rate defaults to 16 kHz and is carried explicitly on
@@ -8,8 +8,8 @@ every buffer, so modules never have to guess.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.io import wavfile
-from scipy.signal import fftconvolve
 
 from .errors import FormatError, RateMismatchError
 
@@ -63,15 +63,6 @@ class SampleBuffer:
 def mono(samples, rate=DEFAULT_RATE):
     """Wrap a 1-D array as a single-channel SampleBuffer."""
     return SampleBuffer(np.asarray(samples, dtype=np.float64)[None, :], rate)
-
-
-def stereo(left, right, rate=DEFAULT_RATE):
-    """Wrap two equal-length arrays as a 2-channel SampleBuffer."""
-    left = np.asarray(left, dtype=np.float64)
-    right = np.asarray(right, dtype=np.float64)
-    if left.shape != right.shape:
-        raise ValueError("left/right lengths differ")
-    return SampleBuffer(np.stack([left, right]), rate)
 
 
 def read_wav(path, expected_rate=None):
@@ -130,50 +121,23 @@ def write_wav(path, buffer, encoding="float32"):
     wavfile.write(str(path), buffer.rate, out)
 
 
-def convolve(signal, kernel):
-    """Full linear convolution of a mono buffer with an impulse response.
+def convolve_channels(data, kernels):
+    """Full linear convolution along the last axis; leading axes broadcast.
 
-    Output length is n + m - 1. Uses an FFT method; agrees with direct
-    summation to better than 1e-9 for unit-scale signals.
+    The result has data.shape[-1] + kernels.shape[-1] - 1 frames: one real
+    FFT of each operand at a fast length, their product, one inverse FFT.
+    These are the transforms of scipy.signal's FFT convolution, and at the
+    package's call sites the outputs agree bit for bit. Swapping the
+    operands changes the rounding of the complex product, so each caller
+    keeps a fixed order.
     """
-    if signal.channels != 1:
-        raise ValueError(f"convolve expects a mono buffer, got {signal.channels} channels")
-    kernel = np.asarray(kernel, dtype=np.float64).ravel()
-    if signal.frames == 0 or kernel.size == 0:
+    data = np.asarray(data, dtype=np.float64)
+    kernels = np.asarray(kernels, dtype=np.float64)
+    if data.size == 0 or kernels.size == 0:
         raise ValueError("convolve requires non-empty signal and kernel")
-    out = fftconvolve(signal.channel(0), kernel, mode="full")
-    return SampleBuffer(out[None, :], signal.rate)
-
-
-def convolve_channels(data, kernel):
-    """Convolve every row of a (channels, frames) array with one kernel."""
-    kernel = np.asarray(kernel, dtype=np.float64).ravel()
-    if data.size == 0 or kernel.size == 0:
-        raise ValueError("convolve requires non-empty signal and kernel")
-    return fftconvolve(data, kernel[None, :], mode="full", axes=1)
-
-
-def rms(signal, frame_range=None):
-    """Per-channel root-mean-square level.
-
-    Parameters
-    ----------
-    signal : SampleBuffer
-    frame_range : (start, stop), optional
-        Half-open frame range; defaults to the whole signal.
-
-    Returns
-    -------
-    ndarray, shape (channels,)
-    """
-    if frame_range is None:
-        start, stop = 0, signal.frames
-    else:
-        start, stop = frame_range
-    if not (0 <= start < stop <= signal.frames):
-        raise ValueError(f"empty or out-of-bounds frame range ({start}, {stop})")
-    seg = signal.data[:, start:stop]
-    return np.sqrt(np.mean(seg * seg, axis=1))
+    length = data.shape[-1] + kernels.shape[-1] - 1
+    nfft = next_fast_len(length, real=True)
+    return irfft(rfft(data, nfft) * rfft(kernels, nfft), nfft)[..., :length]
 
 
 def rms_array(x):
@@ -182,3 +146,9 @@ def rms_array(x):
     if x.size == 0:
         return 0.0
     return float(np.sqrt(np.mean(x * x)))
+
+
+def scale_to_rms(x, target):
+    """x scaled to RMS `target`; silent or empty input comes back unchanged."""
+    level = rms_array(x)
+    return x * (target / level) if level > 0 else x

@@ -86,28 +86,36 @@ def bundled_results_path():
     return str(resources.files("clarity_bench").joinpath("data/published_results.csv"))
 
 
-def load_published_results(path=None):
-    """Rows of the published leaderboard (or any CSV in the same layout)."""
-    path = path or bundled_results_path()
+def _read_score_rows(path, header, what):
+    """Rows of a CSV with exactly `header` as dicts, the last three columns
+    parsed as scores. A score that is not a number in [0, 1] (NaN and
+    infinities included) raises ValueError naming the file and line."""
     rows = []
     with open(path, encoding="utf-8") as fp:
         reader = csv.DictReader(fp)
+        if reader.fieldnames != header:
+            raise ValueError(f"{path}: line 1: expected {','.join(header)} header")
         for line_no, rec in enumerate(reader, start=2):
             try:
-                rows.append(
-                    LeaderboardRow(
-                        entry=rec["entry"],
-                        eval_set=rec["eval_set"],
-                        haspi=float(rec["haspi"]),
-                        hasqi=float(rec["hasqi"]),
-                        ave=float(rec["ave"]),
-                    )
-                )
+                row = {key: rec[key] for key in header[:-3]}
+                for key in header[-3:]:
+                    value = float(rec[key])
+                    if not 0.0 <= value <= 1.0:
+                        raise ValueError(f"{key} {rec[key]!r} is not a score in [0, 1]")
+                    row[key] = value
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+            rows.append(row)
     if not rows:
-        raise ValueError(f"{path}: no leaderboard rows")
+        raise ValueError(f"{path}: no {what} rows")
     return rows
+
+
+def load_published_results(path=None):
+    """Rows of the published leaderboard (or any CSV in the same layout)."""
+    path = path or bundled_results_path()
+    header = ["entry", "eval_set", "haspi", "hasqi", "ave"]
+    return [LeaderboardRow(**row) for row in _read_score_rows(path, header, "leaderboard")]
 
 
 def best_per_team(rows):
@@ -291,26 +299,7 @@ def write_run_manifest(run, path):
 
 def read_scores_csv(path):
     """Rows of a scores CSV; raises ValueError with the offending line."""
-    rows = []
-    with open(path, encoding="utf-8") as fp:
-        reader = csv.DictReader(fp)
-        if reader.fieldnames != ["scene", "haspi_like", "hasqi_like", "ave"]:
-            raise ValueError(f"{path}: line 1: expected scene,haspi_like,hasqi_like,ave header")
-        for line_no, rec in enumerate(reader, start=2):
-            try:
-                rows.append(
-                    {
-                        "scene": rec["scene"],
-                        "haspi_like": float(rec["haspi_like"]),
-                        "hasqi_like": float(rec["hasqi_like"]),
-                        "ave": float(rec["ave"]),
-                    }
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-    if not rows:
-        raise ValueError(f"{path}: no score rows")
-    return rows
+    return _read_score_rows(path, ["scene", "haspi_like", "hasqi_like", "ave"], "score")
 
 
 def report_scores(paths, tolerance=ROUNDING_TOLERANCE):

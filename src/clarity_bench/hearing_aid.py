@@ -174,13 +174,13 @@ def amplify(ears, audiogram, taps=DEFAULT_TAPS):
     """
     if ears.channels != 2:
         raise ValueError(f"amplify expects a stereo buffer, got {ears.channels} channels")
-    out = []
-    for idx, ear in enumerate(("left", "right")):
-        fir = design_fir(nalr_gains(audiogram, ear), taps=taps, rate=ears.rate)
-        out.append(convolve_channels(ears.data[idx : idx + 1], fir)[0])
-    stacked = np.stack(out)
-    clipped = int(np.count_nonzero(np.abs(stacked) > 1.0))
+    firs = np.stack([
+        design_fir(nalr_gains(audiogram, ear), taps=taps, rate=ears.rate)
+        for ear in ("left", "right")
+    ])
+    out = convolve_channels(ears.data, firs)
+    clipped = int(np.count_nonzero(np.abs(out) > 1.0))
     return AmplifyResult(
-        ears=SampleBuffer(np.clip(stacked, -1.0, 1.0), ears.rate),
+        ears=SampleBuffer(np.clip(out, -1.0, 1.0), ears.rate),
         clipped=clipped,
     )

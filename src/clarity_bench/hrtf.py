@@ -9,7 +9,6 @@ transform. theta_inc is the angle between the arrival direction and the
 ear's axis (+y for the left ear, -y for the right).
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -167,39 +166,3 @@ def default_hrtf_set(model=None, rate=DEFAULT_RATE, taps=DEFAULT_TAPS, grid_size
     """Spherical-head set on the default Fibonacci decode grid."""
     az, el = fibonacci_directions(grid_size)
     return build_hrtf_set(az, el, model=model, rate=rate, taps=taps)
-
-
-def save_hrtf_set(hrtf_set, path):
-    """Write an HrtfSet as JSON ({rate, taps, entries: [...]})."""
-    entries = [
-        {
-            "az_deg": float(np.degrees(hrtf_set.azimuths[i])),
-            "el_deg": float(np.degrees(hrtf_set.elevations[i])),
-            "left": hrtf_set.left[i].tolist(),
-            "right": hrtf_set.right[i].tolist(),
-        }
-        for i in range(hrtf_set.azimuths.size)
-    ]
-    payload = {"rate": hrtf_set.rate, "taps": hrtf_set.taps, "entries": entries}
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp)
-
-
-def load_hrtf_set(path):
-    """Read an HrtfSet from the JSON layout written by save_hrtf_set."""
-    with open(path, encoding="utf-8") as fp:
-        payload = json.load(fp)
-    entries = payload["entries"]
-    if not entries:
-        raise ValueError(f"{path}: HRTF set has no entries")
-    taps = int(payload["taps"])
-    for e in entries:
-        if len(e["left"]) != taps or len(e["right"]) != taps:
-            raise ValueError(f"{path}: FIR length differs from declared taps={taps}")
-    return HrtfSet(
-        azimuths=np.radians([e["az_deg"] for e in entries]),
-        elevations=np.radians([e["el_deg"] for e in entries]),
-        left=np.array([e["left"] for e in entries]),
-        right=np.array([e["right"] for e in entries]),
-        rate=int(payload["rate"]),
-    )

@@ -14,15 +14,23 @@ Hearing loss enters as pure band attenuation on the processed branch
 stays unmodified. Frames whose reference envelope is below the
 audibility threshold are ignored, so inaudible stretches neither help
 nor hurt.
+
+The gammatone bank and the alignment cross-correlation are FFT
+convolutions (audio.convolve_channels). The envelope low-pass stays a
+recursive filter (scipy.signal butter + lfilter): convolving with the
+biquad's impulse response, cut where it falls below 1e-18 (4,163 taps),
+matches lfilter within 1e-13 but is about 3x slower, 0.020 s against
+0.006 s per 32-band call at 28,800 frames and 0.032 s against 0.010 s at
+51,000 frames (one thread).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import butter, fftconvolve, lfilter
+from scipy.signal import butter, lfilter
 
-from .audio import SampleBuffer
+from .audio import SampleBuffer, convolve_channels, scale_to_rms
 from .errors import AlignmentError
 from .hearing_aid import AUDIOGRAM_FREQUENCIES
 
@@ -116,7 +124,7 @@ def gammatone_bands(signal, config=DEFAULT_CONFIG, rate=None):
         raise ValueError(f"auditory front end needs rate >= 16 kHz, got {rate}")
     x = _as_mono_array(signal)
     kernels, _ = _gammatone_kernels(config, rate)
-    return fftconvolve(kernels, x[None, :], mode="full", axes=1)[:, : x.size]
+    return convolve_channels(kernels, x)[:, : x.size]
 
 
 @lru_cache(maxsize=8)
@@ -145,11 +153,6 @@ def _envelopes(bands, config, rate):
     return 20.0 * np.log10(np.maximum(decimated, floor_lin))
 
 
-def envelope(band, config=DEFAULT_CONFIG, rate=16000):
-    """dB envelope of one band signal at the config's envelope rate."""
-    return _envelopes(np.asarray(band, dtype=np.float64), config, rate)
-
-
 def audiogram_band_attenuation(ear_levels, centers):
     """Audiogram losses interpolated to band centres (log-f, dB domain)."""
     ear_levels = np.asarray(ear_levels, dtype=np.float64)
@@ -163,31 +166,13 @@ def _xcorr_best_lag(r, p, lag_lo, lag_hi):
     denom = np.linalg.norm(r) * np.linalg.norm(p)
     if denom == 0.0:
         raise AlignmentError("cannot align all-zero signals")
-    corr = fftconvolve(p, r[::-1])
+    corr = convolve_channels(p, r[::-1])
     center = r.size - 1
     lo = max(0, center + lag_lo)
     hi = min(corr.size, center + lag_hi + 1)
     window = corr[lo:hi]
     best = int(np.argmax(window))
     return best + lo - center, float(window[best] / denom)
-
-
-def align(ref, proc, max_lag, return_correlation=False):
-    """Lag (samples) maximizing normalized cross-correlation.
-
-    Positive lag means proc is delayed relative to ref. Raises
-    AlignmentError for all-zero input; ValueError when max_lag is not
-    smaller than both signals.
-    """
-    r = _as_mono_array(ref)
-    p = _as_mono_array(proc)
-    max_lag = int(max_lag)
-    if max_lag >= min(r.size, p.size):
-        raise ValueError("max lag must be smaller than both signals")
-    lag, corr = _xcorr_best_lag(r, p, -max_lag, max_lag)
-    if return_correlation:
-        return lag, corr
-    return lag
 
 
 def _aligned_pair(ref, proc):
@@ -292,12 +277,8 @@ def quality_score(ref, proc, ear_levels, config=DEFAULT_CONFIG, rate=16000,
     if isinstance(ref, SampleBuffer):
         rate = ref.rate
     target = 10.0 ** (config.normalization_dbfs / 20.0)
-
-    def normalized(x):
-        level = np.sqrt(np.mean(x * x)) if x.size else 0.0
-        return x * (target / level) if level > 0 else x
-
-    r_seg, p_seg = _aligned_pair(normalized(_as_mono_array(ref)), normalized(_as_mono_array(proc)))
+    r_seg, p_seg = _aligned_pair(scale_to_rms(_as_mono_array(ref), target),
+                                 scale_to_rms(_as_mono_array(proc), target))
     ref_env, proc_env, ref_levels, proc_levels = _front_end(r_seg, p_seg, ear_levels, config, rate)
     c_term = _envelope_correlation(ref_env, proc_env, config)
     s_term = 1.0 - min(1.0, float(np.mean(np.abs(proc_levels - ref_levels))) / config.spectral_scale_db)

@@ -21,8 +21,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import signals
-from .ambisonics import AmbiSignal, binaural_decode, yaw_rotation
-from .audio import DEFAULT_RATE, SampleBuffer, convolve_channels, mono, read_wav, rms_array, write_wav
+from .ambisonics import AmbiSignal, binaural_decode, num_channels, yaw_rotation
+from .audio import (
+    DEFAULT_RATE, SampleBuffer, convolve_channels, mono, read_wav, rms_array, scale_to_rms, write_wav,
+)
 from .errors import MixError, SceneValidationError
 from .hrtf import default_hrtf_set
 from .room import RoomSpec, SourceSpec, image_source_rir
@@ -486,32 +488,34 @@ def render_scene(scene, hrtfs=None, profile=None, keep_components=False):
     room = RoomSpec(scene.room.dimensions, absorption, scene.room.speed_of_sound)
     child_seeds = _scene_child_seeds(scene.seed)
 
-    placed = []   # (onset frame, wet channels) per source, target first
+    sources = []   # (onset frame, dry signal, RIR channels) per source, target first
     for index, spec in enumerate((scene.target, *scene.interferers)):
         source = spec.source
         if source.synth_seed is None and source.file is None:
             source = replace(source, synth_seed=child_seeds[index])
         dry = source.resolve(rate)
-        if index == 0:
-            target_dry = dry
         directivity, aim = "omni", None
         if index > 0 and profile.interferer_directivity == "cardioid":
             directivity, aim = "cardioid", listener - np.asarray(spec.position)
         src = SourceSpec(tuple(spec.position), directivity, aim)
         rir = image_source_rir(room, src, listener, order, DEFAULT_RIR_SECONDS, rate=rate)
-        placed.append((int(round(spec.onset_s * rate)), convolve_channels(rir.signal.data, dry)))
+        sources.append((int(round(spec.onset_s * rate)), dry, rir.signal.data))
 
-    frames = max(onset + wet.shape[1] for onset, wet in placed)
-    fields = []
-    for onset, wet in placed:
-        buf = np.zeros((wet.shape[0], frames))
-        buf[:, onset : onset + wet.shape[1]] = wet
-        fields.append(AmbiSignal(buf, order, rate))
-    target_field, interferer_fields = fields[0], fields[1:]
-    target_onset, target_wet = placed[0]
-    active = (target_onset, target_onset + target_wet.shape[1])
+    # Each wet signal is added into its field at its onset as soon as it is
+    # convolved, so one source's wet signal is alive at a time.
+    ends = [onset + dry.size + rir.shape[1] - 1 for onset, dry, rir in sources]
+    frames = max(ends)
+    target_data = np.zeros((num_channels(order), frames))
+    interferer_data = np.zeros_like(target_data)
+    for index, ((onset, dry, rir), end) in enumerate(zip(sources, ends)):
+        field = target_data if index == 0 else interferer_data
+        field[:, onset:end] += convolve_channels(rir, dry)
+    target_onset, target_dry, _ = sources[0]
+    active = (target_onset, ends[0])
+    target_field = AmbiSignal(target_data, order, rate)
+    interferer_field = AmbiSignal(interferer_data, order, rate)
 
-    mixed, interferer_gain = mix_at_snr(target_field, interferer_fields, scene.snr_db, active)
+    mixed, interferer_gain = mix_at_snr(target_field, [interferer_field], scene.snr_db, active)
     target_w_rms = rms_array(target_field.w[active[0] : active[1]])
     noisy = add_transducer_noise(mixed, profile.transducer_noise_db,
                                  child_seeds[4], target_w_rms)
@@ -522,10 +526,7 @@ def render_scene(scene, hrtfs=None, profile=None, keep_components=False):
 
     ears = to_ears(noisy)
 
-    reference_rms = rms_array(target_dry)
-    reference_level = 10.0 ** (-26.0 / 20.0)
-    reference_gain = (reference_level / reference_rms) if reference_rms > 0 else 1.0
-    reference = mono(target_dry * reference_gain, rate)
+    reference = mono(scale_to_rms(target_dry, 10.0 ** (-26.0 / 20.0)), rate)
 
     record = {
         "seed": scene.seed,
@@ -548,8 +549,7 @@ def render_scene(scene, hrtfs=None, profile=None, keep_components=False):
         # Rotation and decode are linear, so the noise share is what the
         # target and interferer decodes leave of the ears.
         target_ears = to_ears(target_field)
-        interferer_sum = sum(f.data for f in interferer_fields) * interferer_gain
-        interferer_ears = to_ears(AmbiSignal(interferer_sum, order, rate))
+        interferer_ears = to_ears(AmbiSignal(interferer_data * interferer_gain, order, rate))
         components = {
             "target_ears": target_ears,
             "interferer_ears": interferer_ears,

@@ -8,16 +8,9 @@ noise for domestic noise, and a decaying tonal arpeggio for music.
 
 import numpy as np
 
-from .audio import DEFAULT_RATE
+from .audio import DEFAULT_RATE, scale_to_rms
 
 TARGET_RMS = 0.05  # about -26 dBFS
-
-
-def _normalize(x, target_rms=TARGET_RMS):
-    level = np.sqrt(np.mean(x * x))
-    if level == 0:
-        return x
-    return x * (target_rms / level)
 
 
 def _syllabic_envelope(n, rate, rng, rate_hz=3.0, gate=0.12):
@@ -53,7 +46,7 @@ def speech_like(duration_s, seed, rate=DEFAULT_RATE, f0=120.0):
     frication = np.fft.irfft(spectrum, n) * _syllabic_envelope(n, rate, rng, rate_hz=4.0)
 
     mix = voiced + 0.15 * frication * (np.abs(harmonics).mean() + 1e-12)
-    return _normalize(mix)
+    return scale_to_rms(mix, TARGET_RMS)
 
 
 def noise_like(duration_s, seed, rate=DEFAULT_RATE):
@@ -65,7 +58,7 @@ def noise_like(duration_s, seed, rate=DEFAULT_RATE):
     shaping = np.ones_like(freqs)
     shaping[1:] = freqs[1:] ** -0.5
     shaping[0] = 0.0
-    return _normalize(np.fft.irfft(spectrum * shaping, n))
+    return scale_to_rms(np.fft.irfft(spectrum * shaping, n), TARGET_RMS)
 
 
 def music_like(duration_s, seed, rate=DEFAULT_RATE):
@@ -86,7 +79,7 @@ def music_like(duration_s, seed, rate=DEFAULT_RATE):
             note += (1.0 / k**2) * np.sin(2.0 * np.pi * k * f * t)
         out[start : start + length] += env * note
         start += note_len
-    return _normalize(out)
+    return scale_to_rms(out, TARGET_RMS)
 
 
 _GENERATORS = {"speech": speech_like, "noise": noise_like, "music": music_like}

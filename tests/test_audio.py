@@ -1,14 +1,18 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
+from scipy.signal import fftconvolve
 
 from clarity_bench.audio import (
     SampleBuffer,
-    convolve,
+    convolve_channels,
     mono,
     read_wav,
-    rms,
-    stereo,
+    rms_array,
+    scale_to_rms,
     write_wav,
 )
 from clarity_bench.errors import FormatError, RateMismatchError
@@ -71,19 +75,19 @@ def test_buffer_invariants():
 
 
 def test_convolve_identity_kernel():
-    x = mono(np.arange(32, dtype=float))
-    y = convolve(x, [1.0])
-    assert np.allclose(y.channel(0), x.channel(0))
+    x = np.arange(32, dtype=float)
+    y = convolve_channels(x, [1.0])
+    assert np.allclose(y, x)
 
 
 def test_convolve_shift_kernel():
-    x = mono(np.arange(16, dtype=float))
+    x = np.arange(16, dtype=float)
     kernel = np.zeros(5)
     kernel[3] = 1.0
-    y = convolve(x, kernel)
-    assert y.frames == 16 + 5 - 1
-    assert np.allclose(y.channel(0)[3:19], x.channel(0))
-    assert np.allclose(y.channel(0)[:3], 0.0)
+    y = convolve_channels(x, kernel)
+    assert y.shape == (16 + 5 - 1,)
+    assert np.allclose(y[3:19], x)
+    assert np.allclose(y[:3], 0.0)
 
 
 def test_convolve_matches_direct_summation():
@@ -93,7 +97,7 @@ def test_convolve_matches_direct_summation():
     direct = np.zeros(512 + 64 - 1)
     for i, xi in enumerate(x):
         direct[i : i + 64] += xi * h
-    fast = convolve(mono(x), h).channel(0)
+    fast = convolve_channels(x, h)
     assert np.max(np.abs(fast - direct)) < 1e-9
 
 
@@ -102,41 +106,98 @@ def test_convolve_is_linear():
     x = rng.uniform(-1, 1, 256)
     y = rng.uniform(-1, 1, 256)
     h = rng.uniform(-1, 1, 32)
-    lhs = convolve(mono(2.5 * x - 1.25 * y), h).channel(0)
-    rhs = 2.5 * convolve(mono(x), h).channel(0) - 1.25 * convolve(mono(y), h).channel(0)
+    lhs = convolve_channels(2.5 * x - 1.25 * y, h)
+    rhs = 2.5 * convolve_channels(x, h) - 1.25 * convolve_channels(y, h)
     assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
 def test_convolve_rejects_empty_and_multichannel():
     with pytest.raises(ValueError):
-        convolve(mono(np.zeros(4)), [])
+        convolve_channels(np.zeros(4), [])
     with pytest.raises(ValueError):
-        convolve(stereo(np.zeros(4), np.zeros(4)), [1.0])
+        convolve_channels(np.zeros((2, 0)), [1.0])
+    # Leading axes broadcast: channel counts that do not broadcast are rejected.
+    with pytest.raises(ValueError):
+        convolve_channels(np.zeros((2, 4)), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("site", ["render", "amplify", "gammatone", "xcorr"])
+def test_convolve_channels_equals_fftconvolve_at_each_call_site(site):
+    # The shapes and operand order each caller uses; the outputs must be
+    # the same bits as the scipy.signal routine the callers used to call.
+    rng = np.random.default_rng(12)
+    if site == "render":      # (K, RIR taps) * dry signal
+        data, kernels = rng.standard_normal((49, 5600)), rng.standard_normal(28800)
+        expected = fftconvolve(data, kernels[None, :], mode="full", axes=1)
+    elif site == "amplify":   # both ears' signals * both ears' FIRs
+        data, kernels = rng.standard_normal((2, 51000)), rng.standard_normal((2, 127))
+        expected = np.stack([
+            fftconvolve(data[i : i + 1], kernels[i][None, :], mode="full", axes=1)[0]
+            for i in range(2)
+        ])
+    elif site == "gammatone":  # (bands, taps) * mono signal
+        data, kernels = rng.standard_normal((32, 2048)), rng.standard_normal(28800)
+        expected = fftconvolve(data, kernels[None, :], mode="full", axes=1)
+    else:                      # processed * reversed reference
+        data = rng.standard_normal(51000)
+        kernels = rng.standard_normal(28800)[::-1]
+        expected = fftconvolve(data, kernels)
+    assert np.array_equal(convolve_channels(data, kernels), expected)
 
 
 def test_rms_constant():
-    assert rms(mono(np.full(100, 0.5)))[0] == pytest.approx(0.5)
+    assert rms_array(np.full(100, 0.5)) == pytest.approx(0.5)
 
 
 def test_rms_sine_whole_periods():
     t = np.arange(1600) / 16000
     x = 0.4 * np.sin(2 * np.pi * 100 * t)  # 10 whole periods
-    assert rms(mono(x))[0] == pytest.approx(0.4 / np.sqrt(2), abs=1e-6)
+    assert rms_array(x) == pytest.approx(0.4 / np.sqrt(2), abs=1e-6)
 
 
 def test_rms_zeros_and_range():
-    assert rms(mono(np.zeros(10)))[0] == 0.0
-    buf = mono(np.concatenate([np.zeros(50), np.ones(50)]))
-    assert rms(buf, (0, 50))[0] == 0.0
-    assert rms(buf, (50, 100))[0] == 1.0
-    with pytest.raises(ValueError):
-        rms(buf, (60, 60))
-    with pytest.raises(ValueError):
-        rms(buf, (0, 101))
+    assert rms_array(np.zeros(10)) == 0.0
+    x = np.concatenate([np.zeros(50), np.ones(50)])
+    assert rms_array(x[0:50]) == 0.0
+    assert rms_array(x[50:100]) == 1.0
+    assert rms_array(x[60:60]) == 0.0
 
 
 def test_rms_scale_equivariance():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, 300)
     for c in (-2.0, 0.25, 7.5):
-        assert abs(rms(mono(c * x))[0] - abs(c) * rms(mono(x))[0]) < 1e-12
+        assert abs(rms_array(c * x) - abs(c) * rms_array(x)) < 1e-12
+
+
+def test_scale_to_rms_hits_target_and_leaves_silence_unchanged():
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-1, 1, 400)
+    assert rms_array(scale_to_rms(x, 0.05)) == pytest.approx(0.05, rel=1e-12)
+    assert np.array_equal(scale_to_rms(x, 0.05), x * (0.05 / np.sqrt(np.mean(x * x))))
+    silent = np.zeros(10)
+    assert scale_to_rms(silent, 0.05) is silent
+    empty = np.zeros(0)
+    assert scale_to_rms(empty, 0.05) is empty
+
+
+def test_one_fft_convolution_in_the_package():
+    # Every convolution goes through audio.convolve_channels. Only audio and
+    # the binaural decode, which sums its channels in the frequency domain,
+    # take FFTs themselves.
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "clarity_bench"
+    fft_users = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}" for alias in node.names]
+                modules.append(node.module or "")
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                assert getattr(node, "attr", getattr(node, "id", None)) != "fftconvolve", path.name
+                continue
+            assert not any(m.endswith(".fftconvolve") for m in modules), path.name
+            if any(m == "scipy.fft" or m.startswith("scipy.fft.") for m in modules):
+                fft_users.add(path.stem)
+    assert fft_users == {"audio", "ambisonics"}

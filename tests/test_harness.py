@@ -108,6 +108,10 @@ def test_load_published_results_error_reporting(tmp_path):
     bad.write_text("entry,eval_set,haspi,hasqi,ave\nE01,eval1,oops,0.1,0.1\n")
     with pytest.raises(ValueError, match="line 2"):
         load_published_results(bad)
+    wrong = tmp_path / "wrong.csv"
+    wrong.write_text("entry,haspi,hasqi,ave\nE01,0.1,0.1,0.1\n")
+    with pytest.raises(ValueError, match="line 1: expected entry,eval_set,haspi,hasqi,ave header"):
+        load_published_results(wrong)
 
 
 @pytest.fixture(scope="module")
@@ -374,3 +378,27 @@ def test_cli_score_rejects_malformed_audiogram(tmp_path, capsys, payload, words)
     code = main(["score", "--dataset", str(tmp_path / "manifest.json"),
                  "--audiogram", str(path), "--out", str(tmp_path / "s.csv")])
     assert_one_error_line(code, capsys, *words)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "7", "-0.1"])
+def test_cli_report_scores_rejects_values_that_are_not_scores(tmp_path, capsys, value):
+    path = tmp_path / "scores.csv"
+    path.write_text(
+        "scene,haspi_like,hasqi_like,ave\n"
+        "S0000,0.400,0.200,0.300\n"
+        f"S0001,{value},0.200,0.300\n"
+    )
+    code = main(["report", "--scores", str(path)])
+    assert_one_error_line(code, capsys, "scores.csv", "line 3", "haspi_like", value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1.5"])
+def test_cli_report_paper_table_rejects_values_that_are_not_scores(tmp_path, capsys, value):
+    path = tmp_path / "table.csv"
+    path.write_text(
+        "entry,eval_set,haspi,hasqi,ave\n"
+        "E01,eval1,0.400,0.200,0.300\n"
+        f"E02,eval1,0.400,0.200,{value}\n"
+    )
+    code = main(["report", "--paper-table", str(path)])
+    assert_one_error_line(code, capsys, "table.csv", "line 3", "ave", value)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import freqz
 
-from clarity_bench.audio import rms, stereo
+from clarity_bench.audio import SampleBuffer
 from clarity_bench.hearing_aid import (
     AUDIOGRAM_FREQUENCIES,
     Audiogram,
@@ -96,7 +96,7 @@ def test_design_fir_tap_validation():
 
 
 def test_amplify_silence():
-    result = amplify(stereo(np.zeros(500), np.zeros(500)), flat_audiogram(0.0))
+    result = amplify(SampleBuffer(np.zeros((2, 500)), 16000), flat_audiogram(0.0))
     assert not np.any(result.ears.data)
     assert result.clipped == 0
 
@@ -107,7 +107,7 @@ def test_amplify_zero_audiogram_passthrough_away_from_1k():
     t = np.arange(4000) / 16000
     for f in (400.0, 4000.0):
         x = 0.25 * np.sin(2 * np.pi * f * t)
-        result = amplify(stereo(x, x), flat_audiogram(0.0), taps=127)
+        result = amplify(SampleBuffer(np.stack([x, x]), 16000), flat_audiogram(0.0), taps=127)
         delay = 63
         out = result.ears.channel(0)[delay : delay + 4000]
         body = slice(500, 3500)
@@ -119,7 +119,7 @@ def test_amplify_zero_audiogram_passthrough_away_from_1k():
 def test_amplify_flat40_1khz_sine_level():
     t = np.arange(8000) / 16000
     x = 10 ** (-40 / 20) * np.sqrt(2) * np.sin(2 * np.pi * 1000 * t)  # -40 dBFS RMS
-    result = amplify(stereo(x, x), flat_audiogram(40.0))
+    result = amplify(SampleBuffer(np.stack([x, x]), 16000), flat_audiogram(40.0))
     out = result.ears.channel(0)[1000:7000]
     in_rms = 10 ** (-40 / 20)
     out_rms = np.sqrt(np.mean(out**2))
@@ -134,8 +134,8 @@ def test_amplify_linear_below_clipping():
     x = 0.01 * rng.uniform(-1, 1, 2000)
     y = 0.01 * rng.uniform(-1, 1, 2000)
     audiogram = flat_audiogram(40.0)
-    a = amplify(stereo(x, y), audiogram).ears.data
-    b = amplify(stereo(3.0 * x, 3.0 * y), audiogram).ears.data
+    a = amplify(SampleBuffer(np.stack([x, y]), 16000), audiogram).ears.data
+    b = amplify(SampleBuffer(np.stack([3.0 * x, 3.0 * y]), 16000), audiogram).ears.data
     assert np.max(np.abs(b - 3.0 * a)) < 1e-9
 
 
@@ -145,8 +145,8 @@ def test_amplify_ears_independent():
     y = 0.05 * rng.uniform(-1, 1, 1500)
     left_heavy = Audiogram(left=(60,) * 6, right=(10,) * 6)
     left_light = Audiogram(left=(5,) * 6, right=(10,) * 6)
-    a = amplify(stereo(x, y), left_heavy).ears
-    b = amplify(stereo(x, y), left_light).ears
+    a = amplify(SampleBuffer(np.stack([x, y]), 16000), left_heavy).ears
+    b = amplify(SampleBuffer(np.stack([x, y]), 16000), left_light).ears
     assert np.array_equal(a.channel(1), b.channel(1))
     assert not np.array_equal(a.channel(0), b.channel(0))
 
@@ -154,7 +154,7 @@ def test_amplify_ears_independent():
 def test_amplify_reports_clipping():
     t = np.arange(2000) / 16000
     x = 0.9 * np.sin(2 * np.pi * 1000 * t)
-    result = amplify(stereo(x, x), flat_audiogram(40.0))
+    result = amplify(SampleBuffer(np.stack([x, x]), 16000), flat_audiogram(40.0))
     assert result.clipped > 0
     assert np.max(np.abs(result.ears.data)) <= 1.0
 

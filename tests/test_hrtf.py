@@ -7,8 +7,6 @@ from clarity_bench.hrtf import (
     _head_shadow,
     build_hrtf_set,
     default_hrtf_set,
-    load_hrtf_set,
-    save_hrtf_set,
     synth_hrtf,
     woodworth_itd,
 )
@@ -109,18 +107,6 @@ def test_empty_set_rejected():
             azimuths=np.array([]), elevations=np.array([]),
             left=np.zeros((0, 8)), right=np.zeros((0, 8)), rate=16000,
         )
-
-
-def test_json_round_trip(tmp_path):
-    original = build_hrtf_set(np.array([0.1, 1.2]), np.array([0.0, -0.3]), taps=64)
-    path = tmp_path / "hrtfs.json"
-    save_hrtf_set(original, path)
-    loaded = load_hrtf_set(path)
-    assert loaded.rate == original.rate
-    assert loaded.taps == original.taps
-    assert np.allclose(loaded.left, original.left)
-    assert np.allclose(loaded.right, original.right)
-    assert np.allclose(loaded.azimuths, original.azimuths, atol=1e-12)
 
 
 def test_default_set_covers_decode_grid():

@@ -6,10 +6,11 @@ from clarity_bench.metrics import (
     DEFAULT_CONFIG,
     AuditoryConfig,
     MetricScore,
-    align,
+    _aligned_pair,
+    _envelopes,
+    _xcorr_best_lag,
     better_ear,
     combined_score,
-    envelope,
     erb,
     gammatone_bands,
     intelligibility_score,
@@ -77,7 +78,7 @@ def test_gammatone_rejects_low_rate():
 
 
 def test_envelope_silence_sits_at_floor():
-    env = envelope(np.zeros(RATE), rate=RATE)
+    env = _envelopes(np.zeros(RATE), DEFAULT_CONFIG, RATE)
     assert env.shape[0] == 256
     assert np.all(env == -80.0)
 
@@ -85,7 +86,7 @@ def test_envelope_silence_sits_at_floor():
 def test_envelope_constant_tone_is_flat():
     t = np.arange(RATE) / RATE
     tone = 0.5 * np.sin(2 * np.pi * 1000 * t)
-    env = envelope(tone, rate=RATE)
+    env = _envelopes(tone, DEFAULT_CONFIG, RATE)
     settled = env[30:]  # past 100 ms of filter settling
     assert settled.max() - settled.min() < 2.0
     assert np.abs(settled - np.median(settled)).max() < 1.0
@@ -95,7 +96,7 @@ def test_envelope_tracks_4hz_modulation():
     t = np.arange(2 * RATE) / RATE
     carrier = np.sin(2 * np.pi * 1000 * t)
     am = (1.0 + 0.8 * np.sin(2 * np.pi * 4.0 * t)) * carrier
-    env = envelope(0.3 * am, rate=RATE)
+    env = _envelopes(0.3 * am, DEFAULT_CONFIG, RATE)
     env = env - env.mean()
     spectrum = np.abs(np.fft.rfft(env * np.hanning(env.size)))
     freqs = np.fft.rfftfreq(env.size, 1 / 256.0)
@@ -105,26 +106,25 @@ def test_envelope_tracks_4hz_modulation():
 
 def test_align_identical_and_shifted():
     x = speech(1.0, seed=3)
-    assert align(x, x, 1000) == 0
-    delayed = np.concatenate([np.zeros(63), x])
-    assert align(x, delayed, 1000) == 63
-    advanced = x[63:]
-    assert align(x, advanced, 1000) == -63
-
-
-def test_align_independent_noise_low_confidence():
-    rng = np.random.default_rng(31)
-    a = rng.standard_normal(8000)
-    b = rng.standard_normal(8000)
-    _, corr = align(a, b, 4000, return_correlation=True)
-    assert abs(corr) < 0.2
+    for proc, ref_seg in (
+        (x, x),                                    # lag 0
+        (np.concatenate([np.zeros(63), x]), x),    # proc delayed by 63
+        (x[63:], x[63:]),                          # proc advanced by 63
+    ):
+        r_seg, p_seg = _aligned_pair(x, proc)
+        assert np.array_equal(r_seg, ref_seg)
+        assert np.array_equal(p_seg, ref_seg)
 
 
 def test_align_degenerate_and_bad_lag():
+    # All-zero input has no correlation peak, so the pair falls back to lag 0.
+    r_seg, p_seg = _aligned_pair(np.zeros(100), np.ones(100))
+    assert r_seg.size == 100 and np.array_equal(p_seg, np.ones(100))
     with pytest.raises(AlignmentError):
-        align(np.zeros(100), np.ones(100), 50)
-    with pytest.raises(ValueError):
-        align(np.ones(100), np.ones(100), 100)
+        _xcorr_best_lag(np.zeros(100), np.ones(100), -10, 10)
+    # No lag leaves 90% of the reference overlapping.
+    with pytest.raises(ValueError, match="90%"):
+        _aligned_pair(np.ones(100), np.ones(89))
 
 
 def test_intelligibility_identity():
@@ -258,13 +258,11 @@ def test_each_score_filters_each_signal_once(monkeypatch, score):
 
 
 def test_envelope_is_one_row_of_the_multiband_envelopes():
-    from clarity_bench.metrics import _envelopes
-
     bands = gammatone_bands(speech(1.0, seed=16), rate=RATE)
     assert bands.shape[0] == 32
     envelopes = _envelopes(bands, DEFAULT_CONFIG, RATE)
     for k, row in enumerate(bands):
-        assert np.array_equal(envelope(row, rate=RATE), envelopes[k])
+        assert np.array_equal(_envelopes(row, DEFAULT_CONFIG, RATE), envelopes[k])
 
 
 def test_envelope_decimation_equals_np_interp():
@@ -275,7 +273,7 @@ def test_envelope_decimation_equals_np_interp():
     smooth = lfilter(b, a, np.maximum(band, 0.0))
     positions = np.arange(256) * (RATE / 256.0)
     expected = 20.0 * np.log10(np.maximum(np.interp(positions, np.arange(band.size), smooth), 1e-4))
-    assert np.array_equal(envelope(band, rate=RATE), expected)
+    assert np.array_equal(_envelopes(band, DEFAULT_CONFIG, RATE), expected)
 
 
 def test_quality_correlation_term_is_intelligibility_of_normalized_pair():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from clarity_bench.ambisonics import AmbiSignal, apply_rotation, binaural_decode, encode, yaw_rotation
+from clarity_bench.ambisonics import AmbiSignal, binaural_decode, encode, yaw_rotation
 from clarity_bench.audio import mono, read_wav, rms_array
 from clarity_bench.errors import MixError, SceneValidationError
 from clarity_bench.hrtf import default_hrtf_set
@@ -244,8 +244,8 @@ def test_apply_trajectory_constant_yaw_matches_single_rotation():
     field = AmbiSignal(rng.uniform(-1, 1, (16, 3200)), 3, RATE)
     theta = 0.7
     out = apply_trajectory(field, RotationTrajectory(((0.0, theta),)))
-    direct = apply_rotation(field, yaw_rotation(3, -theta))
-    assert np.max(np.abs(out.data - direct.data)) < 1e-6
+    direct = yaw_rotation(3, -theta).matrix @ field.data
+    assert np.max(np.abs(out.data - direct)) < 1e-6
 
 
 def test_apply_trajectory_preserves_energy_per_block():
@@ -450,8 +450,8 @@ def test_generate_dataset_deterministic_and_valid(tmp_path):
     out_b = tmp_path / "b"
     manifest_a = generate_dataset(out_a, count=3, seed=7, fidelity="simulated")
     manifest_b = generate_dataset(out_b, count=3, seed=7, fidelity="simulated")
-    bytes_a = open(manifest_a, "rb").read()
-    bytes_b = open(manifest_b, "rb").read()
+    with open(manifest_a, "rb") as fp_a, open(manifest_b, "rb") as fp_b:
+        bytes_a, bytes_b = fp_a.read(), fp_b.read()
     assert bytes_a == bytes_b
     for wav in sorted(p.name for p in out_a.glob("*.wav")):
         assert (out_a / wav).read_bytes() == (out_b / wav).read_bytes()
@@ -479,7 +479,8 @@ def test_generate_dataset_deterministic_and_valid(tmp_path):
 
 def test_generate_dataset_measured_like_records_profile(tmp_path):
     manifest_path = generate_dataset(tmp_path / "m", count=1, seed=9, fidelity="measured_like")
-    manifest = json.loads(open(manifest_path).read())
+    with open(manifest_path, encoding="utf-8") as fp:
+        manifest = json.load(fp)
     entry = manifest["scenes"][0]
     assert manifest["fidelity"] == "measured_like"
     assert entry["profile"]["ambisonic_order"] == 1
