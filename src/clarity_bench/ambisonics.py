@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
-from .audio import SampleBuffer
+from .audio import SampleBuffer, convolve_sum
 from .errors import RateMismatchError
 
 MAX_ORDER = 8
@@ -204,12 +203,10 @@ def binaural_decode(signal, hrtfs, grid=None):
     spherical-harmonic rows (K = (order+1)^2), convolves each feed with
     its HRTF pair and sums per ear. That map is linear, so it is folded
     here into one K x taps SH-domain filter bank per ear,
-    pinv(basis) @ firs: each ear is the sum over the K channels of the
-    channel convolved with its filter, computed in the frequency domain
-    from one FFT of the field shared by both ears. No speaker feed is
-    formed. This is why the decode keeps its own rfft/irfft instead of
-    audio.convolve_channels: the K products are summed in the frequency
-    domain, so each ear needs one inverse FFT rather than K.
+    pinv(basis) @ firs, and each ear is the sum over the K channels of
+    the channel convolved with its filter: one audio.convolve_sum with K
+    inputs and 2 outputs. No speaker feed is formed. The filter banks are
+    built once per (order, grid) and kept on the HrtfSet.
 
     Parameters
     ----------
@@ -239,15 +236,13 @@ def binaural_decode(signal, hrtfs, grid=None):
             f"grid of {az.size} directions cannot decode {k} channels "
             f"(need at least {k})"
         )
-    basis = sh_eval(signal.order, az, el).T          # L x K
-    firs = np.stack([hrtfs.nearest(a, e) for a, e in zip(az, el)], axis=1)  # 2 x L x taps
-    filters = np.linalg.pinv(basis) @ firs           # 2 x K x taps
-
-    length = signal.frames + hrtfs.taps - 1
-    nfft = next_fast_len(length, real=True)
-    spectrum = rfft(signal.data, nfft, axis=1)       # K x bins
-    ears = [
-        irfft(np.einsum("kf,kf->f", spectrum, rfft(bank, nfft, axis=1)), nfft)[:length]
-        for bank in filters
-    ]
-    return SampleBuffer(np.stack(ears), signal.rate)
+    key = (signal.order, az.tobytes(), el.tobytes())
+    filters = hrtfs._decoders.get(key)
+    if filters is None:
+        basis = sh_eval(signal.order, az, el).T          # L x K
+        firs = np.stack([hrtfs.nearest(a, e) for a, e in zip(az, el)], axis=1)  # 2 x L x taps
+        filters = np.linalg.pinv(basis) @ firs           # 2 x K x taps
+        filters.flags.writeable = False
+        # Worker threads share the set; every caller uses the first bank stored.
+        filters = hrtfs._decoders.setdefault(key, filters)
+    return SampleBuffer(convolve_sum(signal.data, filters), signal.rate)

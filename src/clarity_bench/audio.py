@@ -3,11 +3,20 @@
 All internal DSP runs in float64; float32 appears only at file boundaries.
 The pipeline sample rate defaults to 16 kHz and is carried explicitly on
 every buffer, so modules never have to guess.
+
+There are two convolutions. convolve_sum filters many inputs into many
+outputs block by block (overlap-save); the renderer's multichannel
+stages use it: the wet field and the binaural decode. convolve_channels
+is one whole-signal FFT convolution with broadcasting; the scoring path
+uses it (the hearing aid, the gammatone bank and the alignment), because
+the scores are pinned to its output bits and overlap-save rounds
+differently.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.io import wavfile
 
@@ -138,6 +147,44 @@ def convolve_channels(data, kernels):
     length = data.shape[-1] + kernels.shape[-1] - 1
     nfft = next_fast_len(length, real=True)
     return irfft(rfft(data, nfft) * rfft(kernels, nfft), nfft)[..., :length]
+
+
+def convolve_sum(data, kernels):
+    """Multi-input, multi-output FIR filtering by overlap-save.
+
+    out[o] = sum over i of kernels[o, i] convolved with data[i], each a
+    full linear convolution: data (inputs, frames) and kernels (outputs,
+    inputs, taps) give (outputs, frames + taps - 1). The FFT length is the
+    smallest power of two that is at least 2 * taps and at least 1024.
+    The inputs are cut into blocks of that length overlapping by
+    taps - 1 frames; each block of each input takes one real FFT, the
+    products with the kernel spectra are summed over the inputs in the
+    frequency domain, and each output takes one inverse FFT per block,
+    whose first taps - 1 frames (the circular wrap) are dropped.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    kernels = np.asarray(kernels, dtype=np.float64)
+    if data.ndim != 2 or kernels.ndim != 3:
+        raise ValueError(
+            f"expected data (inputs, frames) and kernels (outputs, inputs, taps), "
+            f"got ndim {data.ndim} and {kernels.ndim}"
+        )
+    if data.size == 0 or kernels.size == 0:
+        raise ValueError("convolve requires non-empty signal and kernel")
+    inputs, frames = data.shape
+    outputs, kernel_inputs, taps = kernels.shape
+    if kernel_inputs != inputs:
+        raise ValueError(f"kernels take {kernel_inputs} inputs, data has {inputs}")
+    nfft = max(1024, 1 << (2 * taps - 1).bit_length())
+    step = nfft - taps + 1
+    length = frames + taps - 1
+    blocks = -(-length // step)
+    padded = np.zeros((inputs, (blocks - 1) * step + nfft))
+    padded[:, taps - 1 : taps - 1 + frames] = data
+    spectra = rfft(sliding_window_view(padded, nfft, axis=1)[:, ::step], axis=2)
+    summed = np.einsum("oif,ibf->obf", rfft(kernels, nfft, axis=2), spectra)
+    out = irfft(summed, nfft, axis=2)[:, :, taps - 1 :]
+    return out.reshape(outputs, blocks * step)[:, :length]
 
 
 def rms_array(x):

@@ -102,7 +102,11 @@ def synth_hrtf(azimuth, elevation, model=None, rate=DEFAULT_RATE, taps=DEFAULT_T
 
 @dataclass(frozen=True)
 class HrtfSet:
-    """Directions with one FIR pair each; all FIRs share a length and rate."""
+    """Directions with one FIR pair each; all FIRs share a length and rate.
+
+    binaural_decode keeps the SH-domain filter banks it builds from the
+    set in `_decoders`, keyed by order and grid.
+    """
 
     azimuths: np.ndarray
     elevations: np.ndarray
@@ -110,6 +114,7 @@ class HrtfSet:
     right: np.ndarray  # (count, taps)
     rate: int
     _vectors: np.ndarray = field(init=False, repr=False)
+    _decoders: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         az = np.asarray(self.azimuths, dtype=np.float64)
@@ -131,6 +136,7 @@ class HrtfSet:
             object.__setattr__(self, name, val)
         vecs.flags.writeable = False
         object.__setattr__(self, "_vectors", vecs)
+        object.__setattr__(self, "_decoders", {})
 
     @property
     def taps(self):

@@ -124,7 +124,9 @@ def image_source_rir(room, source, listener, order, time_limit, rate=DEFAULT_RAT
     reach = c * time_limit
     spans = np.ceil(reach / (2.0 * dims)).astype(int) + 1
     axes = [np.arange(-n, n + 1) for n in spans]
-    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    # Images a sample beyond the last bin cannot round into it; the exact
+    # bins < frames test below decides on the rest.
+    cutoff = ((frames + 1) * c / rate) ** 2
 
     aim = np.asarray(source.aim, dtype=np.float64) if source.directivity == "cardioid" else None
 
@@ -135,6 +137,10 @@ def image_source_rir(room, source, listener, order, time_limit, rate=DEFAULT_RAT
         for py in (0, 1):
             for pz in (0, 1):
                 parity = np.array([px, py, pz])
+                base = (1 - 2 * parity) * src - lis
+                sq = [(b + 2.0 * n * d) ** 2 for b, n, d in zip(base, axes, dims)]
+                near = np.nonzero(sq[0][:, None, None] + sq[1][:, None] + sq[2] < cutoff)
+                lattice = np.stack([a[i] for a, i in zip(axes, near)], axis=1)
                 positions = (1 - 2 * parity) * src + 2.0 * lattice * dims
                 offsets = positions - lis
                 dist = np.linalg.norm(offsets, axis=1)

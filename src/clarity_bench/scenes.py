@@ -5,8 +5,15 @@ target talker, one to three interferers, a listener with a yaw
 trajectory, a desired SNR and a seed. Rendering turns it into hearing
 aid ear signals:
 
-    room impulse responses  ->  Ambisonic convolution  ->  SNR mixing
-    ->  transducer noise    ->  head-rotation           ->  binaural decode
+    room impulse responses  ->  W pass  ->  SNR gain  ->  field pass
+    ->  transducer noise    ->  head rotation  ->  binaural decode
+
+The W pass convolves the dry sources, each at its onset, with only the
+omnidirectional (W) channel of their impulse responses, giving the
+target and interferer-sum W fields that fix the interferer gain. The
+field pass then convolves the target and the gain-scaled interferers with
+every Ambisonic channel at once, so the mixed field is rendered in one
+pass and no per-source field is formed.
 
 The fidelity profile bundles the four knobs that separate the idealized
 simulation from a measurement-like capture: Ambisonic order, interferer
@@ -15,15 +22,17 @@ absorption. Each knob can be toggled alone (`FidelityProfile.with_knob`).
 """
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import signals
-from .ambisonics import AmbiSignal, binaural_decode, num_channels, yaw_rotation
-from .audio import (
-    DEFAULT_RATE, SampleBuffer, convolve_channels, mono, read_wav, rms_array, scale_to_rms, write_wav,
+from .ambisonics import AmbiSignal, acn_index, binaural_decode
+from .audio import (  # noqa: F401  (convolve_channels: perfbench/tracing.py wraps it by this name)
+    DEFAULT_RATE, SampleBuffer, convolve_channels, convolve_sum, mono, read_wav, rms_array,
+    scale_to_rms, write_wav,
 )
 from .errors import MixError, SceneValidationError
 from .hrtf import default_hrtf_set
@@ -33,6 +42,9 @@ from .workers import ordered_map
 PAPER_ROOM = RoomSpec(dimensions=(6.6, 5.8, 2.8), absorption=0.438)
 
 DEFAULT_RIR_SECONDS = 0.35
+# Every source must end (onset plus duration) by this time. An order-6
+# field of this length is 188 MiB, and a render holds a few at once.
+MAX_SCENE_SECONDS = 30.0
 ROTATION_BLOCK_SECONDS = 0.01
 
 # Fixed microphone calibration applied to the decoded ear signals. It
@@ -184,8 +196,45 @@ def validate_scene_dict(payload):
 
     The room and the listener trajectory are checked by building a
     RoomSpec and a RotationTrajectory, so their rules live in one place.
+    Every source needs a finite onset_s >= 0 (absent means 0); a
+    synthetic source (no file) needs a finite duration_s > 0; a given
+    synth_seed must be a non-negative integer; and onset plus duration
+    must not pass MAX_SCENE_SECONDS.
     """
     problems = []
+
+    def is_number(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        try:
+            return math.isfinite(value)
+        except OverflowError:   # an int beyond the float range
+            return False
+
+    def check_source(path, spec):
+        onset = spec.get("onset_s", 0.0)
+        if not (is_number(onset) and onset >= 0):
+            problems.append(f"{path}.onset_s: must be a finite number >= 0, got {onset!r}")
+            onset = 0.0
+        source = spec.get("source")
+        if not isinstance(source, dict):
+            problems.append(f"{path}.source: missing source description")
+            return
+        seed = source.get("synth_seed")
+        if seed is not None and not (isinstance(seed, int) and not isinstance(seed, bool)
+                                     and seed >= 0):
+            problems.append(f"{path}.source.synth_seed: must be a non-negative integer, "
+                            f"got {seed!r}")
+        duration = 0.0
+        if source.get("file") is None:
+            duration = source.get("duration_s")
+            if not (is_number(duration) and duration > 0):
+                problems.append(f"{path}.source.duration_s: a synthetic source needs a "
+                                f"finite duration > 0, got {duration!r}")
+                duration = 0.0
+        if onset + duration > MAX_SCENE_SECONDS:
+            problems.append(f"{path}: ends at {onset + duration:g} s, after the "
+                            f"{MAX_SCENE_SECONDS:g} s scene limit")
 
     room = payload.get("room")
     dims = None
@@ -210,8 +259,7 @@ def validate_scene_dict(payload):
         problems.append("target: missing or not an object")
     else:
         check_position("target.position", target.get("position"))
-        if not isinstance(target.get("source"), dict):
-            problems.append("target.source: missing source description")
+        check_source("target", target)
 
     interferers = payload.get("interferers")
     if not isinstance(interferers, list) or not 1 <= len(interferers) <= 3:
@@ -227,6 +275,7 @@ def validate_scene_dict(payload):
         if interferer.get("kind") not in ("speech", "noise", "music"):
             problems.append(f"interferers[{i}].kind: must be speech, noise or music")
         check_position(f"interferers[{i}].position", interferer.get("position"))
+        check_source(f"interferers[{i}]", interferer)
 
     listener = payload.get("listener")
     if not isinstance(listener, dict):
@@ -358,9 +407,9 @@ def mix_at_snr(target, interferers, snr_db, active_range):
         if f.order != target.order or f.rate != target.rate:
             raise ValueError("interferer fields must match the target order and rate")
     frames = max(target.frames, max(f.frames for f in interferers))
-    total = np.zeros((target.channels, frames))
+    mixed = np.zeros((target.channels, frames))
     for f in interferers:
-        total[:, : f.frames] += f.data
+        mixed[:, : f.frames] += f.data
     gain = 1.0
     if snr_db is not None:
         start, stop = active_range
@@ -369,13 +418,13 @@ def mix_at_snr(target, interferers, snr_db, active_range):
         if stop <= start:
             raise ValueError("empty target-active range")
         target_rms = rms_array(target.w[start : min(stop, target.frames)])
-        interferer_rms = rms_array(total[0, start:stop])
+        interferer_rms = rms_array(mixed[0, start:stop])
         if interferer_rms == 0.0:
             raise MixError("interferer sum is silent over the target-active range")
         if target_rms == 0.0:
             raise MixError("target is silent over the target-active range")
         gain = target_rms / interferer_rms * 10.0 ** (-snr_db / 20.0)
-    mixed = total * gain
+    mixed *= gain
     mixed[:, : target.frames] += target.data
     return AmbiSignal(mixed, target.order, target.rate), gain
 
@@ -383,39 +432,41 @@ def mix_at_snr(target, interferers, snr_db, active_range):
 def apply_trajectory(field, trajectory, block_s=ROTATION_BLOCK_SECONDS):
     """Rotate a field through a time-varying listener yaw.
 
-    Processing runs in 50%-overlapped blocks of 2*block_s with triangular
-    crossfade windows (an exact partition of unity). Each block is
-    rotated by the negated yaw at its centre time: a listener turning by
-    +theta sees the field rotate by -theta.
+    The yaw is held per block: 50%-overlapped blocks of 2*block_s, each
+    rotated by the negated yaw at its centre time (a listener turning by
+    +theta sees the field rotate by -theta), crossfaded with triangular
+    windows and divided by the summed window weight. A yaw rotation only
+    turns each (l, +m), (l, -m) channel pair by the angle m*yaw, so the
+    crossfade of the block rotations is one cos and one sin gain track
+    per m = 1..order, applied pairwise; m = 0 channels pass unchanged.
     """
     hop = int(round(block_s * field.rate))
     if hop < 1:
         raise ValueError("block too short for this sample rate")
     frames = field.frames
-    window = np.empty(2 * hop)
     ramp = (np.arange(hop) + 0.5) / hop
-    window[:hop] = ramp
-    window[hop:] = ramp[::-1]
+    fade_in, fade_out = ramp, ramp[::-1]
+    # Sample t = k*hop + j lies in the second half of block k (started at
+    # (k-1)*hop) and in the first half of block k + 1.
+    hops = -(-frames // hop)
+    centers = np.arange(hops + 1) * hop / field.rate
+    angles = -np.outer(np.arange(1, field.order + 1), trajectory.yaw_at(centers))
+    weight = fade_out + fade_in
 
-    out = np.zeros_like(field.data)
-    weight = np.zeros(frames)
-    cache = {}
-    start = -hop
-    while start < frames:
-        stop = min(start + 2 * hop, frames)
-        lo = max(start, 0)
-        center_t = (start + hop) / field.rate
-        yaw = float(trajectory.yaw_at(center_t))
-        rot = cache.get(yaw)
-        if rot is None:
-            rot = yaw_rotation(field.order, -yaw)
-            cache[yaw] = rot
-        seg = rot.matrix @ field.data[:, lo:stop]
-        w = window[lo - start : stop - start]
-        out[:, lo:stop] += seg * w
-        weight[lo:stop] += w
-        start += hop
-    out /= np.maximum(weight, 1e-12)
+    def track(per_block):
+        faded = fade_out * per_block[:, :-1, None] + fade_in * per_block[:, 1:, None]
+        return (faded / weight).reshape(field.order, hops * hop)[:, :frames]
+
+    cos_m, sin_m = track(np.cos(angles)), track(np.sin(angles))
+    x = field.data
+    out = np.empty_like(x)
+    for l in range(field.order + 1):
+        out[acn_index(l, 0)] = x[acn_index(l, 0)]
+        for mm in range(1, l + 1):
+            pos, neg = acn_index(l, mm), acn_index(l, -mm)
+            c, s = cos_m[mm - 1], sin_m[mm - 1]
+            out[pos] = c * x[pos] - s * x[neg]
+            out[neg] = s * x[pos] + c * x[neg]
     return AmbiSignal(out, field.order, field.rate)
 
 
@@ -472,12 +523,13 @@ def _scene_child_seeds(scene_seed):
 def render_scene(scene, hrtfs=None, profile=None, keep_components=False):
     """Render a scene to hearing-aid ear signals plus the scoring reference.
 
-    Deterministic in (scene, profile). The stages are: dry source ->
-    room impulse response -> wet field placed at its onset (every source,
-    target first) -> SNR mix -> transducer noise -> head rotation ->
+    Deterministic in (scene, profile). The stages are: dry sources and
+    their room impulse responses -> W pass and interferer gain -> one
+    pass for the mixed field -> transducer noise -> head rotation ->
     binaural decode. The reference is the dry target utterance
     RMS-normalized to -26 dBFS. keep_components adds the target,
-    interferer and noise ear signals, which sum to the ears.
+    interferer and noise ear signals, which sum to the ears; it alone
+    pays for separate target and interferer field passes.
     """
     profile = profile or FidelityProfile.from_name(scene.fidelity)
     hrtfs = hrtfs or default_hrtf_set()
@@ -488,35 +540,43 @@ def render_scene(scene, hrtfs=None, profile=None, keep_components=False):
     room = RoomSpec(scene.room.dimensions, absorption, scene.room.speed_of_sound)
     child_seeds = _scene_child_seeds(scene.seed)
 
-    sources = []   # (onset frame, dry signal, RIR channels) per source, target first
+    onsets, drys, rirs = [], [], []   # per source, target first
     for index, spec in enumerate((scene.target, *scene.interferers)):
         source = spec.source
         if source.synth_seed is None and source.file is None:
             source = replace(source, synth_seed=child_seeds[index])
-        dry = source.resolve(rate)
+        drys.append(source.resolve(rate))
         directivity, aim = "omni", None
         if index > 0 and profile.interferer_directivity == "cardioid":
             directivity, aim = "cardioid", listener - np.asarray(spec.position)
         src = SourceSpec(tuple(spec.position), directivity, aim)
         rir = image_source_rir(room, src, listener, order, DEFAULT_RIR_SECONDS, rate=rate)
-        sources.append((int(round(spec.onset_s * rate)), dry, rir.signal.data))
+        onsets.append(int(round(spec.onset_s * rate)))
+        rirs.append(rir.signal.data)
 
-    # Each wet signal is added into its field at its onset as soon as it is
-    # convolved, so one source's wet signal is alive at a time.
-    ends = [onset + dry.size + rir.shape[1] - 1 for onset, dry, rir in sources]
-    frames = max(ends)
-    target_data = np.zeros((num_channels(order), frames))
-    interferer_data = np.zeros_like(target_data)
-    for index, ((onset, dry, rir), end) in enumerate(zip(sources, ends)):
-        field = target_data if index == 0 else interferer_data
-        field[:, onset:end] += convolve_channels(rir, dry)
-    target_onset, target_dry, _ = sources[0]
-    active = (target_onset, ends[0])
-    target_field = AmbiSignal(target_data, order, rate)
-    interferer_field = AmbiSignal(interferer_data, order, rate)
+    # Every dry signal sits at its onset in one row of `placed`; the RIRs
+    # stack to K x sources x taps, so one convolve_sum renders a field.
+    placed = np.zeros((len(drys), max(o + d.size for o, d in zip(onsets, drys))))
+    for row, onset, dry in zip(placed, onsets, drys):
+        row[onset : onset + dry.size] = dry
+    rirs = np.stack(rirs, axis=1)
+    taps = rirs.shape[2]
+    frames = placed.shape[1] + taps - 1
+    active = (onsets[0], onsets[0] + drys[0].size + taps - 1)
 
-    mixed, interferer_gain = mix_at_snr(target_field, [interferer_field], scene.snr_db, active)
-    target_w_rms = rms_array(target_field.w[active[0] : active[1]])
+    # The W pass gives the order-0 target and interferer-sum fields, which
+    # fix the interferer gain; scaling the interferer inputs by it makes
+    # the one K-channel pass render the mixed field.
+    w_kernels = np.zeros((2, *rirs.shape[1:]))
+    w_kernels[0, 0] = rirs[0, 0]
+    w_kernels[1, 1:] = rirs[0, 1:]
+    target_w, interferer_w = convolve_sum(placed, w_kernels)
+    _, interferer_gain = mix_at_snr(AmbiSignal(target_w[None], 0, rate),
+                                    [AmbiSignal(interferer_w[None], 0, rate)],
+                                    scene.snr_db, active)
+    placed[1:] *= interferer_gain
+    mixed = AmbiSignal(convolve_sum(placed, rirs), order, rate)
+    target_w_rms = rms_array(target_w[active[0] : active[1]])
     noisy = add_transducer_noise(mixed, profile.transducer_noise_db,
                                  child_seeds[4], target_w_rms)
 
@@ -526,7 +586,7 @@ def render_scene(scene, hrtfs=None, profile=None, keep_components=False):
 
     ears = to_ears(noisy)
 
-    reference = mono(scale_to_rms(target_dry, 10.0 ** (-26.0 / 20.0)), rate)
+    reference = mono(scale_to_rms(drys[0], 10.0 ** (-26.0 / 20.0)), rate)
 
     record = {
         "seed": scene.seed,
@@ -548,8 +608,8 @@ def render_scene(scene, hrtfs=None, profile=None, keep_components=False):
     if keep_components:
         # Rotation and decode are linear, so the noise share is what the
         # target and interferer decodes leave of the ears.
-        target_ears = to_ears(target_field)
-        interferer_ears = to_ears(AmbiSignal(interferer_data * interferer_gain, order, rate))
+        target_ears = to_ears(AmbiSignal(convolve_sum(placed[:1], rirs[:, :1]), order, rate))
+        interferer_ears = to_ears(AmbiSignal(convolve_sum(placed[1:], rirs[:, 1:]), order, rate))
         components = {
             "target_ears": target_ears,
             "interferer_ears": interferer_ears,

@@ -320,3 +320,36 @@ def test_binaural_decode_rejects_hrtfs_at_another_rate():
     field = AmbiSignal(np.zeros((4, 100)), 1, 16000)
     with pytest.raises(RateMismatchError, match="48000"):
         binaural_decode(field, default_hrtf_set(rate=48000))
+
+
+def test_binaural_decode_builds_filters_once_per_order_and_grid(monkeypatch):
+    hrtfs = default_hrtf_set()
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a.shape) or pinv(a))
+    for order in (1, 1, 2, 1):
+        binaural_decode(AmbiSignal(np.ones((num_channels(order), 50)), order, 16000), hrtfs)
+    binaural_decode(AmbiSignal(np.ones((4, 50)), 1, 16000), hrtfs, grid=fibonacci_directions(10))
+    assert calls == [(64, 4), (64, 9), (10, 4)]
+    binaural_decode(AmbiSignal(np.ones((4, 50)), 1, 16000), default_hrtf_set())
+    assert len(calls) == 4   # a new HrtfSet builds its own
+
+
+def test_binaural_decode_shares_one_filter_bank_across_threads():
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(9)
+    hrtfs = default_hrtf_set()
+    field = AmbiSignal(rng.uniform(-1, 1, (16, 2500)), 3, 16000)   # several decode blocks
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(binaural_decode, field, hrtfs) for _ in range(16)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(hrtfs._decoders) == 1
+    assert all(np.array_equal(r.data, results[0].data) for r in results)
+    assert np.max(np.abs(results[0].data - speaker_feed_decode(field, hrtfs))) < 1e-12

@@ -9,6 +9,7 @@ from scipy.signal import fftconvolve
 from clarity_bench.audio import (
     SampleBuffer,
     convolve_channels,
+    convolve_sum,
     mono,
     read_wav,
     rms_array,
@@ -126,7 +127,7 @@ def test_convolve_channels_equals_fftconvolve_at_each_call_site(site):
     # The shapes and operand order each caller uses; the outputs must be
     # the same bits as the scipy.signal routine the callers used to call.
     rng = np.random.default_rng(12)
-    if site == "render":      # (K, RIR taps) * dry signal
+    if site == "render":      # (K, RIR taps) * dry signal, the wet field before convolve_sum
         data, kernels = rng.standard_normal((49, 5600)), rng.standard_normal(28800)
         expected = fftconvolve(data, kernels[None, :], mode="full", axes=1)
     elif site == "amplify":   # both ears' signals * both ears' FIRs
@@ -143,6 +144,53 @@ def test_convolve_channels_equals_fftconvolve_at_each_call_site(site):
         kernels = rng.standard_normal(28800)[::-1]
         expected = fftconvolve(data, kernels)
     assert np.array_equal(convolve_channels(data, kernels), expected)
+
+
+def summed_fftconvolve(data, kernels):
+    return np.stack([sum(fftconvolve(x, h) for x, h in zip(data, row)) for row in kernels])
+
+
+@pytest.mark.parametrize("outputs, inputs, taps, frames", [
+    (49, 2, 5600, 51200),   # wet field passes: K outputs, one input per source
+    (49, 3, 5600, 51200),
+    (49, 4, 5600, 51200),
+    (2, 49, 64, 56799),     # binaural decode: K channels into two ears
+])
+def test_convolve_sum_equals_summed_fftconvolve(outputs, inputs, taps, frames):
+    rng = np.random.default_rng(outputs * 100 + inputs)
+    data = rng.standard_normal((inputs, frames))
+    kernels = rng.standard_normal((outputs, inputs, taps))
+    want = summed_fftconvolve(data, kernels)
+    got = convolve_sum(data, kernels)
+    assert got.shape == (outputs, frames + taps - 1)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("taps, frames", [
+    (64, 100),      # shorter than one block
+    (64, 1859),     # frames + taps - 1 is exactly two blocks of 961 frames
+    (1, 3000),      # a 1-tap kernel
+    (700, 5),       # a kernel much longer than the signal
+])
+def test_convolve_sum_block_edges(taps, frames):
+    rng = np.random.default_rng(taps + frames)
+    data = rng.standard_normal((3, frames))
+    kernels = rng.standard_normal((2, 3, taps))
+    want = summed_fftconvolve(data, kernels)
+    got = convolve_sum(data, kernels)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_convolve_sum_rejects_empty_and_mismatched_inputs():
+    with pytest.raises(ValueError):
+        convolve_sum(np.zeros((2, 0)), np.ones((1, 2, 4)))
+    with pytest.raises(ValueError):
+        convolve_sum(np.ones((2, 8)), np.zeros((1, 2, 0)))
+    with pytest.raises(ValueError):
+        convolve_sum(np.ones((3, 8)), np.ones((1, 2, 4)))
+    with pytest.raises(ValueError):
+        convolve_sum(np.ones(8), np.ones((1, 1, 4)))
 
 
 def test_rms_constant():
@@ -182,9 +230,8 @@ def test_scale_to_rms_hits_target_and_leaves_silence_unchanged():
 
 
 def test_one_fft_convolution_in_the_package():
-    # Every convolution goes through audio.convolve_channels. Only audio and
-    # the binaural decode, which sums its channels in the frequency domain,
-    # take FFTs themselves.
+    # Every convolution goes through audio.convolve_channels or
+    # audio.convolve_sum; no other module takes FFTs itself.
     package = pathlib.Path(__file__).resolve().parents[1] / "src" / "clarity_bench"
     fft_users = set()
     for path in sorted(package.glob("*.py")):
@@ -200,4 +247,4 @@ def test_one_fft_convolution_in_the_package():
             assert not any(m.endswith(".fftconvolve") for m in modules), path.name
             if any(m == "scipy.fft" or m.startswith("scipy.fft.") for m in modules):
                 fft_users.add(path.stem)
-    assert fft_users == {"audio", "ambisonics"}
+    assert fft_users == {"audio"}

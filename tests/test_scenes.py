@@ -145,6 +145,57 @@ def test_scene_validation_takes_room_and_trajectory_rules_from_their_classes():
     assert "seed" in text
 
 
+def set_path(payload, path, value):
+    *parents, leaf = path
+    for key in parents:
+        payload = payload[key]
+    payload[leaf] = value
+
+
+BAD_SOURCE_FIELDS = [
+    (("target", "onset_s"), -0.5, "target.onset_s"),
+    (("target", "onset_s"), "x", "target.onset_s"),
+    (("target", "onset_s"), None, "target.onset_s"),
+    (("target", "onset_s"), float("nan"), "target.onset_s"),
+    (("target", "onset_s"), True, "target.onset_s"),
+    (("target", "onset_s"), 1e9, "scene limit"),
+    (("interferers", 0, "onset_s"), -0.5, "interferers[0].onset_s"),
+    (("interferers", 0, "onset_s"), 10**400, "interferers[0].onset_s"),
+    (("target", "source", "duration_s"), 0.0, "target.source.duration_s"),
+    (("target", "source", "duration_s"), None, "target.source.duration_s"),
+    (("target", "source", "duration_s"), float("inf"), "target.source.duration_s"),
+    (("interferers", 0, "source", "duration_s"), "2", "interferers[0].source.duration_s"),
+    (("interferers", 0, "source", "duration_s"), 40.0, "scene limit"),
+    (("target", "source", "synth_seed"), 1.5, "target.source.synth_seed"),
+    (("target", "source", "synth_seed"), "5", "target.source.synth_seed"),
+    (("interferers", 0, "source", "synth_seed"), -1, "interferers[0].source.synth_seed"),
+    (("interferers", 0, "source"), None, "interferers[0].source"),
+]
+
+
+@pytest.mark.parametrize("path, value, named", [
+    pytest.param(*case, id=f"{'.'.join(map(str, case[0]))}={case[1]!r:.12}")
+    for case in BAD_SOURCE_FIELDS
+])
+def test_scene_validation_rejects_bad_source_fields(path, value, named):
+    payload = scene_to_dict(simple_scene())
+    set_path(payload, path, value)
+    with pytest.raises(SceneValidationError) as err:
+        scene_from_dict(payload)
+    assert any(named in p for p in err.value.problems), err.value.problems
+
+
+def test_scene_validation_accepts_sources_up_to_the_scene_limit():
+    from clarity_bench.scenes import MAX_SCENE_SECONDS
+
+    payload = scene_to_dict(simple_scene())
+    payload["interferers"][0]["onset_s"] = 1.0
+    payload["interferers"][0]["source"]["duration_s"] = MAX_SCENE_SECONDS - 1.0
+    del payload["target"]["onset_s"]
+    del payload["target"]["source"]["synth_seed"]
+    assert scene_from_dict(payload).target.onset_s == 0.0
+
+
 def test_load_scene_validates_once(tmp_path, monkeypatch):
     from clarity_bench import scenes
 
@@ -230,6 +281,43 @@ def test_mix_rejects_order_mismatch():
 
 
 # --- trajectory application ------------------------------------------------
+
+
+def block_matmul_trajectory(field, trajectory, block_s=0.01):
+    """The dense form of apply_trajectory: one K x K rotation per block."""
+    hop = int(round(block_s * field.rate))
+    frames = field.frames
+    window = np.empty(2 * hop)
+    ramp = (np.arange(hop) + 0.5) / hop
+    window[:hop] = ramp
+    window[hop:] = ramp[::-1]
+    out = np.zeros_like(field.data)
+    weight = np.zeros(frames)
+    start = -hop
+    while start < frames:
+        stop = min(start + 2 * hop, frames)
+        lo = max(start, 0)
+        yaw = float(trajectory.yaw_at((start + hop) / field.rate))
+        seg = yaw_rotation(field.order, -yaw).matrix @ field.data[:, lo:stop]
+        w = window[lo - start : stop - start]
+        out[:, lo:stop] += seg * w
+        weight[lo:stop] += w
+        start += hop
+    out /= np.maximum(weight, 1e-12)
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("trajectory", [
+    RotationTrajectory(((0.0, 0.9),)),
+    RotationTrajectory(((0.0, -0.4), (0.05, 0.9), (0.15, 0.2), (0.18, 3.5))),
+], ids=["constant", "turning"])
+def test_apply_trajectory_equals_block_matmul(order, trajectory):
+    rng = np.random.default_rng(order)
+    field = AmbiSignal(rng.uniform(-1, 1, ((order + 1) ** 2, 3333)), order, RATE)
+    out = apply_trajectory(field, trajectory)
+    assert out.data.shape == field.data.shape
+    assert np.max(np.abs(out.data - block_matmul_trajectory(field, trajectory))) < 1e-12
 
 
 def test_apply_trajectory_constant_zero_is_identity():
@@ -497,6 +585,33 @@ def test_mix_returns_its_gain():
     assert unscaled == 1.0
 
 
+def test_mix_w_equals_mixed_field_w(monkeypatch):
+    # The gain comes from a W-only pass; the mixed field comes from one
+    # pass over every channel with the interferers pre-scaled by it.
+    from clarity_bench import scenes
+
+    seen = {}
+
+    def mix(*args):
+        seen["mix"] = mix_at_snr(*args)
+        return seen["mix"]
+
+    def noise(field, *args):
+        seen["field"] = field
+        return add_transducer_noise(field, *args)
+
+    monkeypatch.setattr(scenes, "mix_at_snr", mix)
+    monkeypatch.setattr(scenes, "add_transducer_noise", noise)
+    scene = draw_scenes(1, seed=5)[0]
+    assert len(scene.interferers) > 1
+    render_scene(scene, hrtfs=HRTFS)
+    w_mix, gain = seen["mix"]
+    assert w_mix.order == 0 and gain != 1.0
+    field = seen["field"]
+    assert field.order == 6 and field.frames == w_mix.frames
+    assert np.max(np.abs(field.w - w_mix.w)) < 1e-12
+
+
 def test_render_components_leave_ears_unchanged():
     scene = simple_scene()
     profile = FidelityProfile.measured_like()
@@ -525,11 +640,12 @@ def test_traced_layers_resolve():
 
 
 def test_generate_dataset_same_bytes_for_any_worker_count(tmp_path, monkeypatch):
-    outputs = {}
-    for workers in ("1", "2"):
-        monkeypatch.setenv("CLARITY_BENCH_THREADS", workers)
-        out = tmp_path / workers
-        generate_dataset(out, count=2, seed=3, fidelity="measured_like")
-        outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert len(outputs["1"]) == 7
-    assert outputs["1"] == outputs["2"]
+    for fidelity in ("measured_like", "simulated"):
+        outputs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("CLARITY_BENCH_THREADS", workers)
+            out = tmp_path / fidelity / workers
+            generate_dataset(out, count=2, seed=3, fidelity=fidelity)
+            outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(outputs["1"]) == 7
+        assert outputs["1"] == outputs["2"]
