@@ -29,7 +29,6 @@ from .harness import (
 from .hearing_aid import Audiogram, amplify, design_fir, flat_audiogram, load_audiogram, nalr_gains
 from .hrtf import HeadModel, HrtfSet, default_hrtf_set, synth_hrtf
 from .metrics import (
-    AuditoryConfig,
     MetricScore,
     better_ear,
     combined_score,

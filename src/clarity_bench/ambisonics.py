@@ -183,7 +183,7 @@ def fibonacci_directions(count):
     """Deterministic spherical Fibonacci point set.
 
     Returns (azimuths, elevations) arrays of the given size, quasi-uniform
-    over the sphere. Used as the default virtual-loudspeaker layout.
+    over the sphere. The default HRTF set lies on 64 of these points.
     """
     i = np.arange(count)
     golden = np.pi * (3.0 - np.sqrt(5.0))
@@ -192,30 +192,26 @@ def fibonacci_directions(count):
     elevations = np.arcsin(np.clip(z, -1.0, 1.0))
     return azimuths, elevations
 
-DEFAULT_GRID_SIZE = 64
 
-
-def binaural_decode(signal, hrtfs, grid=None):
+def binaural_decode(signal, hrtfs):
     """Render an AmbiSignal to two ears through virtual loudspeakers.
 
-    The virtual-loudspeaker decode feeds each of the L grid directions
-    through the Moore-Penrose pseudo-inverse of the L x K matrix of
-    spherical-harmonic rows (K = (order+1)^2), convolves each feed with
-    its HRTF pair and sums per ear. That map is linear, so it is folded
-    here into one K x taps SH-domain filter bank per ear,
-    pinv(basis) @ firs, and each ear is the sum over the K channels of
-    the channel convolved with its filter: one audio.convolve_sum with K
-    inputs and 2 outputs. No speaker feed is formed. The filter banks are
-    built once per (order, grid) and kept on the HrtfSet.
+    The virtual loudspeakers are the HRTF set's own L directions. The
+    decode feeds each of them through the Moore-Penrose pseudo-inverse of
+    the L x K matrix of spherical-harmonic rows (K = (order+1)^2),
+    convolves each feed with that direction's HRTF pair and sums per ear.
+    That map is linear, so it is folded here into one K x taps SH-domain
+    filter bank per ear, pinv(basis) @ firs, and each ear is the sum over
+    the K channels of the channel convolved with its filter: one
+    audio.convolve_sum with K inputs and 2 outputs. No speaker feed is
+    formed. The filter banks are built once per order and kept on the
+    HrtfSet.
 
     Parameters
     ----------
     signal : AmbiSignal
     hrtfs : HrtfSet
-        Must supply a filter pair for every grid direction (nearest
-        lookup is used) at the signal's rate.
-    grid : (azimuths, elevations), optional
-        Defaults to a 64-point spherical Fibonacci set.
+        At least K directions, at the signal's rate.
 
     Returns
     -------
@@ -227,22 +223,17 @@ def binaural_decode(signal, hrtfs, grid=None):
         raise RateMismatchError(
             f"HRTF set is at {hrtfs.rate} Hz but the signal is at {signal.rate} Hz"
         )
-    if grid is None:
-        grid = fibonacci_directions(DEFAULT_GRID_SIZE)
-    az, el = np.asarray(grid[0], dtype=np.float64), np.asarray(grid[1], dtype=np.float64)
-    k = signal.channels
-    if az.size < k:
+    count, k = hrtfs.azimuths.size, signal.channels
+    if count < k:
         raise ValueError(
-            f"grid of {az.size} directions cannot decode {k} channels "
+            f"HRTF set of {count} directions cannot decode {k} channels "
             f"(need at least {k})"
         )
-    key = (signal.order, az.tobytes(), el.tobytes())
-    filters = hrtfs._decoders.get(key)
+    filters = hrtfs._decoders.get(signal.order)
     if filters is None:
-        basis = sh_eval(signal.order, az, el).T          # L x K
-        firs = np.stack([hrtfs.nearest(a, e) for a, e in zip(az, el)], axis=1)  # 2 x L x taps
-        filters = np.linalg.pinv(basis) @ firs           # 2 x K x taps
+        basis = sh_eval(signal.order, hrtfs.azimuths, hrtfs.elevations).T   # L x K
+        filters = np.linalg.pinv(basis) @ np.stack([hrtfs.left, hrtfs.right])  # 2 x K x taps
         filters.flags.writeable = False
         # Worker threads share the set; every caller uses the first bank stored.
-        filters = hrtfs._decoders.setdefault(key, filters)
+        filters = hrtfs._decoders.setdefault(signal.order, filters)
     return SampleBuffer(convolve_sum(signal.data, filters), signal.rate)

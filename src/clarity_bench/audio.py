@@ -23,6 +23,9 @@ from scipy.io import wavfile
 from .errors import FormatError, RateMismatchError
 
 DEFAULT_RATE = 16000
+# RMS of -26 dBFS: the level of the scoring reference and of both signals
+# inside quality_score.
+REFERENCE_RMS = 10.0 ** (-26.0 / 20.0)
 
 
 @dataclass(frozen=True)
@@ -114,20 +117,12 @@ def read_wav(path, expected_rate=None):
     return SampleBuffer(scaled.T, rate)
 
 
-def write_wav(path, buffer, encoding="float32"):
-    """Write a SampleBuffer as WAV (interleaved, little-endian).
+def write_wav(path, buffer):
+    """Write a SampleBuffer as IEEE float32 WAV (interleaved, little-endian).
 
-    encoding 'float32' round-trips bit-exactly through read_wav; 'pcm16'
-    quantizes with clipping to the int16 range.
+    Float32 round-trips bit-exactly through read_wav.
     """
-    if encoding == "float32":
-        out = buffer.data.T.astype(np.float32)
-    elif encoding == "pcm16":
-        clipped = np.clip(buffer.data.T, -1.0, 32767.0 / 32768.0)
-        out = np.round(clipped * 32768.0).astype(np.int16)
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}")
-    wavfile.write(str(path), buffer.rate, out)
+    wavfile.write(str(path), buffer.rate, buffer.data.T.astype(np.float32))
 
 
 def convolve_channels(data, kernels):

@@ -32,6 +32,12 @@ from .workers import ordered_map
 ROUNDING_TOLERANCE = 0.0005
 
 
+def _unexplained_by_rounding(ave, haspi, hasqi):
+    """True when a stored mean differs from the mean of its pair by more
+    than display rounding can explain."""
+    return abs(ave - (haspi + hasqi) / 2.0) > ROUNDING_TOLERANCE + 1e-12
+
+
 def round3(value):
     """Round half away from zero at 3 decimals (display rounding)."""
     return math.floor(abs(value) * 1000.0 + 0.5) / 1000.0 * (1 if value >= 0 else -1)
@@ -70,9 +76,9 @@ class LeaderboardRow:
     def recomputed_ave(self):
         return (self.haspi + self.hasqi) / 2.0
 
-    def flagged(self, tolerance=ROUNDING_TOLERANCE):
+    def flagged(self):
         """True when the stored mean is not explainable by rounding."""
-        return abs(self.ave - self.recomputed_ave) > tolerance + 1e-12
+        return _unexplained_by_rounding(self.ave, self.haspi, self.hasqi)
 
     @property
     def team(self):
@@ -132,9 +138,9 @@ def best_per_team(rows):
     return [best[t] for t in order]
 
 
-def verify_rows(rows, tolerance=ROUNDING_TOLERANCE):
+def verify_rows(rows):
     """All rows whose stored Ave disagrees with the recomputed mean."""
-    return [row for row in rows if row.flagged(tolerance)]
+    return [row for row in rows if row.flagged()]
 
 
 def metric_correlation(rows):
@@ -143,7 +149,7 @@ def metric_correlation(rows):
     return pearson([r.haspi for r in chosen], [r.hasqi for r in chosen])
 
 
-def report_published(rows, tolerance=ROUNDING_TOLERANCE):
+def report_published(rows):
     """Text report: recomputed means, flags, and per-set correlations."""
     lines = []
     eval_sets = sorted({r.eval_set for r in rows})
@@ -153,7 +159,7 @@ def report_published(rows, tolerance=ROUNDING_TOLERANCE):
         lines.append(f"[{eval_set}]")
         lines.append(f"{'entry':<8}{'haspi':>8}{'hasqi':>8}{'ave':>8}{'recomputed':>12}  flag")
         for row in subset:
-            flag = row.flagged(tolerance)
+            flag = row.flagged()
             flagged_total += int(flag)
             lines.append(
                 f"{row.entry:<8}{row.haspi:>8.3f}{row.hasqi:>8.3f}{row.ave:>8.3f}"
@@ -302,16 +308,14 @@ def read_scores_csv(path):
     return _read_score_rows(path, ["scene", "haspi_like", "hasqi_like", "ave"], "score")
 
 
-def report_scores(paths, tolerance=ROUNDING_TOLERANCE):
+def report_scores(paths):
     """Verify score CSVs: every ave column re-derived from its row."""
     lines = []
     flagged_total = 0
     for path in paths:
         rows = read_scores_csv(path)
-        flags = [
-            r for r in rows
-            if abs(r["ave"] - (r["haspi_like"] + r["hasqi_like"]) / 2.0) > tolerance + 1e-12
-        ]
+        flags = [r for r in rows
+                 if _unexplained_by_rounding(r["ave"], r["haspi_like"], r["hasqi_like"])]
         flagged_total += len(flags)
         means = {
             key: sum(r[key] for r in rows) / len(rows)

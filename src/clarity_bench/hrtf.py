@@ -104,8 +104,9 @@ def synth_hrtf(azimuth, elevation, model=None, rate=DEFAULT_RATE, taps=DEFAULT_T
 class HrtfSet:
     """Directions with one FIR pair each; all FIRs share a length and rate.
 
-    binaural_decode keeps the SH-domain filter banks it builds from the
-    set in `_decoders`, keyed by order and grid.
+    binaural_decode uses the directions as its virtual loudspeakers and
+    keeps the SH-domain filter banks it builds from the set in
+    `_decoders`, keyed by Ambisonic order.
     """
 
     azimuths: np.ndarray
@@ -113,7 +114,6 @@ class HrtfSet:
     left: np.ndarray   # (count, taps)
     right: np.ndarray  # (count, taps)
     rate: int
-    _vectors: np.ndarray = field(init=False, repr=False)
     _decoders: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -125,32 +125,17 @@ class HrtfSet:
             raise ValueError("HrtfSet needs at least one direction")
         if left.shape != right.shape or left.shape[0] != az.size:
             raise ValueError("every direction needs equal-length left/right FIRs")
-        vecs = np.stack(
-            [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=1
-        )
         for name, val in (
             ("azimuths", az), ("elevations", el), ("left", left), ("right", right),
         ):
             val = np.ascontiguousarray(val)
             val.flags.writeable = False
             object.__setattr__(self, name, val)
-        vecs.flags.writeable = False
-        object.__setattr__(self, "_vectors", vecs)
         object.__setattr__(self, "_decoders", {})
 
     @property
     def taps(self):
         return self.left.shape[1]
-
-    def nearest(self, azimuth, elevation):
-        """Filter pair whose direction is closest to the query.
-
-        Closeness is the dot product with the query unit vector; exact
-        ties resolve to the lowest index.
-        """
-        q = direction_vector(azimuth, elevation)
-        idx = int(np.argmax(self._vectors @ q))
-        return self.left[idx], self.right[idx]
 
 
 def build_hrtf_set(azimuths, elevations, model=None, rate=DEFAULT_RATE, taps=DEFAULT_TAPS):
@@ -168,7 +153,9 @@ def build_hrtf_set(azimuths, elevations, model=None, rate=DEFAULT_RATE, taps=DEF
     )
 
 
-def default_hrtf_set(model=None, rate=DEFAULT_RATE, taps=DEFAULT_TAPS, grid_size=64):
-    """Spherical-head set on the default Fibonacci decode grid."""
-    az, el = fibonacci_directions(grid_size)
+def default_hrtf_set(model=None, rate=DEFAULT_RATE, taps=DEFAULT_TAPS):
+    """Spherical-head set on 64 spherical Fibonacci directions, which are
+    the virtual loudspeakers of the decode (enough for order 6's 49
+    channels)."""
+    az, el = fibonacci_directions(64)
     return build_hrtf_set(az, el, model=model, rate=rate, taps=taps)

@@ -11,9 +11,15 @@ give the band envelopes; the band RMS gives the long-term band levels.
 
 Hearing loss enters as pure band attenuation on the processed branch
 (the audiogram interpolated to each band centre); the reference branch
-stays unmodified. Frames whose reference envelope is below the
-audibility threshold are ignored, so inaudible stretches neither help
-nor hurt.
+stays unmodified. Frames whose reference envelope is below -60 dB are
+ignored, so inaudible stretches neither help nor hurt, and a band with
+fewer than 50 audible frames is left out.
+
+These numbers are the module constants below (BANDS, FMIN, FMAX,
+ENVELOPE_RATE, ENVELOPE_CUTOFF, FLOOR_DB, AUDIBILITY_DB, MIN_FRAMES,
+SPECTRAL_SCALE_DB). They are not parameters: like the challenge, which
+fixed its evaluation model, every signal is scored by the same front end.
+Only the sample rate is an argument, since it comes with the data.
 
 The gammatone bank and the alignment cross-correlation are FFT
 convolutions (audio.convolve_channels). The envelope low-pass stays a
@@ -30,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.signal import butter, lfilter
 
-from .audio import SampleBuffer, convolve_channels, scale_to_rms
+from .audio import REFERENCE_RMS, SampleBuffer, convolve_channels, scale_to_rms
 from .errors import AlignmentError
 from .hearing_aid import AUDIOGRAM_FREQUENCIES
 
@@ -54,30 +60,24 @@ def erb_rate_inverse(rate_value):
     return (np.exp(np.asarray(rate_value, dtype=np.float64) * _ERB_MIN * _ERB_SLOPE) - 1.0) / _ERB_SLOPE
 
 
-@dataclass(frozen=True)
-class AuditoryConfig:
-    """Constants of the auditory front end and both scores."""
+# The auditory front end and both scores are fixed: every entrant is
+# scored by the same model.
+BANDS = 32
+FMIN = 80.0              # Hz
+FMAX = 8000.0            # Hz
+ENVELOPE_RATE = 256.0    # Hz
+ENVELOPE_CUTOFF = 32.0   # Hz
+FLOOR_DB = -80.0
+AUDIBILITY_DB = -60.0
+MIN_FRAMES = 50
+SPECTRAL_SCALE_DB = 30.0
 
-    bands: int = 32
-    fmin: float = 80.0
-    fmax: float = 8000.0
-    envelope_rate: float = 256.0
-    envelope_cutoff: float = 32.0
-    floor_db: float = -80.0
-    audibility_db: float = -60.0
-    min_frames: int = 50
-    normalization_dbfs: float = -26.0
-    spectral_scale_db: float = 30.0
-
-    def center_frequencies(self):
-        """Band centres, ERB-spaced with half-step insets at both edges."""
-        lo, hi = erb_rate(self.fmin), erb_rate(self.fmax)
-        step = (hi - lo) / self.bands
-        centers = erb_rate_inverse(lo + step * (np.arange(self.bands) + 0.5))
-        return centers
-
-
-DEFAULT_CONFIG = AuditoryConfig()
+# Band centres, ERB-spaced with half-step insets at both edges.
+CENTER_FREQUENCIES = erb_rate_inverse(
+    erb_rate(FMIN) + (erb_rate(FMAX) - erb_rate(FMIN)) / BANDS * (np.arange(BANDS) + 0.5)
+)
+CENTER_FREQUENCIES.flags.writeable = False
+_FLOOR_LIN = 10.0 ** (FLOOR_DB / 20.0)
 
 # -3 dB width of a 4th-order gammatone magnitude in units of its envelope
 # bandwidth parameter: 2 * sqrt(2**(1/4) - 1).
@@ -86,19 +86,18 @@ _BANDWIDTH_SCALE = 1.019
 
 
 @lru_cache(maxsize=8)
-def _gammatone_kernels(config, rate):
+def _gammatone_kernels(rate):
     """FIR kernels (bands x taps) with unit magnitude at each centre."""
-    centers = config.center_frequencies()
     length = int(round(0.128 * rate))
     t = np.arange(length) / rate
-    kernels = np.empty((config.bands, length))
-    for i, fc in enumerate(centers):
+    kernels = np.empty((BANDS, length))
+    for i, fc in enumerate(CENTER_FREQUENCIES):
         b = _BANDWIDTH_SCALE * float(erb(fc)) / _GAMMATONE_BW3
         kern = t ** 3 * np.exp(-2.0 * np.pi * b * t) * np.cos(2.0 * np.pi * fc * t)
         peak = np.abs(np.sum(kern * np.exp(-2j * np.pi * fc * t)))
         kernels[i] = kern / peak
     kernels.flags.writeable = False
-    return kernels, centers
+    return kernels
 
 
 def _as_mono_array(signal):
@@ -109,8 +108,8 @@ def _as_mono_array(signal):
     return np.asarray(signal, dtype=np.float64).ravel()
 
 
-def gammatone_bands(signal, config=DEFAULT_CONFIG, rate=None):
-    """Split a mono signal into the config's gammatone bands.
+def gammatone_bands(signal, rate=None):
+    """Split a mono signal into the BANDS gammatone bands.
 
     Returns an array (bands, frames) the same length as the input. Each
     band is a 4th-order gammatone whose measured -3 dB bandwidth is
@@ -123,34 +122,32 @@ def gammatone_bands(signal, config=DEFAULT_CONFIG, rate=None):
     if rate < 16000:
         raise ValueError(f"auditory front end needs rate >= 16 kHz, got {rate}")
     x = _as_mono_array(signal)
-    kernels, _ = _gammatone_kernels(config, rate)
-    return convolve_channels(kernels, x)[:, : x.size]
+    return convolve_channels(_gammatone_kernels(rate), x)[:, : x.size]
 
 
 @lru_cache(maxsize=8)
-def _envelope_smoother(config, rate):
-    return butter(2, config.envelope_cutoff, fs=rate)
+def _envelope_smoother(rate):
+    return butter(2, ENVELOPE_CUTOFF, fs=rate)
 
 
-def _envelopes(bands, config, rate):
+def _envelopes(bands, rate):
     """dB envelopes of band signals (..., frames) at the envelope rate.
 
     Half-wave rectification, 2nd-order low-pass at the envelope cutoff,
-    decimation to envelope_rate by linear interpolation (np.interp's own
+    decimation to ENVELOPE_RATE by linear interpolation (np.interp's own
     formula, so the two agree bit for bit), then 20*log10 with the floor.
     """
-    b, a = _envelope_smoother(config, rate)
+    b, a = _envelope_smoother(rate)
     smooth = lfilter(b, a, np.maximum(bands, 0.0), axis=-1)
     n = smooth.shape[-1]
-    frames = int(np.floor(n / rate * config.envelope_rate))
-    positions = np.arange(frames) * (rate / config.envelope_rate)
+    frames = int(np.floor(n / rate * ENVELOPE_RATE))
+    positions = np.arange(frames) * (rate / ENVELOPE_RATE)
     below = positions.astype(np.intp)
     frac = positions - below
     lo = smooth[..., below]
     hi = smooth[..., np.minimum(below + 1, n - 1)]
     decimated = np.where(frac == 0.0, lo, (hi - lo) * frac + lo)
-    floor_lin = 10.0 ** (config.floor_db / 20.0)
-    return 20.0 * np.log10(np.maximum(decimated, floor_lin))
+    return 20.0 * np.log10(np.maximum(decimated, _FLOOR_LIN))
 
 
 def audiogram_band_attenuation(ear_levels, centers):
@@ -218,13 +215,13 @@ def _masked_pearson(a, b):
     return float(np.sum(a * b) / denom)
 
 
-def _envelope_correlation(ref_env, proc_env, config):
+def _envelope_correlation(ref_env, proc_env):
     """Mean over included bands of max(r, 0); bands with too few audible
     frames are excluded; no included bands gives 0."""
     scores = []
     for band_ref, band_proc in zip(ref_env, proc_env):
-        mask = band_ref > config.audibility_db
-        if int(mask.sum()) < config.min_frames:
+        mask = band_ref > AUDIBILITY_DB
+        if int(mask.sum()) < MIN_FRAMES:
             continue
         scores.append(max(_masked_pearson(band_ref[mask], band_proc[mask]), 0.0))
     if not scores:
@@ -232,24 +229,22 @@ def _envelope_correlation(ref_env, proc_env, config):
     return float(np.mean(scores))
 
 
-def _front_end(r_seg, p_seg, ear_levels, config, rate):
+def _front_end(r_seg, p_seg, ear_levels, rate):
     """(ref_env, proc_env, ref_levels, proc_levels) of an aligned pair, in
     dB: one gammatone pass per segment, and the processed bands attenuated
     by the ear's audiogram."""
-    _, centers = _gammatone_kernels(config, rate)
-    attenuation = audiogram_band_attenuation(ear_levels, centers)
-    ref_bands = gammatone_bands(r_seg, config, rate)
-    proc_bands = gammatone_bands(p_seg, config, rate) * 10.0 ** (-attenuation[:, None] / 20.0)
-    floor_lin = 10.0 ** (config.floor_db / 20.0)
+    attenuation = audiogram_band_attenuation(ear_levels, CENTER_FREQUENCIES)
+    ref_bands = gammatone_bands(r_seg, rate)
+    proc_bands = gammatone_bands(p_seg, rate) * 10.0 ** (-attenuation[:, None] / 20.0)
 
     def levels(bands):
-        return 20.0 * np.log10(np.maximum(np.sqrt(np.mean(bands**2, axis=1)), floor_lin))
+        return 20.0 * np.log10(np.maximum(np.sqrt(np.mean(bands**2, axis=1)), _FLOOR_LIN))
 
-    return (_envelopes(ref_bands, config, rate), _envelopes(proc_bands, config, rate),
+    return (_envelopes(ref_bands, rate), _envelopes(proc_bands, rate),
             levels(ref_bands), levels(proc_bands))
 
 
-def intelligibility_score(ref, proc, ear_levels, config=DEFAULT_CONFIG, rate=16000):
+def intelligibility_score(ref, proc, ear_levels, rate=16000):
     """HASPI-like surrogate in [0, 1].
 
     ref is the clean reference; proc the processed ear signal; ear_levels
@@ -259,15 +254,14 @@ def intelligibility_score(ref, proc, ear_levels, config=DEFAULT_CONFIG, rate=160
     if isinstance(ref, SampleBuffer):
         rate = ref.rate
     r_seg, p_seg = _aligned_pair(ref, proc)
-    ref_env, proc_env, _, _ = _front_end(r_seg, p_seg, ear_levels, config, rate)
-    return _envelope_correlation(ref_env, proc_env, config)
+    ref_env, proc_env, _, _ = _front_end(r_seg, p_seg, ear_levels, rate)
+    return _envelope_correlation(ref_env, proc_env)
 
 
-def quality_score(ref, proc, ear_levels, config=DEFAULT_CONFIG, rate=16000,
-                  return_terms=False):
+def quality_score(ref, proc, ear_levels, rate=16000, return_terms=False):
     """HASQI-like surrogate in [0, 1].
 
-    Both signals are RMS-normalized to the config reference level, so a
+    Both signals are RMS-normalized to audio.REFERENCE_RMS, so a
     uniform gain on proc does not change the score. The score averages
     the envelope-correlation term with a spectral-naturalness term
     S = 1 - min(1, mean |dL| / scale) over long-term band levels.
@@ -276,12 +270,11 @@ def quality_score(ref, proc, ear_levels, config=DEFAULT_CONFIG, rate=16000,
     """
     if isinstance(ref, SampleBuffer):
         rate = ref.rate
-    target = 10.0 ** (config.normalization_dbfs / 20.0)
-    r_seg, p_seg = _aligned_pair(scale_to_rms(_as_mono_array(ref), target),
-                                 scale_to_rms(_as_mono_array(proc), target))
-    ref_env, proc_env, ref_levels, proc_levels = _front_end(r_seg, p_seg, ear_levels, config, rate)
-    c_term = _envelope_correlation(ref_env, proc_env, config)
-    s_term = 1.0 - min(1.0, float(np.mean(np.abs(proc_levels - ref_levels))) / config.spectral_scale_db)
+    r_seg, p_seg = _aligned_pair(scale_to_rms(_as_mono_array(ref), REFERENCE_RMS),
+                                 scale_to_rms(_as_mono_array(proc), REFERENCE_RMS))
+    ref_env, proc_env, ref_levels, proc_levels = _front_end(r_seg, p_seg, ear_levels, rate)
+    c_term = _envelope_correlation(ref_env, proc_env)
+    s_term = 1.0 - min(1.0, float(np.mean(np.abs(proc_levels - ref_levels))) / SPECTRAL_SCALE_DB)
     score = 0.5 * c_term + 0.5 * s_term
     if return_terms:
         return score, c_term, s_term

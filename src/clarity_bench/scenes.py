@@ -19,6 +19,9 @@ The fidelity profile bundles the four knobs that separate the idealized
 simulation from a measurement-like capture: Ambisonic order, interferer
 directivity, microphone self-noise, and a perturbation of the room
 absorption. Each knob can be toggled alone (`FidelityProfile.with_knob`).
+Directivity comes from the profile alone: under a cardioid profile every
+interferer points at the listener. A scene carries no directivity, and
+scene files that still hold a "directivity" key load with it ignored.
 """
 
 import json
@@ -31,8 +34,8 @@ import numpy as np
 from . import signals
 from .ambisonics import AmbiSignal, acn_index, binaural_decode
 from .audio import (  # noqa: F401  (convolve_channels: perfbench/tracing.py wraps it by this name)
-    DEFAULT_RATE, SampleBuffer, convolve_channels, convolve_sum, mono, read_wav, rms_array,
-    scale_to_rms, write_wav,
+    DEFAULT_RATE, REFERENCE_RMS, SampleBuffer, convolve_channels, convolve_sum, mono, read_wav,
+    rms_array, scale_to_rms, write_wav,
 )
 from .errors import MixError, SceneValidationError
 from .hrtf import default_hrtf_set
@@ -56,6 +59,7 @@ ROTATION_BLOCK_SECONDS = 0.01
 EAR_CALIBRATION_GAIN = 2.0
 
 FIDELITY_NAMES = ("simulated", "measured_like")
+SOURCE_KINDS = ("speech", "noise", "music")
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,9 @@ class RotationTrajectory:
             pts = tuple((float(t), float(y)) for t, y in self.breakpoints)
         except (TypeError, ValueError):
             raise ValueError("trajectory breakpoints must be (time, yaw) number pairs") from None
+        if any(isinstance(v, bool) for pair in self.breakpoints for v in pair) or not all(
+                math.isfinite(v) for pair in pts for v in pair):
+            raise ValueError("trajectory times and yaws must be finite numbers")
         if not pts:
             raise ValueError("trajectory needs at least one breakpoint")
         if pts[0][0] != 0.0:
@@ -171,7 +178,6 @@ class InterfererSpec:
     position: tuple
     source: SourceSignal
     onset_s: float = 0.0
-    directivity: str = "omni"
 
 
 @dataclass(frozen=True)
@@ -196,10 +202,13 @@ def validate_scene_dict(payload):
 
     The room and the listener trajectory are checked by building a
     RoomSpec and a RotationTrajectory, so their rules live in one place.
-    Every source needs a finite onset_s >= 0 (absent means 0); a
-    synthetic source (no file) needs a finite duration_s > 0; a given
-    synth_seed must be a non-negative integer; and onset plus duration
-    must not pass MAX_SCENE_SECONDS.
+    Numbers must be finite and not booleans. Every source needs a finite
+    onset_s >= 0 (absent means 0); a synthetic source (no file) needs a
+    finite duration_s > 0; a given synth_seed must be a non-negative
+    integer; and onset plus duration must not pass MAX_SCENE_SECONDS.
+    The target's source.kind (absent means speech) must be one of
+    SOURCE_KINDS, and an interferer's source.kind, when given, must equal
+    the interferer's kind. The scene seed is a non-negative integer.
     """
     problems = []
 
@@ -211,7 +220,10 @@ def validate_scene_dict(payload):
         except OverflowError:   # an int beyond the float range
             return False
 
-    def check_source(path, spec):
+    def is_seed(value):
+        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+    def check_source(path, spec, kinds=SOURCE_KINDS):
         onset = spec.get("onset_s", 0.0)
         if not (is_number(onset) and onset >= 0):
             problems.append(f"{path}.onset_s: must be a finite number >= 0, got {onset!r}")
@@ -220,9 +232,11 @@ def validate_scene_dict(payload):
         if not isinstance(source, dict):
             problems.append(f"{path}.source: missing source description")
             return
+        kind = source.get("kind", kinds[0])
+        if kind not in kinds:
+            problems.append(f"{path}.source.kind: must be one of {kinds}, got {kind!r}")
         seed = source.get("synth_seed")
-        if seed is not None and not (isinstance(seed, int) and not isinstance(seed, bool)
-                                     and seed >= 0):
+        if seed is not None and not is_seed(seed):
             problems.append(f"{path}.source.synth_seed: must be a non-negative integer, "
                             f"got {seed!r}")
         duration = 0.0
@@ -247,9 +261,8 @@ def validate_scene_dict(payload):
             problems.append(f"room: {exc}")
 
     def check_position(path, pos):
-        if not (isinstance(pos, (list, tuple)) and len(pos) == 3 and all(
-                isinstance(v, (int, float)) for v in pos)):
-            problems.append(f"{path}: need three coordinates")
+        if not (isinstance(pos, (list, tuple)) and len(pos) == 3 and all(map(is_number, pos))):
+            problems.append(f"{path}: need three finite coordinates")
             return
         if dims is not None and not all(0 < p < d for p, d in zip(pos, dims)):
             problems.append(f"{path}: position {list(pos)} outside room bounds {list(dims)}")
@@ -272,10 +285,12 @@ def validate_scene_dict(payload):
         if not isinstance(interferer, dict):
             problems.append(f"interferers[{i}]: not an object")
             continue
-        if interferer.get("kind") not in ("speech", "noise", "music"):
+        kind = interferer.get("kind")
+        if kind not in SOURCE_KINDS:
             problems.append(f"interferers[{i}].kind: must be speech, noise or music")
         check_position(f"interferers[{i}].position", interferer.get("position"))
-        check_source(f"interferers[{i}]", interferer)
+        check_source(f"interferers[{i}]", interferer,
+                     (kind,) if kind in SOURCE_KINDS else SOURCE_KINDS)
 
     listener = payload.get("listener")
     if not isinstance(listener, dict):
@@ -288,12 +303,12 @@ def validate_scene_dict(payload):
             problems.append(f"listener.trajectory: {exc}")
 
     snr = payload.get("snr_db")
-    if snr is not None and not isinstance(snr, (int, float)):
-        problems.append("snr_db: must be a number or null")
+    if snr is not None and not is_number(snr):
+        problems.append(f"snr_db: must be a finite number or null, got {snr!r}")
     if payload.get("fidelity") not in FIDELITY_NAMES:
         problems.append(f"fidelity: must be one of {FIDELITY_NAMES}")
-    if not isinstance(payload.get("seed"), int):
-        problems.append("seed: must be an integer")
+    if not is_seed(payload.get("seed")):
+        problems.append(f"seed: must be a non-negative integer, got {payload.get('seed')!r}")
     return problems
 
 
@@ -328,7 +343,6 @@ def scene_to_dict(scene):
                 "position": list(i.position),
                 "source": _source_signal_to_dict(i.source),
                 "onset_s": i.onset_s,
-                "directivity": i.directivity,
             }
             for i in scene.interferers
         ],
@@ -362,7 +376,6 @@ def scene_from_dict(payload):
             position=tuple(i["position"]),
             source=_source_signal_from_dict(i["kind"], i.get("source", {})),
             onset_s=i.get("onset_s", 0.0),
-            directivity=i.get("directivity", "omni"),
         )
         for i in payload["interferers"]
     )
@@ -429,18 +442,19 @@ def mix_at_snr(target, interferers, snr_db, active_range):
     return AmbiSignal(mixed, target.order, target.rate), gain
 
 
-def apply_trajectory(field, trajectory, block_s=ROTATION_BLOCK_SECONDS):
+def apply_trajectory(field, trajectory):
     """Rotate a field through a time-varying listener yaw.
 
-    The yaw is held per block: 50%-overlapped blocks of 2*block_s, each
-    rotated by the negated yaw at its centre time (a listener turning by
-    +theta sees the field rotate by -theta), crossfaded with triangular
-    windows and divided by the summed window weight. A yaw rotation only
-    turns each (l, +m), (l, -m) channel pair by the angle m*yaw, so the
-    crossfade of the block rotations is one cos and one sin gain track
-    per m = 1..order, applied pairwise; m = 0 channels pass unchanged.
+    The yaw is held per block: 50%-overlapped blocks of twice
+    ROTATION_BLOCK_SECONDS, each rotated by the negated yaw at its centre
+    time (a listener turning by +theta sees the field rotate by -theta),
+    crossfaded with triangular windows and divided by the summed window
+    weight. A yaw rotation only turns each (l, +m), (l, -m) channel pair
+    by the angle m*yaw, so the crossfade of the block rotations is one cos
+    and one sin gain track per m = 1..order, applied pairwise; m = 0
+    channels pass unchanged.
     """
-    hop = int(round(block_s * field.rate))
+    hop = int(round(ROTATION_BLOCK_SECONDS * field.rate))
     if hop < 1:
         raise ValueError("block too short for this sample rate")
     frames = field.frames
@@ -586,7 +600,7 @@ def render_scene(scene, hrtfs=None, profile=None, keep_components=False):
 
     ears = to_ears(noisy)
 
-    reference = mono(scale_to_rms(drys[0], 10.0 ** (-26.0 / 20.0)), rate)
+    reference = mono(scale_to_rms(drys[0], REFERENCE_RMS), rate)
 
     record = {
         "seed": scene.seed,
@@ -651,10 +665,9 @@ def _build_scene(rng_seed, room, fidelity):
         target_azimuth, int(rng.integers(0, 2**31)), onset_s=target_onset
     )
 
-    kinds = ["speech", "noise", "music"]
     interferers = []
     for j in range(n_interferers):
-        kind = kinds[int(rng.integers(0, len(kinds)))]
+        kind = SOURCE_KINDS[int(rng.integers(0, len(SOURCE_KINDS)))]
         onset = float(rng.uniform(0.0, 0.3))
         interferers.append(
             InterfererSpec(
@@ -666,7 +679,6 @@ def _build_scene(rng_seed, room, fidelity):
                     synth_seed=int(rng.integers(0, 2**31)),
                 ),
                 onset_s=onset,
-                directivity="omni",
             )
         )
 

@@ -21,11 +21,11 @@ from clarity_bench.ambisonics import (
 )
 from clarity_bench.audio import SampleBuffer, mono
 from clarity_bench.errors import RateMismatchError
-from clarity_bench.hrtf import HrtfSet, default_hrtf_set
+from clarity_bench.hrtf import HrtfSet, build_hrtf_set, default_hrtf_set
 
 
 def delta_hrtfs(count=64, taps=8):
-    """Identical unit-impulse filters both ears for every grid direction."""
+    """Identical unit-impulse filters both ears at `count` Fibonacci directions."""
     az, el = fibonacci_directions(count)
     firs = np.zeros((count, taps))
     firs[:, 0] = 1.0
@@ -216,9 +216,8 @@ def test_decode_linearity():
 
 def test_decode_under_determined_grid():
     field = AmbiSignal(np.zeros((16, 10)), 3, 16000)
-    small = fibonacci_directions(9)
-    with pytest.raises(ValueError):
-        binaural_decode(field, delta_hrtfs(), grid=small)
+    with pytest.raises(ValueError, match="9 directions cannot decode 16 channels"):
+        binaural_decode(field, delta_hrtfs(9))
 
 
 def test_fibonacci_grid_is_deterministic_and_unit():
@@ -254,15 +253,13 @@ def legendre_sh_eval(order, azimuth, elevation):
 
 
 def speaker_feed_decode(signal, hrtfs):
-    """Pseudo-inverse feeds on the 64-point grid, each convolved with its
-    nearest HRTF pair and summed per ear."""
-    az, el = fibonacci_directions(64)
-    feeds = np.linalg.pinv(legendre_sh_eval(signal.order, az, el).T).T @ signal.data
-    left = np.stack([hrtfs.nearest(a, e)[0] for a, e in zip(az, el)])
-    right = np.stack([hrtfs.nearest(a, e)[1] for a, e in zip(az, el)])
+    """Pseudo-inverse feeds on the set's own directions, each convolved
+    with that direction's HRTF pair and summed per ear."""
+    basis = legendre_sh_eval(signal.order, hrtfs.azimuths, hrtfs.elevations).T
+    feeds = np.linalg.pinv(basis).T @ signal.data
     return np.stack([
-        fftconvolve(feeds, left, mode="full", axes=1).sum(axis=0),
-        fftconvolve(feeds, right, mode="full", axes=1).sum(axis=0),
+        fftconvolve(feeds, hrtfs.left, mode="full", axes=1).sum(axis=0),
+        fftconvolve(feeds, hrtfs.right, mode="full", axes=1).sum(axis=0),
     ])
 
 
@@ -316,6 +313,35 @@ def test_binaural_decode_equals_speaker_feed_decode(order):
     assert np.max(np.abs(ears.data - expected)) < 1e-12
 
 
+def test_binaural_decode_uses_the_sets_own_directions():
+    # 50 directions, none on the default 64-point layout: the decode must
+    # place its virtual loudspeakers exactly there.
+    rng = np.random.default_rng(50)
+    az, el = fibonacci_directions(50)
+    hrtfs = build_hrtf_set(az + 0.3, el)
+    field = AmbiSignal(rng.uniform(-1, 1, (49, 700)), 6, 16000)
+    ears = binaural_decode(field, hrtfs)
+    assert np.max(np.abs(ears.data - speaker_feed_decode(field, hrtfs))) < 1e-12
+
+
+def test_ambisonics_builds_no_decode_grid():
+    # The virtual-loudspeaker layout is the HrtfSet's; ambisonics neither
+    # builds a direction set nor names a grid or its size.
+    import ast
+    import pathlib
+
+    import clarity_bench.ambisonics as module
+
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            assert called != "fibonacci_directions", node.lineno
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "arg", None)
+        assert "grid" not in (name or "").lower(), node.lineno
+        assert not (isinstance(node, ast.Constant) and node.value == 64), node.lineno
+
+
 def test_binaural_decode_rejects_hrtfs_at_another_rate():
     field = AmbiSignal(np.zeros((4, 100)), 1, 16000)
     with pytest.raises(RateMismatchError, match="48000"):
@@ -329,8 +355,10 @@ def test_binaural_decode_builds_filters_once_per_order_and_grid(monkeypatch):
     monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a.shape) or pinv(a))
     for order in (1, 1, 2, 1):
         binaural_decode(AmbiSignal(np.ones((num_channels(order), 50)), order, 16000), hrtfs)
-    binaural_decode(AmbiSignal(np.ones((4, 50)), 1, 16000), hrtfs, grid=fibonacci_directions(10))
-    assert calls == [(64, 4), (64, 9), (10, 4)]
+    assert calls == [(64, 4), (64, 9)]
+    assert sorted(hrtfs._decoders) == [1, 2]
+    binaural_decode(AmbiSignal(np.ones((4, 50)), 1, 16000), delta_hrtfs(10))
+    assert calls[2:] == [(10, 4)]
     binaural_decode(AmbiSignal(np.ones((4, 50)), 1, 16000), default_hrtf_set())
     assert len(calls) == 4   # a new HrtfSet builds its own
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from clarity_bench.audio import REFERENCE_RMS
 from clarity_bench.errors import AlignmentError
 from clarity_bench.metrics import (
-    DEFAULT_CONFIG,
-    AuditoryConfig,
+    CENTER_FREQUENCIES,
+    ENVELOPE_CUTOFF,
     MetricScore,
     _aligned_pair,
     _envelopes,
@@ -28,7 +29,7 @@ def speech(seconds=2.0, seed=0, level=0.1):
 
 
 def test_config_centers_increase_and_stay_below_nyquist():
-    centers = DEFAULT_CONFIG.center_frequencies()
+    centers = CENTER_FREQUENCIES
     assert centers.size == 32
     assert np.all(np.diff(centers) > 0)
     assert centers[0] > 80.0
@@ -42,7 +43,7 @@ def test_gammatone_silence():
 
 
 def test_gammatone_peak_band_matches_tone():
-    centers = DEFAULT_CONFIG.center_frequencies()
+    centers = CENTER_FREQUENCIES
     t = np.arange(RATE) / RATE
     for k in (4, 12, 20, 28):
         tone = np.sin(2 * np.pi * centers[k] * t)
@@ -53,13 +54,11 @@ def test_gammatone_peak_band_matches_tone():
 
 def test_gammatone_bandwidth_at_1khz():
     # the band response must be 3 dB down at +-half of 1.019*ERB(1000)
-    config = DEFAULT_CONFIG
-    centers = config.center_frequencies()
-    k = int(np.argmin(np.abs(centers - 1000.0)))
-    fc = centers[k]
+    k = int(np.argmin(np.abs(CENTER_FREQUENCIES - 1000.0)))
+    fc = CENTER_FREQUENCIES[k]
     from clarity_bench.metrics import _gammatone_kernels
 
-    kernels, _ = _gammatone_kernels(config, RATE)
+    kernels = _gammatone_kernels(RATE)
     spectrum = np.abs(np.fft.rfft(kernels[k], 1 << 18))
     freqs = np.fft.rfftfreq(1 << 18, 1.0 / RATE)
     peak = spectrum.max()
@@ -78,7 +77,7 @@ def test_gammatone_rejects_low_rate():
 
 
 def test_envelope_silence_sits_at_floor():
-    env = _envelopes(np.zeros(RATE), DEFAULT_CONFIG, RATE)
+    env = _envelopes(np.zeros(RATE), RATE)
     assert env.shape[0] == 256
     assert np.all(env == -80.0)
 
@@ -86,7 +85,7 @@ def test_envelope_silence_sits_at_floor():
 def test_envelope_constant_tone_is_flat():
     t = np.arange(RATE) / RATE
     tone = 0.5 * np.sin(2 * np.pi * 1000 * t)
-    env = _envelopes(tone, DEFAULT_CONFIG, RATE)
+    env = _envelopes(tone, RATE)
     settled = env[30:]  # past 100 ms of filter settling
     assert settled.max() - settled.min() < 2.0
     assert np.abs(settled - np.median(settled)).max() < 1.0
@@ -96,7 +95,7 @@ def test_envelope_tracks_4hz_modulation():
     t = np.arange(2 * RATE) / RATE
     carrier = np.sin(2 * np.pi * 1000 * t)
     am = (1.0 + 0.8 * np.sin(2 * np.pi * 4.0 * t)) * carrier
-    env = _envelopes(0.3 * am, DEFAULT_CONFIG, RATE)
+    env = _envelopes(0.3 * am, RATE)
     env = env - env.mean()
     spectrum = np.abs(np.fft.rfft(env * np.hanning(env.size)))
     freqs = np.fft.rfftfreq(env.size, 1 / 256.0)
@@ -225,13 +224,6 @@ def test_audiogram_attenuation_lowers_scores():
     assert severe < mild <= 1.0
 
 
-def test_config_is_hashable_and_custom():
-    config = AuditoryConfig(bands=16)
-    assert hash(config) != hash(DEFAULT_CONFIG)
-    bands = gammatone_bands(np.zeros(1000), config, rate=RATE)
-    assert bands.shape[0] == 16
-
-
 # --- the shared front end -------------------------------------------------
 
 
@@ -260,20 +252,20 @@ def test_each_score_filters_each_signal_once(monkeypatch, score):
 def test_envelope_is_one_row_of_the_multiband_envelopes():
     bands = gammatone_bands(speech(1.0, seed=16), rate=RATE)
     assert bands.shape[0] == 32
-    envelopes = _envelopes(bands, DEFAULT_CONFIG, RATE)
+    envelopes = _envelopes(bands, RATE)
     for k, row in enumerate(bands):
-        assert np.array_equal(_envelopes(row, DEFAULT_CONFIG, RATE), envelopes[k])
+        assert np.array_equal(_envelopes(row, RATE), envelopes[k])
 
 
 def test_envelope_decimation_equals_np_interp():
     from scipy.signal import butter, lfilter
 
     band = gammatone_bands(speech(1.0, seed=17), rate=RATE)[9]
-    b, a = butter(2, DEFAULT_CONFIG.envelope_cutoff, fs=RATE)
+    b, a = butter(2, ENVELOPE_CUTOFF, fs=RATE)
     smooth = lfilter(b, a, np.maximum(band, 0.0))
     positions = np.arange(256) * (RATE / 256.0)
     expected = 20.0 * np.log10(np.maximum(np.interp(positions, np.arange(band.size), smooth), 1e-4))
-    assert np.array_equal(_envelopes(band, DEFAULT_CONFIG, RATE), expected)
+    assert np.array_equal(_envelopes(band, RATE), expected)
 
 
 def test_quality_correlation_term_is_intelligibility_of_normalized_pair():
@@ -281,8 +273,7 @@ def test_quality_correlation_term_is_intelligibility_of_normalized_pair():
     x = speech(2.0, seed=18)
     proc = 0.3 * x + 0.02 * rng.standard_normal(x.size)
     ear = np.array([20.0, 25.0, 30.0, 40.0, 50.0, 60.0])
-    target = 10.0 ** (DEFAULT_CONFIG.normalization_dbfs / 20.0)
-    normalized = [v * (target / np.sqrt(np.mean(v * v))) for v in (x, proc)]
+    normalized = [v * (REFERENCE_RMS / np.sqrt(np.mean(v * v))) for v in (x, proc)]
     _, c_term, _ = quality_score(x, proc, ear, return_terms=True)
     assert c_term == intelligibility_score(*normalized, ear)
 

@@ -105,6 +105,16 @@ def test_scene_json_round_trip(tmp_path):
     assert loaded == scene
 
 
+def test_scene_json_directivity_key_is_ignored():
+    # Directivity comes from the fidelity profile; older scene files that
+    # carry a per-interferer key still load, whatever it holds.
+    payload = scene_to_dict(simple_scene())
+    assert "directivity" not in payload["interferers"][0]
+    for value in ("cardioid", "bogus"):
+        payload["interferers"][0]["directivity"] = value
+        assert scene_from_dict(payload) == simple_scene()
+
+
 def test_scene_validation_interferer_count():
     payload = scene_to_dict(simple_scene())
     payload["interferers"] = payload["interferers"] * 4
@@ -170,6 +180,17 @@ BAD_SOURCE_FIELDS = [
     (("target", "source", "synth_seed"), "5", "target.source.synth_seed"),
     (("interferers", 0, "source", "synth_seed"), -1, "interferers[0].source.synth_seed"),
     (("interferers", 0, "source"), None, "interferers[0].source"),
+    (("target", "source", "kind"), "bogus", "target.source.kind"),
+    (("interferers", 0, "source", "kind"), "bogus", "interferers[0].source.kind"),
+    (("interferers", 0, "source", "kind"), "speech", "interferers[0].source.kind"),
+    (("snr_db",), float("nan"), "snr_db"),
+    (("snr_db",), float("inf"), "snr_db"),
+    (("snr_db",), True, "snr_db"),
+    (("seed",), True, "seed"),
+    (("seed",), -1, "seed"),
+    (("target", "position", 0), True, "target.position"),
+    (("listener", "trajectory", 0, 1), float("nan"), "listener.trajectory"),
+    (("listener", "trajectory", 0, 1), True, "listener.trajectory"),
 ]
 
 
@@ -220,6 +241,10 @@ def test_trajectory_validation():
         RotationTrajectory(((0.5, 0.0),))
     with pytest.raises(ValueError):
         RotationTrajectory(((0.0, 0.0), (0.0, 1.0)))
+    for bad in (((0.0, float("nan")),), ((0.0, 0.0), (float("inf"), 1.0)),
+                ((0.0, float("-inf")),), ((0.0, True),), ((False, 0.0),)):
+        with pytest.raises(ValueError, match="finite"):
+            RotationTrajectory(bad)
     traj = RotationTrajectory(((0.0, 0.1), (1.0, 0.5)))
     assert traj.yaw_at(0.0) == pytest.approx(0.1)
     assert traj.yaw_at(0.5) == pytest.approx(0.3)
