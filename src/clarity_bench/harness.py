@@ -206,8 +206,9 @@ def _dataset_file(base, scene_id, name):
     return path
 
 
-def _check_manifest(manifest, path):
-    """Raise ValueError unless a dataset manifest has the shape scoring reads."""
+def _dataset_entries(manifest, path):
+    """(id, mix path, reference path) of every manifest entry, its files
+    resolved; raises on the first problem, before anything is scored."""
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: manifest must be a JSON object")
     scenes = manifest.get("scenes")
@@ -217,6 +218,8 @@ def _check_manifest(manifest, path):
         raise ValueError(f"{path}: dataset has no scenes")
     if not isinstance(manifest.get("rate"), int):
         raise ValueError(f"{path}: 'rate' must be an integer")
+    base = os.path.dirname(os.path.abspath(path))
+    entries = []
     for index, entry in enumerate(scenes):
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: scene {index}: entry must be an object")
@@ -224,6 +227,10 @@ def _check_manifest(manifest, path):
         for key in ("id", "mix", "reference"):
             if not isinstance(entry.get(key), str):
                 raise ValueError(f"{where}: '{key}' must be a string")
+        scene_id = entry["id"]
+        entries.append((scene_id, _dataset_file(base, scene_id, entry["mix"]),
+                        _dataset_file(base, scene_id, entry["reference"])))
+    return entries
 
 
 def score_dataset(manifest_path, audiogram=None):
@@ -237,14 +244,13 @@ def score_dataset(manifest_path, audiogram=None):
     audiogram = audiogram or flat_audiogram(40.0)
     with open(manifest_path, encoding="utf-8") as fp:
         manifest = json.load(fp)
-    _check_manifest(manifest, manifest_path)
-    base = os.path.dirname(os.path.abspath(manifest_path))
+    entries = _dataset_entries(manifest, manifest_path)
     rate = manifest["rate"]
 
     def score_one(entry):
-        scene_id = entry["id"]
-        ears = read_wav(_dataset_file(base, scene_id, entry["mix"]), expected_rate=rate)
-        reference = read_wav(_dataset_file(base, scene_id, entry["reference"]), expected_rate=rate)
+        scene_id, mix_path, reference_path = entry
+        ears = read_wav(mix_path, expected_rate=rate)
+        reference = read_wav(reference_path, expected_rate=rate)
         amplified = amplify(ears, audiogram)
         ref = reference.channel(0)
         left, right = amplified.ears.channel(0), amplified.ears.channel(1)
@@ -265,7 +271,7 @@ def score_dataset(manifest_path, audiogram=None):
             "clipped": amplified.clipped,
         }
 
-    records = sorted(ordered_map(score_one, manifest["scenes"]), key=lambda r: r["scene"])
+    records = sorted(ordered_map(score_one, entries), key=lambda r: r["scene"])
     return RunManifest(
         version=manifest.get("version", "unknown"),
         dataset=os.path.abspath(manifest_path),

@@ -17,6 +17,7 @@ from scipy.signal import lfilter
 
 from .ambisonics import fibonacci_directions
 from .audio import DEFAULT_RATE
+from .room import SPEED_OF_SOUND
 
 DEFAULT_HEAD_RADIUS = 0.0875
 DEFAULT_TAPS = 64
@@ -27,7 +28,7 @@ class HeadModel:
     """Rigid spherical head; ears on the +-y axis."""
 
     radius: float = DEFAULT_HEAD_RADIUS
-    speed_of_sound: float = 343.0
+    speed_of_sound: float = SPEED_OF_SOUND
 
     def __post_init__(self):
         if self.radius <= 0:

@@ -12,6 +12,7 @@ alternating sign is the pressure-reflection form, which stops co-binned
 late arrivals from summing coherently and skewing decay measurements.
 """
 
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -24,9 +25,22 @@ from .errors import InsufficientDecayError
 SPEED_OF_SOUND = 343.0
 
 
+def is_finite_number(value):
+    """True for a finite real number that is not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class RoomSpec:
-    """Rectangular room with uniform, frequency-independent absorption."""
+    """Rectangular room with uniform, frequency-independent absorption.
+
+    Its rules, each on finite non-boolean numbers (`is_finite_number`): three
+    dimensions > 0, absorption in (0, 1], speed_of_sound > 0."""
 
     dimensions: tuple
     absorption: float
@@ -39,10 +53,12 @@ class RoomSpec:
         except TypeError:
             dims = ()
         problems = []
-        if len(dims) != 3 or not all(isinstance(d, Real) and d > 0 for d in dims):
+        if len(dims) != 3 or not all(is_finite_number(d) and d > 0 for d in dims):
             problems.append(f"dimensions must be three positive lengths, got {self.dimensions}")
-        if not (isinstance(self.absorption, Real) and 0.0 < self.absorption <= 1.0):
+        if not (is_finite_number(self.absorption) and 0.0 < self.absorption <= 1.0):
             problems.append(f"absorption must lie in (0, 1], got {self.absorption}")
+        if not (is_finite_number(self.speed_of_sound) and self.speed_of_sound > 0):
+            problems.append(f"speed_of_sound must be a number > 0, got {self.speed_of_sound}")
         if problems:
             raise ValueError("; ".join(problems))
         object.__setattr__(self, "dimensions", tuple(float(d) for d in dims))

@@ -22,10 +22,12 @@ absorption. Each knob can be toggled alone (`FidelityProfile.with_knob`).
 Directivity comes from the profile alone: under a cardioid profile every
 interferer points at the listener. A scene carries no directivity, and
 scene files that still hold a "directivity" key load with it ignored.
+
+A scene dictionary is read in one walk, `scene_from_dict`: each field is
+checked where it is read, and every problem is reported at once.
 """
 
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -39,7 +41,7 @@ from .audio import (  # noqa: F401  (convolve_channels: perfbench/tracing.py wra
 )
 from .errors import MixError, SceneValidationError
 from .hrtf import default_hrtf_set
-from .room import RoomSpec, SourceSpec, image_source_rir
+from .room import SPEED_OF_SOUND, RoomSpec, SourceSpec, image_source_rir, is_finite_number
 from .workers import ordered_map
 
 PAPER_ROOM = RoomSpec(dimensions=(6.6, 5.8, 2.8), absorption=0.438)
@@ -58,8 +60,14 @@ ROTATION_BLOCK_SECONDS = 0.01
 # rendering stage stays linear.
 EAR_CALIBRATION_GAIN = 2.0
 
+# Largest |snr_db| a scene file may ask for. The generator draws from
+# +-6 dB; past 60 dB one side is over 1000 times weaker in amplitude, so
+# the scene is no longer a speech-in-noise mixture, and far past it the
+# interferer gain overflows (-10000 dB) or rounds to 0 (+10000 dB).
+MAX_ABS_SNR_DB = 60.0
+
 FIDELITY_NAMES = ("simulated", "measured_like")
-SOURCE_KINDS = ("speech", "noise", "music")
+SOURCE_KINDS = signals.SOURCE_KINDS   # _build_scene draws kinds by index in this order
 
 
 @dataclass(frozen=True)
@@ -126,12 +134,12 @@ class RotationTrajectory:
 
     def __post_init__(self):
         try:
-            pts = tuple((float(t), float(y)) for t, y in self.breakpoints)
+            pts = tuple((t, y) for t, y in self.breakpoints)
         except (TypeError, ValueError):
             raise ValueError("trajectory breakpoints must be (time, yaw) number pairs") from None
-        if any(isinstance(v, bool) for pair in self.breakpoints for v in pair) or not all(
-                math.isfinite(v) for pair in pts for v in pair):
+        if not all(is_finite_number(v) for pair in pts for v in pair):
             raise ValueError("trajectory times and yaws must be finite numbers")
+        pts = tuple((float(t), float(y)) for t, y in pts)
         if not pts:
             raise ValueError("trajectory needs at least one breakpoint")
         if pts[0][0] != 0.0:
@@ -197,132 +205,8 @@ class SceneSpec:
     seed: int = 0
 
 
-def validate_scene_dict(payload):
-    """Collect every schema violation in a scene dictionary.
-
-    The room and the listener trajectory are checked by building a
-    RoomSpec and a RotationTrajectory, so their rules live in one place.
-    Numbers must be finite and not booleans. Every source needs a finite
-    onset_s >= 0 (absent means 0); a synthetic source (no file) needs a
-    finite duration_s > 0; a given synth_seed must be a non-negative
-    integer; and onset plus duration must not pass MAX_SCENE_SECONDS.
-    The target's source.kind (absent means speech) must be one of
-    SOURCE_KINDS, and an interferer's source.kind, when given, must equal
-    the interferer's kind. The scene seed is a non-negative integer.
-    """
-    problems = []
-
-    def is_number(value):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return False
-        try:
-            return math.isfinite(value)
-        except OverflowError:   # an int beyond the float range
-            return False
-
-    def is_seed(value):
-        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-    def check_source(path, spec, kinds=SOURCE_KINDS):
-        onset = spec.get("onset_s", 0.0)
-        if not (is_number(onset) and onset >= 0):
-            problems.append(f"{path}.onset_s: must be a finite number >= 0, got {onset!r}")
-            onset = 0.0
-        source = spec.get("source")
-        if not isinstance(source, dict):
-            problems.append(f"{path}.source: missing source description")
-            return
-        kind = source.get("kind", kinds[0])
-        if kind not in kinds:
-            problems.append(f"{path}.source.kind: must be one of {kinds}, got {kind!r}")
-        seed = source.get("synth_seed")
-        if seed is not None and not is_seed(seed):
-            problems.append(f"{path}.source.synth_seed: must be a non-negative integer, "
-                            f"got {seed!r}")
-        duration = 0.0
-        if source.get("file") is None:
-            duration = source.get("duration_s")
-            if not (is_number(duration) and duration > 0):
-                problems.append(f"{path}.source.duration_s: a synthetic source needs a "
-                                f"finite duration > 0, got {duration!r}")
-                duration = 0.0
-        if onset + duration > MAX_SCENE_SECONDS:
-            problems.append(f"{path}: ends at {onset + duration:g} s, after the "
-                            f"{MAX_SCENE_SECONDS:g} s scene limit")
-
-    room = payload.get("room")
-    dims = None
-    if not isinstance(room, dict):
-        problems.append("room: missing or not an object")
-    else:
-        try:
-            dims = RoomSpec(room.get("dimensions"), room.get("absorption")).dimensions
-        except ValueError as exc:
-            problems.append(f"room: {exc}")
-
-    def check_position(path, pos):
-        if not (isinstance(pos, (list, tuple)) and len(pos) == 3 and all(map(is_number, pos))):
-            problems.append(f"{path}: need three finite coordinates")
-            return
-        if dims is not None and not all(0 < p < d for p, d in zip(pos, dims)):
-            problems.append(f"{path}: position {list(pos)} outside room bounds {list(dims)}")
-
-    target = payload.get("target")
-    if not isinstance(target, dict):
-        problems.append("target: missing or not an object")
-    else:
-        check_position("target.position", target.get("position"))
-        check_source("target", target)
-
-    interferers = payload.get("interferers")
-    if not isinstance(interferers, list) or not 1 <= len(interferers) <= 3:
-        problems.append(
-            "interferers: need between 1 and 3, got "
-            f"{len(interferers) if isinstance(interferers, list) else 'none'}"
-        )
-        interferers = interferers if isinstance(interferers, list) else []
-    for i, interferer in enumerate(interferers):
-        if not isinstance(interferer, dict):
-            problems.append(f"interferers[{i}]: not an object")
-            continue
-        kind = interferer.get("kind")
-        if kind not in SOURCE_KINDS:
-            problems.append(f"interferers[{i}].kind: must be speech, noise or music")
-        check_position(f"interferers[{i}].position", interferer.get("position"))
-        check_source(f"interferers[{i}]", interferer,
-                     (kind,) if kind in SOURCE_KINDS else SOURCE_KINDS)
-
-    listener = payload.get("listener")
-    if not isinstance(listener, dict):
-        problems.append("listener: missing or not an object")
-    else:
-        check_position("listener.position", listener.get("position"))
-        try:
-            RotationTrajectory(tuple(listener.get("trajectory") or ()))
-        except (TypeError, ValueError) as exc:
-            problems.append(f"listener.trajectory: {exc}")
-
-    snr = payload.get("snr_db")
-    if snr is not None and not is_number(snr):
-        problems.append(f"snr_db: must be a finite number or null, got {snr!r}")
-    if payload.get("fidelity") not in FIDELITY_NAMES:
-        problems.append(f"fidelity: must be one of {FIDELITY_NAMES}")
-    if not is_seed(payload.get("seed")):
-        problems.append(f"seed: must be a non-negative integer, got {payload.get('seed')!r}")
-    return problems
-
-
 def _source_signal_to_dict(src):
     return {key: value for key, value in asdict(src).items() if value is not None}
-
-
-def _source_signal_from_dict(kind, payload):
-    return SourceSignal(
-        kind=payload.get("kind", kind),
-        duration_s=payload.get("duration_s"),
-        synth_seed=payload.get("synth_seed"),
-        file=payload.get("file"),
-    )
 
 
 def scene_to_dict(scene):
@@ -357,41 +241,128 @@ def scene_to_dict(scene):
 
 
 def scene_from_dict(payload):
-    problems = validate_scene_dict(payload)
+    """Build a SceneSpec from a scene dictionary, checking each field where it is read.
+
+    This is the one reader of a scene dictionary: every problem found is
+    collected, prefixed by its path, into one SceneValidationError. The
+    room and the listener trajectory are checked by building a RoomSpec
+    (speed_of_sound absent means SPEED_OF_SOUND) and a RotationTrajectory,
+    so their rules live in one place. Numbers must be finite and not
+    booleans (`is_finite_number`). Positions are three numbers inside the
+    room. Every source needs an onset_s >= 0 (absent means 0); its
+    duration_s, which a synthetic source (no file) must give, is > 0; a
+    given file is a string; a given synth_seed is a non-negative integer;
+    and onset plus duration must not pass MAX_SCENE_SECONDS. The target's source.kind (absent means speech) must
+    be one of SOURCE_KINDS, and an interferer's source.kind, when given,
+    must equal the interferer's kind. snr_db is null or within
+    MAX_ABS_SNR_DB. The scene seed is a non-negative integer.
+    """
+    if not isinstance(payload, dict):
+        raise SceneValidationError(["scene: must be an object"])
+    problems = []
+
+    def is_seed(value):
+        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+    def section(key):
+        value = payload.get(key)
+        if not isinstance(value, dict):
+            problems.append(f"{key}: missing or not an object")
+            return None
+        return value
+
+    room = None
+    if (spec := section("room")) is not None:
+        try:
+            room = RoomSpec(spec.get("dimensions"), spec.get("absorption"),
+                            spec.get("speed_of_sound", SPEED_OF_SOUND))
+        except ValueError as exc:
+            problems.append(f"room: {exc}")
+
+    def position(path, pos):
+        if not (isinstance(pos, (list, tuple)) and len(pos) == 3 and all(map(is_finite_number, pos))):
+            problems.append(f"{path}: need three finite coordinates")
+            return None
+        if room is not None and not all(0 < p < d for p, d in zip(pos, room.dimensions)):
+            problems.append(f"{path}: position {list(pos)} outside room bounds {list(room.dimensions)}")
+        return tuple(pos)
+
+    def source(path, spec, kinds):
+        """The (SourceSignal, onset_s) of a target or interferer entry."""
+        onset = spec.get("onset_s", 0.0)
+        if not (is_finite_number(onset) and onset >= 0):
+            problems.append(f"{path}.onset_s: must be a finite number >= 0, got {onset!r}")
+            onset = 0.0
+        src = spec.get("source")
+        if not isinstance(src, dict):
+            problems.append(f"{path}.source: missing source description")
+            return None, onset
+        kind = src.get("kind", kinds[0])
+        if kind not in kinds:
+            problems.append(f"{path}.source.kind: must be one of {kinds}, got {kind!r}")
+        seed = src.get("synth_seed")
+        if seed is not None and not is_seed(seed):
+            problems.append(f"{path}.source.synth_seed: must be a non-negative integer, got {seed!r}")
+        file = src.get("file")
+        if file is not None and not isinstance(file, str):
+            problems.append(f"{path}.source.file: must be a path string, got {file!r}")
+        duration, length = src.get("duration_s"), 0.0
+        if file is None or duration is not None:
+            if is_finite_number(duration) and duration > 0:
+                length = duration
+            else:
+                need = "a synthetic source needs" if file is None else "must be"
+                problems.append(f"{path}.source.duration_s: {need} a finite duration > 0, "
+                                f"got {duration!r}")
+        if onset + length > MAX_SCENE_SECONDS:
+            problems.append(f"{path}: ends at {onset + length:g} s, after the "
+                            f"{MAX_SCENE_SECONDS:g} s scene limit")
+        return SourceSignal(kind, duration, seed, file), onset
+
+    target = None
+    if (spec := section("target")) is not None:
+        pos = position("target.position", spec.get("position"))
+        target = TargetSpec(pos, *source("target", spec, SOURCE_KINDS))
+
+    entries = payload.get("interferers")
+    if not isinstance(entries, list) or not 1 <= len(entries) <= 3:
+        problems.append("interferers: need between 1 and 3, got "
+                        f"{len(entries) if isinstance(entries, list) else 'none'}")
+        entries = entries if isinstance(entries, list) else []
+    interferers = []
+    for i, spec in enumerate(entries):
+        path = f"interferers[{i}]"
+        if not isinstance(spec, dict):
+            problems.append(f"{path}: not an object")
+            continue
+        kind = spec.get("kind")
+        known = kind in SOURCE_KINDS
+        if not known:
+            problems.append(f"{path}.kind: must be {', '.join(SOURCE_KINDS[:-1])} or {SOURCE_KINDS[-1]}")
+        pos = position(f"{path}.position", spec.get("position"))
+        src, onset = source(path, spec, (kind,) if known else SOURCE_KINDS)
+        interferers.append(InterfererSpec(kind, pos, src, onset))
+
+    listener = None
+    if (spec := section("listener")) is not None:
+        pos = position("listener.position", spec.get("position"))
+        try:
+            listener = ListenerSpec(pos, RotationTrajectory(spec.get("trajectory") or ()))
+        except ValueError as exc:
+            problems.append(f"listener.trajectory: {exc}")
+
+    snr = payload.get("snr_db")
+    if snr is not None and not (is_finite_number(snr) and abs(snr) <= MAX_ABS_SNR_DB):
+        problems.append(f"snr_db: must be null or a number within +-{MAX_ABS_SNR_DB:g}, got {snr!r}")
+    fidelity = payload.get("fidelity")
+    if fidelity not in FIDELITY_NAMES:
+        problems.append(f"fidelity: must be one of {FIDELITY_NAMES}")
+    seed = payload.get("seed")
+    if not is_seed(seed):
+        problems.append(f"seed: must be a non-negative integer, got {seed!r}")
     if problems:
         raise SceneValidationError(problems)
-    room = RoomSpec(
-        dimensions=tuple(payload["room"]["dimensions"]),
-        absorption=payload["room"]["absorption"],
-        speed_of_sound=payload["room"].get("speed_of_sound", 343.0),
-    )
-    target = TargetSpec(
-        position=tuple(payload["target"]["position"]),
-        source=_source_signal_from_dict("speech", payload["target"]["source"]),
-        onset_s=payload["target"].get("onset_s", 0.0),
-    )
-    interferers = tuple(
-        InterfererSpec(
-            kind=i["kind"],
-            position=tuple(i["position"]),
-            source=_source_signal_from_dict(i["kind"], i.get("source", {})),
-            onset_s=i.get("onset_s", 0.0),
-        )
-        for i in payload["interferers"]
-    )
-    listener = ListenerSpec(
-        position=tuple(payload["listener"]["position"]),
-        trajectory=RotationTrajectory(tuple((t, y) for t, y in payload["listener"]["trajectory"])),
-    )
-    return SceneSpec(
-        room=room,
-        target=target,
-        interferers=interferers,
-        listener=listener,
-        snr_db=payload["snr_db"],
-        fidelity=payload["fidelity"],
-        seed=payload["seed"],
-    )
+    return SceneSpec(room, target, tuple(interferers), listener, snr, fidelity, seed)
 
 
 def load_scene(path):

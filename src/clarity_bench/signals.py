@@ -83,6 +83,8 @@ def music_like(duration_s, seed, rate=DEFAULT_RATE):
 
 
 _GENERATORS = {"speech": speech_like, "noise": noise_like, "music": music_like}
+# Part of the dataset format: scenes draw interferer kinds by index in this order.
+SOURCE_KINDS = tuple(_GENERATORS)
 
 
 def source_signal(kind, duration_s, seed, rate=DEFAULT_RATE):
@@ -90,5 +92,5 @@ def source_signal(kind, duration_s, seed, rate=DEFAULT_RATE):
     try:
         gen = _GENERATORS[kind]
     except KeyError:
-        raise ValueError(f"unknown source kind {kind!r}; expected one of {sorted(_GENERATORS)}")
+        raise ValueError(f"unknown source kind {kind!r}; expected one of {SOURCE_KINDS}")
     return gen(duration_s, seed, rate=rate)

@@ -155,6 +155,20 @@ def test_score_dataset_missing_file_names_scene(small_dataset, tmp_path):
         score_dataset(broken_dir / "manifest.json")
 
 
+def test_score_dataset_checks_every_file_before_scoring(small_dataset, tmp_path, monkeypatch):
+    from clarity_bench import harness
+
+    path = copy_dataset(small_dataset, tmp_path / "d")
+    manifest = json.loads(path.read_text())
+    manifest["scenes"][-1]["mix"] = "gone.wav"
+    path.write_text(json.dumps(manifest))
+    calls = []
+    monkeypatch.setattr(harness, "amplify", lambda *args: calls.append(args))
+    with pytest.raises(FileNotFoundError, match="S0001: missing"):
+        score_dataset(path)
+    assert calls == []
+
+
 def test_read_scores_csv_error_reporting(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("scene,haspi_like,hasqi_like,ave\nS0,0.5,oops,0.5\n")

@@ -139,6 +139,11 @@ def test_room_spec_validation():
         RoomSpec((4.0, 4.0, 3.0), absorption=0.0)
     with pytest.raises(ValueError):
         RoomSpec((4.0, 4.0, 3.0), absorption=1.2)
+    for speed in (0.0, -343.0, float("inf"), True, "343"):
+        with pytest.raises(ValueError, match="speed_of_sound"):
+            RoomSpec((4.0, 4.0, 3.0), absorption=0.5, speed_of_sound=speed)
+    room = RoomSpec(np.array([4.0, 4.0, 3.0]), absorption=np.float64(0.5), speed_of_sound=340)
+    assert room.dimensions == (4.0, 4.0, 3.0) and room.speed_of_sound == 340
 
 
 def synthetic_decay(t60, rate=16000, seconds=1.0, seed=0):

@@ -191,6 +191,21 @@ BAD_SOURCE_FIELDS = [
     (("target", "position", 0), True, "target.position"),
     (("listener", "trajectory", 0, 1), float("nan"), "listener.trajectory"),
     (("listener", "trajectory", 0, 1), True, "listener.trajectory"),
+    (("listener", "trajectory", 0, 1), "0.5", "listener.trajectory"),
+    (("target", "source", "file"), 5, "target.source.file"),
+    (("room", "dimensions", 0), 10**400, "room: dimensions"),
+    (("room", "dimensions", 0), float("inf"), "room: dimensions"),
+    (("room", "absorption"), True, "room: absorption"),
+    (("room", "speed_of_sound"), 0, "room: speed_of_sound"),
+    (("room", "speed_of_sound"), -343, "room: speed_of_sound"),
+    (("room", "speed_of_sound"), "fast", "room: speed_of_sound"),
+    (("room", "speed_of_sound"), float("nan"), "room: speed_of_sound"),
+    (("room", "speed_of_sound"), None, "room: speed_of_sound"),
+    (("room", "speed_of_sound"), True, "room: speed_of_sound"),
+    (("snr_db",), -10000, "snr_db"),
+    (("snr_db",), 10000, "snr_db"),
+    (("snr_db",), -60.5, "snr_db"),
+    (("snr_db",), 60.5, "snr_db"),
 ]
 
 
@@ -217,21 +232,37 @@ def test_scene_validation_accepts_sources_up_to_the_scene_limit():
     assert scene_from_dict(payload).target.onset_s == 0.0
 
 
-def test_load_scene_validates_once(tmp_path, monkeypatch):
-    from clarity_bench import scenes
+@pytest.mark.parametrize("snr_db", [-60, -60.0, 60, 60.0])
+def test_scene_validation_accepts_snr_up_to_the_bound(snr_db):
+    payload = scene_to_dict(simple_scene())
+    payload["snr_db"] = snr_db
+    assert scene_from_dict(payload).snr_db == snr_db
 
-    path = tmp_path / "scene.json"
-    save_scene(simple_scene(), path)
-    calls = []
-    original = scenes.validate_scene_dict
 
-    def counted(payload):
-        calls.append(1)
-        return original(payload)
+def leaf_paths(node, path=()):
+    """Key path of every leaf in nested dicts and lists."""
+    if not isinstance(node, (dict, list)):
+        yield path
+        return
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield from leaf_paths(child, path + (key,))
 
-    monkeypatch.setattr(scenes, "validate_scene_dict", counted)
-    load_scene(path)
-    assert len(calls) == 1
+
+@pytest.mark.parametrize("path", [
+    pytest.param(path, id=".".join(map(str, path)))
+    for path in leaf_paths(scene_to_dict(simple_scene()))
+])
+def test_every_field_written_is_checked_on_read(path):
+    payload = scene_to_dict(simple_scene())
+    set_path(payload, path, "x")
+    with pytest.raises(SceneValidationError) as err:
+        scene_from_dict(payload)
+    assert any(p.startswith(path[0]) for p in err.value.problems), err.value.problems
+
+
+def test_scene_from_dict_rejects_a_payload_that_is_not_an_object():
+    with pytest.raises(SceneValidationError, match="scene: must be an object"):
+        scene_from_dict([scene_to_dict(simple_scene())])
 
 
 def test_trajectory_validation():
