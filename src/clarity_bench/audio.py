@@ -8,9 +8,16 @@ There are two convolutions. convolve_sum filters many inputs into many
 outputs block by block (overlap-save); the renderer's multichannel
 stages use it: the wet field and the binaural decode. convolve_channels
 is one whole-signal FFT convolution with broadcasting; the scoring path
-uses it (the hearing aid, the gammatone bank and the alignment), because
-the scores are pinned to its output bits and overlap-save rounds
-differently.
+uses it (the hearing aid and the alignment), because the scores are
+pinned to its output bits and overlap-save rounds differently.
+
+convolve_channels is a KernelBank used once. A bank kept for a kernel set
+that never changes, the gammatone bank, memoizes the kernels' spectrum at
+the last FFT length it was asked for, one length at a time, so the
+signals of one scene, which share a length, pay for that transform once.
+Memoized or not, the same two spectra are multiplied in the same order,
+so the bank's output keeps the bits of convolve_channels(kernels, x) and
+the scores do not move.
 """
 
 from dataclasses import dataclass
@@ -133,15 +140,47 @@ def convolve_channels(data, kernels):
     These are the transforms of scipy.signal's FFT convolution, and at the
     package's call sites the outputs agree bit for bit. Swapping the
     operands changes the rounding of the complex product, so each caller
-    keeps a fixed order.
+    keeps a fixed order. This is KernelBank(data).convolve(kernels) with a
+    bank that is used once.
     """
-    data = np.asarray(data, dtype=np.float64)
-    kernels = np.asarray(kernels, dtype=np.float64)
-    if data.size == 0 or kernels.size == 0:
-        raise ValueError("convolve requires non-empty signal and kernel")
-    length = data.shape[-1] + kernels.shape[-1] - 1
-    nfft = next_fast_len(length, real=True)
-    return irfft(rfft(data, nfft) * rfft(kernels, nfft), nfft)[..., :length]
+    return KernelBank(data).convolve(kernels)
+
+
+class KernelBank:
+    """A fixed FIR kernel set (..., taps) whose spectrum is memoized.
+
+    convolve(x) takes the real FFT of the kernels and of x at a fast
+    length, multiplies them in that order and inverts the product. The
+    memo holds the kernels' FFT at one FFT length, the last one used; a
+    signal that needs another length replaces it. The length and its
+    spectrum are stored and read as one tuple, so threads sharing a bank
+    can at worst transform the kernels twice, never use a spectrum of the
+    wrong length.
+    """
+
+    def __init__(self, kernels):
+        kernels = np.array(kernels, dtype=np.float64)
+        if kernels.size == 0:
+            raise ValueError("convolve requires non-empty signal and kernel")
+        kernels.flags.writeable = False
+        self.kernels = kernels
+        self._memo = (0, None)   # (FFT length, rfft of the kernels at it)
+
+    def convolve(self, x):
+        """Full linear convolution of every kernel with x along the last axis."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.size == 0:
+            raise ValueError("convolve requires non-empty signal and kernel")
+        length = self.kernels.shape[-1] + x.shape[-1] - 1
+        nfft = next_fast_len(length, real=True)
+        memo_nfft, spectrum = self._memo
+        if memo_nfft != nfft:
+            spectrum = rfft(self.kernels, nfft)
+            self._memo = (nfft, spectrum)
+        # np.multiply, not `*`: NumPy may compute `a * temporary` in the
+        # temporary's buffer as temporary * a, and with fused multiply-adds
+        # the swapped complex product rounds differently.
+        return irfft(np.multiply(spectrum, rfft(x, nfft)), nfft)[..., :length]
 
 
 def convolve_sum(data, kernels):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .audio import read_wav
 from .errors import StatisticsError
-from .hearing_aid import amplify, flat_audiogram
+from .hearing_aid import EARS, amplify, flat_audiogram
 from .metrics import (
     better_ear,
     combined_score,
@@ -238,14 +238,17 @@ def score_dataset(manifest_path, audiogram=None):
 
     For every scene the rendered ear signals are amplified with the
     audiogram's prescription and scored per ear against the stored
-    reference; each metric keeps its better ear. Each record also counts
-    the samples amplification clipped. Rows come back sorted by scene id.
+    reference, both ears in one call per metric; each metric keeps its
+    better ear, and the record also holds every ear's score
+    (haspi_like_left, ..., hasqi_like_right) and counts the samples
+    amplification clipped. Rows come back sorted by scene id.
     """
     audiogram = audiogram or flat_audiogram(40.0)
     with open(manifest_path, encoding="utf-8") as fp:
         manifest = json.load(fp)
     entries = _dataset_entries(manifest, manifest_path)
     rate = manifest["rate"]
+    levels = np.stack([audiogram.ear(ear) for ear in EARS])
 
     def score_one(entry):
         scene_id, mix_path, reference_path = entry
@@ -253,23 +256,20 @@ def score_dataset(manifest_path, audiogram=None):
         reference = read_wav(reference_path, expected_rate=rate)
         amplified = amplify(ears, audiogram)
         ref = reference.channel(0)
-        left, right = amplified.ears.channel(0), amplified.ears.channel(1)
-        haspi = better_ear(
-            intelligibility_score(ref, left, audiogram.ear("left"), rate=rate),
-            intelligibility_score(ref, right, audiogram.ear("right"), rate=rate),
-        )
-        hasqi = better_ear(
-            quality_score(ref, left, audiogram.ear("left"), rate=rate),
-            quality_score(ref, right, audiogram.ear("right"), rate=rate),
-        )
-        score = combined_score(haspi, hasqi)
-        return {
+        haspi = intelligibility_score(ref, amplified.ears.data, levels, rate=rate)
+        hasqi = quality_score(ref, amplified.ears.data, levels, rate=rate)
+        score = combined_score(better_ear(*haspi), better_ear(*hasqi))
+        record = {
             "scene": scene_id,
             "haspi_like": score.haspi_like,
             "hasqi_like": score.hasqi_like,
             "ave": score.combined,
             "clipped": amplified.clipped,
         }
+        for index, ear in enumerate(EARS):
+            record[f"haspi_like_{ear}"] = haspi[index]
+            record[f"hasqi_like_{ear}"] = hasqi[index]
+        return record
 
     records = sorted(ordered_map(score_one, entries), key=lambda r: r["scene"])
     return RunManifest(

@@ -16,6 +16,7 @@ import numpy as np
 from .audio import DEFAULT_RATE, SampleBuffer, convolve_channels
 
 AUDIOGRAM_FREQUENCIES = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 6000.0)
+EARS = ("left", "right")   # the rows of a stereo ear buffer, in order
 
 # Frequency-specific prescription constants, dB.
 _NALR_K = {250.0: -17.0, 500.0: -8.0, 1000.0: 1.0, 2000.0: -1.0, 4000.0: -2.0, 6000.0: -2.0}
@@ -176,7 +177,7 @@ def amplify(ears, audiogram, taps=DEFAULT_TAPS):
         raise ValueError(f"amplify expects a stereo buffer, got {ears.channels} channels")
     firs = np.stack([
         design_fir(nalr_gains(audiogram, ear), taps=taps, rate=ears.rate)
-        for ear in ("left", "right")
+        for ear in EARS
     ])
     out = convolve_channels(ears.data, firs)
     clipped = int(np.count_nonzero(np.abs(out) > 1.0))

@@ -3,11 +3,19 @@
 Two reference-based surrogate metrics mirror the challenge's pair of
 indices: an intelligibility-like score built on per-band envelope
 correlation, and a quality-like score that adds a long-term spectral
-penalty. Both read one auditory front end, `_front_end`, which runs each
+penalty. Both read one auditory front end, `_front_ends`, which runs each
 aligned signal once through a 32-band gammatone filter bank on the ERB
 scale. Half-wave rectification, a 32 Hz second-order low-pass, decimation
 to 256 Hz by linear interpolation and conversion to dB with a -80 dB floor
-give the band envelopes; the band RMS gives the long-term band levels.
+give the band envelopes; the band RMS gives the long-term band levels,
+which only the quality score reads and computes.
+
+Both scores take the two ears of a listener in one call, one row each.
+Each ear is aligned to the reference on its own, but the reference front
+end runs once per distinct aligned reference segment: ears aligned at the
+same overlap (every ear with a lag >= 0 and a full overlap) share one
+reference pass, so a two-ear call filters three signals, not four. A
+row scores exactly as it would alone, bit for bit.
 
 Hearing loss enters as pure band attenuation on the processed branch
 (the audiogram interpolated to each band centre); the reference branch
@@ -21,13 +29,17 @@ SPECTRAL_SCALE_DB). They are not parameters: like the challenge, which
 fixed its evaluation model, every signal is scored by the same front end.
 Only the sample rate is an argument, since it comes with the data.
 
-The gammatone bank and the alignment cross-correlation are FFT
-convolutions (audio.convolve_channels). The envelope low-pass stays a
-recursive filter (scipy.signal butter + lfilter): convolving with the
-biquad's impulse response, cut where it falls below 1e-18 (4,163 taps),
-matches lfilter within 1e-13 but is about 3x slower, 0.020 s against
-0.006 s per 32-band call at 28,800 frames and 0.032 s against 0.010 s at
-51,000 frames (one thread).
+The gammatone bank is an audio.KernelBank: its 32 kernels' spectrum is
+memoized at the last FFT length used, so the three passes of a scene at
+one length transform the kernels once. It keeps the bits of
+audio.convolve_channels(kernels, signal), the convolution the scores
+were pinned to, because it multiplies the same spectra in the same
+order. The alignment cross-correlation is audio.convolve_channels
+itself. The envelope low-pass stays a recursive filter (scipy.signal
+butter + lfilter): convolving with the biquad's impulse response, cut
+where it falls below 1e-18 (4,163 taps), matches lfilter within 1e-13
+but is about 3x slower, 0.020 s against 0.006 s per 32-band call at
+28,800 frames and 0.032 s against 0.010 s at 51,000 frames (one thread).
 """
 
 from dataclasses import dataclass
@@ -36,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.signal import butter, lfilter
 
-from .audio import REFERENCE_RMS, SampleBuffer, convolve_channels, scale_to_rms
+from .audio import REFERENCE_RMS, KernelBank, SampleBuffer, convolve_channels, scale_to_rms
 from .errors import AlignmentError
 from .hearing_aid import AUDIOGRAM_FREQUENCIES
 
@@ -85,7 +97,6 @@ _GAMMATONE_BW3 = 2.0 * np.sqrt(2.0 ** 0.25 - 1.0)
 _BANDWIDTH_SCALE = 1.019
 
 
-@lru_cache(maxsize=8)
 def _gammatone_kernels(rate):
     """FIR kernels (bands x taps) with unit magnitude at each centre."""
     length = int(round(0.128 * rate))
@@ -98,6 +109,11 @@ def _gammatone_kernels(rate):
         kernels[i] = kern / peak
     kernels.flags.writeable = False
     return kernels
+
+
+@lru_cache(maxsize=8)
+def _gammatone_bank(rate):
+    return KernelBank(_gammatone_kernels(rate))
 
 
 def _as_mono_array(signal):
@@ -122,7 +138,7 @@ def gammatone_bands(signal, rate=None):
     if rate < 16000:
         raise ValueError(f"auditory front end needs rate >= 16 kHz, got {rate}")
     x = _as_mono_array(signal)
-    return convolve_channels(_gammatone_kernels(rate), x)[:, : x.size]
+    return _gammatone_bank(rate).convolve(x)[:, : x.size]
 
 
 @lru_cache(maxsize=8)
@@ -172,16 +188,15 @@ def _xcorr_best_lag(r, p, lag_lo, lag_hi):
     return best + lo - center, float(window[best] / denom)
 
 
-def _aligned_pair(ref, proc):
-    """Trim ref/proc to >= 90% overlap at the best feasible lag.
+def _aligned_slices(r, p):
+    """(reference slice, processed slice) that trim r/p to >= 90% overlap
+    at the best feasible lag.
 
     Only lags that leave at least 90% of the reference overlapping are
     searched; when no such lag exists (proc shorter than 90% of ref) the
     inputs are rejected, and so are non-finite samples. Degenerate
     correlation falls back to lag 0.
     """
-    r = _as_mono_array(ref)
-    p = _as_mono_array(proc)
     if not (np.isfinite(r).all() and np.isfinite(p).all()):
         raise ValueError("reference and processed signals must be finite")
     needed = int(np.ceil(0.9 * r.size))
@@ -198,11 +213,9 @@ def _aligned_pair(ref, proc):
         lag = 0
     if lag >= 0:
         overlap = min(r.size, p.size - lag)
-        r_seg, p_seg = r[:overlap], p[lag : lag + overlap]
-    else:
-        overlap = min(r.size + lag, p.size)
-        r_seg, p_seg = r[-lag : -lag + overlap], p[:overlap]
-    return r_seg, p_seg
+        return slice(0, overlap), slice(lag, lag + overlap)
+    overlap = min(r.size + lag, p.size)
+    return slice(-lag, -lag + overlap), slice(0, overlap)
 
 
 def _masked_pearson(a, b):
@@ -229,19 +242,62 @@ def _envelope_correlation(ref_env, proc_env):
     return float(np.mean(scores))
 
 
-def _front_end(r_seg, p_seg, ear_levels, rate):
-    """(ref_env, proc_env, ref_levels, proc_levels) of an aligned pair, in
-    dB: one gammatone pass per segment, and the processed bands attenuated
-    by the ear's audiogram."""
-    attenuation = audiogram_band_attenuation(ear_levels, CENTER_FREQUENCIES)
-    ref_bands = gammatone_bands(r_seg, rate)
-    proc_bands = gammatone_bands(p_seg, rate) * 10.0 ** (-attenuation[:, None] / 20.0)
+def _ear_rows(proc, ear_levels):
+    """(proc rows, audiogram rows, True when proc is a single signal).
 
-    def levels(bands):
-        return 20.0 * np.log10(np.maximum(np.sqrt(np.mean(bands**2, axis=1)), _FLOOR_LIN))
+    A 1-D proc (or a mono SampleBuffer) is one ear with a 1-D audiogram;
+    a 2-D proc holds one ear per row, with one audiogram row per ear.
+    """
+    single = isinstance(proc, SampleBuffer) or np.ndim(proc) < 2
+    rows = _as_mono_array(proc)[None] if single else np.ascontiguousarray(proc, dtype=np.float64)
+    levels = np.asarray(ear_levels, dtype=np.float64)
+    levels = levels[None] if single else levels
+    if rows.ndim != 2 or levels.shape != (len(rows), len(AUDIOGRAM_FREQUENCIES)):
+        raise ValueError(
+            f"need a 1-D or 2-D processed signal and one audiogram of "
+            f"{len(AUDIOGRAM_FREQUENCIES)} levels per row, got a {rows.ndim - single}-D "
+            f"signal and audiogram shape {np.shape(ear_levels)}"
+        )
+    return rows, levels, single
 
-    return (_envelopes(ref_bands, rate), _envelopes(proc_bands, rate),
-            levels(ref_bands), levels(proc_bands))
+
+def _band_features(bands, rate, with_levels):
+    """(dB envelopes, long-term dB band levels or None) of band signals."""
+    levels = None
+    if with_levels:
+        levels = 20.0 * np.log10(np.maximum(np.sqrt(np.mean(bands**2, axis=1)), _FLOOR_LIN))
+    return _envelopes(bands, rate), levels
+
+
+def _front_ends(ref, proc, ear_levels, rate, quality):
+    """(single, ears): the front end of every ear of proc against ref.
+
+    ears holds one ((ref_env, ref_levels), (proc_env, proc_levels)) pair
+    per row of proc, in dB. Each ear is aligned on its own, and its
+    processed bands are attenuated by its audiogram. The reference front
+    end runs once per distinct aligned reference segment, so ears aligned
+    at the same overlap share it. The quality path first scales every
+    signal to REFERENCE_RMS and adds the long-term band levels, which are
+    None otherwise.
+    """
+    if isinstance(ref, SampleBuffer):
+        rate = ref.rate
+    r = _as_mono_array(ref)
+    rows, levels, single = _ear_rows(proc, ear_levels)
+    if quality:
+        r = scale_to_rms(r, REFERENCE_RMS)
+        rows = [scale_to_rms(p, REFERENCE_RMS) for p in rows]
+    references = {}
+    ears = []
+    for p, ear in zip(rows, levels):
+        r_slice, p_slice = _aligned_slices(r, p)
+        key = (r_slice.start, r_slice.stop)
+        if key not in references:
+            references[key] = _band_features(gammatone_bands(r[r_slice], rate), rate, quality)
+        attenuation = audiogram_band_attenuation(ear, CENTER_FREQUENCIES)
+        proc_bands = gammatone_bands(p[p_slice], rate) * 10.0 ** (-attenuation[:, None] / 20.0)
+        ears.append((references[key], _band_features(proc_bands, rate, quality)))
+    return single, ears
 
 
 def intelligibility_score(ref, proc, ear_levels, rate=16000):
@@ -249,13 +305,13 @@ def intelligibility_score(ref, proc, ear_levels, rate=16000):
 
     ref is the clean reference; proc the processed ear signal; ear_levels
     the audiogram for the ear being scored (dB HL at the six standard
-    frequencies).
+    frequencies). A 2-D proc holds one ear per row and ear_levels one
+    audiogram row per ear; the result is then a tuple of one score per
+    row, each equal to the score of that row alone.
     """
-    if isinstance(ref, SampleBuffer):
-        rate = ref.rate
-    r_seg, p_seg = _aligned_pair(ref, proc)
-    ref_env, proc_env, _, _ = _front_end(r_seg, p_seg, ear_levels, rate)
-    return _envelope_correlation(ref_env, proc_env)
+    single, ears = _front_ends(ref, proc, ear_levels, rate, quality=False)
+    scores = tuple(_envelope_correlation(r_env, p_env) for (r_env, _), (p_env, _) in ears)
+    return scores[0] if single else scores
 
 
 def quality_score(ref, proc, ear_levels, rate=16000, return_terms=False):
@@ -266,19 +322,18 @@ def quality_score(ref, proc, ear_levels, rate=16000, return_terms=False):
     the envelope-correlation term with a spectral-naturalness term
     S = 1 - min(1, mean |dL| / scale) over long-term band levels.
     With return_terms the (score, correlation term, spectral term)
-    triple comes back instead of the bare score.
+    triple comes back instead of the bare score. proc and ear_levels take
+    one ear per row as in intelligibility_score, giving a tuple with one
+    result per row.
     """
-    if isinstance(ref, SampleBuffer):
-        rate = ref.rate
-    r_seg, p_seg = _aligned_pair(scale_to_rms(_as_mono_array(ref), REFERENCE_RMS),
-                                 scale_to_rms(_as_mono_array(proc), REFERENCE_RMS))
-    ref_env, proc_env, ref_levels, proc_levels = _front_end(r_seg, p_seg, ear_levels, rate)
-    c_term = _envelope_correlation(ref_env, proc_env)
-    s_term = 1.0 - min(1.0, float(np.mean(np.abs(proc_levels - ref_levels))) / SPECTRAL_SCALE_DB)
-    score = 0.5 * c_term + 0.5 * s_term
-    if return_terms:
-        return score, c_term, s_term
-    return score
+    single, ears = _front_ends(ref, proc, ear_levels, rate, quality=True)
+    results = []
+    for (ref_env, ref_levels), (proc_env, proc_levels) in ears:
+        c_term = _envelope_correlation(ref_env, proc_env)
+        s_term = 1.0 - min(1.0, float(np.mean(np.abs(proc_levels - ref_levels))) / SPECTRAL_SCALE_DB)
+        score = 0.5 * c_term + 0.5 * s_term
+        results.append((score, c_term, s_term) if return_terms else score)
+    return results[0] if single else tuple(results)
 
 
 @dataclass(frozen=True)

@@ -240,7 +240,7 @@ def scene_to_dict(scene):
     }
 
 
-def scene_from_dict(payload):
+def scene_from_dict(payload, directory=None):
     """Build a SceneSpec from a scene dictionary, checking each field where it is read.
 
     This is the one reader of a scene dictionary: every problem found is
@@ -255,7 +255,8 @@ def scene_from_dict(payload):
     and onset plus duration must not pass MAX_SCENE_SECONDS. The target's source.kind (absent means speech) must
     be one of SOURCE_KINDS, and an interferer's source.kind, when given,
     must equal the interferer's kind. snr_db is null or within
-    MAX_ABS_SNR_DB. The scene seed is a non-negative integer.
+    MAX_ABS_SNR_DB. The scene seed is a non-negative integer. A relative
+    source file is joined to `directory` when one is given.
     """
     if not isinstance(payload, dict):
         raise SceneValidationError(["scene: must be an object"])
@@ -306,6 +307,8 @@ def scene_from_dict(payload):
         file = src.get("file")
         if file is not None and not isinstance(file, str):
             problems.append(f"{path}.source.file: must be a path string, got {file!r}")
+        elif file is not None and directory is not None:
+            file = os.path.join(directory, file)
         duration, length = src.get("duration_s"), 0.0
         if file is None or duration is not None:
             if is_finite_number(duration) and duration > 0:
@@ -366,10 +369,15 @@ def scene_from_dict(payload):
 
 
 def load_scene(path):
-    """Parse and validate a scene JSON file."""
+    """Parse and validate a scene JSON file.
+
+    A relative source file is taken relative to the scene file's
+    directory, and stored as an absolute path, whatever the working
+    directory.
+    """
     with open(path, encoding="utf-8") as fp:
         payload = json.load(fp)
-    return scene_from_dict(payload)
+    return scene_from_dict(payload, os.path.dirname(os.path.abspath(path)))
 
 
 def save_scene(scene, path):
@@ -514,7 +522,9 @@ def render_scene(scene, hrtfs=None, profile=None, keep_components=False):
     binaural decode. The reference is the dry target utterance
     RMS-normalized to -26 dBFS. keep_components adds the target,
     interferer and noise ear signals, which sum to the ears; it alone
-    pays for separate target and interferer field passes.
+    pays for separate target and interferer field passes. A file source
+    that ends after MAX_SCENE_SECONDS raises SceneValidationError before
+    any impulse response is computed.
     """
     profile = profile or FidelityProfile.from_name(scene.fidelity)
     hrtfs = hrtfs or default_hrtf_set()
@@ -525,12 +535,21 @@ def render_scene(scene, hrtfs=None, profile=None, keep_components=False):
     room = RoomSpec(scene.room.dimensions, absorption, scene.room.speed_of_sound)
     child_seeds = _scene_child_seeds(scene.seed)
 
-    onsets, drys, rirs = [], [], []   # per source, target first
-    for index, spec in enumerate((scene.target, *scene.interferers)):
+    specs = (scene.target, *scene.interferers)
+    drys = []   # per source, target first
+    for index, spec in enumerate(specs):
         source = spec.source
         if source.synth_seed is None and source.file is None:
             source = replace(source, synth_seed=child_seeds[index])
         drys.append(source.resolve(rate))
+        # A file's length is known only once it is read.
+        end = spec.onset_s + drys[-1].size / rate
+        if source.file is not None and end > MAX_SCENE_SECONDS:
+            where = "target" if index == 0 else f"interferers[{index - 1}]"
+            raise SceneValidationError([f"{where}.source.file {source.file}: ends at {end:g} s, "
+                                        f"after the {MAX_SCENE_SECONDS:g} s scene limit"])
+    onsets, rirs = [], []
+    for index, spec in enumerate(specs):
         directivity, aim = "omni", None
         if index > 0 and profile.interferer_directivity == "cardioid":
             directivity, aim = "cardioid", listener - np.asarray(spec.position)

@@ -1,5 +1,7 @@
 import ast
 import pathlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
 from clarity_bench.audio import (
+    KernelBank,
     SampleBuffer,
     convolve_channels,
     convolve_sum,
@@ -120,6 +123,10 @@ def test_convolve_rejects_empty_and_multichannel():
     # Leading axes broadcast: channel counts that do not broadcast are rejected.
     with pytest.raises(ValueError):
         convolve_channels(np.zeros((2, 4)), np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        KernelBank(np.zeros((2, 0)))
+    with pytest.raises(ValueError):
+        KernelBank(np.ones((2, 3))).convolve([])
 
 
 @pytest.mark.parametrize("site", ["render", "amplify", "gammatone", "xcorr"])
@@ -144,6 +151,40 @@ def test_convolve_channels_equals_fftconvolve_at_each_call_site(site):
         kernels = rng.standard_normal(28800)[::-1]
         expected = fftconvolve(data, kernels)
     assert np.array_equal(convolve_channels(data, kernels), expected)
+
+
+def test_kernel_bank_shared_by_threads_never_uses_a_stale_spectrum():
+    # Threads alternate between two FFT lengths on one bank while the
+    # interpreter switches threads as often as it can; every output must
+    # still be the bits of a fresh convolve_channels.
+    rng = np.random.default_rng(13)
+    kernels = rng.standard_normal((8, 64))
+    signals = [rng.standard_normal(500), rng.standard_normal(1500)]
+    expected = [convolve_channels(kernels, x) for x in signals]
+    bank = KernelBank(kernels)
+    mismatches = []
+
+    def work():
+        for k in range(200):
+            i = k % 2
+            try:
+                if not np.array_equal(bank.convolve(signals[i]), expected[i]):
+                    mismatches.append(i)
+            except ValueError as exc:   # spectra of two lengths do not broadcast
+                mismatches.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
 
 
 def summed_fftconvolve(data, kernels):

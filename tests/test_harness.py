@@ -144,6 +144,32 @@ def test_score_dataset_and_csv_round_trip(small_dataset, tmp_path):
     )
 
 
+def test_score_dataset_records_each_ears_scores(small_dataset, tmp_path):
+    # Different ears, different losses: each per-ear score is the
+    # single-ear score of that ear's amplified signal, and the record's
+    # score is the better ear.
+    import os
+
+    from clarity_bench.audio import read_wav
+    from clarity_bench.hearing_aid import Audiogram, amplify
+    from clarity_bench.metrics import intelligibility_score, quality_score
+
+    audiogram = Audiogram(left=(20.0,) * 6, right=(10.0, 20.0, 40.0, 50.0, 60.0, 60.0))
+    run = score_dataset(small_dataset, audiogram)
+    base = os.path.dirname(small_dataset)
+    for rec in run.records:
+        ears = amplify(read_wav(os.path.join(base, f"{rec['scene']}_mix.wav")), audiogram).ears
+        ref = read_wav(os.path.join(base, f"{rec['scene']}_ref.wav")).channel(0)
+        for metric, score in (("haspi_like", intelligibility_score), ("hasqi_like", quality_score)):
+            per_ear = [rec[f"{metric}_{ear}"] for ear in ("left", "right")]
+            assert per_ear == [score(ref, ears.channel(0), audiogram.ear("left")),
+                               score(ref, ears.channel(1), audiogram.ear("right"))]
+            assert rec[metric] == max(per_ear)
+    write_run_manifest(run, tmp_path / "ears.run.json")
+    payload = json.loads((tmp_path / "ears.run.json").read_text())
+    assert payload["records"] == list(run.records)
+
+
 def test_score_dataset_missing_file_names_scene(small_dataset, tmp_path):
     import os
     import shutil

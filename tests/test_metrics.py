@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
-from clarity_bench.audio import REFERENCE_RMS
+from clarity_bench.audio import REFERENCE_RMS, convolve_channels
 from clarity_bench.errors import AlignmentError
 from clarity_bench.metrics import (
     CENTER_FREQUENCIES,
     ENVELOPE_CUTOFF,
     MetricScore,
-    _aligned_pair,
+    _aligned_slices,
     _envelopes,
+    _gammatone_bank,
+    _gammatone_kernels,
     _xcorr_best_lag,
     better_ear,
     combined_score,
@@ -110,20 +115,20 @@ def test_align_identical_and_shifted():
         (np.concatenate([np.zeros(63), x]), x),    # proc delayed by 63
         (x[63:], x[63:]),                          # proc advanced by 63
     ):
-        r_seg, p_seg = _aligned_pair(x, proc)
-        assert np.array_equal(r_seg, ref_seg)
-        assert np.array_equal(p_seg, ref_seg)
+        r_slice, p_slice = _aligned_slices(x, proc)
+        assert np.array_equal(x[r_slice], ref_seg)
+        assert np.array_equal(proc[p_slice], ref_seg)
 
 
 def test_align_degenerate_and_bad_lag():
     # All-zero input has no correlation peak, so the pair falls back to lag 0.
-    r_seg, p_seg = _aligned_pair(np.zeros(100), np.ones(100))
-    assert r_seg.size == 100 and np.array_equal(p_seg, np.ones(100))
+    r_slice, p_slice = _aligned_slices(np.zeros(100), np.ones(100))
+    assert (r_slice, p_slice) == (slice(0, 100), slice(0, 100))
     with pytest.raises(AlignmentError):
         _xcorr_best_lag(np.zeros(100), np.ones(100), -10, 10)
     # No lag leaves 90% of the reference overlapping.
     with pytest.raises(ValueError, match="90%"):
-        _aligned_pair(np.ones(100), np.ones(89))
+        _aligned_slices(np.ones(100), np.ones(89))
 
 
 def test_intelligibility_identity():
@@ -287,3 +292,118 @@ def test_scores_reject_nan_input(score, side):
     pair = (bad, x) if side == "ref" else (x, bad)
     with pytest.raises(ValueError, match="finite"):
         score(*pair, ZERO_EAR)
+
+
+# --- both ears in one call ------------------------------------------------
+
+
+def shifted(x, lag, length):
+    """x delayed by lag samples (advanced when lag < 0), cut or padded to length."""
+    out = np.zeros(length)
+    src = x[max(0, -lag):]
+    start = max(0, lag)
+    n = min(src.size, length - start)
+    out[start : start + n] = src[:n]
+    return out
+
+
+def two_ears(x, lags, length, gains=(1.0, 0.5), noise=0.02, seed=20):
+    rng = np.random.default_rng(seed)
+    return np.stack([
+        gain * shifted(x, lag, length) + noise * rng.standard_normal(length)
+        for lag, gain in zip(lags, gains)
+    ])
+
+
+EAR_ROWS = np.array([[10.0, 15.0, 20.0, 30.0, 40.0, 50.0],
+                     [0.0, 0.0, 10.0, 20.0, 20.0, 30.0]])
+X = speech(1.0, seed=21)
+# lags 40 and 70 both overlap the whole reference, so its segment is shared;
+# lags 40 and -60 trim it differently, so nothing is shared.
+SHARED = two_ears(X, (40, 70), X.size + 100)
+APART = two_ears(X, (40, -60), X.size)
+
+
+@pytest.mark.parametrize("score, kwargs", [
+    (intelligibility_score, {}),
+    (quality_score, {}),
+    (quality_score, {"return_terms": True}),
+])
+@pytest.mark.parametrize("ears", [SHARED, APART], ids=["shared", "apart"])
+def test_two_ear_call_equals_the_per_ear_calls(score, kwargs, ears):
+    both = score(X, ears, EAR_ROWS, **kwargs)
+    assert both == tuple(score(X, row, levels, **kwargs) for row, levels in zip(ears, EAR_ROWS))
+
+
+def test_two_ear_test_signals_align_as_intended():
+    shared = [_aligned_slices(X, row)[0] for row in SHARED]
+    apart = [_aligned_slices(X, row)[0] for row in APART]
+    assert shared == [slice(0, X.size)] * 2
+    assert apart == [slice(0, X.size - 40), slice(60, X.size)]
+
+
+@pytest.mark.parametrize("score", [intelligibility_score, quality_score])
+@pytest.mark.parametrize("ears, passes", [(SHARED, 3), (APART, 4)], ids=["shared", "apart"])
+def test_two_ear_call_filters_a_shared_reference_once(monkeypatch, score, ears, passes):
+    calls = count_gammatone_calls(monkeypatch)
+    score(X, ears, EAR_ROWS)
+    assert len(calls) == passes
+
+
+@pytest.mark.parametrize("proc, levels", [
+    (SHARED, EAR_ROWS[0]),
+    (SHARED, EAR_ROWS[:1]),
+    (SHARED, np.zeros((2, 5))),
+    (SHARED[0], EAR_ROWS),
+    (SHARED[None], EAR_ROWS),
+])
+def test_scores_need_one_audiogram_row_per_signal_row(proc, levels):
+    for score in (intelligibility_score, quality_score):
+        with pytest.raises(ValueError, match="one audiogram"):
+            score(X, proc, levels)
+
+
+LONG_SPEECH = speech(1.2, seed=22)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(6000, 16000),
+    extra=st.integers(0, 300),
+    lags=st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
+    gains=st.tuples(st.floats(0.05, 4.0), st.floats(0.05, 4.0)),
+    noise=st.floats(0.0, 0.2),
+    seed=st.integers(0, 2**16),
+)
+def test_two_ear_scores_are_the_per_ear_scores_and_bounded(n, extra, lags, gains, noise, seed):
+    x = LONG_SPEECH[:n]
+    ears = two_ears(x, lags, n + extra, gains, noise, seed)
+    for score in (intelligibility_score, quality_score):
+        both = score(x, ears, EAR_ROWS)
+        assert both == tuple(score(x, row, levels) for row, levels in zip(ears, EAR_ROWS))
+        assert all(0.0 <= v <= 1.0 for v in both)
+
+
+# --- the gammatone kernel spectra -------------------------------------------
+
+
+def test_gammatone_bands_keep_the_bits_of_convolve_channels_across_lengths():
+    # Alternating lengths replaces the memoized spectrum each call; a stale
+    # spectrum would change (or fail to broadcast with) the signal's.
+    kernels = _gammatone_kernels(RATE)
+    signals = [speech(0.5, seed=23), speech(0.8, seed=24)]
+    for x in signals * 2:
+        assert np.array_equal(gammatone_bands(x, RATE), convolve_channels(kernels, x)[:, : x.size])
+
+
+def test_gammatone_memo_holds_one_fft_length():
+    bank = _gammatone_bank(RATE)
+    taps = _gammatone_kernels(RATE).shape[1]
+    for seconds in (0.5, 0.8, 0.5):
+        x = speech(seconds, seed=25)
+        gammatone_bands(x, RATE)
+        nfft = next_fast_len(x.size + taps - 1, real=True)
+        assert set(vars(bank)) == {"kernels", "_memo"}
+        memo_nfft, spectrum = bank._memo
+        assert memo_nfft == nfft
+        assert spectrum.shape == (32, nfft // 2 + 1)

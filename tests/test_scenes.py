@@ -1,10 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from clarity_bench.ambisonics import AmbiSignal, binaural_decode, encode, yaw_rotation
-from clarity_bench.audio import mono, read_wav, rms_array
+from clarity_bench.audio import REFERENCE_RMS, mono, read_wav, rms_array, scale_to_rms
 from clarity_bench.errors import MixError, SceneValidationError
 from clarity_bench.hrtf import default_hrtf_set
 from clarity_bench.room import RoomSpec
@@ -531,6 +532,55 @@ def test_render_degenerate_scene_reduces_to_encode_decode(tmp_path):
     want = oracle.data * EAR_CALIBRATION_GAIN
     assert result.ears.data.shape == want.shape
     assert np.max(np.abs(result.ears.data - want)) < 1e-6
+
+
+def test_load_scene_reads_a_relative_source_file_beside_the_scene(tmp_path, monkeypatch):
+    from clarity_bench.audio import write_wav
+
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    dry = SourceSignal(kind="speech", duration_s=1.0, synth_seed=5).resolve(RATE)
+    write_wav(sub / "talk.wav", mono(dry, RATE))
+    payload = scene_to_dict(simple_scene())
+    payload["target"]["source"] = {"kind": "speech", "file": "talk.wav"}
+    (sub / "scene.json").write_text(json.dumps(payload))
+    for cwd, path in ((tmp_path, "sub/scene.json"), (elsewhere, "../sub/scene.json")):
+        monkeypatch.chdir(cwd)
+        scene = load_scene(path)
+        assert os.path.isabs(scene.target.source.file)
+        assert os.path.samefile(scene.target.source.file, sub / "talk.wav")
+    result = render_scene(scene, hrtfs=HRTFS, profile=FidelityProfile.measured_like())
+    assert np.array_equal(result.reference.channel(0),
+                          scale_to_rms(dry.astype(np.float32).astype(np.float64), REFERENCE_RMS))
+
+
+@pytest.mark.parametrize("which", ["target", "interferers[0]"])
+def test_render_rejects_a_file_source_past_the_scene_limit(tmp_path, monkeypatch, which):
+    # 29 s of samples from a 1.5 s onset ends at 30.5 s; the check must
+    # come before any room impulse response is computed.
+    from clarity_bench import scenes
+    from clarity_bench.audio import write_wav
+
+    long_path = tmp_path / "long.wav"
+    write_wav(long_path, mono(np.full(29 * RATE, 0.01), RATE))
+    source = SourceSignal(kind="noise", file=str(long_path))
+    scene = simple_scene()
+    if which == "target":
+        scene = simple_scene(target=TargetSpec(scene.target.position, source, onset_s=1.5))
+    else:
+        scene = simple_scene(interferers=(InterfererSpec("noise", (5.0, 2.0, 1.5), source, 1.5),))
+
+    def no_rir(*args, **kwargs):
+        raise AssertionError("room impulse response computed before the length check")
+
+    monkeypatch.setattr(scenes, "image_source_rir", no_rir)
+    with pytest.raises(SceneValidationError) as err:
+        render_scene(scene, hrtfs=HRTFS)
+    (problem,) = err.value.problems
+    assert problem.startswith(f"{which}.source.file {long_path}:")
+    assert "30.5 s" in problem and "scene limit" in problem
 
 
 def test_render_same_seed_is_bit_identical():
