@@ -11,11 +11,9 @@ __version__ = "0.1.0"
 from .ambisonics import (
     AmbiSignal,
     binaural_decode,
-    encode,
     fibonacci_directions,
     sh_eval,
     truncate,
-    yaw_rotation,
 )
 from .audio import DEFAULT_RATE, SampleBuffer, mono, read_wav, write_wav
 from .harness import (

@@ -10,8 +10,18 @@ by the spherical harmonics of its arrival direction. The reflection
 coefficient keeps the energy convention |r|^2 = 1 - absorption; the
 alternating sign is the pressure-reflection form, which stops co-binned
 late arrivals from summing coherently and skewing decay measurements.
+
+The images of one parity class (px, py, pz) sit on a lattice n = (nx, ny,
+nz). Their offset from the listener splits per axis,
+((1 - 2p) src + 2 n d) - listener, and their reflection count is
+|2nx - px| + |2ny - py| + |2nz - pz|, so both are computed once per axis
+value and gathered for each image. Every amplitude reads
+beta ** reflections from a table of beta's powers built once per call,
+the same pow per entry that an element-wise power would make; the RIR is
+bit-identical to forming one (x, y, z) row and one pow per image.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from numbers import Real
@@ -140,6 +150,8 @@ def image_source_rir(room, source, listener, order, time_limit, rate=DEFAULT_RAT
     reach = c * time_limit
     spans = np.ceil(reach / (2.0 * dims)).astype(int) + 1
     axes = [np.arange(-n, n + 1) for n in spans]
+    # |2n - p| <= 2 span + 1 on each axis, so the table covers every image.
+    powers = beta ** np.arange(2 * int(spans.sum()) + 4)
     # Images a sample beyond the last bin cannot round into it; the exact
     # bins < frames test below decides on the rest.
     cutoff = ((frames + 1) * c / rate) ** 2
@@ -149,39 +161,35 @@ def image_source_rir(room, source, listener, order, time_limit, rate=DEFAULT_RAT
     k = num_channels(order)
     rir = np.zeros((k, frames))
     image_count = 0
-    for px in (0, 1):
-        for py in (0, 1):
-            for pz in (0, 1):
-                parity = np.array([px, py, pz])
-                base = (1 - 2 * parity) * src - lis
-                sq = [(b + 2.0 * n * d) ** 2 for b, n, d in zip(base, axes, dims)]
-                near = np.nonzero(sq[0][:, None, None] + sq[1][:, None] + sq[2] < cutoff)
-                lattice = np.stack([a[i] for a, i in zip(axes, near)], axis=1)
-                positions = (1 - 2 * parity) * src + 2.0 * lattice * dims
-                offsets = positions - lis
-                dist = np.linalg.norm(offsets, axis=1)
-                if np.any(dist < 1e-9):
-                    raise ValueError("degenerate geometry: zero-distance image")
-                bins = np.round(dist / c * rate).astype(int)
-                keep = bins < frames
-                if not np.any(keep):
-                    continue
-                dist = dist[keep]
-                bins = bins[keep]
-                offsets = offsets[keep]
-                reflections = np.abs(2 * lattice[keep] - parity).sum(axis=1)
-                amp = beta ** reflections / dist
-                if aim is not None:
-                    mirrored = np.where(parity == 1, -aim, aim)
-                    emission = -offsets / dist[:, None]
-                    cos_psi = np.clip(emission @ mirrored, -1.0, 1.0)
-                    amp = amp * directivity_gain("cardioid", np.arccos(cos_psi))
-                azimuth = np.arctan2(offsets[:, 1], offsets[:, 0])
-                elevation = np.arcsin(np.clip(offsets[:, 2] / dist, -1.0, 1.0))
-                coeffs = sh_eval(order, azimuth, elevation)
-                for ch in range(k):
-                    rir[ch] += np.bincount(bins, weights=coeffs[ch] * amp, minlength=frames)
-                image_count += int(keep.sum())
+    for parity in itertools.product((0, 1), repeat=3):
+        offsets = [(1 - 2 * p) * s + 2.0 * n * d - l
+                   for p, s, n, d, l in zip(parity, src, axes, dims, lis)]
+        hops = [np.abs(2 * n - p) for n, p in zip(axes, parity)]
+        sq = [o * o for o in offsets]
+        near = np.nonzero(sq[0][:, None, None] + sq[1][:, None] + sq[2] < cutoff)
+        dist = np.sqrt(sq[0][near[0]] + sq[1][near[1]] + sq[2][near[2]])
+        if np.any(dist < 1e-9):
+            raise ValueError("degenerate geometry: zero-distance image")
+        bins = np.round(dist / c * rate).astype(int)
+        keep = bins < frames
+        if not np.any(keep):
+            continue
+        dist = dist[keep]
+        bins = bins[keep]
+        ix, iy, iz = (i[keep] for i in near)
+        ox, oy, oz = offsets[0][ix], offsets[1][iy], offsets[2][iz]
+        amp = powers[hops[0][ix] + hops[1][iy] + hops[2][iz]] / dist
+        if aim is not None:
+            mirrored = np.where(np.array(parity) == 1, -aim, aim)
+            emission = -np.stack([ox, oy, oz], axis=1) / dist[:, None]
+            cos_psi = np.clip(emission @ mirrored, -1.0, 1.0)
+            amp = amp * directivity_gain("cardioid", np.arccos(cos_psi))
+        azimuth = np.arctan2(oy, ox)
+        elevation = np.arcsin(np.clip(oz / dist, -1.0, 1.0))
+        coeffs = sh_eval(order, azimuth, elevation)
+        for ch in range(k):
+            rir[ch] += np.bincount(bins, weights=coeffs[ch] * amp, minlength=frames)
+        image_count += int(keep.sum())
 
     return AmbiRir(
         signal=AmbiSignal(rir, order, rate),

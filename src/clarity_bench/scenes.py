@@ -250,9 +250,10 @@ def scene_from_dict(payload, directory=None):
     so their rules live in one place. Numbers must be finite and not
     booleans (`is_finite_number`). Positions are three numbers inside the
     room. Every source needs an onset_s >= 0 (absent means 0); its
-    duration_s, which a synthetic source (no file) must give, is > 0; a
-    given file is a string; a given synth_seed is a non-negative integer;
-    and onset plus duration must not pass MAX_SCENE_SECONDS. The target's source.kind (absent means speech) must
+    duration_s, which a synthetic source (no file) must give, is > 0, and a
+    synthetic one lasts at least one sample at DEFAULT_RATE; a given file
+    is a string; a given synth_seed is a non-negative integer; and onset
+    plus duration must not pass MAX_SCENE_SECONDS. The target's source.kind (absent means speech) must
     be one of SOURCE_KINDS, and an interferer's source.kind, when given,
     must equal the interferer's kind. snr_db is null or within
     MAX_ABS_SNR_DB. The scene seed is a non-negative integer. A relative
@@ -313,6 +314,9 @@ def scene_from_dict(payload, directory=None):
         if file is None or duration is not None:
             if is_finite_number(duration) and duration > 0:
                 length = duration
+                if file is None and round(duration * DEFAULT_RATE) < 1:
+                    problems.append(f"{path}.source.duration_s: {duration!r} s is shorter "
+                                    f"than one sample at {DEFAULT_RATE} Hz")
             else:
                 need = "a synthetic source needs" if file is None else "must be"
                 problems.append(f"{path}.source.duration_s: {need} a finite duration > 0, "

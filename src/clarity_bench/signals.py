@@ -4,6 +4,14 @@ The corpus recordings behind the original challenge are not shipped;
 these generators stand in for them. Each is deterministic in its seed:
 a speech-like modulated harmonic complex for talkers, pink-ish filtered
 noise for domestic noise, and a decaying tonal arpeggio for music.
+
+The talker's 58 harmonics sum_k cos(k phase + phi_k) / k are the real part
+of the polynomial sum_k c_k z^k in z = exp(i phase), c_k = exp(i phi_k) / k,
+evaluated by Horner's rule: one complex multiply-add per harmonic in place
+of a full-length cosine. It rounds in another order than the cosine sum, and
+stays within 1e-11 absolute (2e-10 of TARGET_RMS) of it; the cosine sum is
+no more exact, since its arguments reach about 1.3e5 rad, where rounding
+the argument alone is about 1e-11 rad.
 """
 
 import numpy as np
@@ -33,10 +41,15 @@ def speech_like(duration_s, seed, rate=DEFAULT_RATE, f0=120.0):
 
     vibrato = 1.0 + 0.03 * np.sin(2.0 * np.pi * 5.0 * t + rng.uniform(0, 2 * np.pi))
     phase = 2.0 * np.pi * np.cumsum(f0 * vibrato) / rate
-    harmonics = np.zeros(n)
+    # Re sum_k c_k z^k by Horner's rule (module docstring).
     k_max = int(7000.0 // f0)
-    for k in range(1, k_max + 1):
-        harmonics += (1.0 / k) * np.cos(k * phase + rng.uniform(0, 2 * np.pi))
+    coeffs = np.exp(1j * rng.uniform(0, 2 * np.pi, size=k_max)) / np.arange(1, k_max + 1)
+    z = np.exp(1j * phase)
+    acc = np.full(n, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= z
+        acc += c
+    harmonics = (acc * z).real
     voiced = harmonics * _syllabic_envelope(n, rate, rng)
 
     frication = rng.standard_normal(n)
@@ -88,9 +101,14 @@ SOURCE_KINDS = tuple(_GENERATORS)
 
 
 def source_signal(kind, duration_s, seed, rate=DEFAULT_RATE):
-    """Dispatch on the interferer/talker kind."""
+    """Dispatch on the interferer/talker kind.
+
+    Raises ValueError for an unknown kind or a duration that rounds to no
+    sample at `rate`."""
     try:
         gen = _GENERATORS[kind]
     except KeyError:
         raise ValueError(f"unknown source kind {kind!r}; expected one of {SOURCE_KINDS}")
+    if not duration_s * rate > 0.5:   # the generators round to no sample; NaN fails too
+        raise ValueError(f"duration_s {duration_s!r} is shorter than one sample at {rate} Hz")
     return gen(duration_s, seed, rate=rate)

@@ -12,16 +12,16 @@ from clarity_bench.ambisonics import (
     AmbiSignal,
     acn_index,
     binaural_decode,
-    encode,
     fibonacci_directions,
     num_channels,
     sh_eval,
     truncate,
-    yaw_rotation,
 )
 from clarity_bench.audio import SampleBuffer, mono
 from clarity_bench.errors import RateMismatchError
 from clarity_bench.hrtf import HrtfSet, build_hrtf_set, default_hrtf_set
+
+from ambisonic_oracles import encode, yaw_rotation
 
 
 def delta_hrtfs(count=64, taps=8):

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from clarity_bench.ambisonics import AmbiSignal, num_channels, sh_eval
 from clarity_bench.errors import InsufficientDecayError
 from clarity_bench.room import (
+    AmbiRir,
     RoomSpec,
     SourceSpec,
     directivity_gain,
     image_source_rir,
     schroeder_rt60,
 )
+from clarity_bench.scenes import PAPER_ROOM
 
 PAPER_DIMS = (6.6, 5.8, 2.8)
 
@@ -35,6 +40,97 @@ def brute_force_image_count(room, source, listener, time_limit, rate=16000):
                             if int(round(dist / c * rate)) < frames:
                                 count += 1
     return count
+
+
+def row_wise_image_source_rir(room, source, listener, order, time_limit, rate=16000):
+    """The image-source loop with one (x, y, z) row per image and one pow per
+    image, as the renderer computed it before its per-axis form."""
+    dims = np.asarray(room.dimensions)
+    src = np.asarray(source.position, dtype=np.float64)
+    lis = np.asarray(listener, dtype=np.float64)
+    c = room.speed_of_sound
+    frames = int(round(time_limit * rate))
+    beta = -np.sqrt(1.0 - room.absorption)
+    spans = np.ceil(c * time_limit / (2.0 * dims)).astype(int) + 1
+    axes = [np.arange(-n, n + 1) for n in spans]
+    cutoff = ((frames + 1) * c / rate) ** 2
+    aim = np.asarray(source.aim, dtype=np.float64) if source.directivity == "cardioid" else None
+    k = num_channels(order)
+    rir = np.zeros((k, frames))
+    image_count = 0
+    for px in (0, 1):
+        for py in (0, 1):
+            for pz in (0, 1):
+                parity = np.array([px, py, pz])
+                base = (1 - 2 * parity) * src - lis
+                sq = [(b + 2.0 * n * d) ** 2 for b, n, d in zip(base, axes, dims)]
+                near = np.nonzero(sq[0][:, None, None] + sq[1][:, None] + sq[2] < cutoff)
+                lattice = np.stack([a[i] for a, i in zip(axes, near)], axis=1)
+                positions = (1 - 2 * parity) * src + 2.0 * lattice * dims
+                offsets = positions - lis
+                dist = np.linalg.norm(offsets, axis=1)
+                bins = np.round(dist / c * rate).astype(int)
+                keep = bins < frames
+                if not np.any(keep):
+                    continue
+                dist = dist[keep]
+                bins = bins[keep]
+                offsets = offsets[keep]
+                reflections = np.abs(2 * lattice[keep] - parity).sum(axis=1)
+                amp = beta ** reflections / dist
+                if aim is not None:
+                    mirrored = np.where(parity == 1, -aim, aim)
+                    emission = -offsets / dist[:, None]
+                    cos_psi = np.clip(emission @ mirrored, -1.0, 1.0)
+                    amp = amp * directivity_gain("cardioid", np.arccos(cos_psi))
+                azimuth = np.arctan2(offsets[:, 1], offsets[:, 0])
+                elevation = np.arcsin(np.clip(offsets[:, 2] / dist, -1.0, 1.0))
+                coeffs = sh_eval(order, azimuth, elevation)
+                for ch in range(k):
+                    rir[ch] += np.bincount(bins, weights=coeffs[ch] * amp, minlength=frames)
+                image_count += int(keep.sum())
+    return AmbiRir(AmbiSignal(rir, order, rate), float(time_limit), image_count)
+
+
+def assert_same_rir(room, source, listener, order, time_limit):
+    got = image_source_rir(room, source, listener, order, time_limit)
+    want = row_wise_image_source_rir(room, source, listener, order, time_limit)
+    assert got.image_count == want.image_count
+    assert np.array_equal(got.signal.data, want.signal.data)
+
+
+@pytest.mark.parametrize("order", [0, 1, 6])
+@pytest.mark.parametrize("absorption_scale", [1.0, 0.85])
+@pytest.mark.parametrize("directivity", ["omni", "cardioid"])
+def test_image_source_rir_equals_row_wise_oracle_in_the_paper_room(order, absorption_scale, directivity):
+    room = RoomSpec(PAPER_ROOM.dimensions, PAPER_ROOM.absorption * absorption_scale)
+    listener = (3.3, 2.9, 1.2)
+    for position in ((1.0, 4.6, 1.6), (5.9, 0.7, 2.1)):
+        aim = tuple(np.subtract(listener, position)) if directivity == "cardioid" else None
+        assert_same_rir(room, SourceSpec(position, directivity, aim), listener, order, 0.35)
+
+
+unit = st.floats(0.05, 0.95)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.tuples(*[st.floats(1.5, 5.0)] * 3),
+    src=st.tuples(unit, unit, unit),
+    lis=st.tuples(unit, unit, unit),
+    absorption=st.floats(0.05, 1.0),
+    order=st.integers(0, 3),
+    aim=st.one_of(st.none(), st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: any(a))),
+    extra=st.floats(0.002, 0.04),
+)
+def test_image_source_rir_equals_row_wise_oracle(dims, src, lis, absorption, order, aim, extra):
+    room = RoomSpec(dims, absorption=absorption)
+    src = tuple(np.multiply(src, dims))
+    lis = tuple(np.multiply(lis, dims))
+    direct = float(np.linalg.norm(np.subtract(src, lis)))
+    assume(direct > 0.05)
+    source = SourceSpec(src, "omni" if aim is None else "cardioid", aim)
+    assert_same_rir(room, source, lis, order, direct / room.speed_of_sound + extra)
 
 
 def test_directivity_trivials():

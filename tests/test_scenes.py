@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from clarity_bench.ambisonics import AmbiSignal, binaural_decode, encode, yaw_rotation
+from clarity_bench.ambisonics import AmbiSignal, binaural_decode
 from clarity_bench.audio import REFERENCE_RMS, mono, read_wav, rms_array, scale_to_rms
 from clarity_bench.errors import MixError, SceneValidationError
 from clarity_bench.hrtf import default_hrtf_set
@@ -30,6 +30,8 @@ from clarity_bench.scenes import (
     scene_from_dict,
     scene_to_dict,
 )
+
+from ambisonic_oracles import encode, yaw_rotation
 
 RATE = 16000
 HRTFS = default_hrtf_set()
@@ -175,6 +177,8 @@ BAD_SOURCE_FIELDS = [
     (("target", "source", "duration_s"), 0.0, "target.source.duration_s"),
     (("target", "source", "duration_s"), None, "target.source.duration_s"),
     (("target", "source", "duration_s"), float("inf"), "target.source.duration_s"),
+    (("target", "source", "duration_s"), 1e-5, "target.source.duration_s"),
+    (("interferers", 0, "source", "duration_s"), 0.5 / 16000, "interferers[0].source.duration_s"),
     (("interferers", 0, "source", "duration_s"), "2", "interferers[0].source.duration_s"),
     (("interferers", 0, "source", "duration_s"), 40.0, "scene limit"),
     (("target", "source", "synth_seed"), 1.5, "target.source.synth_seed"),
