@@ -1,18 +1,15 @@
-"""Command-line front door: generate, score, report."""
+"""Command-line front door: generate, score, report.
+
+Each command imports its own modules: `score` and `report` load the
+scorer (`harness`, `hearing_aid`, `metrics`) inside their branches, so
+`generate` runs on the render modules alone and never loads
+`scipy.signal`.
+"""
 
 import argparse
 import sys
 
 from .errors import ClarityBenchError
-from .harness import (
-    load_published_results,
-    report_published,
-    report_scores,
-    score_dataset,
-    write_run_manifest,
-    write_scores_csv,
-)
-from .hearing_aid import load_audiogram
 from .scenes import FIDELITY_NAMES, generate_dataset
 
 _BUNDLED = "__bundled__"
@@ -58,6 +55,9 @@ def main(argv=None):
             )
             print(manifest)
         elif args.command == "score":
+            from .harness import score_dataset, write_run_manifest, write_scores_csv
+            from .hearing_aid import load_audiogram
+
             audiogram = load_audiogram(args.audiogram) if args.audiogram else None
             run = score_dataset(args.dataset, audiogram=audiogram)
             write_scores_csv(run, args.out)
@@ -69,6 +69,8 @@ def main(argv=None):
             )
             print(args.out)
         elif args.command == "report":
+            from .harness import load_published_results, report_published, report_scores
+
             if not args.scores and args.paper_table is None:
                 parser.error("report needs --scores and/or --paper-table")
             if args.scores:

@@ -13,10 +13,6 @@ class RateMismatchError(ClarityBenchError):
     """A sample rate (audio file or HRTF set) differs from the rate the caller demands."""
 
 
-class InsufficientDecayError(ClarityBenchError):
-    """Impulse response never decays far enough for the requested RT measurement."""
-
-
 class AlignmentError(ClarityBenchError):
     """Reference/processed alignment failed (degenerate input)."""
 

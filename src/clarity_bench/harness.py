@@ -138,11 +138,6 @@ def best_per_team(rows):
     return [best[t] for t in order]
 
 
-def verify_rows(rows):
-    """All rows whose stored Ave disagrees with the recomputed mean."""
-    return [row for row in rows if row.flagged()]
-
-
 def metric_correlation(rows):
     """Best-entry-per-team correlation between the two metric columns."""
     chosen = best_per_team(rows)

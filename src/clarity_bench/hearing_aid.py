@@ -80,18 +80,6 @@ def load_audiogram(path):
     return Audiogram(left=ears[0], right=ears[1])
 
 
-def save_audiogram(audiogram, path):
-    payload = {
-        name: {
-            str(int(f)): level
-            for f, level in zip(AUDIOGRAM_FREQUENCIES, getattr(audiogram, name))
-        }
-        for name in ("left", "right")
-    }
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, indent=2, sort_keys=True)
-
-
 @dataclass(frozen=True)
 class GainCurve:
     """Insertion gain in dB at the audiogram frequencies, clamped >= 0."""

@@ -30,7 +30,6 @@ import numpy as np
 
 from .ambisonics import AmbiSignal, num_channels, sh_eval
 from .audio import DEFAULT_RATE
-from .errors import InsufficientDecayError
 
 SPEED_OF_SOUND = 343.0
 
@@ -90,6 +89,9 @@ class SourceSpec:
                 raise ValueError("cardioid sources need an aim vector")
             aim = np.asarray(self.aim, dtype=np.float64)
             norm = np.linalg.norm(aim)
+            if norm == 0 and np.any(aim):   # the squares underflow: rescale first
+                aim = aim / np.max(np.abs(aim))
+                norm = np.linalg.norm(aim)
             if norm == 0:
                 raise ValueError("aim vector must be non-zero")
             object.__setattr__(self, "aim", tuple(aim / norm))
@@ -101,7 +103,6 @@ class AmbiRir:
     """Ambisonic-domain room impulse response plus simulation bookkeeping."""
 
     signal: AmbiSignal
-    time_limit: float
     image_count: int
 
 
@@ -193,34 +194,6 @@ def image_source_rir(room, source, listener, order, time_limit, rate=DEFAULT_RAT
 
     return AmbiRir(
         signal=AmbiSignal(rir, order, rate),
-        time_limit=float(time_limit),
         image_count=image_count,
     )
 
-
-def schroeder_rt60(rir, rate):
-    """RT60 from the backward-integrated energy decay curve (T30 fit).
-
-    The decay curve is fitted by least squares between its -5 dB and
-    -35 dB points and the slope extrapolated to 60 dB. Raises
-    InsufficientDecayError when the curve never reaches -35 dB.
-    """
-    h = np.asarray(rir, dtype=np.float64).ravel()
-    if h.size == 0 or not np.any(h != 0.0):
-        raise ValueError("impulse response is silent")
-    energy = np.cumsum((h * h)[::-1])[::-1]
-    edc = 10.0 * np.log10(np.maximum(energy / energy[0], 1e-300))
-    above = np.nonzero(edc <= -5.0)[0]
-    below = np.nonzero(edc <= -35.0)[0]
-    if above.size == 0 or below.size == 0:
-        raise InsufficientDecayError("decay curve never spans -5 dB .. -35 dB")
-    start, stop = int(above[0]), int(below[0])
-    if stop <= start:
-        raise InsufficientDecayError("degenerate -5 dB .. -35 dB segment")
-    t = np.arange(start, stop + 1) / rate
-    seg = edc[start : stop + 1]
-    design = np.vstack([t, np.ones_like(t)]).T
-    slope, _ = np.linalg.lstsq(design, seg, rcond=None)[0]
-    if slope >= 0:
-        raise InsufficientDecayError("decay curve is not decaying")
-    return -60.0 / float(slope)

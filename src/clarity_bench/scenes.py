@@ -517,7 +517,7 @@ def _scene_child_seeds(scene_seed):
     return [int(c.generate_state(1)[0]) for c in children]
 
 
-def render_scene(scene, hrtfs=None, profile=None, keep_components=False):
+def render_scene(scene, profile=None, keep_components=False):
     """Render a scene to hearing-aid ear signals plus the scoring reference.
 
     Deterministic in (scene, profile). The stages are: dry sources and
@@ -531,7 +531,6 @@ def render_scene(scene, hrtfs=None, profile=None, keep_components=False):
     any impulse response is computed.
     """
     profile = profile or FidelityProfile.from_name(scene.fidelity)
-    hrtfs = hrtfs or default_hrtf_set()
     rate = DEFAULT_RATE
     order = profile.ambisonic_order
     listener = np.asarray(scene.listener.position)
@@ -589,7 +588,8 @@ def render_scene(scene, hrtfs=None, profile=None, keep_components=False):
                                  child_seeds[4], target_w_rms)
 
     def to_ears(field):
-        decoded = binaural_decode(apply_trajectory(field, scene.listener.trajectory), hrtfs)
+        decoded = binaural_decode(apply_trajectory(field, scene.listener.trajectory),
+                                  default_hrtf_set())
         return SampleBuffer(decoded.data * EAR_CALIBRATION_GAIN, rate)
 
     ears = to_ears(noisy)
@@ -714,11 +714,10 @@ def generate_dataset(out_dir, count, seed, fidelity="simulated"):
     os.makedirs(out_dir, exist_ok=True)
     scenes = draw_scenes(count, seed, fidelity=fidelity)
     profile = FidelityProfile.from_name(fidelity)
-    hrtfs = default_hrtf_set()
 
     def render_one(index):
         scene_id = f"S{index:04d}"
-        result = render_scene(scenes[index], hrtfs=hrtfs, profile=profile)
+        result = render_scene(scenes[index], profile=profile)
         write_wav(os.path.join(out_dir, f"{scene_id}_mix.wav"), result.ears)
         write_wav(os.path.join(out_dir, f"{scene_id}_ref.wav"), result.reference)
         save_scene(scenes[index], os.path.join(out_dir, f"{scene_id}_scene.json"))

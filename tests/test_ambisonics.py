@@ -344,12 +344,15 @@ def test_ambisonics_builds_no_decode_grid():
 
 def test_binaural_decode_rejects_hrtfs_at_another_rate():
     field = AmbiSignal(np.zeros((4, 100)), 1, 16000)
+    hrtfs = default_hrtf_set()
+    at_48k = HrtfSet(azimuths=hrtfs.azimuths, elevations=hrtfs.elevations,
+                     left=hrtfs.left, right=hrtfs.right, rate=48000)
     with pytest.raises(RateMismatchError, match="48000"):
-        binaural_decode(field, default_hrtf_set(rate=48000))
+        binaural_decode(field, at_48k)
 
 
 def test_binaural_decode_builds_filters_once_per_order_and_grid(monkeypatch):
-    hrtfs = default_hrtf_set()
+    hrtfs = build_hrtf_set(*fibonacci_directions(64))   # fresh: the default set is shared
     calls = []
     pinv = np.linalg.pinv
     monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a.shape) or pinv(a))
@@ -359,7 +362,7 @@ def test_binaural_decode_builds_filters_once_per_order_and_grid(monkeypatch):
     assert sorted(hrtfs._decoders) == [1, 2]
     binaural_decode(AmbiSignal(np.ones((4, 50)), 1, 16000), delta_hrtfs(10))
     assert calls[2:] == [(10, 4)]
-    binaural_decode(AmbiSignal(np.ones((4, 50)), 1, 16000), default_hrtf_set())
+    binaural_decode(AmbiSignal(np.ones((4, 50)), 1, 16000), build_hrtf_set(*fibonacci_directions(64)))
     assert len(calls) == 4   # a new HrtfSet builds its own
 
 
@@ -368,7 +371,7 @@ def test_binaural_decode_shares_one_filter_bank_across_threads():
     from concurrent.futures import ThreadPoolExecutor
 
     rng = np.random.default_rng(9)
-    hrtfs = default_hrtf_set()
+    hrtfs = build_hrtf_set(*fibonacci_directions(64))   # fresh: the default set is shared
     field = AmbiSignal(rng.uniform(-1, 1, (16, 2500)), 3, 16000)   # several decode blocks
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -14,7 +14,6 @@ from clarity_bench.hearing_aid import (
     flat_audiogram,
     load_audiogram,
     nalr_gains,
-    save_audiogram,
 )
 
 SLOPING = Audiogram(left=(20, 30, 40, 50, 60, 65), right=(20, 30, 40, 50, 60, 65))
@@ -168,7 +167,12 @@ def test_amplify_rejects_mono():
 
 def test_audiogram_json_round_trip(tmp_path):
     path = tmp_path / "ag.json"
-    save_audiogram(SLOPING, path)
+    payload = {
+        ear: {str(int(f)): level for f, level in zip(AUDIOGRAM_FREQUENCIES, getattr(SLOPING, ear))}
+        for ear in ("left", "right")
+    }
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump(payload, fp)
     loaded = load_audiogram(path)
     assert loaded == SLOPING
 

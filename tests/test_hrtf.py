@@ -1,15 +1,24 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.signal import lfilter
 
 from clarity_bench.hrtf import (
-    HeadModel,
+    DEFAULT_TAPS,
+    HEAD_RADIUS,
     HrtfSet,
+    _fractional_delay,
     _head_shadow,
-    build_hrtf_set,
     default_hrtf_set,
+    direction_vector,
     synth_hrtf,
     woodworth_itd,
 )
+from clarity_bench.room import SPEED_OF_SOUND
 
 
 def fir_delay(fir):
@@ -26,8 +35,7 @@ def test_median_plane_symmetry():
 
 
 def test_woodworth_itd_value():
-    model = HeadModel()
-    itd = woodworth_itd(model, np.pi / 2)
+    itd = woodworth_itd(np.pi / 2)
     assert itd == pytest.approx(0.0875 / 343 * (np.pi / 2 + 1), rel=1e-12)
     assert itd == pytest.approx(656e-6, abs=4e-6)
 
@@ -35,7 +43,7 @@ def test_woodworth_itd_value():
 def test_full_lateral_itd_in_samples():
     left, right = synth_hrtf(np.pi / 2, 0.0)
     measured = fir_delay(right) - fir_delay(left)
-    expected = woodworth_itd(HeadModel(), np.pi / 2) * 16000  # about 10.5
+    expected = woodworth_itd(np.pi / 2) * 16000  # about 10.5
     # the shadow filter adds about one sample of group delay on the far ear
     assert measured == pytest.approx(expected, abs=1.6)
 
@@ -60,24 +68,17 @@ def test_left_right_mirror_symmetry():
 
 
 def test_itd_monotone_in_lateral_angle():
-    model = HeadModel()
     angles = np.linspace(0, np.pi / 2, 50)
-    itds = [woodworth_itd(model, a) for a in angles]
+    itds = [woodworth_itd(a) for a in angles]
     assert all(b >= a for a, b in zip(itds, itds[1:]))
 
 
 def test_head_shadow_dc_gain_unity():
     impulse = np.zeros(8192)
     impulse[0] = 1.0
-    model = HeadModel()
     for cos_inc in (-1.0, -0.3, 0.0, 0.6, 1.0):
-        out = _head_shadow(impulse, cos_inc, model, 16000)
+        out = _head_shadow(impulse, cos_inc)
         assert abs(np.sum(out) - 1.0) < 1e-9
-
-
-def test_insufficient_taps_rejected():
-    with pytest.raises(ValueError):
-        synth_hrtf(0.3, 0.0, taps=16)
 
 
 def test_empty_set_rejected():
@@ -92,3 +93,34 @@ def test_default_set_covers_decode_grid():
     hs = default_hrtf_set()
     assert hs.azimuths.size == 64
     assert hs.taps == 64
+
+
+def lfilter_shadow(fir, cos_inc):
+    """The head-shadow shelf through scipy.signal.lfilter, its oracle."""
+    beta = 2.0 * SPEED_OF_SOUND / HEAD_RADIUS
+    alpha = 1.0 + cos_inc
+    k = 2.0 * 16000
+    b = np.array([(alpha * k + beta), (beta - alpha * k)]) / (k + beta)
+    a = np.array([1.0, (beta - k) / (k + beta)])
+    return lfilter(b, a, fir)
+
+
+def test_head_shadow_equals_lfilter_on_the_default_set():
+    hs = default_hrtf_set()
+    assert hs.azimuths.size == 64
+    for index, (az, el) in enumerate(zip(hs.azimuths, hs.elevations)):
+        y = direction_vector(az, el)[1]
+        half = math.copysign(0.5 * woodworth_itd(abs(math.asin(y))) * 16000, y) if y != 0.0 else 0.0
+        for fir, shift, cos_inc in ((hs.left, -half, y), (hs.right, half, -y)):
+            delay = _fractional_delay(DEFAULT_TAPS // 2 + shift)
+            assert np.array_equal(_head_shadow(delay, cos_inc), lfilter_shadow(delay, cos_inc))
+            assert np.array_equal(fir[index], lfilter_shadow(delay, cos_inc))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fir=arrays(np.float64, DEFAULT_TAPS, elements=st.floats(-4.0, 4.0)),
+    cos_inc=st.floats(-1.0, 1.0),
+)
+def test_head_shadow_equals_lfilter_on_drawn_firs(fir, cos_inc):
+    assert np.array_equal(_head_shadow(fir, cos_inc), lfilter_shadow(fir, cos_inc))

@@ -1,0 +1,38 @@
+"""Each entry point loads only the modules it runs, checked in a fresh interpreter."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def loaded_after(code):
+    """Names in sys.modules after `code` runs in a new interpreter."""
+    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, check=True,
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_package_root_loads_no_submodule():
+    loaded = loaded_after("import clarity_bench")
+    assert "clarity_bench" in loaded
+    assert not {m for m in loaded if m.startswith("clarity_bench.")}
+
+
+def test_generate_never_loads_scipy_signal(tmp_path):
+    out = tmp_path / "set"
+    loaded = loaded_after(
+        "import clarity_bench.cli as cli\n"
+        f"assert cli.main(['generate', '--n', '1', '--seed', '3', '--out', {str(out)!r}]) == 0"
+    )
+    assert (out / "manifest.json").exists()
+    assert "clarity_bench.scenes" in loaded
+    assert "scipy.signal" not in loaded
+    assert "clarity_bench.harness" not in loaded

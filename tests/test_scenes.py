@@ -517,7 +517,7 @@ def test_render_degenerate_scene_reduces_to_encode_decode(tmp_path):
         ),
         snr_db=None,
     )
-    result = render_scene(scene, hrtfs=HRTFS, profile=FidelityProfile.simulated())
+    result = render_scene(scene, profile=FidelityProfile.simulated())
     target_pos = np.asarray(scene.target.position)
     listener = np.asarray(scene.listener.position)
     offset = target_pos - listener
@@ -555,7 +555,7 @@ def test_load_scene_reads_a_relative_source_file_beside_the_scene(tmp_path, monk
         scene = load_scene(path)
         assert os.path.isabs(scene.target.source.file)
         assert os.path.samefile(scene.target.source.file, sub / "talk.wav")
-    result = render_scene(scene, hrtfs=HRTFS, profile=FidelityProfile.measured_like())
+    result = render_scene(scene, profile=FidelityProfile.measured_like())
     assert np.array_equal(result.reference.channel(0),
                           scale_to_rms(dry.astype(np.float32).astype(np.float64), REFERENCE_RMS))
 
@@ -581,7 +581,7 @@ def test_render_rejects_a_file_source_past_the_scene_limit(tmp_path, monkeypatch
 
     monkeypatch.setattr(scenes, "image_source_rir", no_rir)
     with pytest.raises(SceneValidationError) as err:
-        render_scene(scene, hrtfs=HRTFS)
+        render_scene(scene)
     (problem,) = err.value.problems
     assert problem.startswith(f"{which}.source.file {long_path}:")
     assert "30.5 s" in problem and "scene limit" in problem
@@ -589,15 +589,15 @@ def test_render_rejects_a_file_source_past_the_scene_limit(tmp_path, monkeypatch
 
 def test_render_same_seed_is_bit_identical():
     scene = simple_scene()
-    a = render_scene(scene, hrtfs=HRTFS)
-    b = render_scene(scene, hrtfs=HRTFS)
+    a = render_scene(scene)
+    b = render_scene(scene)
     assert np.array_equal(a.ears.data, b.ears.data)
     assert np.array_equal(a.reference.data, b.reference.data)
 
 
 def test_render_linearity_bookkeeping():
     scene = simple_scene(snr_db=2.0)
-    result = render_scene(scene, hrtfs=HRTFS, profile=FidelityProfile.simulated(),
+    result = render_scene(scene, profile=FidelityProfile.simulated(),
                           keep_components=True)
     total = (
         result.components["target_ears"].data
@@ -610,7 +610,7 @@ def test_render_linearity_bookkeeping():
 
 def test_render_reference_is_normalized_dry_target():
     scene = simple_scene()
-    result = render_scene(scene, hrtfs=HRTFS)
+    result = render_scene(scene)
     ref = result.reference.channel(0)
     assert rms_array(ref) == pytest.approx(10 ** (-26 / 20), rel=1e-6)
     dry = scene.target.source.resolve(RATE)
@@ -626,7 +626,7 @@ def test_transducer_noise_strictly_lowers_component_snr():
     scenes = draw_scenes(6, seed=31)
     for scene in scenes:
         def ear_snr(profile):
-            r = render_scene(scene, hrtfs=HRTFS, profile=profile, keep_components=True)
+            r = render_scene(scene, profile=profile, keep_components=True)
             sig = np.sum(r.components["target_ears"].data ** 2, axis=1)
             rest = (
                 r.components["interferer_ears"].data
@@ -714,7 +714,7 @@ def test_mix_w_equals_mixed_field_w(monkeypatch):
     monkeypatch.setattr(scenes, "add_transducer_noise", noise)
     scene = draw_scenes(1, seed=5)[0]
     assert len(scene.interferers) > 1
-    render_scene(scene, hrtfs=HRTFS)
+    render_scene(scene)
     w_mix, gain = seen["mix"]
     assert w_mix.order == 0 and gain != 1.0
     field = seen["field"]
@@ -725,8 +725,8 @@ def test_mix_w_equals_mixed_field_w(monkeypatch):
 def test_render_components_leave_ears_unchanged():
     scene = simple_scene()
     profile = FidelityProfile.measured_like()
-    plain = render_scene(scene, hrtfs=HRTFS, profile=profile)
-    split = render_scene(scene, hrtfs=HRTFS, profile=profile, keep_components=True)
+    plain = render_scene(scene, profile=profile)
+    split = render_scene(scene, profile=profile, keep_components=True)
     assert np.array_equal(split.ears.data, plain.ears.data)
     assert split.record == plain.record
 
