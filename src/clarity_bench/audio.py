@@ -30,8 +30,8 @@ from scipy.io import wavfile
 from .errors import FormatError, RateMismatchError
 
 DEFAULT_RATE = 16000
-# RMS of -26 dBFS: the level of the scoring reference and of both signals
-# inside quality_score.
+# RMS of -26 dBFS: the level of the scoring reference, and the level at
+# which quality_score scores both signals (a gain applied after filtering).
 REFERENCE_RMS = 10.0 ** (-26.0 / 20.0)
 
 

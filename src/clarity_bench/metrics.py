@@ -3,17 +3,22 @@
 Two reference-based surrogate metrics mirror the challenge's pair of
 indices: an intelligibility-like score built on per-band envelope
 correlation, and a quality-like score that adds a long-term spectral
-penalty. Both read one auditory front end, `_front_ends`, which runs each
-aligned signal once through a 32-band gammatone filter bank on the ERB
-scale. Half-wave rectification, a 32 Hz second-order low-pass, decimation
-to 256 Hz by linear interpolation and conversion to dB with a -80 dB floor
-give the band envelopes; the band RMS gives the long-term band levels,
-which only the quality score reads and computes.
+penalty. Like HASPI and HASQI, both read one auditory front end that
+runs once per scene in `ear_scores`: each ear is aligned to the
+reference once, and each aligned signal runs once through a 32-band
+ERB-spaced gammatone filter bank. Half-wave rectification, a 32 Hz
+second-order low-pass and decimation to 256 Hz by linear interpolation
+give linear band envelopes, and the band RMS the long-term band levels.
+Only the dB conversion (-80 dB floor) is per metric, after a gain: 1 for
+the intelligibility score, and for the quality score the gain that
+brings the waveform to audio.REFERENCE_RMS. Every earlier stage is
+positively homogeneous, so this equals scaling the waveform first, up to
+rounding.
 
-Both scores take the two ears of a listener in one call, one row each.
-Each ear is aligned to the reference on its own, but the reference front
-end runs once per distinct aligned reference segment: ears aligned at the
-same overlap (every ear with a lag >= 0 and a full overlap) share one
+Both ears of a listener are scored in one call, one row each. Each ear
+is aligned to the reference on its own, but the reference front end runs
+once per distinct aligned reference segment: ears aligned at the same
+overlap (every ear with a lag >= 0 and a full overlap) share one
 reference pass, so a two-ear call filters three signals, not four. A
 row scores exactly as it would alone, bit for bit.
 
@@ -44,11 +49,12 @@ but is about 3x slower, 0.020 s against 0.006 s per 32-band call at
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 from scipy.signal import butter, lfilter
 
-from .audio import REFERENCE_RMS, KernelBank, SampleBuffer, convolve_channels, scale_to_rms
+from .audio import REFERENCE_RMS, KernelBank, SampleBuffer, convolve_channels, rms_array
 from .errors import AlignmentError
 from .hearing_aid import AUDIOGRAM_FREQUENCIES
 
@@ -146,12 +152,12 @@ def _envelope_smoother(rate):
     return butter(2, ENVELOPE_CUTOFF, fs=rate)
 
 
-def _envelopes(bands, rate):
-    """dB envelopes of band signals (..., frames) at the envelope rate.
+def _smoothed(bands, rate):
+    """Linear envelopes of band signals (..., frames) at the envelope rate.
 
     Half-wave rectification, 2nd-order low-pass at the envelope cutoff,
-    decimation to ENVELOPE_RATE by linear interpolation (np.interp's own
-    formula, so the two agree bit for bit), then 20*log10 with the floor.
+    then decimation to ENVELOPE_RATE by linear interpolation (np.interp's
+    own formula, so the two agree bit for bit).
     """
     b, a = _envelope_smoother(rate)
     smooth = lfilter(b, a, np.maximum(bands, 0.0), axis=-1)
@@ -162,8 +168,17 @@ def _envelopes(bands, rate):
     frac = positions - below
     lo = smooth[..., below]
     hi = smooth[..., np.minimum(below + 1, n - 1)]
-    decimated = np.where(frac == 0.0, lo, (hi - lo) * frac + lo)
-    return 20.0 * np.log10(np.maximum(decimated, _FLOOR_LIN))
+    return np.where(frac == 0.0, lo, (hi - lo) * frac + lo)
+
+
+def _db(linear, gain=1.0):
+    """20*log10(gain * linear) with the FLOOR_DB floor."""
+    return 20.0 * np.log10(np.maximum(gain * linear, _FLOOR_LIN))
+
+
+def _envelopes(bands, rate):
+    """dB envelopes of band signals at gain 1."""
+    return _db(_smoothed(bands, rate))
 
 
 def audiogram_band_attenuation(ear_levels, centers):
@@ -261,79 +276,91 @@ def _ear_rows(proc, ear_levels):
     return rows, levels, single
 
 
-def _band_features(bands, rate, with_levels):
-    """(dB envelopes, long-term dB band levels or None) of band signals."""
-    levels = None
-    if with_levels:
-        levels = 20.0 * np.log10(np.maximum(np.sqrt(np.mean(bands**2, axis=1)), _FLOOR_LIN))
-    return _envelopes(bands, rate), levels
+def _band_features(bands, rate):
+    """(linear envelopes, band RMS) of band signals (bands, frames)."""
+    return _smoothed(bands, rate), np.sqrt(np.mean(bands**2, axis=1))
 
 
-def _front_ends(ref, proc, ear_levels, rate, quality):
-    """(single, ears): the front end of every ear of proc against ref.
+def _rms_gain(x):
+    """Gain that scales x to REFERENCE_RMS; 1 for silence, as in scale_to_rms."""
+    level = rms_array(x)
+    return REFERENCE_RMS / level if level > 0 else 1.0
 
-    ears holds one ((ref_env, ref_levels), (proc_env, proc_levels)) pair
-    per row of proc, in dB. Each ear is aligned on its own, and its
-    processed bands are attenuated by its audiogram. The reference front
-    end runs once per distinct aligned reference segment, so ears aligned
-    at the same overlap share it. The quality path first scales every
-    signal to REFERENCE_RMS and adds the long-term band levels, which are
-    None otherwise.
+
+@dataclass(frozen=True)
+class EarScore:
+    """Both scores of one ear, the quality score's two terms and the lag
+    (samples by which the processed ear trails the reference)."""
+
+    haspi_like: float
+    hasqi_like: float
+    hasqi_like_correlation: float
+    hasqi_like_spectral: float
+    lag: int
+
+
+def _score_ear(ref_features, proc_features, ref_gain, proc_gain, lag):
+    (ref_env, ref_rms), (proc_env, proc_rms) = ref_features, proc_features
+    haspi = _envelope_correlation(_db(ref_env), _db(proc_env))
+    c_term = _envelope_correlation(_db(ref_env, ref_gain), _db(proc_env, proc_gain))
+    spectral_db = float(np.mean(np.abs(_db(proc_rms, proc_gain) - _db(ref_rms, ref_gain))))
+    s_term = 1.0 - min(1.0, spectral_db / SPECTRAL_SCALE_DB)
+    return EarScore(haspi, 0.5 * c_term + 0.5 * s_term, c_term, s_term, lag)
+
+
+def ear_scores(ref, proc, ear_levels, rate=16000):
+    """Both scores of proc against ref from one front-end pass.
+
+    ref is the clean reference; proc the processed ear signal; ear_levels
+    the audiogram for the ear being scored (dB HL at the six standard
+    frequencies). Returns an EarScore. A 2-D proc holds one ear per row
+    and ear_levels one audiogram row per ear; the result is then a tuple
+    of one EarScore per row, each equal to that of the row alone.
     """
     if isinstance(ref, SampleBuffer):
         rate = ref.rate
     r = _as_mono_array(ref)
     rows, levels, single = _ear_rows(proc, ear_levels)
-    if quality:
-        r = scale_to_rms(r, REFERENCE_RMS)
-        rows = [scale_to_rms(p, REFERENCE_RMS) for p in rows]
+    ref_gain = _rms_gain(r)
     references = {}
-    ears = []
+    scores = []
     for p, ear in zip(rows, levels):
         r_slice, p_slice = _aligned_slices(r, p)
         key = (r_slice.start, r_slice.stop)
         if key not in references:
-            references[key] = _band_features(gammatone_bands(r[r_slice], rate), rate, quality)
+            references[key] = _band_features(gammatone_bands(r[r_slice], rate), rate)
         attenuation = audiogram_band_attenuation(ear, CENTER_FREQUENCIES)
         proc_bands = gammatone_bands(p[p_slice], rate) * 10.0 ** (-attenuation[:, None] / 20.0)
-        ears.append((references[key], _band_features(proc_bands, rate, quality)))
-    return single, ears
+        scores.append(_score_ear(references[key], _band_features(proc_bands, rate),
+                                 ref_gain, _rms_gain(p), p_slice.start - r_slice.start))
+    return scores[0] if single else tuple(scores)
+
+
+def _view(scores, field):
+    return field(scores) if isinstance(scores, EarScore) else tuple(map(field, scores))
 
 
 def intelligibility_score(ref, proc, ear_levels, rate=16000):
-    """HASPI-like surrogate in [0, 1].
-
-    ref is the clean reference; proc the processed ear signal; ear_levels
-    the audiogram for the ear being scored (dB HL at the six standard
-    frequencies). A 2-D proc holds one ear per row and ear_levels one
-    audiogram row per ear; the result is then a tuple of one score per
-    row, each equal to the score of that row alone.
-    """
-    single, ears = _front_ends(ref, proc, ear_levels, rate, quality=False)
-    scores = tuple(_envelope_correlation(r_env, p_env) for (r_env, _), (p_env, _) in ears)
-    return scores[0] if single else scores
+    """HASPI-like surrogate in [0, 1]: ear_scores(...).haspi_like, with
+    the same arguments and the same scalar or per-row tuple result."""
+    return _view(ear_scores(ref, proc, ear_levels, rate), attrgetter("haspi_like"))
 
 
 def quality_score(ref, proc, ear_levels, rate=16000, return_terms=False):
-    """HASQI-like surrogate in [0, 1].
+    """HASQI-like surrogate in [0, 1]: ear_scores(...).hasqi_like.
 
-    Both signals are RMS-normalized to audio.REFERENCE_RMS, so a
-    uniform gain on proc does not change the score. The score averages
-    the envelope-correlation term with a spectral-naturalness term
+    Both signals are scored at audio.REFERENCE_RMS, so a uniform gain on
+    proc does not change the score. The score averages the
+    envelope-correlation term with a spectral-naturalness term
     S = 1 - min(1, mean |dL| / scale) over long-term band levels.
     With return_terms the (score, correlation term, spectral term)
     triple comes back instead of the bare score. proc and ear_levels take
-    one ear per row as in intelligibility_score, giving a tuple with one
-    result per row.
+    one ear per row as in ear_scores, giving a tuple with one result per
+    row.
     """
-    single, ears = _front_ends(ref, proc, ear_levels, rate, quality=True)
-    results = []
-    for (ref_env, ref_levels), (proc_env, proc_levels) in ears:
-        c_term = _envelope_correlation(ref_env, proc_env)
-        s_term = 1.0 - min(1.0, float(np.mean(np.abs(proc_levels - ref_levels))) / SPECTRAL_SCALE_DB)
-        score = 0.5 * c_term + 0.5 * s_term
-        results.append((score, c_term, s_term) if return_terms else score)
-    return results[0] if single else tuple(results)
+    fields = ("hasqi_like", "hasqi_like_correlation", "hasqi_like_spectral")
+    return _view(ear_scores(ref, proc, ear_levels, rate),
+                 attrgetter(*fields) if return_terms else attrgetter(fields[0]))
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,46 @@ def test_score_dataset_records_each_ears_scores(small_dataset, tmp_path):
     assert payload["records"] == list(run.records)
 
 
+def test_score_dataset_runs_one_front_end_per_scene(small_dataset, tmp_path, monkeypatch):
+    # Both ears of each scene overlap the whole reference, so one scene
+    # filters and smooths three signals (one reference, two ears) for both
+    # metrics, and its record holds each ear's quality terms and lag.
+    import os
+
+    from clarity_bench import metrics
+    from clarity_bench.audio import read_wav
+    from clarity_bench.hearing_aid import amplify, flat_audiogram
+
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("gammatone_bands", "lfilter"):
+        monkeypatch.setattr(metrics, name, counting(name, getattr(metrics, name)))
+    run = score_dataset(small_dataset)
+    scenes = len(run.records)
+    assert sorted(calls) == ["gammatone_bands"] * 3 * scenes + ["lfilter"] * 3 * scenes
+    monkeypatch.undo()
+
+    audiogram = flat_audiogram(40.0)
+    base = os.path.dirname(small_dataset)
+    for rec in run.records:
+        ears = amplify(read_wav(os.path.join(base, f"{rec['scene']}_mix.wav")), audiogram).ears
+        ref = read_wav(os.path.join(base, f"{rec['scene']}_ref.wav")).channel(0)
+        for index, ear in enumerate(("left", "right")):
+            assert 0 <= rec[f"lag_{ear}"] <= ears.frames - ref.size
+            terms = metrics.quality_score(ref, ears.channel(index), audiogram.ear(ear), return_terms=True)
+            assert terms == tuple(rec[f"{key}_{ear}"] for key in (
+                "hasqi_like", "hasqi_like_correlation", "hasqi_like_spectral"))
+    write_run_manifest(run, tmp_path / "terms.run.json")
+    payload = json.loads((tmp_path / "terms.run.json").read_text())
+    assert payload["records"] == list(run.records)
+
+
 def test_score_dataset_missing_file_names_scene(small_dataset, tmp_path):
     import os
     import shutil

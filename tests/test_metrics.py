@@ -4,19 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
-from clarity_bench.audio import REFERENCE_RMS, convolve_channels
+from clarity_bench.audio import REFERENCE_RMS, convolve_channels, scale_to_rms
 from clarity_bench.errors import AlignmentError
 from clarity_bench.metrics import (
     CENTER_FREQUENCIES,
     ENVELOPE_CUTOFF,
+    SPECTRAL_SCALE_DB,
+    EarScore,
     MetricScore,
     _aligned_slices,
+    _envelope_correlation,
     _envelopes,
     _gammatone_bank,
     _gammatone_kernels,
     _xcorr_best_lag,
+    audiogram_band_attenuation,
     better_ear,
     combined_score,
+    ear_scores,
     erb,
     gammatone_bands,
     intelligibility_score,
@@ -280,7 +285,8 @@ def test_quality_correlation_term_is_intelligibility_of_normalized_pair():
     ear = np.array([20.0, 25.0, 30.0, 40.0, 50.0, 60.0])
     normalized = [v * (REFERENCE_RMS / np.sqrt(np.mean(v * v))) for v in (x, proc)]
     _, c_term, _ = quality_score(x, proc, ear, return_terms=True)
-    assert c_term == intelligibility_score(*normalized, ear)
+    # quality_score applies its gain after filtering: equal up to rounding.
+    assert c_term == pytest.approx(intelligibility_score(*normalized, ear), abs=1e-12)
 
 
 @pytest.mark.parametrize("score", [intelligibility_score, quality_score])
@@ -364,10 +370,7 @@ def test_scores_need_one_audiogram_row_per_signal_row(proc, levels):
 
 
 LONG_SPEECH = speech(1.2, seed=22)
-
-
-@settings(max_examples=15, deadline=None)
-@given(
+TWO_EAR_DRAWS = given(
     n=st.integers(6000, 16000),
     extra=st.integers(0, 300),
     lags=st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
@@ -375,6 +378,10 @@ LONG_SPEECH = speech(1.2, seed=22)
     noise=st.floats(0.0, 0.2),
     seed=st.integers(0, 2**16),
 )
+
+
+@settings(max_examples=15, deadline=None)
+@TWO_EAR_DRAWS
 def test_two_ear_scores_are_the_per_ear_scores_and_bounded(n, extra, lags, gains, noise, seed):
     x = LONG_SPEECH[:n]
     ears = two_ears(x, lags, n + extra, gains, noise, seed)
@@ -382,6 +389,58 @@ def test_two_ear_scores_are_the_per_ear_scores_and_bounded(n, extra, lags, gains
         both = score(x, ears, EAR_ROWS)
         assert both == tuple(score(x, row, levels) for row, levels in zip(ears, EAR_ROWS))
         assert all(0.0 <= v <= 1.0 for v in both)
+
+
+def prescaled_front_end(ref, proc, ear_levels, quality):
+    """One ear's front end for one metric, the quality gain applied to the
+    waveforms: the quality path scales both to REFERENCE_RMS first and
+    aligns the scaled pair. Returns (ref dB envelopes, proc dB envelopes,
+    ref dB band levels, proc dB band levels, lag)."""
+    if quality:
+        ref, proc = scale_to_rms(ref, REFERENCE_RMS), scale_to_rms(proc, REFERENCE_RMS)
+    r_slice, p_slice = _aligned_slices(ref, proc)
+    attenuation = audiogram_band_attenuation(ear_levels, CENTER_FREQUENCIES)
+    ref_bands = gammatone_bands(ref[r_slice], RATE)
+    proc_bands = gammatone_bands(proc[p_slice], RATE) * 10.0 ** (-attenuation[:, None] / 20.0)
+    levels = [20.0 * np.log10(np.maximum(np.sqrt(np.mean(b**2, axis=1)), 1e-4))
+              for b in (ref_bands, proc_bands)]
+    return (_envelopes(ref_bands, RATE), _envelopes(proc_bands, RATE), *levels,
+            p_slice.start - r_slice.start)
+
+
+def two_pass_ear_score(ref, proc, ear_levels):
+    """EarScore of one ear from two front-end passes, one per metric."""
+    ref_env, proc_env, _, _, lag = prescaled_front_end(ref, proc, ear_levels, quality=False)
+    haspi = _envelope_correlation(ref_env, proc_env)
+    ref_env, proc_env, ref_levels, proc_levels, quality_lag = prescaled_front_end(
+        ref, proc, ear_levels, quality=True)
+    assert quality_lag == lag
+    c_term = _envelope_correlation(ref_env, proc_env)
+    s_term = 1.0 - min(1.0, float(np.mean(np.abs(proc_levels - ref_levels))) / SPECTRAL_SCALE_DB)
+    return EarScore(haspi, 0.5 * c_term + 0.5 * s_term, c_term, s_term, lag)
+
+
+@settings(max_examples=15, deadline=None)
+@TWO_EAR_DRAWS
+def test_one_front_end_matches_one_pass_per_metric(n, extra, lags, gains, noise, seed):
+    x = LONG_SPEECH[:n]
+    ears = two_ears(x, lags, n + extra, gains, noise, seed)
+    for got, levels, row in zip(ear_scores(x, ears, EAR_ROWS), EAR_ROWS, ears):
+        want = two_pass_ear_score(x, row, levels)
+        assert got.lag == want.lag
+        assert got.haspi_like == want.haspi_like
+        for field in ("hasqi_like", "hasqi_like_correlation", "hasqi_like_spectral"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-12)
+
+
+@pytest.mark.parametrize("ears", [SHARED, APART], ids=["shared", "apart"])
+def test_ear_scores_gather_both_scores_and_the_lags(ears):
+    got = ear_scores(X, ears, EAR_ROWS)
+    assert [e.haspi_like for e in got] == list(intelligibility_score(X, ears, EAR_ROWS))
+    terms = quality_score(X, ears, EAR_ROWS, return_terms=True)
+    assert [(e.hasqi_like, e.hasqi_like_correlation, e.hasqi_like_spectral) for e in got] == list(terms)
+    lags = [p.start - r.start for r, p in (_aligned_slices(X, row) for row in ears)]
+    assert [e.lag for e in got] == lags == ([40, 70] if ears is SHARED else [40, -60])
 
 
 # --- the gammatone kernel spectra -------------------------------------------
