@@ -1,20 +1,19 @@
-"""Real spherical-harmonic sound fields: evaluation, truncation and
-binaural decoding.
+"""Real spherical-harmonic sound fields: evaluation and truncation.
 
 Conventions are fixed to ACN channel ordering with SN3D normalization.
 Azimuth is measured counter-clockwise from the +x axis seen from above
 (+y is left), elevation upward from the horizontal plane. With these
 conventions the first four channels of a plane-wave encoding are
 W = 1, Y = sin(az) cos(el), Z = sin(el), X = cos(az) cos(el).
+
+Fields reach the ears through hrtf.binaural_decode, which owns the one
+HRTF set and its virtual-loudspeaker layout.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .audio import SampleBuffer, convolve_sum
-from .errors import RateMismatchError
 
 MAX_ORDER = 8
 
@@ -141,48 +140,3 @@ def fibonacci_directions(count):
     elevations = np.arcsin(np.clip(z, -1.0, 1.0))
     return azimuths, elevations
 
-
-def binaural_decode(signal, hrtfs):
-    """Render an AmbiSignal to two ears through virtual loudspeakers.
-
-    The virtual loudspeakers are the HRTF set's own L directions. The
-    decode feeds each of them through the Moore-Penrose pseudo-inverse of
-    the L x K matrix of spherical-harmonic rows (K = (order+1)^2),
-    convolves each feed with that direction's HRTF pair and sums per ear.
-    That map is linear, so it is folded here into one K x taps SH-domain
-    filter bank per ear, pinv(basis) @ firs, and each ear is the sum over
-    the K channels of the channel convolved with its filter: one
-    audio.convolve_sum with K inputs and 2 outputs. No speaker feed is
-    formed. The filter banks are built once per order and kept on the
-    HrtfSet.
-
-    Parameters
-    ----------
-    signal : AmbiSignal
-    hrtfs : HrtfSet
-        At least K directions, at the signal's rate.
-
-    Returns
-    -------
-    SampleBuffer, 2 channels (left, right); length frames + taps - 1.
-
-    Raises RateMismatchError when the HRTF rate differs from the signal's.
-    """
-    if hrtfs.rate != signal.rate:
-        raise RateMismatchError(
-            f"HRTF set is at {hrtfs.rate} Hz but the signal is at {signal.rate} Hz"
-        )
-    count, k = hrtfs.azimuths.size, signal.channels
-    if count < k:
-        raise ValueError(
-            f"HRTF set of {count} directions cannot decode {k} channels "
-            f"(need at least {k})"
-        )
-    filters = hrtfs._decoders.get(signal.order)
-    if filters is None:
-        basis = sh_eval(signal.order, hrtfs.azimuths, hrtfs.elevations).T   # L x K
-        filters = np.linalg.pinv(basis) @ np.stack([hrtfs.left, hrtfs.right])  # 2 x K x taps
-        filters.flags.writeable = False
-        # Worker threads share the set; every caller uses the first bank stored.
-        filters = hrtfs._decoders.setdefault(signal.order, filters)
-    return SampleBuffer(convolve_sum(signal.data, filters), signal.rate)

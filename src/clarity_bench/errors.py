@@ -10,11 +10,7 @@ class FormatError(ClarityBenchError):
 
 
 class RateMismatchError(ClarityBenchError):
-    """A sample rate (audio file or HRTF set) differs from the rate the caller demands."""
-
-
-class AlignmentError(ClarityBenchError):
-    """Reference/processed alignment failed (degenerate input)."""
+    """An audio file's sample rate differs from the rate the caller demands."""
 
 
 class MixError(ClarityBenchError):

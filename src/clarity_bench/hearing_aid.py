@@ -21,7 +21,7 @@ EARS = ("left", "right")   # the rows of a stereo ear buffer, in order
 # Frequency-specific prescription constants, dB.
 _NALR_K = {250.0: -17.0, 500.0: -8.0, 1000.0: 1.0, 2000.0: -1.0, 4000.0: -2.0, 6000.0: -2.0}
 
-DEFAULT_TAPS = 127
+DEFAULT_TAPS = 127   # odd, for a whole-sample group delay; >= 63 resolves 250 Hz
 
 
 @dataclass(frozen=True)
@@ -123,18 +123,16 @@ def _target_db(curve, freqs):
     return np.interp(np.log(f), np.log(curve.frequencies), curve.gains_db)
 
 
-def design_fir(curve, taps=DEFAULT_TAPS, rate=DEFAULT_RATE):
-    """Linear-phase FIR matching a gain curve, by frequency sampling.
+def design_fir(curve, rate=DEFAULT_RATE):
+    """Linear-phase FIR of DEFAULT_TAPS taps matching a gain curve, by
+    frequency sampling.
 
-    The target magnitude is sampled on the taps-point DFT grid, inverted
-    as a zero-phase response and delayed by (taps-1)/2. Coefficients are
-    exactly symmetric; the realized magnitude sits within +-1 dB of the
-    curve at the prescription frequencies for taps >= 63.
+    The target magnitude is sampled on the DEFAULT_TAPS-point DFT grid,
+    inverted as a zero-phase response and delayed by (DEFAULT_TAPS-1)/2.
+    Coefficients are exactly symmetric; the realized magnitude sits within
+    +-1 dB of the curve at the prescription frequencies.
     """
-    if taps % 2 == 0:
-        raise ValueError(f"taps must be odd, got {taps}")
-    if taps < 63:
-        raise ValueError(f"taps must be >= 63 to resolve 250 Hz, got {taps}")
+    taps = DEFAULT_TAPS
     half = (taps - 1) // 2
     bin_freqs = np.arange(taps // 2 + 1) * rate / taps
     magnitude = 10.0 ** (_target_db(curve, bin_freqs) / 20.0)
@@ -154,17 +152,17 @@ class AmplifyResult:
     clipped: int
 
 
-def amplify(ears, audiogram, taps=DEFAULT_TAPS):
+def amplify(ears, audiogram):
     """Apply each ear's prescription FIR to a stereo buffer.
 
-    Both ears use the same tap count, so group delay ((taps-1)/2 samples)
-    is identical left and right. Samples outside [-1, 1] are clamped and
-    counted.
+    Both ears use DEFAULT_TAPS taps, so group delay ((DEFAULT_TAPS-1)/2
+    samples) is identical left and right. Samples outside [-1, 1] are
+    clamped and counted.
     """
     if ears.channels != 2:
         raise ValueError(f"amplify expects a stereo buffer, got {ears.channels} channels")
     firs = np.stack([
-        design_fir(nalr_gains(audiogram, ear), taps=taps, rate=ears.rate)
+        design_fir(nalr_gains(audiogram, ear), rate=ears.rate)
         for ear in EARS
     ])
     out = convolve_channels(ears.data, firs)

@@ -1,4 +1,5 @@
-"""Synthetic head-related transfer functions from a rigid-sphere model.
+"""Synthetic head-related transfer functions from a rigid-sphere model,
+and the fixed Ambisonic-to-binaural decode through them.
 
 Each direction yields a pair of short FIR filters built from two pieces:
 a Woodworth interaural time difference realized as a +-ITD/2 fractional
@@ -17,17 +18,29 @@ delay kernel. The shelf runs as the plain first-order recursion
 
 the transposed direct form II that scipy.signal.lfilter evaluates, with
 the same operations in the same order, so the FIRs are bit-identical to
-lfilter's. default_hrtf_set is built once per process and shared.
+lfilter's.
+
+There is one set, default_hrtf_set: 64 spherical Fibonacci directions,
+built once per process and shared. binaural_decode renders an order-N
+field through them as virtual loudspeakers. It feeds each loudspeaker
+through the Moore-Penrose pseudo-inverse of the 64 x K matrix of its
+spherical-harmonic rows (K = (N+1)^2), convolves each feed with that
+direction's HRTF pair and sums per ear. The map is linear, so
+decoder_bank folds it into one K x DEFAULT_TAPS SH-domain filter bank
+per ear, pinv(basis) @ firs, built once per order: each ear is the sum
+over the K channels of the channel convolved with its filter, one
+audio.convolve_sum, and no speaker feed is formed. Orders above 7 have
+more channels than the set has directions and are rejected.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .ambisonics import fibonacci_directions
-from .audio import DEFAULT_RATE
+from .ambisonics import fibonacci_directions, num_channels, sh_eval
+from .audio import DEFAULT_RATE, SampleBuffer, convolve_sum
 from .room import SPEED_OF_SOUND
 
 HEAD_RADIUS = 0.0875
@@ -95,62 +108,53 @@ def synth_hrtf(azimuth, elevation):
 
 @dataclass(frozen=True)
 class HrtfSet:
-    """Directions with one FIR pair each; all FIRs share a length and rate.
+    """Directions with one FIR pair each, DEFAULT_TAPS taps at DEFAULT_RATE.
 
-    binaural_decode uses the directions as its virtual loudspeakers and
-    keeps the SH-domain filter banks it builds from the set in
-    `_decoders`, keyed by Ambisonic order.
+    The arrays are read-only; left and right hold one row per direction.
     """
 
     azimuths: np.ndarray
     elevations: np.ndarray
-    left: np.ndarray   # (count, taps)
-    right: np.ndarray  # (count, taps)
-    rate: int
-    _decoders: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        az = np.asarray(self.azimuths, dtype=np.float64)
-        el = np.asarray(self.elevations, dtype=np.float64)
-        left = np.asarray(self.left, dtype=np.float64)
-        right = np.asarray(self.right, dtype=np.float64)
-        if az.size == 0:
-            raise ValueError("HrtfSet needs at least one direction")
-        if left.shape != right.shape or left.shape[0] != az.size:
-            raise ValueError("every direction needs equal-length left/right FIRs")
-        for name, val in (
-            ("azimuths", az), ("elevations", el), ("left", left), ("right", right),
-        ):
-            val = np.ascontiguousarray(val)
-            val.flags.writeable = False
-            object.__setattr__(self, name, val)
-        object.__setattr__(self, "_decoders", {})
-
-    @property
-    def taps(self):
-        return self.left.shape[1]
-
-
-def build_hrtf_set(azimuths, elevations):
-    """Synthesize an HrtfSet at the given directions."""
-    pairs = [
-        synth_hrtf(a, e)
-        for a, e in zip(np.atleast_1d(azimuths), np.atleast_1d(elevations))
-    ]
-    return HrtfSet(
-        azimuths=np.atleast_1d(azimuths),
-        elevations=np.atleast_1d(elevations),
-        left=np.stack([p[0] for p in pairs]),
-        right=np.stack([p[1] for p in pairs]),
-        rate=DEFAULT_RATE,
-    )
+    left: np.ndarray   # (count, DEFAULT_TAPS)
+    right: np.ndarray  # (count, DEFAULT_TAPS)
 
 
 @cache
 def default_hrtf_set():
     """Spherical-head set on 64 spherical Fibonacci directions, which are
     the virtual loudspeakers of the decode (enough for order 6's 49
-    channels). Built once per process; every caller shares the set and
-    the decoders it keeps."""
+    channels). Built once per process and shared by every caller."""
     az, el = fibonacci_directions(64)
-    return build_hrtf_set(az, el)
+    left, right = (np.stack(firs) for firs in zip(*map(synth_hrtf, az, el)))
+    for array in (az, el, left, right):
+        array.flags.writeable = False
+    return HrtfSet(az, el, left, right)
+
+
+@cache
+def decoder_bank(order):
+    """The read-only (2, K, DEFAULT_TAPS) SH-domain filter bank of the
+    order-`order` decode, K = (order+1)^2; built once per order.
+
+    Raises ValueError when K exceeds the 64 directions of the set.
+    """
+    hrtfs = default_hrtf_set()
+    count, k = hrtfs.azimuths.size, num_channels(order)
+    if count < k:
+        raise ValueError(
+            f"HRTF set of {count} directions cannot decode {k} channels (order {order})"
+        )
+    basis = sh_eval(order, hrtfs.azimuths, hrtfs.elevations).T   # L x K
+    bank = np.linalg.pinv(basis) @ np.stack([hrtfs.left, hrtfs.right])
+    bank.flags.writeable = False
+    return bank
+
+
+def binaural_decode(field):
+    """Render an AmbiSignal to two ears through the default set's virtual
+    loudspeakers (module docstring).
+
+    Returns a 2-channel SampleBuffer (left, right) at the field's rate,
+    frames + DEFAULT_TAPS - 1 long. Raises ValueError for an order above 7.
+    """
+    return SampleBuffer(convolve_sum(field.data, decoder_bank(field.order)), field.rate)

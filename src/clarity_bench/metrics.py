@@ -16,11 +16,12 @@ positively homogeneous, so this equals scaling the waveform first, up to
 rounding.
 
 Both ears of a listener are scored in one call, one row each. Each ear
-is aligned to the reference on its own, but the reference front end runs
-once per distinct aligned reference segment: ears aligned at the same
-overlap (every ear with a lag >= 0 and a full overlap) share one
-reference pass, so a two-ear call filters three signals, not four. A
-row scores exactly as it would alone, bit for bit.
+is aligned to the reference at its own lag, and one cross-correlation
+call gives the lags of all rows. The reference front end runs once per
+distinct aligned reference segment: ears aligned at the same overlap
+(every ear with a lag >= 0 and a full overlap) share one reference
+pass, so a two-ear call filters three signals, not four. A row scores
+exactly as it would alone, bit for bit.
 
 Hearing loss enters as pure band attenuation on the processed branch
 (the audiogram interpolated to each band centre); the reference branch
@@ -40,11 +41,12 @@ one length transform the kernels once. It keeps the bits of
 audio.convolve_channels(kernels, signal), the convolution the scores
 were pinned to, because it multiplies the same spectra in the same
 order. The alignment cross-correlation is audio.convolve_channels
-itself. The envelope low-pass stays a recursive filter (scipy.signal
-butter + lfilter): convolving with the biquad's impulse response, cut
-where it falls below 1e-18 (4,163 taps), matches lfilter within 1e-13
-but is about 3x slower, 0.020 s against 0.006 s per 32-band call at
-28,800 frames and 0.032 s against 0.010 s at 51,000 frames (one thread).
+itself, of all rows at once. The envelope low-pass stays a recursive
+filter (scipy.signal butter + lfilter): convolving with the biquad's
+impulse response, cut where it falls below 1e-18 (4,163 taps), matches
+lfilter within 1e-13 but is about 3x slower, 0.020 s against 0.006 s
+per 32-band call at 28,800 frames and 0.032 s against 0.010 s at 51,000
+frames (one thread).
 """
 
 from dataclasses import dataclass
@@ -55,7 +57,6 @@ import numpy as np
 from scipy.signal import butter, lfilter
 
 from .audio import REFERENCE_RMS, KernelBank, SampleBuffer, convolve_channels, rms_array
-from .errors import AlignmentError
 from .hearing_aid import AUDIOGRAM_FREQUENCIES
 
 _ERB_SLOPE = 4.37e-3   # per Hz
@@ -176,11 +177,6 @@ def _db(linear, gain=1.0):
     return 20.0 * np.log10(np.maximum(gain * linear, _FLOOR_LIN))
 
 
-def _envelopes(bands, rate):
-    """dB envelopes of band signals at gain 1."""
-    return _db(_smoothed(bands, rate))
-
-
 def audiogram_band_attenuation(ear_levels, centers):
     """Audiogram losses interpolated to band centres (log-f, dB domain)."""
     ear_levels = np.asarray(ear_levels, dtype=np.float64)
@@ -189,48 +185,44 @@ def audiogram_band_attenuation(ear_levels, centers):
     return np.interp(np.log(f), np.log(freqs), ear_levels)
 
 
-def _xcorr_best_lag(r, p, lag_lo, lag_hi):
-    """(lag, normalized peak) over an inclusive lag window."""
-    denom = np.linalg.norm(r) * np.linalg.norm(p)
-    if denom == 0.0:
-        raise AlignmentError("cannot align all-zero signals")
-    corr = convolve_channels(p, r[::-1])
-    center = r.size - 1
-    lo = max(0, center + lag_lo)
-    hi = min(corr.size, center + lag_hi + 1)
-    window = corr[lo:hi]
-    best = int(np.argmax(window))
-    return best + lo - center, float(window[best] / denom)
-
-
-def _aligned_slices(r, p):
-    """(reference slice, processed slice) that trim r/p to >= 90% overlap
-    at the best feasible lag.
+def _aligned_slices(r, rows):
+    """(reference slice, processed slice) per row of rows, trimming r and
+    the row to >= 90% overlap at the row's best feasible lag.
 
     Only lags that leave at least 90% of the reference overlapping are
-    searched; when no such lag exists (proc shorter than 90% of ref) the
-    inputs are rejected, and so are non-finite samples. Degenerate
-    correlation falls back to lag 0.
+    searched; when no such lag exists (rows shorter than 90% of ref) the
+    inputs are rejected, and so are non-finite samples. The lag is the
+    peak of the row's cross-correlation with r; one convolve_channels call
+    gives every row's, so the reversed reference is transformed once, and
+    each row of it equals that row's own call bit for bit. A degenerate
+    row (r or the row all zero) falls back to lag 0.
     """
-    if not (np.isfinite(r).all() and np.isfinite(p).all()):
+    if not (np.isfinite(r).all() and np.isfinite(rows).all()):
         raise ValueError("reference and processed signals must be finite")
+    size = rows.shape[1]
     needed = int(np.ceil(0.9 * r.size))
-    if p.size < needed:
+    if size < needed:
         raise ValueError(
-            f"processed signal ({p.size} samples) cannot overlap 90% of "
+            f"processed signal ({size} samples) cannot overlap 90% of "
             f"the {r.size}-sample reference at any lag"
         )
-    lag_lo = -(r.size - needed)
-    lag_hi = p.size - needed
-    try:
-        lag, _ = _xcorr_best_lag(r, p, lag_lo, lag_hi)
-    except AlignmentError:
+    corr = convolve_channels(rows, r[::-1])
+    center = r.size - 1
+    lo = max(0, center - (r.size - needed))
+    hi = min(corr.shape[1], center + size - needed + 1)
+    norm_r = np.linalg.norm(r)
+    slices = []
+    for p, c in zip(rows, corr):
         lag = 0
-    if lag >= 0:
-        overlap = min(r.size, p.size - lag)
-        return slice(0, overlap), slice(lag, lag + overlap)
-    overlap = min(r.size + lag, p.size)
-    return slice(-lag, -lag + overlap), slice(0, overlap)
+        if norm_r * np.linalg.norm(p) != 0.0:
+            lag = int(np.argmax(c[lo:hi])) + lo - center
+        if lag >= 0:
+            overlap = min(r.size, size - lag)
+            slices.append((slice(0, overlap), slice(lag, lag + overlap)))
+        else:
+            overlap = min(r.size + lag, size)
+            slices.append((slice(-lag, -lag + overlap), slice(0, overlap)))
+    return slices
 
 
 def _masked_pearson(a, b):
@@ -324,8 +316,7 @@ def ear_scores(ref, proc, ear_levels, rate=16000):
     ref_gain = _rms_gain(r)
     references = {}
     scores = []
-    for p, ear in zip(rows, levels):
-        r_slice, p_slice = _aligned_slices(r, p)
+    for (r_slice, p_slice), p, ear in zip(_aligned_slices(r, rows), rows, levels):
         key = (r_slice.start, r_slice.stop)
         if key not in references:
             references[key] = _band_features(gammatone_bands(r[r_slice], rate), rate)

@@ -115,7 +115,7 @@ def directivity_gain(pattern, angle):
     raise ValueError(f"unknown directivity {pattern!r}")
 
 
-def image_source_rir(room, source, listener, order, time_limit, rate=DEFAULT_RATE):
+def image_source_rir(room, source, listener, order, time_limit):
     """Simulate the Ambisonic RIR between a source and a listener.
 
     Parameters
@@ -127,11 +127,11 @@ def image_source_rir(room, source, listener, order, time_limit, rate=DEFAULT_RAT
         Ambisonic order of the result.
     time_limit : float
         RIR length in seconds; only images arriving earlier contribute.
-    rate : int
 
     Returns
     -------
     AmbiRir
+        At DEFAULT_RATE.
     """
     dims = np.asarray(room.dimensions)
     src = np.asarray(source.position, dtype=np.float64)
@@ -140,8 +140,8 @@ def image_source_rir(room, source, listener, order, time_limit, rate=DEFAULT_RAT
     if np.allclose(src, lis):
         raise ValueError("source and listener positions coincide")
     direct = float(np.linalg.norm(src - lis))
-    frames = int(round(time_limit * rate))
-    if int(round(direct / c * rate)) >= frames:
+    frames = int(round(time_limit * DEFAULT_RATE))
+    if int(round(direct / c * DEFAULT_RATE)) >= frames:
         raise ValueError(
             f"time limit {time_limit} s ends before the direct path arrives "
             f"({direct / c:.4f} s)"
@@ -155,7 +155,7 @@ def image_source_rir(room, source, listener, order, time_limit, rate=DEFAULT_RAT
     powers = beta ** np.arange(2 * int(spans.sum()) + 4)
     # Images a sample beyond the last bin cannot round into it; the exact
     # bins < frames test below decides on the rest.
-    cutoff = ((frames + 1) * c / rate) ** 2
+    cutoff = ((frames + 1) * c / DEFAULT_RATE) ** 2
 
     aim = np.asarray(source.aim, dtype=np.float64) if source.directivity == "cardioid" else None
 
@@ -171,7 +171,7 @@ def image_source_rir(room, source, listener, order, time_limit, rate=DEFAULT_RAT
         dist = np.sqrt(sq[0][near[0]] + sq[1][near[1]] + sq[2][near[2]])
         if np.any(dist < 1e-9):
             raise ValueError("degenerate geometry: zero-distance image")
-        bins = np.round(dist / c * rate).astype(int)
+        bins = np.round(dist / c * DEFAULT_RATE).astype(int)
         keep = bins < frames
         if not np.any(keep):
             continue
@@ -193,7 +193,7 @@ def image_source_rir(room, source, listener, order, time_limit, rate=DEFAULT_RAT
         image_count += int(keep.sum())
 
     return AmbiRir(
-        signal=AmbiSignal(rir, order, rate),
+        signal=AmbiSignal(rir, order, DEFAULT_RATE),
         image_count=image_count,
     )
 

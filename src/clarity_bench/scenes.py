@@ -9,11 +9,13 @@ aid ear signals:
     ->  transducer noise    ->  head rotation  ->  binaural decode
 
 The W pass convolves the dry sources, each at its onset, with only the
-omnidirectional (W) channel of their impulse responses, giving the
-target and interferer-sum W fields that fix the interferer gain. The
-field pass then convolves the target and the gain-scaled interferers with
-every Ambisonic channel at once, so the mixed field is rendered in one
-pass and no per-source field is formed.
+omnidirectional (W) channel of their impulse responses, giving two
+signals: the target's W and the interferer sum's W. From them
+mix_at_snr takes one scalar, the interferer gain. The field pass then
+convolves the target and the gain-scaled interferers with every
+Ambisonic channel at once, so the mixed field is rendered in one pass and
+no per-source field is formed. hrtf.binaural_decode takes the rotated
+field to the ears through the one fixed HRTF set.
 
 The fidelity profile bundles the four knobs that separate the idealized
 simulation from a measurement-like capture: Ambisonic order, interferer
@@ -34,13 +36,13 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import signals
-from .ambisonics import AmbiSignal, acn_index, binaural_decode
+from .ambisonics import AmbiSignal, acn_index
 from .audio import (  # noqa: F401  (convolve_channels: perfbench/tracing.py wraps it by this name)
     DEFAULT_RATE, REFERENCE_RMS, SampleBuffer, convolve_channels, convolve_sum, mono, read_wav,
     rms_array, scale_to_rms, write_wav,
 )
 from .errors import MixError, SceneValidationError
-from .hrtf import default_hrtf_set
+from .hrtf import binaural_decode
 from .room import SPEED_OF_SOUND, RoomSpec, SourceSpec, image_source_rir, is_finite_number
 from .workers import ordered_map
 
@@ -165,12 +167,13 @@ class SourceSignal:
     synth_seed: int = None
     file: str = None
 
-    def resolve(self, rate):
+    def resolve(self):
+        """The dry samples at DEFAULT_RATE."""
         if self.file is not None:
-            return read_wav(self.file, expected_rate=rate).channel(0)
+            return read_wav(self.file, expected_rate=DEFAULT_RATE).channel(0)
         if self.duration_s is None or self.synth_seed is None:
             raise ValueError("synthetic sources need duration_s and synth_seed")
-        return signals.source_signal(self.kind, self.duration_s, self.synth_seed, rate=rate)
+        return signals.source_signal(self.kind, self.duration_s, self.synth_seed)
 
 
 @dataclass(frozen=True)
@@ -389,40 +392,28 @@ def save_scene(scene, path):
         json.dump(scene_to_dict(scene), fp, indent=2, sort_keys=True)
 
 
-def mix_at_snr(target, interferers, snr_db, active_range):
-    """Scale the summed interferer field to hit an SNR against the target.
+def mix_at_snr(target_w, interferer_w, snr_db, active_range):
+    """The gain on the summed interferers that hits an SNR against the target.
 
     The SNR is defined on the omnidirectional (W) channel over the
-    target-active frame range, before any decoding. One scalar gain is
-    applied to the interferer sum; snr_db None leaves it at 1. Returns
-    (target + gain*sum, gain).
+    target-active frame range, before any decoding: target_w and
+    interferer_w are the W signals of the target and of the interferer
+    sum, one length. snr_db None gives gain 1.
     """
-    if not interferers:
-        raise MixError("no interferer fields to mix")
-    for f in interferers:
-        if f.order != target.order or f.rate != target.rate:
-            raise ValueError("interferer fields must match the target order and rate")
-    frames = max(target.frames, max(f.frames for f in interferers))
-    mixed = np.zeros((target.channels, frames))
-    for f in interferers:
-        mixed[:, : f.frames] += f.data
-    gain = 1.0
-    if snr_db is not None:
-        start, stop = active_range
-        start = max(0, int(start))
-        stop = min(frames, int(stop))
-        if stop <= start:
-            raise ValueError("empty target-active range")
-        target_rms = rms_array(target.w[start : min(stop, target.frames)])
-        interferer_rms = rms_array(mixed[0, start:stop])
-        if interferer_rms == 0.0:
-            raise MixError("interferer sum is silent over the target-active range")
-        if target_rms == 0.0:
-            raise MixError("target is silent over the target-active range")
-        gain = target_rms / interferer_rms * 10.0 ** (-snr_db / 20.0)
-    mixed *= gain
-    mixed[:, : target.frames] += target.data
-    return AmbiSignal(mixed, target.order, target.rate), gain
+    if snr_db is None:
+        return 1.0
+    start, stop = active_range
+    start = max(0, int(start))
+    stop = min(target_w.size, int(stop))
+    if stop <= start:
+        raise ValueError("empty target-active range")
+    target_rms = rms_array(target_w[start:stop])
+    interferer_rms = rms_array(interferer_w[start:stop])
+    if interferer_rms == 0.0:
+        raise MixError("interferer sum is silent over the target-active range")
+    if target_rms == 0.0:
+        raise MixError("target is silent over the target-active range")
+    return target_rms / interferer_rms * 10.0 ** (-snr_db / 20.0)
 
 
 def apply_trajectory(field, trajectory):
@@ -544,7 +535,7 @@ def render_scene(scene, profile=None, keep_components=False):
         source = spec.source
         if source.synth_seed is None and source.file is None:
             source = replace(source, synth_seed=child_seeds[index])
-        drys.append(source.resolve(rate))
+        drys.append(source.resolve())
         # A file's length is known only once it is read.
         end = spec.onset_s + drys[-1].size / rate
         if source.file is not None and end > MAX_SCENE_SECONDS:
@@ -557,7 +548,7 @@ def render_scene(scene, profile=None, keep_components=False):
         if index > 0 and profile.interferer_directivity == "cardioid":
             directivity, aim = "cardioid", listener - np.asarray(spec.position)
         src = SourceSpec(tuple(spec.position), directivity, aim)
-        rir = image_source_rir(room, src, listener, order, DEFAULT_RIR_SECONDS, rate=rate)
+        rir = image_source_rir(room, src, listener, order, DEFAULT_RIR_SECONDS)
         onsets.append(int(round(spec.onset_s * rate)))
         rirs.append(rir.signal.data)
 
@@ -571,16 +562,14 @@ def render_scene(scene, profile=None, keep_components=False):
     frames = placed.shape[1] + taps - 1
     active = (onsets[0], onsets[0] + drys[0].size + taps - 1)
 
-    # The W pass gives the order-0 target and interferer-sum fields, which
-    # fix the interferer gain; scaling the interferer inputs by it makes
-    # the one K-channel pass render the mixed field.
+    # The W pass gives the target and interferer-sum W signals, which fix
+    # the interferer gain; scaling the interferer inputs by it makes the
+    # one K-channel pass render the mixed field.
     w_kernels = np.zeros((2, *rirs.shape[1:]))
     w_kernels[0, 0] = rirs[0, 0]
     w_kernels[1, 1:] = rirs[0, 1:]
     target_w, interferer_w = convolve_sum(placed, w_kernels)
-    _, interferer_gain = mix_at_snr(AmbiSignal(target_w[None], 0, rate),
-                                    [AmbiSignal(interferer_w[None], 0, rate)],
-                                    scene.snr_db, active)
+    interferer_gain = mix_at_snr(target_w, interferer_w, scene.snr_db, active)
     placed[1:] *= interferer_gain
     mixed = AmbiSignal(convolve_sum(placed, rirs), order, rate)
     target_w_rms = rms_array(target_w[active[0] : active[1]])
@@ -588,8 +577,7 @@ def render_scene(scene, profile=None, keep_components=False):
                                  child_seeds[4], target_w_rms)
 
     def to_ears(field):
-        decoded = binaural_decode(apply_trajectory(field, scene.listener.trajectory),
-                                  default_hrtf_set())
+        decoded = binaural_decode(apply_trajectory(field, scene.listener.trajectory))
         return SampleBuffer(decoded.data * EAR_CALIBRATION_GAIN, rate)
 
     ears = to_ears(noisy)

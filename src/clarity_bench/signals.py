@@ -19,13 +19,14 @@ import numpy as np
 from .audio import DEFAULT_RATE, scale_to_rms
 
 TARGET_RMS = 0.05  # about -26 dBFS
+TALKER_F0 = 120.0  # Hz, the talker's mean fundamental
 
 
-def _syllabic_envelope(n, rate, rng, rate_hz=3.0, gate=0.12):
+def _syllabic_envelope(n, rng, rate_hz=3.0, gate=0.12):
     """Slow positive envelope with speech-like pauses."""
     noise = rng.standard_normal(n)
     spectrum = np.fft.rfft(noise)
-    freqs = np.fft.rfftfreq(n, 1.0 / rate)
+    freqs = np.fft.rfftfreq(n, 1.0 / DEFAULT_RATE)
     spectrum *= np.exp(-((freqs / rate_hz) ** 2))
     slow = np.fft.irfft(spectrum, n)
     slow = np.abs(slow)
@@ -33,16 +34,16 @@ def _syllabic_envelope(n, rate, rng, rate_hz=3.0, gate=0.12):
     return np.maximum(slow - gate, 0.0)
 
 
-def speech_like(duration_s, seed, rate=DEFAULT_RATE, f0=120.0):
+def speech_like(duration_s, seed):
     """Modulated harmonic complex with vibrato, pauses and frication."""
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * rate))
-    t = np.arange(n) / rate
+    n = int(round(duration_s * DEFAULT_RATE))
+    t = np.arange(n) / DEFAULT_RATE
 
     vibrato = 1.0 + 0.03 * np.sin(2.0 * np.pi * 5.0 * t + rng.uniform(0, 2 * np.pi))
-    phase = 2.0 * np.pi * np.cumsum(f0 * vibrato) / rate
+    phase = 2.0 * np.pi * np.cumsum(TALKER_F0 * vibrato) / DEFAULT_RATE
     # Re sum_k c_k z^k by Horner's rule (module docstring).
-    k_max = int(7000.0 // f0)
+    k_max = int(7000.0 // TALKER_F0)
     coeffs = np.exp(1j * rng.uniform(0, 2 * np.pi, size=k_max)) / np.arange(1, k_max + 1)
     z = np.exp(1j * phase)
     acc = np.full(n, coeffs[-1])
@@ -50,42 +51,42 @@ def speech_like(duration_s, seed, rate=DEFAULT_RATE, f0=120.0):
         acc *= z
         acc += c
     harmonics = (acc * z).real
-    voiced = harmonics * _syllabic_envelope(n, rate, rng)
+    voiced = harmonics * _syllabic_envelope(n, rng)
 
     frication = rng.standard_normal(n)
     spectrum = np.fft.rfft(frication)
-    freqs = np.fft.rfftfreq(n, 1.0 / rate)
+    freqs = np.fft.rfftfreq(n, 1.0 / DEFAULT_RATE)
     spectrum *= 1.0 / (1.0 + np.exp(-(freqs - 3000.0) / 400.0))
-    frication = np.fft.irfft(spectrum, n) * _syllabic_envelope(n, rate, rng, rate_hz=4.0)
+    frication = np.fft.irfft(spectrum, n) * _syllabic_envelope(n, rng, rate_hz=4.0)
 
     mix = voiced + 0.15 * frication * (np.abs(harmonics).mean() + 1e-12)
     return scale_to_rms(mix, TARGET_RMS)
 
 
-def noise_like(duration_s, seed, rate=DEFAULT_RATE):
+def noise_like(duration_s, seed):
     """Pink-ish stationary noise (spectrum ~ f^-0.5)."""
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * rate))
+    n = int(round(duration_s * DEFAULT_RATE))
     spectrum = np.fft.rfft(rng.standard_normal(n))
-    freqs = np.fft.rfftfreq(n, 1.0 / rate)
+    freqs = np.fft.rfftfreq(n, 1.0 / DEFAULT_RATE)
     shaping = np.ones_like(freqs)
     shaping[1:] = freqs[1:] ** -0.5
     shaping[0] = 0.0
     return scale_to_rms(np.fft.irfft(spectrum * shaping, n), TARGET_RMS)
 
 
-def music_like(duration_s, seed, rate=DEFAULT_RATE):
+def music_like(duration_s, seed):
     """Tonal arpeggio: plucked notes from a minor chord."""
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * rate))
+    n = int(round(duration_s * DEFAULT_RATE))
     chord = np.array([220.0, 261.63, 329.63, 440.0])
-    note_len = int(0.18 * rate)
+    note_len = int(0.18 * DEFAULT_RATE)
     out = np.zeros(n)
     start = 0
     while start < n:
         f = float(rng.choice(chord)) * float(rng.choice([0.5, 1.0, 1.0, 2.0]))
         length = min(note_len, n - start)
-        t = np.arange(length) / rate
+        t = np.arange(length) / DEFAULT_RATE
         env = np.exp(-t / 0.12)
         note = np.zeros(length)
         for k in range(1, 6):
@@ -100,15 +101,15 @@ _GENERATORS = {"speech": speech_like, "noise": noise_like, "music": music_like}
 SOURCE_KINDS = tuple(_GENERATORS)
 
 
-def source_signal(kind, duration_s, seed, rate=DEFAULT_RATE):
+def source_signal(kind, duration_s, seed):
     """Dispatch on the interferer/talker kind.
 
     Raises ValueError for an unknown kind or a duration that rounds to no
-    sample at `rate`."""
+    sample at DEFAULT_RATE."""
     try:
         gen = _GENERATORS[kind]
     except KeyError:
         raise ValueError(f"unknown source kind {kind!r}; expected one of {SOURCE_KINDS}")
-    if not duration_s * rate > 0.5:   # the generators round to no sample; NaN fails too
-        raise ValueError(f"duration_s {duration_s!r} is shorter than one sample at {rate} Hz")
-    return gen(duration_s, seed, rate=rate)
+    if not duration_s * DEFAULT_RATE > 0.5:   # the generators round to no sample; NaN fails too
+        raise ValueError(f"duration_s {duration_s!r} is shorter than one sample at {DEFAULT_RATE} Hz")
+    return gen(duration_s, seed)

@@ -11,25 +11,15 @@ from clarity_bench.ambisonics import (
     MAX_ORDER,
     AmbiSignal,
     acn_index,
-    binaural_decode,
     fibonacci_directions,
     num_channels,
     sh_eval,
     truncate,
 )
 from clarity_bench.audio import SampleBuffer, mono
-from clarity_bench.errors import RateMismatchError
-from clarity_bench.hrtf import HrtfSet, build_hrtf_set, default_hrtf_set
+from clarity_bench.hrtf import DEFAULT_TAPS, HrtfSet, binaural_decode, decoder_bank, default_hrtf_set
 
 from ambisonic_oracles import encode, yaw_rotation
-
-
-def delta_hrtfs(count=64, taps=8):
-    """Identical unit-impulse filters both ears at `count` Fibonacci directions."""
-    az, el = fibonacci_directions(count)
-    firs = np.zeros((count, taps))
-    firs[:, 0] = 1.0
-    return HrtfSet(azimuths=az, elevations=el, left=firs, right=firs.copy(), rate=16000)
 
 
 def test_sh_order0_is_one():
@@ -175,32 +165,33 @@ def test_truncate_commutes_with_zeroing_high_degrees():
     zeroed = sig.data.copy()
     zeroed[4:] = 0.0
     zeroed_sig = AmbiSignal(zeroed, 6, 16000)
-    hrtfs = delta_hrtfs()
-    a = binaural_decode(truncate(sig, 1), hrtfs)
-    b = binaural_decode(truncate(zeroed_sig, 1), hrtfs)
+    a = binaural_decode(truncate(sig, 1))
+    b = binaural_decode(truncate(zeroed_sig, 1))
     assert np.array_equal(a.data, b.data)
     # Decoding the zeroed field at its original order uses the order-6
     # pseudo-inverse; on a finite quasi-uniform grid that differs from the
     # order-1 decode by a small cross-degree leakage term.
-    c = binaural_decode(zeroed_sig, hrtfs)
+    c = binaural_decode(zeroed_sig)
     peak = np.max(np.abs(c.data))
     assert np.max(np.abs(a.data - c.data)) < 0.05 * peak
 
 
 def test_decode_all_delta_hrtfs_keeps_energy():
-    rng = np.random.default_rng(6)
-    x = rng.uniform(-1, 1, 2000)
-    field = encode(mono(x), 0.0, 0.0, 6)
-    ears = binaural_decode(field, delta_hrtfs())
+    # Far below the head-shadow shelf and with ITDs of a few degrees of
+    # phase, every HRTF of the set is a unit-gain delay: at 100 Hz the set
+    # acts as delta HRTFs, and the pseudo-inverse decode keeps the level.
+    x = np.sin(2 * np.pi * 100.0 * np.arange(4000) / 16000)
     mono_energy = np.sum(x**2)
-    for ch in range(2):
-        energy = np.sum(ears.channel(ch) ** 2)
-        assert abs(10 * np.log10(energy / mono_energy)) < 1.0
+    for order, az, el in ((6, 0.0, 0.0), (6, 1.0, 0.3), (1, np.pi / 2, 0.0), (3, 2.5, -0.7)):
+        ears = binaural_decode(encode(mono(x), az, el, order))
+        for ch in range(2):
+            energy = np.sum(ears.channel(ch) ** 2)
+            assert abs(10 * np.log10(energy / mono_energy)) < 1.0
 
 
 def test_decode_zero_field():
     field = AmbiSignal(np.zeros((49, 100)), 6, 16000)
-    ears = binaural_decode(field, delta_hrtfs())
+    ears = binaural_decode(field)
     assert not np.any(ears.data)
 
 
@@ -208,16 +199,16 @@ def test_decode_linearity():
     rng = np.random.default_rng(12)
     a = AmbiSignal(rng.uniform(-1, 1, (16, 80)), 3, 16000)
     b = AmbiSignal(rng.uniform(-1, 1, (16, 80)), 3, 16000)
-    hrtfs = delta_hrtfs()
-    lhs = binaural_decode(AmbiSignal(a.data + b.data, 3, 16000), hrtfs)
-    rhs = binaural_decode(a, hrtfs).data + binaural_decode(b, hrtfs).data
+    lhs = binaural_decode(AmbiSignal(a.data + b.data, 3, 16000))
+    rhs = binaural_decode(a).data + binaural_decode(b).data
     assert np.max(np.abs(lhs.data - rhs)) < 1e-9
 
 
 def test_decode_under_determined_grid():
-    field = AmbiSignal(np.zeros((16, 10)), 3, 16000)
-    with pytest.raises(ValueError, match="9 directions cannot decode 16 channels"):
-        binaural_decode(field, delta_hrtfs(9))
+    # Order 7's 64 channels fill the 64 directions; order 8 needs 81.
+    field = AmbiSignal(np.zeros((81, 10)), 8, 16000)
+    with pytest.raises(ValueError, match="64 directions cannot decode 81 channels"):
+        binaural_decode(field)
 
 
 def test_fibonacci_grid_is_deterministic_and_unit():
@@ -305,27 +296,27 @@ def test_sh_eval_sectoral_terms_stay_accurate_near_the_poles():
 @pytest.mark.parametrize("order", range(1, 7))
 def test_binaural_decode_equals_speaker_feed_decode(order):
     rng = np.random.default_rng(order)
-    hrtfs = default_hrtf_set()
     field = AmbiSignal(rng.uniform(-1, 1, (num_channels(order), 500)), order, 16000)
-    ears = binaural_decode(field, hrtfs)
-    expected = speaker_feed_decode(field, hrtfs)
-    assert ears.data.shape == expected.shape == (2, 500 + hrtfs.taps - 1)
+    ears = binaural_decode(field)
+    expected = speaker_feed_decode(field, default_hrtf_set())
+    assert ears.data.shape == expected.shape == (2, 500 + DEFAULT_TAPS - 1)
     assert np.max(np.abs(ears.data - expected)) < 1e-12
 
 
 def test_binaural_decode_uses_the_sets_own_directions():
-    # 50 directions, none on the default 64-point layout: the decode must
-    # place its virtual loudspeakers exactly there.
+    # The virtual loudspeakers sit exactly on the set's directions: the
+    # oracle with the same FIRs on a layout turned by 0.3 rad is far off.
     rng = np.random.default_rng(50)
-    az, el = fibonacci_directions(50)
-    hrtfs = build_hrtf_set(az + 0.3, el)
+    hrtfs = default_hrtf_set()
+    turned = HrtfSet(hrtfs.azimuths + 0.3, hrtfs.elevations, hrtfs.left, hrtfs.right)
     field = AmbiSignal(rng.uniform(-1, 1, (49, 700)), 6, 16000)
-    ears = binaural_decode(field, hrtfs)
+    ears = binaural_decode(field)
     assert np.max(np.abs(ears.data - speaker_feed_decode(field, hrtfs))) < 1e-12
+    assert np.max(np.abs(ears.data - speaker_feed_decode(field, turned))) > 1e-3
 
 
 def test_ambisonics_builds_no_decode_grid():
-    # The virtual-loudspeaker layout is the HrtfSet's; ambisonics neither
+    # The virtual-loudspeaker layout is the HRTF set's; ambisonics neither
     # builds a direction set nor names a grid or its size.
     import ast
     import pathlib
@@ -342,28 +333,16 @@ def test_ambisonics_builds_no_decode_grid():
         assert not (isinstance(node, ast.Constant) and node.value == 64), node.lineno
 
 
-def test_binaural_decode_rejects_hrtfs_at_another_rate():
-    field = AmbiSignal(np.zeros((4, 100)), 1, 16000)
-    hrtfs = default_hrtf_set()
-    at_48k = HrtfSet(azimuths=hrtfs.azimuths, elevations=hrtfs.elevations,
-                     left=hrtfs.left, right=hrtfs.right, rate=48000)
-    with pytest.raises(RateMismatchError, match="48000"):
-        binaural_decode(field, at_48k)
-
-
 def test_binaural_decode_builds_filters_once_per_order_and_grid(monkeypatch):
-    hrtfs = build_hrtf_set(*fibonacci_directions(64))   # fresh: the default set is shared
+    decoder_bank.cache_clear()   # the banks are shared per process
     calls = []
     pinv = np.linalg.pinv
     monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a.shape) or pinv(a))
     for order in (1, 1, 2, 1):
-        binaural_decode(AmbiSignal(np.ones((num_channels(order), 50)), order, 16000), hrtfs)
+        binaural_decode(AmbiSignal(np.ones((num_channels(order), 50)), order, 16000))
     assert calls == [(64, 4), (64, 9)]
-    assert sorted(hrtfs._decoders) == [1, 2]
-    binaural_decode(AmbiSignal(np.ones((4, 50)), 1, 16000), delta_hrtfs(10))
-    assert calls[2:] == [(10, 4)]
-    binaural_decode(AmbiSignal(np.ones((4, 50)), 1, 16000), build_hrtf_set(*fibonacci_directions(64)))
-    assert len(calls) == 4   # a new HrtfSet builds its own
+    assert decoder_bank(2).shape == (2, 9, DEFAULT_TAPS)
+    assert not decoder_bank(1).flags.writeable
 
 
 def test_binaural_decode_shares_one_filter_bank_across_threads():
@@ -371,16 +350,16 @@ def test_binaural_decode_shares_one_filter_bank_across_threads():
     from concurrent.futures import ThreadPoolExecutor
 
     rng = np.random.default_rng(9)
-    hrtfs = build_hrtf_set(*fibonacci_directions(64))   # fresh: the default set is shared
+    decoder_bank.cache_clear()   # the threads race to build the bank
     field = AmbiSignal(rng.uniform(-1, 1, (16, 2500)), 3, 16000)   # several decode blocks
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(8) as pool:
-            futures = [pool.submit(binaural_decode, field, hrtfs) for _ in range(16)]
+            futures = [pool.submit(binaural_decode, field) for _ in range(16)]
             results = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert len(hrtfs._decoders) == 1
+    assert decoder_bank.cache_info().currsize == 1
     assert all(np.array_equal(r.data, results[0].data) for r in results)
-    assert np.max(np.abs(results[0].data - speaker_feed_decode(field, hrtfs))) < 1e-12
+    assert np.max(np.abs(results[0].data - speaker_feed_decode(field, default_hrtf_set()))) < 1e-12

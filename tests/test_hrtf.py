@@ -10,7 +10,6 @@ from scipy.signal import lfilter
 from clarity_bench.hrtf import (
     DEFAULT_TAPS,
     HEAD_RADIUS,
-    HrtfSet,
     _fractional_delay,
     _head_shadow,
     default_hrtf_set,
@@ -81,18 +80,11 @@ def test_head_shadow_dc_gain_unity():
         assert abs(np.sum(out) - 1.0) < 1e-9
 
 
-def test_empty_set_rejected():
-    with pytest.raises(ValueError):
-        HrtfSet(
-            azimuths=np.array([]), elevations=np.array([]),
-            left=np.zeros((0, 8)), right=np.zeros((0, 8)), rate=16000,
-        )
-
-
 def test_default_set_covers_decode_grid():
     hs = default_hrtf_set()
-    assert hs.azimuths.size == 64
-    assert hs.taps == 64
+    assert hs.azimuths.size == hs.elevations.size == 64
+    assert hs.left.shape == hs.right.shape == (64, DEFAULT_TAPS) == (64, 64)
+    assert not any(a.flags.writeable for a in (hs.azimuths, hs.elevations, hs.left, hs.right))
 
 
 def lfilter_shadow(fir, cos_inc):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from clarity_bench.audio import REFERENCE_RMS, convolve_channels, scale_to_rms
-from clarity_bench.errors import AlignmentError
 from clarity_bench.metrics import (
     CENTER_FREQUENCIES,
     ENVELOPE_CUTOFF,
@@ -13,11 +12,11 @@ from clarity_bench.metrics import (
     EarScore,
     MetricScore,
     _aligned_slices,
+    _db,
     _envelope_correlation,
-    _envelopes,
     _gammatone_bank,
     _gammatone_kernels,
-    _xcorr_best_lag,
+    _smoothed,
     audiogram_band_attenuation,
     better_ear,
     combined_score,
@@ -87,7 +86,7 @@ def test_gammatone_rejects_low_rate():
 
 
 def test_envelope_silence_sits_at_floor():
-    env = _envelopes(np.zeros(RATE), RATE)
+    env = _db(_smoothed(np.zeros(RATE), RATE))
     assert env.shape[0] == 256
     assert np.all(env == -80.0)
 
@@ -95,7 +94,7 @@ def test_envelope_silence_sits_at_floor():
 def test_envelope_constant_tone_is_flat():
     t = np.arange(RATE) / RATE
     tone = 0.5 * np.sin(2 * np.pi * 1000 * t)
-    env = _envelopes(tone, RATE)
+    env = _db(_smoothed(tone, RATE))
     settled = env[30:]  # past 100 ms of filter settling
     assert settled.max() - settled.min() < 2.0
     assert np.abs(settled - np.median(settled)).max() < 1.0
@@ -105,7 +104,7 @@ def test_envelope_tracks_4hz_modulation():
     t = np.arange(2 * RATE) / RATE
     carrier = np.sin(2 * np.pi * 1000 * t)
     am = (1.0 + 0.8 * np.sin(2 * np.pi * 4.0 * t)) * carrier
-    env = _envelopes(0.3 * am, RATE)
+    env = _db(_smoothed(0.3 * am, RATE))
     env = env - env.mean()
     spectrum = np.abs(np.fft.rfft(env * np.hanning(env.size)))
     freqs = np.fft.rfftfreq(env.size, 1 / 256.0)
@@ -120,20 +119,22 @@ def test_align_identical_and_shifted():
         (np.concatenate([np.zeros(63), x]), x),    # proc delayed by 63
         (x[63:], x[63:]),                          # proc advanced by 63
     ):
-        r_slice, p_slice = _aligned_slices(x, proc)
+        (r_slice, p_slice), = _aligned_slices(x, proc[None])
         assert np.array_equal(x[r_slice], ref_seg)
         assert np.array_equal(proc[p_slice], ref_seg)
 
 
 def test_align_degenerate_and_bad_lag():
-    # All-zero input has no correlation peak, so the pair falls back to lag 0.
-    r_slice, p_slice = _aligned_slices(np.zeros(100), np.ones(100))
-    assert (r_slice, p_slice) == (slice(0, 100), slice(0, 100))
-    with pytest.raises(AlignmentError):
-        _xcorr_best_lag(np.zeros(100), np.ones(100), -10, 10)
+    # All-zero input has no correlation peak, so the pair falls back to lag
+    # 0; in a batch only the degenerate row does.
+    assert _aligned_slices(np.zeros(100), np.ones((2, 100))) == [(slice(0, 100), slice(0, 100))] * 2
+    x = speech(1.0, seed=3)
+    rows = np.stack([np.zeros(x.size + 63), np.concatenate([np.zeros(63), x])])
+    assert _aligned_slices(x, rows) == [(slice(0, x.size), slice(0, x.size)),
+                                        (slice(0, x.size), slice(63, x.size + 63))]
     # No lag leaves 90% of the reference overlapping.
     with pytest.raises(ValueError, match="90%"):
-        _aligned_slices(np.ones(100), np.ones(89))
+        _aligned_slices(np.ones(100), np.ones((1, 89)))
 
 
 def test_intelligibility_identity():
@@ -262,9 +263,9 @@ def test_each_score_filters_each_signal_once(monkeypatch, score):
 def test_envelope_is_one_row_of_the_multiband_envelopes():
     bands = gammatone_bands(speech(1.0, seed=16), rate=RATE)
     assert bands.shape[0] == 32
-    envelopes = _envelopes(bands, RATE)
+    envelopes = _db(_smoothed(bands, RATE))
     for k, row in enumerate(bands):
-        assert np.array_equal(_envelopes(row, RATE), envelopes[k])
+        assert np.array_equal(_db(_smoothed(row, RATE)), envelopes[k])
 
 
 def test_envelope_decimation_equals_np_interp():
@@ -275,7 +276,7 @@ def test_envelope_decimation_equals_np_interp():
     smooth = lfilter(b, a, np.maximum(band, 0.0))
     positions = np.arange(256) * (RATE / 256.0)
     expected = 20.0 * np.log10(np.maximum(np.interp(positions, np.arange(band.size), smooth), 1e-4))
-    assert np.array_equal(_envelopes(band, RATE), expected)
+    assert np.array_equal(_db(_smoothed(band, RATE)), expected)
 
 
 def test_quality_correlation_term_is_intelligibility_of_normalized_pair():
@@ -342,8 +343,8 @@ def test_two_ear_call_equals_the_per_ear_calls(score, kwargs, ears):
 
 
 def test_two_ear_test_signals_align_as_intended():
-    shared = [_aligned_slices(X, row)[0] for row in SHARED]
-    apart = [_aligned_slices(X, row)[0] for row in APART]
+    shared = [r for r, _ in _aligned_slices(X, SHARED)]
+    apart = [r for r, _ in _aligned_slices(X, APART)]
     assert shared == [slice(0, X.size)] * 2
     assert apart == [slice(0, X.size - 40), slice(60, X.size)]
 
@@ -391,6 +392,36 @@ def test_two_ear_scores_are_the_per_ear_scores_and_bounded(n, extra, lags, gains
         assert all(0.0 <= v <= 1.0 for v in both)
 
 
+def per_ear_slices(r, p):
+    """One ear aligned alone, as before the ears shared a cross-correlation:
+    its own convolve_channels with the reversed reference, peak over the
+    lags that keep 90% overlap, lag 0 when either signal is all zero."""
+    needed = int(np.ceil(0.9 * r.size))
+    lag = 0
+    if np.linalg.norm(r) * np.linalg.norm(p) != 0.0:
+        corr = convolve_channels(p, r[::-1])
+        center = r.size - 1
+        lo = max(0, center - (r.size - needed))
+        hi = min(corr.size, center + p.size - needed + 1)
+        lag = int(np.argmax(corr[lo:hi])) + lo - center
+    if lag >= 0:
+        overlap = min(r.size, p.size - lag)
+        return slice(0, overlap), slice(lag, lag + overlap)
+    overlap = min(r.size + lag, p.size)
+    return slice(-lag, -lag + overlap), slice(0, overlap)
+
+
+@settings(max_examples=15, deadline=None)
+@TWO_EAR_DRAWS
+def test_one_cross_correlation_aligns_each_ear_as_alone(n, extra, lags, gains, noise, seed):
+    x = LONG_SPEECH[:n]
+    ears = two_ears(x, lags, n + extra, gains, noise, seed)
+    batched = convolve_channels(ears, x[::-1])
+    for row, corr in zip(ears, batched):
+        assert np.array_equal(corr, convolve_channels(row, x[::-1]))
+    assert _aligned_slices(x, ears) == [per_ear_slices(x, row) for row in ears]
+
+
 def prescaled_front_end(ref, proc, ear_levels, quality):
     """One ear's front end for one metric, the quality gain applied to the
     waveforms: the quality path scales both to REFERENCE_RMS first and
@@ -398,13 +429,13 @@ def prescaled_front_end(ref, proc, ear_levels, quality):
     ref dB band levels, proc dB band levels, lag)."""
     if quality:
         ref, proc = scale_to_rms(ref, REFERENCE_RMS), scale_to_rms(proc, REFERENCE_RMS)
-    r_slice, p_slice = _aligned_slices(ref, proc)
+    r_slice, p_slice = per_ear_slices(ref, proc)
     attenuation = audiogram_band_attenuation(ear_levels, CENTER_FREQUENCIES)
     ref_bands = gammatone_bands(ref[r_slice], RATE)
     proc_bands = gammatone_bands(proc[p_slice], RATE) * 10.0 ** (-attenuation[:, None] / 20.0)
     levels = [20.0 * np.log10(np.maximum(np.sqrt(np.mean(b**2, axis=1)), 1e-4))
               for b in (ref_bands, proc_bands)]
-    return (_envelopes(ref_bands, RATE), _envelopes(proc_bands, RATE), *levels,
+    return (_db(_smoothed(ref_bands, RATE)), _db(_smoothed(proc_bands, RATE)), *levels,
             p_slice.start - r_slice.start)
 
 
@@ -439,7 +470,7 @@ def test_ear_scores_gather_both_scores_and_the_lags(ears):
     assert [e.haspi_like for e in got] == list(intelligibility_score(X, ears, EAR_ROWS))
     terms = quality_score(X, ears, EAR_ROWS, return_terms=True)
     assert [(e.hasqi_like, e.hasqi_like_correlation, e.hasqi_like_spectral) for e in got] == list(terms)
-    lags = [p.start - r.start for r, p in (_aligned_slices(X, row) for row in ears)]
+    lags = [p.start - r.start for r, p in (per_ear_slices(X, row) for row in ears)]
     assert [e.lag for e in got] == lags == ([40, 70] if ears is SHARED else [40, -60])
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from clarity_bench.audio import DEFAULT_RATE, scale_to_rms
 from clarity_bench.signals import (
+    TALKER_F0,
     TARGET_RMS,
     _syllabic_envelope,
     music_like,
@@ -14,23 +15,23 @@ from clarity_bench.signals import (
 )
 
 
-def per_harmonic_speech_like(duration_s, seed, rate=DEFAULT_RATE, f0=120.0):
+def per_harmonic_speech_like(duration_s, seed):
     """speech_like with one full-length cosine per harmonic, each phase drawn
     as its own scalar: the form the harmonic recurrence replaced."""
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * rate))
-    t = np.arange(n) / rate
+    n = int(round(duration_s * DEFAULT_RATE))
+    t = np.arange(n) / DEFAULT_RATE
     vibrato = 1.0 + 0.03 * np.sin(2.0 * np.pi * 5.0 * t + rng.uniform(0, 2 * np.pi))
-    phase = 2.0 * np.pi * np.cumsum(f0 * vibrato) / rate
+    phase = 2.0 * np.pi * np.cumsum(TALKER_F0 * vibrato) / DEFAULT_RATE
     harmonics = np.zeros(n)
-    for k in range(1, int(7000.0 // f0) + 1):
+    for k in range(1, int(7000.0 // TALKER_F0) + 1):
         harmonics += (1.0 / k) * np.cos(k * phase + rng.uniform(0, 2 * np.pi))
-    voiced = harmonics * _syllabic_envelope(n, rate, rng)
+    voiced = harmonics * _syllabic_envelope(n, rng)
     frication = rng.standard_normal(n)
     spectrum = np.fft.rfft(frication)
-    freqs = np.fft.rfftfreq(n, 1.0 / rate)
+    freqs = np.fft.rfftfreq(n, 1.0 / DEFAULT_RATE)
     spectrum *= 1.0 / (1.0 + np.exp(-(freqs - 3000.0) / 400.0))
-    frication = np.fft.irfft(spectrum, n) * _syllabic_envelope(n, rate, rng, rate_hz=4.0)
+    frication = np.fft.irfft(spectrum, n) * _syllabic_envelope(n, rng, rate_hz=4.0)
     mix = voiced + 0.15 * frication * (np.abs(harmonics).mean() + 1e-12)
     return scale_to_rms(mix, TARGET_RMS)
 
