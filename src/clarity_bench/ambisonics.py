@@ -81,28 +81,28 @@ def sh_eval(order, azimuth, elevation):
 
 @dataclass(frozen=True)
 class AmbiSignal:
-    """Order-N Ambisonic signal: (N+1)^2 channels in ACN order, SN3D.
+    """Ambisonic signal at audio.DEFAULT_RATE: (N+1)^2 channels in ACN
+    order, SN3D, for an order N >= 0 read off the channel count.
 
     data has shape ((order+1)**2, frames); all channels share one length.
     """
 
     data: np.ndarray
-    order: int
-    rate: int
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
         if arr.ndim != 2:
             raise ValueError("AmbiSignal data must be 2-D (channels, frames)")
-        if arr.shape[0] != num_channels(self.order):
+        if arr.shape[0] < 1 or math.isqrt(arr.shape[0]) ** 2 != arr.shape[0]:
             raise ValueError(
-                f"order {self.order} needs {num_channels(self.order)} channels, "
-                f"got {arr.shape[0]}"
+                f"an Ambisonic signal has (order+1)^2 channels, got {arr.shape[0]}"
             )
-        if self.rate <= 0:
-            raise ValueError("rate must be > 0")
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
+
+    @property
+    def order(self):
+        return math.isqrt(self.channels) - 1
 
     @property
     def channels(self):
@@ -124,7 +124,7 @@ def truncate(signal, new_order):
         raise ValueError(
             f"cannot truncate order {signal.order} signal to higher order {new_order}"
         )
-    return AmbiSignal(signal.data[: num_channels(new_order)], new_order, signal.rate)
+    return AmbiSignal(signal.data[: num_channels(new_order)])
 
 
 def fibonacci_directions(count):

@@ -1,8 +1,9 @@
 """Signal containers, WAV I/O and the convolution and level primitives.
 
 All internal DSP runs in float64; float32 appears only at file boundaries.
-The pipeline sample rate defaults to 16 kHz and is carried explicitly on
-every buffer, so modules never have to guess.
+The program runs at one sample rate, DEFAULT_RATE (16 kHz). Buffers do
+not carry it; read_wav checks it where audio files enter, and write_wav
+writes it into every header.
 
 There are two convolutions. convolve_sum filters many inputs into many
 outputs block by block (overlap-save); the renderer's multichannel
@@ -37,26 +38,21 @@ REFERENCE_RMS = 10.0 ** (-26.0 / 20.0)
 
 @dataclass(frozen=True)
 class SampleBuffer:
-    """Multichannel sampled audio.
+    """Multichannel sampled audio at DEFAULT_RATE.
 
     Parameters
     ----------
     data : ndarray, shape (channels, frames)
         Amplitude values, nominally within [-1, 1]. Stored as float64 and
         marked read-only; buffers are immutable once constructed.
-    rate : int
-        Sample rate in Hz, > 0.
     """
 
     data: np.ndarray
-    rate: int
 
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.data, dtype=np.float64))
         if arr.ndim != 2:
             raise ValueError(f"expected 1-D or 2-D sample data, got ndim={arr.ndim}")
-        if self.rate <= 0:
-            raise ValueError(f"sample rate must be > 0, got {self.rate}")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
@@ -69,34 +65,24 @@ class SampleBuffer:
     def frames(self):
         return self.data.shape[1]
 
-    @property
-    def duration(self):
-        """Length in seconds."""
-        return self.frames / self.rate
-
     def channel(self, index):
         """Return one channel as a read-only 1-D array."""
         return self.data[index]
 
 
-def mono(samples, rate=DEFAULT_RATE):
+def mono(samples):
     """Wrap a 1-D array as a single-channel SampleBuffer."""
-    return SampleBuffer(np.asarray(samples, dtype=np.float64)[None, :], rate)
+    return SampleBuffer(np.asarray(samples, dtype=np.float64)[None, :])
 
 
-def read_wav(path, expected_rate=None):
+def read_wav(path):
     """Read a RIFF/WAVE file into a SampleBuffer.
 
     Supports little-endian PCM 16-bit integer and IEEE float32. 16-bit
     samples are scaled by 1/32768 into [-1, 1). A NaN or infinite sample
-    raises FormatError.
-
-    Parameters
-    ----------
-    path : str or Path
-    expected_rate : int, optional
-        When given, a file at any other rate raises RateMismatchError
-        (there is deliberately no resampler in this pipeline).
+    raises FormatError; a file at any rate but DEFAULT_RATE raises
+    RateMismatchError (there is deliberately no resampler in this
+    pipeline).
     """
     try:
         rate, data = wavfile.read(str(path))
@@ -115,21 +101,22 @@ def read_wav(path, expected_rate=None):
         )
     if not np.isfinite(scaled).all():
         raise FormatError(f"{path}: holds a NaN or infinite sample")
-    if expected_rate is not None and rate != expected_rate:
+    if rate != DEFAULT_RATE:
         raise RateMismatchError(
-            f"{path}: rate {rate} Hz but pipeline demands {expected_rate} Hz"
+            f"{path}: rate {rate} Hz but pipeline demands {DEFAULT_RATE} Hz"
         )
     if scaled.ndim == 1:
         scaled = scaled[:, None]
-    return SampleBuffer(scaled.T, rate)
+    return SampleBuffer(scaled.T)
 
 
 def write_wav(path, buffer):
-    """Write a SampleBuffer as IEEE float32 WAV (interleaved, little-endian).
+    """Write a SampleBuffer as IEEE float32 WAV (interleaved, little-endian)
+    at DEFAULT_RATE.
 
     Float32 round-trips bit-exactly through read_wav.
     """
-    wavfile.write(str(path), buffer.rate, buffer.data.T.astype(np.float32))
+    wavfile.write(str(path), DEFAULT_RATE, buffer.data.T.astype(np.float32))
 
 
 def convolve_channels(data, kernels):

@@ -10,7 +10,7 @@ class FormatError(ClarityBenchError):
 
 
 class RateMismatchError(ClarityBenchError):
-    """An audio file's sample rate differs from the rate the caller demands."""
+    """An audio file whose sample rate is not audio.DEFAULT_RATE."""
 
 
 class MixError(ClarityBenchError):

@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .audio import read_wav
+from .audio import DEFAULT_RATE, read_wav
 from .errors import StatisticsError
 from .hearing_aid import EARS, amplify, flat_audiogram
 from .metrics import better_ear, combined_score, ear_scores
@@ -209,8 +209,9 @@ def _dataset_entries(manifest, path):
         raise ValueError(f"{path}: 'scenes' must be a list")
     if not scenes:
         raise ValueError(f"{path}: dataset has no scenes")
-    if not isinstance(manifest.get("rate"), int):
-        raise ValueError(f"{path}: 'rate' must be an integer")
+    rate = manifest.get("rate")
+    if type(rate) is not int or rate != DEFAULT_RATE:
+        raise ValueError(f"{path}: 'rate' must be the integer {DEFAULT_RATE}, got {rate!r}")
     base = os.path.dirname(os.path.abspath(path))
     entries = []
     for index, entry in enumerate(scenes):
@@ -235,22 +236,24 @@ def score_dataset(manifest_path, audiogram=None):
     metric keeps its better ear. The record also holds every field of
     each ear's EarScore (haspi_like_left, hasqi_like_correlation_left,
     lag_left, ..., lag_right) and counts the samples amplification
-    clipped. Rows come back sorted by scene id.
+    clipped. Rows come back sorted by scene id. The manifest's 'rate' must
+    be DEFAULT_RATE and every reference mono, else ValueError.
     """
     audiogram = audiogram or flat_audiogram(40.0)
     with open(manifest_path, encoding="utf-8") as fp:
         manifest = json.load(fp)
     entries = _dataset_entries(manifest, manifest_path)
-    rate = manifest["rate"]
     levels = np.stack([audiogram.ear(ear) for ear in EARS])
 
     def score_one(entry):
         scene_id, mix_path, reference_path = entry
-        ears = read_wav(mix_path, expected_rate=rate)
-        reference = read_wav(reference_path, expected_rate=rate)
+        ears = read_wav(mix_path)
+        reference = read_wav(reference_path)
+        if reference.channels != 1:
+            raise ValueError(f"{scene_id}: reference {reference_path} has "
+                             f"{reference.channels} channels, expected mono")
         amplified = amplify(ears, audiogram)
-        ref = reference.channel(0)
-        per_ear = ear_scores(ref, amplified.ears.data, levels, rate=rate)
+        per_ear = ear_scores(reference.channel(0), amplified.ears.data, levels)
         score = combined_score(better_ear(*(e.haspi_like for e in per_ear)),
                                better_ear(*(e.hasqi_like for e in per_ear)))
         record = {

@@ -123,9 +123,9 @@ def _target_db(curve, freqs):
     return np.interp(np.log(f), np.log(curve.frequencies), curve.gains_db)
 
 
-def design_fir(curve, rate=DEFAULT_RATE):
-    """Linear-phase FIR of DEFAULT_TAPS taps matching a gain curve, by
-    frequency sampling.
+def design_fir(curve):
+    """Linear-phase FIR of DEFAULT_TAPS taps at DEFAULT_RATE matching a
+    gain curve, by frequency sampling.
 
     The target magnitude is sampled on the DEFAULT_TAPS-point DFT grid,
     inverted as a zero-phase response and delayed by (DEFAULT_TAPS-1)/2.
@@ -134,7 +134,7 @@ def design_fir(curve, rate=DEFAULT_RATE):
     """
     taps = DEFAULT_TAPS
     half = (taps - 1) // 2
-    bin_freqs = np.arange(taps // 2 + 1) * rate / taps
+    bin_freqs = np.arange(taps // 2 + 1) * DEFAULT_RATE / taps
     magnitude = 10.0 ** (_target_db(curve, bin_freqs) / 20.0)
     spectrum = np.concatenate([magnitude, magnitude[-1:0:-1]])
     zero_phase = np.fft.ifft(spectrum).real
@@ -161,13 +161,7 @@ def amplify(ears, audiogram):
     """
     if ears.channels != 2:
         raise ValueError(f"amplify expects a stereo buffer, got {ears.channels} channels")
-    firs = np.stack([
-        design_fir(nalr_gains(audiogram, ear), rate=ears.rate)
-        for ear in EARS
-    ])
+    firs = np.stack([design_fir(nalr_gains(audiogram, ear)) for ear in EARS])
     out = convolve_channels(ears.data, firs)
     clipped = int(np.count_nonzero(np.abs(out) > 1.0))
-    return AmplifyResult(
-        ears=SampleBuffer(np.clip(out, -1.0, 1.0), ears.rate),
-        clipped=clipped,
-    )
+    return AmplifyResult(ears=SampleBuffer(np.clip(out, -1.0, 1.0)), clipped=clipped)

@@ -154,7 +154,7 @@ def binaural_decode(field):
     """Render an AmbiSignal to two ears through the default set's virtual
     loudspeakers (module docstring).
 
-    Returns a 2-channel SampleBuffer (left, right) at the field's rate,
-    frames + DEFAULT_TAPS - 1 long. Raises ValueError for an order above 7.
+    Returns a 2-channel SampleBuffer (left, right), frames + DEFAULT_TAPS - 1
+    long. Raises ValueError for an order above 7.
     """
-    return SampleBuffer(convolve_sum(field.data, decoder_bank(field.order)), field.rate)
+    return SampleBuffer(convolve_sum(field.data, decoder_bank(field.order)))

@@ -32,31 +32,30 @@ fewer than 50 audible frames is left out.
 These numbers are the module constants below (BANDS, FMIN, FMAX,
 ENVELOPE_RATE, ENVELOPE_CUTOFF, FLOOR_DB, AUDIBILITY_DB, MIN_FRAMES,
 SPECTRAL_SCALE_DB). They are not parameters: like the challenge, which
-fixed its evaluation model, every signal is scored by the same front end.
-Only the sample rate is an argument, since it comes with the data.
+fixed its evaluation model, every signal is scored by the same front end,
+and every signal is a plain array at audio.DEFAULT_RATE.
 
-The gammatone bank is an audio.KernelBank: its 32 kernels' spectrum is
-memoized at the last FFT length used, so the three passes of a scene at
-one length transform the kernels once. It keeps the bits of
-audio.convolve_channels(kernels, signal), the convolution the scores
-were pinned to, because it multiplies the same spectra in the same
-order. The alignment cross-correlation is audio.convolve_channels
-itself, of all rows at once. The envelope low-pass stays a recursive
-filter (scipy.signal butter + lfilter): convolving with the biquad's
-impulse response, cut where it falls below 1e-18 (4,163 taps), matches
-lfilter within 1e-13 but is about 3x slower, 0.020 s against 0.006 s
-per 32-band call at 28,800 frames and 0.032 s against 0.010 s at 51,000
-frames (one thread).
+The gammatone bank, built once per process, is an audio.KernelBank: its
+32 kernels' spectrum is memoized at the last FFT length used, so the
+three passes of a scene at one length transform the kernels once. It
+keeps the bits of audio.convolve_channels(kernels, signal), the
+convolution the scores were pinned to, because it multiplies the same
+spectra in the same order. The alignment cross-correlation is
+audio.convolve_channels itself, of all rows at once. The envelope
+low-pass stays a recursive filter (scipy.signal butter + lfilter):
+convolving with the biquad's impulse response, cut where it falls below
+1e-18 (4,163 taps), matches lfilter within 1e-13 but is about 3x slower,
+0.020 s against 0.006 s per 32-band call at 28,800 frames and 0.032 s
+against 0.010 s at 51,000 frames (one thread).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
 from scipy.signal import butter, lfilter
 
-from .audio import REFERENCE_RMS, KernelBank, SampleBuffer, convolve_channels, rms_array
+from .audio import DEFAULT_RATE, REFERENCE_RMS, KernelBank, convolve_channels, rms_array
 from .hearing_aid import AUDIOGRAM_FREQUENCIES
 
 _ERB_SLOPE = 4.37e-3   # per Hz
@@ -104,10 +103,10 @@ _GAMMATONE_BW3 = 2.0 * np.sqrt(2.0 ** 0.25 - 1.0)
 _BANDWIDTH_SCALE = 1.019
 
 
-def _gammatone_kernels(rate):
+def _gammatone_kernels():
     """FIR kernels (bands x taps) with unit magnitude at each centre."""
-    length = int(round(0.128 * rate))
-    t = np.arange(length) / rate
+    length = int(round(0.128 * DEFAULT_RATE))
+    t = np.arange(length) / DEFAULT_RATE
     kernels = np.empty((BANDS, length))
     for i, fc in enumerate(CENTER_FREQUENCIES):
         b = _BANDWIDTH_SCALE * float(erb(fc)) / _GAMMATONE_BW3
@@ -118,53 +117,37 @@ def _gammatone_kernels(rate):
     return kernels
 
 
-@lru_cache(maxsize=8)
-def _gammatone_bank(rate):
-    return KernelBank(_gammatone_kernels(rate))
+_GAMMATONE_BANK = KernelBank(_gammatone_kernels())
+_ENVELOPE_SMOOTHER = butter(2, ENVELOPE_CUTOFF, fs=DEFAULT_RATE)
 
 
 def _as_mono_array(signal):
-    if isinstance(signal, SampleBuffer):
-        if signal.channels != 1:
-            raise ValueError("expected a mono signal")
-        return signal.channel(0)
     return np.asarray(signal, dtype=np.float64).ravel()
 
 
-def gammatone_bands(signal, rate=None):
+def gammatone_bands(signal):
     """Split a mono signal into the BANDS gammatone bands.
 
     Returns an array (bands, frames) the same length as the input. Each
     band is a 4th-order gammatone whose measured -3 dB bandwidth is
     1.019 * ERB(fc).
     """
-    if isinstance(signal, SampleBuffer):
-        rate = signal.rate
-    if rate is None:
-        raise ValueError("rate is required for array input")
-    if rate < 16000:
-        raise ValueError(f"auditory front end needs rate >= 16 kHz, got {rate}")
     x = _as_mono_array(signal)
-    return _gammatone_bank(rate).convolve(x)[:, : x.size]
+    return _GAMMATONE_BANK.convolve(x)[:, : x.size]
 
 
-@lru_cache(maxsize=8)
-def _envelope_smoother(rate):
-    return butter(2, ENVELOPE_CUTOFF, fs=rate)
-
-
-def _smoothed(bands, rate):
+def _smoothed(bands):
     """Linear envelopes of band signals (..., frames) at the envelope rate.
 
     Half-wave rectification, 2nd-order low-pass at the envelope cutoff,
     then decimation to ENVELOPE_RATE by linear interpolation (np.interp's
     own formula, so the two agree bit for bit).
     """
-    b, a = _envelope_smoother(rate)
+    b, a = _ENVELOPE_SMOOTHER
     smooth = lfilter(b, a, np.maximum(bands, 0.0), axis=-1)
     n = smooth.shape[-1]
-    frames = int(np.floor(n / rate * ENVELOPE_RATE))
-    positions = np.arange(frames) * (rate / ENVELOPE_RATE)
+    frames = int(np.floor(n / DEFAULT_RATE * ENVELOPE_RATE))
+    positions = np.arange(frames) * (DEFAULT_RATE / ENVELOPE_RATE)
     below = positions.astype(np.intp)
     frac = positions - below
     lo = smooth[..., below]
@@ -252,10 +235,10 @@ def _envelope_correlation(ref_env, proc_env):
 def _ear_rows(proc, ear_levels):
     """(proc rows, audiogram rows, True when proc is a single signal).
 
-    A 1-D proc (or a mono SampleBuffer) is one ear with a 1-D audiogram;
-    a 2-D proc holds one ear per row, with one audiogram row per ear.
+    A 1-D proc is one ear with a 1-D audiogram; a 2-D proc holds one ear
+    per row, with one audiogram row per ear.
     """
-    single = isinstance(proc, SampleBuffer) or np.ndim(proc) < 2
+    single = np.ndim(proc) < 2
     rows = _as_mono_array(proc)[None] if single else np.ascontiguousarray(proc, dtype=np.float64)
     levels = np.asarray(ear_levels, dtype=np.float64)
     levels = levels[None] if single else levels
@@ -268,9 +251,9 @@ def _ear_rows(proc, ear_levels):
     return rows, levels, single
 
 
-def _band_features(bands, rate):
+def _band_features(bands):
     """(linear envelopes, band RMS) of band signals (bands, frames)."""
-    return _smoothed(bands, rate), np.sqrt(np.mean(bands**2, axis=1))
+    return _smoothed(bands), np.sqrt(np.mean(bands**2, axis=1))
 
 
 def _rms_gain(x):
@@ -300,17 +283,15 @@ def _score_ear(ref_features, proc_features, ref_gain, proc_gain, lag):
     return EarScore(haspi, 0.5 * c_term + 0.5 * s_term, c_term, s_term, lag)
 
 
-def ear_scores(ref, proc, ear_levels, rate=16000):
+def ear_scores(ref, proc, ear_levels):
     """Both scores of proc against ref from one front-end pass.
 
-    ref is the clean reference; proc the processed ear signal; ear_levels
+    ref is the clean reference array; proc the processed ear signal; ear_levels
     the audiogram for the ear being scored (dB HL at the six standard
     frequencies). Returns an EarScore. A 2-D proc holds one ear per row
     and ear_levels one audiogram row per ear; the result is then a tuple
     of one EarScore per row, each equal to that of the row alone.
     """
-    if isinstance(ref, SampleBuffer):
-        rate = ref.rate
     r = _as_mono_array(ref)
     rows, levels, single = _ear_rows(proc, ear_levels)
     ref_gain = _rms_gain(r)
@@ -319,10 +300,10 @@ def ear_scores(ref, proc, ear_levels, rate=16000):
     for (r_slice, p_slice), p, ear in zip(_aligned_slices(r, rows), rows, levels):
         key = (r_slice.start, r_slice.stop)
         if key not in references:
-            references[key] = _band_features(gammatone_bands(r[r_slice], rate), rate)
+            references[key] = _band_features(gammatone_bands(r[r_slice]))
         attenuation = audiogram_band_attenuation(ear, CENTER_FREQUENCIES)
-        proc_bands = gammatone_bands(p[p_slice], rate) * 10.0 ** (-attenuation[:, None] / 20.0)
-        scores.append(_score_ear(references[key], _band_features(proc_bands, rate),
+        proc_bands = gammatone_bands(p[p_slice]) * 10.0 ** (-attenuation[:, None] / 20.0)
+        scores.append(_score_ear(references[key], _band_features(proc_bands),
                                  ref_gain, _rms_gain(p), p_slice.start - r_slice.start))
     return scores[0] if single else tuple(scores)
 
@@ -331,13 +312,13 @@ def _view(scores, field):
     return field(scores) if isinstance(scores, EarScore) else tuple(map(field, scores))
 
 
-def intelligibility_score(ref, proc, ear_levels, rate=16000):
+def intelligibility_score(ref, proc, ear_levels):
     """HASPI-like surrogate in [0, 1]: ear_scores(...).haspi_like, with
     the same arguments and the same scalar or per-row tuple result."""
-    return _view(ear_scores(ref, proc, ear_levels, rate), attrgetter("haspi_like"))
+    return _view(ear_scores(ref, proc, ear_levels), attrgetter("haspi_like"))
 
 
-def quality_score(ref, proc, ear_levels, rate=16000, return_terms=False):
+def quality_score(ref, proc, ear_levels, return_terms=False):
     """HASQI-like surrogate in [0, 1]: ear_scores(...).hasqi_like.
 
     Both signals are scored at audio.REFERENCE_RMS, so a uniform gain on
@@ -350,7 +331,7 @@ def quality_score(ref, proc, ear_levels, rate=16000, return_terms=False):
     row.
     """
     fields = ("hasqi_like", "hasqi_like_correlation", "hasqi_like_spectral")
-    return _view(ear_scores(ref, proc, ear_levels, rate),
+    return _view(ear_scores(ref, proc, ear_levels),
                  attrgetter(*fields) if return_terms else attrgetter(fields[0]))
 
 

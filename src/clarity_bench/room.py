@@ -193,7 +193,7 @@ def image_source_rir(room, source, listener, order, time_limit):
         image_count += int(keep.sum())
 
     return AmbiRir(
-        signal=AmbiSignal(rir, order, DEFAULT_RATE),
+        signal=AmbiSignal(rir),
         image_count=image_count,
     )
 

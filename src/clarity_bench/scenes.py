@@ -170,7 +170,7 @@ class SourceSignal:
     def resolve(self):
         """The dry samples at DEFAULT_RATE."""
         if self.file is not None:
-            return read_wav(self.file, expected_rate=DEFAULT_RATE).channel(0)
+            return read_wav(self.file).channel(0)
         if self.duration_s is None or self.synth_seed is None:
             raise ValueError("synthetic sources need duration_s and synth_seed")
         return signals.source_signal(self.kind, self.duration_s, self.synth_seed)
@@ -428,16 +428,14 @@ def apply_trajectory(field, trajectory):
     and one sin gain track per m = 1..order, applied pairwise; m = 0
     channels pass unchanged.
     """
-    hop = int(round(ROTATION_BLOCK_SECONDS * field.rate))
-    if hop < 1:
-        raise ValueError("block too short for this sample rate")
+    hop = int(round(ROTATION_BLOCK_SECONDS * DEFAULT_RATE))
     frames = field.frames
     ramp = (np.arange(hop) + 0.5) / hop
     fade_in, fade_out = ramp, ramp[::-1]
     # Sample t = k*hop + j lies in the second half of block k (started at
     # (k-1)*hop) and in the first half of block k + 1.
     hops = -(-frames // hop)
-    centers = np.arange(hops + 1) * hop / field.rate
+    centers = np.arange(hops + 1) * hop / DEFAULT_RATE
     angles = -np.outer(np.arange(1, field.order + 1), trajectory.yaw_at(centers))
     weight = fade_out + fade_in
 
@@ -455,7 +453,7 @@ def apply_trajectory(field, trajectory):
             c, s = cos_m[mm - 1], sin_m[mm - 1]
             out[pos] = c * x[pos] - s * x[neg]
             out[neg] = s * x[pos] + c * x[neg]
-    return AmbiSignal(out, field.order, field.rate)
+    return AmbiSignal(out)
 
 
 def add_transducer_noise(field, level_db, seed, reference_rms):
@@ -470,7 +468,7 @@ def add_transducer_noise(field, level_db, seed, reference_rms):
     rng = np.random.default_rng(seed)
     sigma = float(reference_rms) * 10.0 ** (level_db / 20.0)
     noise = rng.standard_normal(field.data.shape) * sigma
-    return AmbiSignal(field.data + noise, field.order, field.rate)
+    return AmbiSignal(field.data + noise)
 
 
 def default_trajectory(target_azimuth, seed, onset_s=0.0):
@@ -522,8 +520,6 @@ def render_scene(scene, profile=None, keep_components=False):
     any impulse response is computed.
     """
     profile = profile or FidelityProfile.from_name(scene.fidelity)
-    rate = DEFAULT_RATE
-    order = profile.ambisonic_order
     listener = np.asarray(scene.listener.position)
     absorption = min(1.0, scene.room.absorption * profile.absorption_scale)
     room = RoomSpec(scene.room.dimensions, absorption, scene.room.speed_of_sound)
@@ -537,7 +533,7 @@ def render_scene(scene, profile=None, keep_components=False):
             source = replace(source, synth_seed=child_seeds[index])
         drys.append(source.resolve())
         # A file's length is known only once it is read.
-        end = spec.onset_s + drys[-1].size / rate
+        end = spec.onset_s + drys[-1].size / DEFAULT_RATE
         if source.file is not None and end > MAX_SCENE_SECONDS:
             where = "target" if index == 0 else f"interferers[{index - 1}]"
             raise SceneValidationError([f"{where}.source.file {source.file}: ends at {end:g} s, "
@@ -548,8 +544,8 @@ def render_scene(scene, profile=None, keep_components=False):
         if index > 0 and profile.interferer_directivity == "cardioid":
             directivity, aim = "cardioid", listener - np.asarray(spec.position)
         src = SourceSpec(tuple(spec.position), directivity, aim)
-        rir = image_source_rir(room, src, listener, order, DEFAULT_RIR_SECONDS)
-        onsets.append(int(round(spec.onset_s * rate)))
+        rir = image_source_rir(room, src, listener, profile.ambisonic_order, DEFAULT_RIR_SECONDS)
+        onsets.append(int(round(spec.onset_s * DEFAULT_RATE)))
         rirs.append(rir.signal.data)
 
     # Every dry signal sits at its onset in one row of `placed`; the RIRs
@@ -571,18 +567,18 @@ def render_scene(scene, profile=None, keep_components=False):
     target_w, interferer_w = convolve_sum(placed, w_kernels)
     interferer_gain = mix_at_snr(target_w, interferer_w, scene.snr_db, active)
     placed[1:] *= interferer_gain
-    mixed = AmbiSignal(convolve_sum(placed, rirs), order, rate)
+    mixed = AmbiSignal(convolve_sum(placed, rirs))
     target_w_rms = rms_array(target_w[active[0] : active[1]])
     noisy = add_transducer_noise(mixed, profile.transducer_noise_db,
                                  child_seeds[4], target_w_rms)
 
     def to_ears(field):
         decoded = binaural_decode(apply_trajectory(field, scene.listener.trajectory))
-        return SampleBuffer(decoded.data * EAR_CALIBRATION_GAIN, rate)
+        return SampleBuffer(decoded.data * EAR_CALIBRATION_GAIN)
 
     ears = to_ears(noisy)
 
-    reference = mono(scale_to_rms(drys[0], REFERENCE_RMS), rate)
+    reference = mono(scale_to_rms(drys[0], REFERENCE_RMS))
 
     record = {
         "seed": scene.seed,
@@ -594,7 +590,7 @@ def render_scene(scene, profile=None, keep_components=False):
             "transducer_noise_db": profile.transducer_noise_db,
             "absorption_scale": profile.absorption_scale,
         },
-        "duration_s": frames / rate,
+        "duration_s": frames / DEFAULT_RATE,
         "interferer_gain": float(interferer_gain),
         "ear_gain": float(EAR_CALIBRATION_GAIN),
         "target_onset_s": scene.target.onset_s,
@@ -604,12 +600,12 @@ def render_scene(scene, profile=None, keep_components=False):
     if keep_components:
         # Rotation and decode are linear, so the noise share is what the
         # target and interferer decodes leave of the ears.
-        target_ears = to_ears(AmbiSignal(convolve_sum(placed[:1], rirs[:, :1]), order, rate))
-        interferer_ears = to_ears(AmbiSignal(convolve_sum(placed[1:], rirs[:, 1:]), order, rate))
+        target_ears = to_ears(AmbiSignal(convolve_sum(placed[:1], rirs[:, :1])))
+        interferer_ears = to_ears(AmbiSignal(convolve_sum(placed[1:], rirs[:, 1:])))
         components = {
             "target_ears": target_ears,
             "interferer_ears": interferer_ears,
-            "noise_ears": SampleBuffer(ears.data - target_ears.data - interferer_ears.data, rate),
+            "noise_ears": SampleBuffer(ears.data - target_ears.data - interferer_ears.data),
         }
     return RenderResult(ears=ears, reference=reference, record=record, components=components)
 

@@ -22,7 +22,7 @@ def encode(source, azimuth, elevation, order):
     if source.channels != 1:
         raise ValueError(f"encode expects a mono buffer, got {source.channels} channels")
     coeffs = sh_eval(order, azimuth, elevation)
-    return AmbiSignal(coeffs[:, None] * source.channel(0)[None, :], order, source.rate)
+    return AmbiSignal(coeffs[:, None] * source.channel(0)[None, :])
 
 
 @dataclass(frozen=True)

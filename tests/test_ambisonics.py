@@ -76,7 +76,7 @@ def test_encode_w_channel_equals_input():
 
 def test_encode_rejects_multichannel():
     with pytest.raises(ValueError):
-        encode(SampleBuffer(np.zeros((2, 4)), 16000), 0.0, 0.0, 1)
+        encode(SampleBuffer(np.zeros((2, 4))), 0.0, 0.0, 1)
 
 
 def test_yaw_rotation_zero_angle_is_identity():
@@ -128,7 +128,7 @@ def test_plane_wave_consistency_specific_order6():
 
 def test_apply_rotation_identity_and_norm_preservation():
     rng = np.random.default_rng(8)
-    sig = AmbiSignal(rng.uniform(-1, 1, (16, 50)), 3, 16000)
+    sig = AmbiSignal(rng.uniform(-1, 1, (16, 50)))
     same = yaw_rotation(3, 0.0).matrix @ sig.data
     assert np.array_equal(same, sig.data)
     rotated = yaw_rotation(3, 1.9).matrix @ sig.data
@@ -139,16 +139,21 @@ def test_apply_rotation_identity_and_norm_preservation():
 
 def test_apply_rotation_order_mismatch():
     # A rotation of another order does not fit the field's channels.
-    sig = AmbiSignal(np.zeros((4, 10)), 1, 16000)
+    sig = AmbiSignal(np.zeros((4, 10)))
     with pytest.raises(ValueError):
         yaw_rotation(2, 0.1).matrix @ sig.data
-    with pytest.raises(ValueError):
-        AmbiSignal(yaw_rotation(1, 0.1).matrix @ sig.data, 2, 16000)
+
+
+def test_ambi_signal_order_comes_from_a_square_channel_count():
+    assert [AmbiSignal(np.zeros(((n + 1) ** 2, 3))).order for n in range(7)] == list(range(7))
+    for channels in (0, 2, 5, 8, 50):
+        with pytest.raises(ValueError, match="channels"):
+            AmbiSignal(np.zeros((channels, 3)))
 
 
 def test_truncate_channel_counts():
     rng = np.random.default_rng(3)
-    sig = AmbiSignal(rng.uniform(-1, 1, (49, 20)), 6, 16000)
+    sig = AmbiSignal(rng.uniform(-1, 1, (49, 20)))
     low = truncate(sig, 1)
     assert low.channels == 4
     assert np.array_equal(low.data, sig.data[:4])
@@ -161,10 +166,10 @@ def test_truncate_channel_counts():
 
 def test_truncate_commutes_with_zeroing_high_degrees():
     rng = np.random.default_rng(4)
-    sig = AmbiSignal(rng.uniform(-1, 1, (49, 30)), 6, 16000)
+    sig = AmbiSignal(rng.uniform(-1, 1, (49, 30)))
     zeroed = sig.data.copy()
     zeroed[4:] = 0.0
-    zeroed_sig = AmbiSignal(zeroed, 6, 16000)
+    zeroed_sig = AmbiSignal(zeroed)
     a = binaural_decode(truncate(sig, 1))
     b = binaural_decode(truncate(zeroed_sig, 1))
     assert np.array_equal(a.data, b.data)
@@ -190,23 +195,23 @@ def test_decode_all_delta_hrtfs_keeps_energy():
 
 
 def test_decode_zero_field():
-    field = AmbiSignal(np.zeros((49, 100)), 6, 16000)
+    field = AmbiSignal(np.zeros((49, 100)))
     ears = binaural_decode(field)
     assert not np.any(ears.data)
 
 
 def test_decode_linearity():
     rng = np.random.default_rng(12)
-    a = AmbiSignal(rng.uniform(-1, 1, (16, 80)), 3, 16000)
-    b = AmbiSignal(rng.uniform(-1, 1, (16, 80)), 3, 16000)
-    lhs = binaural_decode(AmbiSignal(a.data + b.data, 3, 16000))
+    a = AmbiSignal(rng.uniform(-1, 1, (16, 80)))
+    b = AmbiSignal(rng.uniform(-1, 1, (16, 80)))
+    lhs = binaural_decode(AmbiSignal(a.data + b.data))
     rhs = binaural_decode(a).data + binaural_decode(b).data
     assert np.max(np.abs(lhs.data - rhs)) < 1e-9
 
 
 def test_decode_under_determined_grid():
     # Order 7's 64 channels fill the 64 directions; order 8 needs 81.
-    field = AmbiSignal(np.zeros((81, 10)), 8, 16000)
+    field = AmbiSignal(np.zeros((81, 10)))
     with pytest.raises(ValueError, match="64 directions cannot decode 81 channels"):
         binaural_decode(field)
 
@@ -296,7 +301,7 @@ def test_sh_eval_sectoral_terms_stay_accurate_near_the_poles():
 @pytest.mark.parametrize("order", range(1, 7))
 def test_binaural_decode_equals_speaker_feed_decode(order):
     rng = np.random.default_rng(order)
-    field = AmbiSignal(rng.uniform(-1, 1, (num_channels(order), 500)), order, 16000)
+    field = AmbiSignal(rng.uniform(-1, 1, (num_channels(order), 500)))
     ears = binaural_decode(field)
     expected = speaker_feed_decode(field, default_hrtf_set())
     assert ears.data.shape == expected.shape == (2, 500 + DEFAULT_TAPS - 1)
@@ -309,7 +314,7 @@ def test_binaural_decode_uses_the_sets_own_directions():
     rng = np.random.default_rng(50)
     hrtfs = default_hrtf_set()
     turned = HrtfSet(hrtfs.azimuths + 0.3, hrtfs.elevations, hrtfs.left, hrtfs.right)
-    field = AmbiSignal(rng.uniform(-1, 1, (49, 700)), 6, 16000)
+    field = AmbiSignal(rng.uniform(-1, 1, (49, 700)))
     ears = binaural_decode(field)
     assert np.max(np.abs(ears.data - speaker_feed_decode(field, hrtfs))) < 1e-12
     assert np.max(np.abs(ears.data - speaker_feed_decode(field, turned))) > 1e-3
@@ -339,7 +344,7 @@ def test_binaural_decode_builds_filters_once_per_order_and_grid(monkeypatch):
     pinv = np.linalg.pinv
     monkeypatch.setattr(np.linalg, "pinv", lambda a: calls.append(a.shape) or pinv(a))
     for order in (1, 1, 2, 1):
-        binaural_decode(AmbiSignal(np.ones((num_channels(order), 50)), order, 16000))
+        binaural_decode(AmbiSignal(np.ones((num_channels(order), 50))))
     assert calls == [(64, 4), (64, 9)]
     assert decoder_bank(2).shape == (2, 9, DEFAULT_TAPS)
     assert not decoder_bank(1).flags.writeable
@@ -351,7 +356,7 @@ def test_binaural_decode_shares_one_filter_bank_across_threads():
 
     rng = np.random.default_rng(9)
     decoder_bank.cache_clear()   # the threads race to build the bank
-    field = AmbiSignal(rng.uniform(-1, 1, (16, 2500)), 3, 16000)   # several decode blocks
+    field = AmbiSignal(rng.uniform(-1, 1, (16, 2500)))   # several decode blocks
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -24,11 +24,11 @@ from clarity_bench.errors import FormatError, RateMismatchError
 
 def test_float32_wav_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
-    original = SampleBuffer(rng.uniform(-1, 1, (2, 1000)).astype(np.float32), 16000)
+    original = SampleBuffer(rng.uniform(-1, 1, (2, 1000)).astype(np.float32))
     path = tmp_path / "x.wav"
     write_wav(path, original)
     loaded = read_wav(path)
-    assert loaded.rate == 16000
+    assert wavfile.read(path)[0] == 16000
     assert np.array_equal(loaded.data, original.data)
 
 
@@ -43,9 +43,9 @@ def test_pcm16_max_positive_sample_scaling(tmp_path):
 
 def test_header_echo_channels_frames_rate(tmp_path):
     path = tmp_path / "tri.wav"
-    write_wav(path, SampleBuffer(np.zeros((3, 480)), 16000))
+    write_wav(path, SampleBuffer(np.zeros((3, 480))))
     loaded = read_wav(path)
-    assert (loaded.channels, loaded.frames, loaded.rate) == (3, 480, 16000)
+    assert (loaded.channels, loaded.frames, wavfile.read(path)[0]) == (3, 480, 16000)
 
 
 def test_unsupported_bit_depth_raises_format_error(tmp_path):
@@ -64,15 +64,12 @@ def test_non_finite_sample_raises_format_error_naming_the_file(tmp_path):
 
 def test_rate_mismatch(tmp_path):
     path = tmp_path / "x.wav"
-    write_wav(path, mono(np.zeros(10), rate=44100))
-    with pytest.raises(RateMismatchError):
-        read_wav(path, expected_rate=16000)
-    assert read_wav(path, expected_rate=44100).rate == 44100
+    wavfile.write(path, 44100, np.zeros(10, dtype=np.float32))
+    with pytest.raises(RateMismatchError, match="44100"):
+        read_wav(path)
 
 
 def test_buffer_invariants():
-    with pytest.raises(ValueError):
-        SampleBuffer(np.zeros((2, 5)), 0)
     buf = mono(np.zeros(5))
     with pytest.raises(ValueError):
         buf.data[0, 0] = 1.0  # immutable

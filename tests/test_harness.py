@@ -368,7 +368,7 @@ def test_score_dataset_reports_clipped_samples(small_dataset, tmp_path):
     loud = tmp_path / "loud"
     shutil.copytree(os.path.dirname(small_dataset), loud)
     mix = read_wav(loud / "S0000_mix.wav")
-    write_wav(loud / "S0000_mix.wav", SampleBuffer(mix.data * 100.0, mix.rate))
+    write_wav(loud / "S0000_mix.wav", SampleBuffer(mix.data * 100.0))
     run = score_dataset(loud / "manifest.json")
     assert run.records[0]["clipped"] > 0
     assert all(isinstance(rec["clipped"], int) for rec in run.records)
@@ -387,6 +387,8 @@ def copy_dataset(small_dataset, target):
 
 @pytest.mark.parametrize("breakage, words", [
     pytest.param(lambda m: m.pop("rate"), ["manifest.json", "'rate'"], id="no-rate"),
+    pytest.param(lambda m: m.update(rate=44100), ["manifest.json", "'rate'"], id="rate-44100"),
+    pytest.param(lambda m: m.update(rate=True), ["manifest.json", "'rate'"], id="rate-true"),
     pytest.param(lambda m: m["scenes"][1].pop("mix"), ["manifest.json", "S0001", "'mix'"],
                  id="entry-without-mix"),
     pytest.param(lambda m: m.update(scenes=[m["scenes"][0], "S0001"]), ["manifest.json", "scene 1"],
@@ -419,6 +421,18 @@ def test_cli_score_rejects_nan_in_one_ear(small_dataset, tmp_path, capsys):
     out = tmp_path / "s.csv"
     code = main(["score", "--dataset", str(path), "--out", str(out)])
     assert_one_error_line(code, capsys, "S0001_mix.wav")
+    assert not out.exists()
+
+
+def test_cli_score_rejects_a_stereo_reference(small_dataset, tmp_path, capsys):
+    from scipy.io import wavfile
+
+    path = copy_dataset(small_dataset, tmp_path / "d")
+    rate, data = wavfile.read(tmp_path / "d" / "S0001_ref.wav")
+    wavfile.write(tmp_path / "d" / "S0001_ref.wav", rate, np.stack([data, data], axis=1))
+    out = tmp_path / "s.csv"
+    code = main(["score", "--dataset", str(path), "--out", str(out)])
+    assert_one_error_line(code, capsys, "S0001", "S0001_ref.wav", "mono")
     assert not out.exists()
 
 

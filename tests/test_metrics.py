@@ -9,12 +9,12 @@ from clarity_bench.metrics import (
     CENTER_FREQUENCIES,
     ENVELOPE_CUTOFF,
     SPECTRAL_SCALE_DB,
+    _GAMMATONE_BANK,
     EarScore,
     MetricScore,
     _aligned_slices,
     _db,
     _envelope_correlation,
-    _gammatone_bank,
     _gammatone_kernels,
     _smoothed,
     audiogram_band_attenuation,
@@ -46,7 +46,7 @@ def test_config_centers_increase_and_stay_below_nyquist():
 
 
 def test_gammatone_silence():
-    bands = gammatone_bands(np.zeros(4000), rate=RATE)
+    bands = gammatone_bands(np.zeros(4000))
     assert bands.shape == (32, 4000)
     assert not np.any(bands)
 
@@ -56,7 +56,7 @@ def test_gammatone_peak_band_matches_tone():
     t = np.arange(RATE) / RATE
     for k in (4, 12, 20, 28):
         tone = np.sin(2 * np.pi * centers[k] * t)
-        bands = gammatone_bands(tone, rate=RATE)
+        bands = gammatone_bands(tone)
         rms_per_band = np.sqrt(np.mean(bands**2, axis=1))
         assert int(np.argmax(rms_per_band)) == k
 
@@ -67,7 +67,7 @@ def test_gammatone_bandwidth_at_1khz():
     fc = CENTER_FREQUENCIES[k]
     from clarity_bench.metrics import _gammatone_kernels
 
-    kernels = _gammatone_kernels(RATE)
+    kernels = _gammatone_kernels()
     spectrum = np.abs(np.fft.rfft(kernels[k], 1 << 18))
     freqs = np.fft.rfftfreq(1 << 18, 1.0 / RATE)
     peak = spectrum.max()
@@ -80,13 +80,8 @@ def test_gammatone_bandwidth_at_1khz():
     assert 1.019 * float(erb(1000.0)) == pytest.approx(135.1, abs=0.2)
 
 
-def test_gammatone_rejects_low_rate():
-    with pytest.raises(ValueError):
-        gammatone_bands(np.zeros(100), rate=8000)
-
-
 def test_envelope_silence_sits_at_floor():
-    env = _db(_smoothed(np.zeros(RATE), RATE))
+    env = _db(_smoothed(np.zeros(RATE)))
     assert env.shape[0] == 256
     assert np.all(env == -80.0)
 
@@ -94,7 +89,7 @@ def test_envelope_silence_sits_at_floor():
 def test_envelope_constant_tone_is_flat():
     t = np.arange(RATE) / RATE
     tone = 0.5 * np.sin(2 * np.pi * 1000 * t)
-    env = _db(_smoothed(tone, RATE))
+    env = _db(_smoothed(tone))
     settled = env[30:]  # past 100 ms of filter settling
     assert settled.max() - settled.min() < 2.0
     assert np.abs(settled - np.median(settled)).max() < 1.0
@@ -104,7 +99,7 @@ def test_envelope_tracks_4hz_modulation():
     t = np.arange(2 * RATE) / RATE
     carrier = np.sin(2 * np.pi * 1000 * t)
     am = (1.0 + 0.8 * np.sin(2 * np.pi * 4.0 * t)) * carrier
-    env = _db(_smoothed(0.3 * am, RATE))
+    env = _db(_smoothed(0.3 * am))
     env = env - env.mean()
     spectrum = np.abs(np.fft.rfft(env * np.hanning(env.size)))
     freqs = np.fft.rfftfreq(env.size, 1 / 256.0)
@@ -261,22 +256,22 @@ def test_each_score_filters_each_signal_once(monkeypatch, score):
 
 
 def test_envelope_is_one_row_of_the_multiband_envelopes():
-    bands = gammatone_bands(speech(1.0, seed=16), rate=RATE)
+    bands = gammatone_bands(speech(1.0, seed=16))
     assert bands.shape[0] == 32
-    envelopes = _db(_smoothed(bands, RATE))
+    envelopes = _db(_smoothed(bands))
     for k, row in enumerate(bands):
-        assert np.array_equal(_db(_smoothed(row, RATE)), envelopes[k])
+        assert np.array_equal(_db(_smoothed(row)), envelopes[k])
 
 
 def test_envelope_decimation_equals_np_interp():
     from scipy.signal import butter, lfilter
 
-    band = gammatone_bands(speech(1.0, seed=17), rate=RATE)[9]
+    band = gammatone_bands(speech(1.0, seed=17))[9]
     b, a = butter(2, ENVELOPE_CUTOFF, fs=RATE)
     smooth = lfilter(b, a, np.maximum(band, 0.0))
     positions = np.arange(256) * (RATE / 256.0)
     expected = 20.0 * np.log10(np.maximum(np.interp(positions, np.arange(band.size), smooth), 1e-4))
-    assert np.array_equal(_db(_smoothed(band, RATE)), expected)
+    assert np.array_equal(_db(_smoothed(band)), expected)
 
 
 def test_quality_correlation_term_is_intelligibility_of_normalized_pair():
@@ -431,11 +426,11 @@ def prescaled_front_end(ref, proc, ear_levels, quality):
         ref, proc = scale_to_rms(ref, REFERENCE_RMS), scale_to_rms(proc, REFERENCE_RMS)
     r_slice, p_slice = per_ear_slices(ref, proc)
     attenuation = audiogram_band_attenuation(ear_levels, CENTER_FREQUENCIES)
-    ref_bands = gammatone_bands(ref[r_slice], RATE)
-    proc_bands = gammatone_bands(proc[p_slice], RATE) * 10.0 ** (-attenuation[:, None] / 20.0)
+    ref_bands = gammatone_bands(ref[r_slice])
+    proc_bands = gammatone_bands(proc[p_slice]) * 10.0 ** (-attenuation[:, None] / 20.0)
     levels = [20.0 * np.log10(np.maximum(np.sqrt(np.mean(b**2, axis=1)), 1e-4))
               for b in (ref_bands, proc_bands)]
-    return (_db(_smoothed(ref_bands, RATE)), _db(_smoothed(proc_bands, RATE)), *levels,
+    return (_db(_smoothed(ref_bands)), _db(_smoothed(proc_bands)), *levels,
             p_slice.start - r_slice.start)
 
 
@@ -480,18 +475,18 @@ def test_ear_scores_gather_both_scores_and_the_lags(ears):
 def test_gammatone_bands_keep_the_bits_of_convolve_channels_across_lengths():
     # Alternating lengths replaces the memoized spectrum each call; a stale
     # spectrum would change (or fail to broadcast with) the signal's.
-    kernels = _gammatone_kernels(RATE)
+    kernels = _gammatone_kernels()
     signals = [speech(0.5, seed=23), speech(0.8, seed=24)]
     for x in signals * 2:
-        assert np.array_equal(gammatone_bands(x, RATE), convolve_channels(kernels, x)[:, : x.size])
+        assert np.array_equal(gammatone_bands(x), convolve_channels(kernels, x)[:, : x.size])
 
 
 def test_gammatone_memo_holds_one_fft_length():
-    bank = _gammatone_bank(RATE)
-    taps = _gammatone_kernels(RATE).shape[1]
+    bank = _GAMMATONE_BANK
+    taps = _gammatone_kernels().shape[1]
     for seconds in (0.5, 0.8, 0.5):
         x = speech(seconds, seed=25)
-        gammatone_bands(x, RATE)
+        gammatone_bands(x)
         nfft = next_fast_len(x.size + taps - 1, real=True)
         assert set(vars(bank)) == {"kernels", "_memo"}
         memo_nfft, spectrum = bank._memo

@@ -87,7 +87,7 @@ def row_wise_image_source_rir(room, source, listener, order, time_limit, rate=16
                 for ch in range(k):
                     rir[ch] += np.bincount(bins, weights=coeffs[ch] * amp, minlength=frames)
                 image_count += int(keep.sum())
-    return AmbiRir(AmbiSignal(rir, order, rate), image_count)
+    return AmbiRir(AmbiSignal(rir), image_count)
 
 
 def assert_same_rir(room, source, listener, order, time_limit):

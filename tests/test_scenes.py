@@ -334,7 +334,7 @@ def test_mix_rejects_silent_interferers():
 
 def block_matmul_trajectory(field, trajectory, block_s=0.01):
     """The dense form of apply_trajectory: one K x K rotation per block."""
-    hop = int(round(block_s * field.rate))
+    hop = int(round(block_s * RATE))
     frames = field.frames
     window = np.empty(2 * hop)
     ramp = (np.arange(hop) + 0.5) / hop
@@ -346,7 +346,7 @@ def block_matmul_trajectory(field, trajectory, block_s=0.01):
     while start < frames:
         stop = min(start + 2 * hop, frames)
         lo = max(start, 0)
-        yaw = float(trajectory.yaw_at((start + hop) / field.rate))
+        yaw = float(trajectory.yaw_at((start + hop) / RATE))
         seg = yaw_rotation(field.order, -yaw).matrix @ field.data[:, lo:stop]
         w = window[lo - start : stop - start]
         out[:, lo:stop] += seg * w
@@ -363,7 +363,7 @@ def block_matmul_trajectory(field, trajectory, block_s=0.01):
 ], ids=["constant", "turning"])
 def test_apply_trajectory_equals_block_matmul(order, trajectory):
     rng = np.random.default_rng(order)
-    field = AmbiSignal(rng.uniform(-1, 1, ((order + 1) ** 2, 3333)), order, RATE)
+    field = AmbiSignal(rng.uniform(-1, 1, ((order + 1) ** 2, 3333)))
     out = apply_trajectory(field, trajectory)
     assert out.data.shape == field.data.shape
     assert np.max(np.abs(out.data - block_matmul_trajectory(field, trajectory))) < 1e-12
@@ -371,14 +371,14 @@ def test_apply_trajectory_equals_block_matmul(order, trajectory):
 
 def test_apply_trajectory_constant_zero_is_identity():
     rng = np.random.default_rng(3)
-    field = AmbiSignal(rng.uniform(-1, 1, (16, 3200)), 3, RATE)
+    field = AmbiSignal(rng.uniform(-1, 1, (16, 3200)))
     out = apply_trajectory(field, RotationTrajectory(((0.0, 0.0),)))
     assert np.max(np.abs(out.data - field.data)) < 1e-9
 
 
 def test_apply_trajectory_constant_yaw_matches_single_rotation():
     rng = np.random.default_rng(4)
-    field = AmbiSignal(rng.uniform(-1, 1, (16, 3200)), 3, RATE)
+    field = AmbiSignal(rng.uniform(-1, 1, (16, 3200)))
     theta = 0.7
     out = apply_trajectory(field, RotationTrajectory(((0.0, theta),)))
     direct = yaw_rotation(3, -theta).matrix @ field.data
@@ -387,7 +387,7 @@ def test_apply_trajectory_constant_yaw_matches_single_rotation():
 
 def test_apply_trajectory_preserves_energy_per_block():
     rng = np.random.default_rng(5)
-    field = AmbiSignal(rng.uniform(-1, 1, (9, 4800)), 2, RATE)
+    field = AmbiSignal(rng.uniform(-1, 1, (9, 4800)))
     traj = RotationTrajectory(((0.0, -0.4), (0.1, 0.9), (0.2, 0.2)))
     hop = 160
     for start in range(0, field.frames - hop, hop):
@@ -440,13 +440,13 @@ def test_turning_listener_moves_interaural_delay():
 
 def test_transducer_noise_off_is_identity():
     rng = np.random.default_rng(7)
-    field = AmbiSignal(rng.uniform(-1, 1, (4, 2000)), 1, RATE)
+    field = AmbiSignal(rng.uniform(-1, 1, (4, 2000)))
     out = add_transducer_noise(field, None, seed=1, reference_rms=0.1)
     assert np.array_equal(out.data, field.data)
 
 
 def test_transducer_noise_level_on_silent_field():
-    field = AmbiSignal(np.zeros((4, 160000)), 1, RATE)
+    field = AmbiSignal(np.zeros((4, 160000)))
     out = add_transducer_noise(field, 0.0, seed=2, reference_rms=0.25)
     per_channel = np.sqrt(np.mean(out.data**2, axis=1))
     assert np.all(np.abs(per_channel - 0.25) < 0.005)
@@ -454,7 +454,7 @@ def test_transducer_noise_level_on_silent_field():
 
 def test_transducer_noise_seed_determinism():
     rng = np.random.default_rng(8)
-    field = AmbiSignal(rng.uniform(-1, 1, (4, 2000)), 1, RATE)
+    field = AmbiSignal(rng.uniform(-1, 1, (4, 2000)))
     a = add_transducer_noise(field, -20.0, seed=3, reference_rms=0.1)
     b = add_transducer_noise(field, -20.0, seed=3, reference_rms=0.1)
     c = add_transducer_noise(field, -20.0, seed=4, reference_rms=0.1)
@@ -491,7 +491,7 @@ def test_render_degenerate_scene_reduces_to_encode_decode(tmp_path):
     from clarity_bench.audio import write_wav
 
     silent_path = tmp_path / "silence.wav"
-    write_wav(silent_path, mono(np.zeros(3200), RATE))
+    write_wav(silent_path, mono(np.zeros(3200)))
     room = RoomSpec((6.6, 5.8, 2.8), absorption=1.0)
     scene = simple_scene(
         room=room,
@@ -534,7 +534,7 @@ def test_load_scene_reads_a_relative_source_file_beside_the_scene(tmp_path, monk
     elsewhere = tmp_path / "elsewhere"
     elsewhere.mkdir()
     dry = SourceSignal(kind="speech", duration_s=1.0, synth_seed=5).resolve()
-    write_wav(sub / "talk.wav", mono(dry, RATE))
+    write_wav(sub / "talk.wav", mono(dry))
     payload = scene_to_dict(simple_scene())
     payload["target"]["source"] = {"kind": "speech", "file": "talk.wav"}
     (sub / "scene.json").write_text(json.dumps(payload))
@@ -556,7 +556,7 @@ def test_render_rejects_a_file_source_past_the_scene_limit(tmp_path, monkeypatch
     from clarity_bench.audio import write_wav
 
     long_path = tmp_path / "long.wav"
-    write_wav(long_path, mono(np.full(29 * RATE, 0.01), RATE))
+    write_wav(long_path, mono(np.full(29 * RATE, 0.01)))
     source = SourceSignal(kind="noise", file=str(long_path))
     scene = simple_scene()
     if which == "target":
@@ -659,7 +659,7 @@ def test_generate_dataset_deterministic_and_valid(tmp_path):
             for b in positions[i + 1 :]:
                 assert np.linalg.norm(a - b) >= 1.0 - 1e-9
         assert -6.0 <= scene.snr_db <= 6.0
-        mix = read_wav(out_a / entry["mix"], expected_rate=manifest["rate"])
+        mix = read_wav(out_a / entry["mix"])
         assert mix.channels == 2
 
 
@@ -758,6 +758,56 @@ def test_benchmark_imports_resolve():
         module = importlib.import_module(module_name)
         assert hasattr(module, name) or importlib.util.find_spec(f"{module_name}.{name}"), (
             module_name, name)
+
+
+def test_benchmark_calls_bind_to_the_current_signatures():
+    # Each call the benchmark makes of a name it imports from clarity_bench
+    # (or of a function of a module it imports so, like cli.main) must
+    # still fit that callable's signature: the same count of positional
+    # arguments and the same keyword names.
+    import ast
+    import importlib
+    import inspect
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    bound = set()
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("clarity_bench"):
+                for alias in node.names:
+                    module = importlib.import_module(node.module)
+                    target = getattr(module, alias.name, None)
+                    if target is None:
+                        target = importlib.import_module(f"{node.module}.{alias.name}")
+                    imported[alias.asname or alias.name] = target
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in imported:
+                name, fn = func.id, imported[func.id]
+            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                  and inspect.ismodule(imported.get(func.value.id))):
+                name, fn = f"{func.value.id}.{func.attr}", getattr(imported[func.value.id], func.attr)
+            else:
+                continue
+            positional = [a for a in node.args if not isinstance(a, ast.Starred)]
+            keywords = {k.arg: None for k in node.keywords if k.arg is not None}
+            exact = len(positional) == len(node.args) and len(keywords) == len(node.keywords)
+            bind = inspect.signature(fn).bind if exact else inspect.signature(fn).bind_partial
+            try:
+                bind(*[None] * len(positional), **keywords)
+            except TypeError as exc:
+                pytest.fail(f"{path.name}:{node.lineno}: {name}(...) no longer binds: {exc}")
+            bound.add((name, len(positional), tuple(sorted(keywords))))
+    for call in [("intelligibility_score", 3, ()), ("quality_score", 3, ()), ("design_fir", 1, ()),
+                 ("read_wav", 1, ()), ("write_wav", 2, ()),
+                 ("render_scene", 1, ("keep_components",)),
+                 ("generate_dataset", 1, ("count", "fidelity", "seed")), ("cli.main", 1, ())]:
+        assert call in bound, call
 
 
 def test_generate_dataset_same_bytes_for_any_worker_count(tmp_path, monkeypatch):
