@@ -5,6 +5,13 @@ The program runs at one sample rate, DEFAULT_RATE (16 kHz). Buffers do
 not carry it; read_wav checks it where audio files enter, and write_wav
 writes it into every header.
 
+This module needs NumPy and the standard library only. Its FFTs are
+numpy.fft's (the pocketfft of NumPy 2), the package's one FFT library.
+The WAV codec is struct code: write_wav writes IEEE float32 behind a
+58-byte header (RIFF/WAVE; an 18-byte fmt chunk with format tag 3,
+32 bits and cbSize 0; a fact chunk holding the frame count; then data),
+and read_wav reads that and PCM16.
+
 There are two convolutions. convolve_sum filters many inputs into many
 outputs block by block (overlap-save); the renderer's multichannel
 stages use it: the wet field and the binaural decode. convolve_channels
@@ -21,12 +28,12 @@ so the bank's output keeps the bits of convolve_channels(kernels, x) and
 the scores do not move.
 """
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.io import wavfile
 
 from .errors import FormatError, RateMismatchError
 
@@ -75,48 +82,112 @@ def mono(samples):
     return SampleBuffer(np.asarray(samples, dtype=np.float64)[None, :])
 
 
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+_SAMPLE_TYPES = {(_PCM, 16): "<i2", (_IEEE_FLOAT, 32): "<f4"}   # (format tag, bits) -> dtype
+# RIFF size, WAVE, fmt chunk (18 bytes), fact chunk, data chunk header
+_FLOAT32_HEADER = struct.Struct("<4sI4s4sIHHIIHHH4sII4sI")
+
+
+def _parse_wav(blob):
+    """(rate, channels, format tag, bits per sample, data bytes) of a
+    RIFF/WAVE file's bytes; raises ValueError when they are malformed."""
+    if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+        raise ValueError("no RIFF/WAVE header")
+    chunks = {}
+    pos = 12
+    while pos + 8 <= len(blob):
+        name, size = struct.unpack_from("<4sI", blob, pos)
+        body = blob[pos + 8 : pos + 8 + size]
+        if len(body) < size:
+            raise ValueError(f"{name.decode('latin-1')!r} chunk truncated: "
+                             f"{len(body)} of its {size} bytes")
+        chunks.setdefault(name, body)
+        pos += 8 + size + (size & 1)   # an odd-sized chunk is followed by a pad byte
+    for name in (b"fmt ", b"data"):
+        if name not in chunks:
+            raise ValueError(f"no {name.decode()!r} chunk")
+    fmt = chunks[b"fmt "]
+    tag, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == _EXTENSIBLE:
+        tag, = struct.unpack_from("<H", fmt, 24)   # the sub-format GUID starts with the tag
+    if channels == 0:
+        raise ValueError("the fmt chunk declares no channels")
+    return rate, channels, tag, bits, chunks[b"data"]
+
+
 def read_wav(path):
     """Read a RIFF/WAVE file into a SampleBuffer.
 
-    Supports little-endian PCM 16-bit integer and IEEE float32. 16-bit
-    samples are scaled by 1/32768 into [-1, 1). A NaN or infinite sample
-    raises FormatError; a file at any rate but DEFAULT_RATE raises
+    Supports little-endian PCM 16-bit integer and IEEE float32, also as
+    WAVE_FORMAT_EXTENSIBLE. 16-bit samples are scaled by 1/32768 into
+    [-1, 1). A truncated file, a NaN or infinite sample or any other
+    format raises FormatError; a file at any rate but DEFAULT_RATE raises
     RateMismatchError (there is deliberately no resampler in this
     pipeline).
     """
     try:
-        rate, data = wavfile.read(str(path))
+        with open(path, "rb") as fp:
+            rate, channels, tag, bits, data = _parse_wav(memoryview(fp.read()))
     except FileNotFoundError:
         raise
-    except Exception as exc:
+    except (OSError, ValueError, struct.error) as exc:
         raise FormatError(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
-    if data.dtype == np.int16:
-        scaled = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        scaled = data.astype(np.float64)
-    else:
+    if (tag, bits) not in _SAMPLE_TYPES:
         raise FormatError(
-            f"{path}: unsupported sample format {data.dtype}; "
+            f"{path}: unsupported sample format (tag {tag}, {bits} bits); "
             "only PCM16 and float32 are handled"
         )
+    frames, partial = divmod(len(data), channels * bits // 8)
+    if partial:
+        raise FormatError(f"{path}: data chunk does not hold a whole number of frames")
+    scaled = np.frombuffer(data, _SAMPLE_TYPES[tag, bits]).astype(np.float64)
+    if tag == _PCM:
+        scaled /= 32768.0
     if not np.isfinite(scaled).all():
         raise FormatError(f"{path}: holds a NaN or infinite sample")
     if rate != DEFAULT_RATE:
         raise RateMismatchError(
             f"{path}: rate {rate} Hz but pipeline demands {DEFAULT_RATE} Hz"
         )
-    if scaled.ndim == 1:
-        scaled = scaled[:, None]
-    return SampleBuffer(scaled.T)
+    return SampleBuffer(scaled.reshape(frames, channels).T)
 
 
 def write_wav(path, buffer):
     """Write a SampleBuffer as IEEE float32 WAV (interleaved, little-endian)
     at DEFAULT_RATE.
 
-    Float32 round-trips bit-exactly through read_wav.
+    Float32 round-trips bit-exactly through read_wav. Data that would
+    overflow the 32-bit RIFF size raises ValueError.
     """
-    wavfile.write(str(path), DEFAULT_RATE, buffer.data.T.astype(np.float32))
+    channels, frames = buffer.data.shape
+    size = 4 * channels * frames
+    riff_size = _FLOAT32_HEADER.size - 8 + size
+    if riff_size > 0xFFFFFFFF:
+        raise ValueError(f"{path}: {size} bytes of audio overflow a RIFF/WAVE file")
+    header = _FLOAT32_HEADER.pack(
+        b"RIFF", riff_size, b"WAVE",
+        b"fmt ", 18, _IEEE_FLOAT, channels, DEFAULT_RATE, DEFAULT_RATE * 4 * channels,
+        4 * channels, 32, 0,
+        b"fact", 4, frames,
+        b"data", size,
+    )
+    with open(path, "wb") as fp:
+        fp.write(header)
+        fp.write(buffer.data.T.astype("<f4").tobytes())
+
+
+def _next_fast_len(n):
+    """Smallest 2^a 3^b 5^c >= n: the fast real-FFT length that
+    scipy.fft.next_fast_len(n, real=True) returns."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:   # odd runs over 3^b 5^c
+        factor = odd
+        while factor < best:
+            best = min(best, factor << (-(-n // factor) - 1).bit_length())
+            factor *= 3
+        odd *= 5
+    return best
 
 
 def convolve_channels(data, kernels):
@@ -159,7 +230,7 @@ class KernelBank:
         if x.size == 0:
             raise ValueError("convolve requires non-empty signal and kernel")
         length = self.kernels.shape[-1] + x.shape[-1] - 1
-        nfft = next_fast_len(length, real=True)
+        nfft = _next_fast_len(length)
         memo_nfft, spectrum = self._memo
         if memo_nfft != nfft:
             spectrum = rfft(self.kernels, nfft)

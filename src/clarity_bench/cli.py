@@ -2,8 +2,7 @@
 
 Each command imports its own modules: `score` and `report` load the
 scorer (`harness`, `hearing_aid`, `metrics`) inside their branches, so
-`generate` runs on the render modules alone and never loads
-`scipy.signal`.
+`generate` runs on the render modules alone and never loads SciPy.
 """
 
 import argparse

@@ -237,7 +237,8 @@ def score_dataset(manifest_path, audiogram=None):
     each ear's EarScore (haspi_like_left, hasqi_like_correlation_left,
     lag_left, ..., lag_right) and counts the samples amplification
     clipped. Rows come back sorted by scene id. The manifest's 'rate' must
-    be DEFAULT_RATE and every reference mono, else ValueError.
+    be DEFAULT_RATE, every mix stereo and every reference mono, else
+    ValueError naming the scene and the file.
     """
     audiogram = audiogram or flat_audiogram(40.0)
     with open(manifest_path, encoding="utf-8") as fp:
@@ -249,6 +250,9 @@ def score_dataset(manifest_path, audiogram=None):
         scene_id, mix_path, reference_path = entry
         ears = read_wav(mix_path)
         reference = read_wav(reference_path)
+        if ears.channels != 2:
+            raise ValueError(f"{scene_id}: mix {mix_path} has "
+                             f"{ears.channels} channels, expected stereo")
         if reference.channels != 1:
             raise ValueError(f"{scene_id}: reference {reference_path} has "
                              f"{reference.channels} channels, expected mono")

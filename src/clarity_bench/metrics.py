@@ -49,6 +49,7 @@ convolving with the biquad's impulse response, cut where it falls below
 against 0.010 s at 51,000 frames (one thread).
 """
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -210,23 +211,26 @@ def _aligned_slices(r, rows):
 
 def _masked_pearson(a, b):
     """Pearson r; 0 when either side has no variance."""
-    a = a - a.mean()
-    b = b - b.mean()
-    denom = np.sqrt(np.sum(a * a) * np.sum(b * b))
+    # x.sum() / x.size and ndarray.sum give the bits of x.mean() and
+    # np.sum without their Python wrappers; this runs once per band.
+    a = a - a.sum() / a.size
+    b = b - b.sum() / b.size
+    denom = math.sqrt((a * a).sum() * (b * b).sum())
     if denom == 0.0:
         return 0.0
-    return float(np.sum(a * b) / denom)
+    return float((a * b).sum() / denom)
 
 
 def _envelope_correlation(ref_env, proc_env):
     """Mean over included bands of max(r, 0); bands with too few audible
     frames are excluded; no included bands gives 0."""
-    scores = []
-    for band_ref, band_proc in zip(ref_env, proc_env):
-        mask = band_ref > AUDIBILITY_DB
-        if int(mask.sum()) < MIN_FRAMES:
-            continue
-        scores.append(max(_masked_pearson(band_ref[mask], band_proc[mask]), 0.0))
+    audible = ref_env > AUDIBILITY_DB
+    scores = [
+        max(_masked_pearson(band_ref[mask], band_proc[mask]), 0.0)
+        for band_ref, band_proc, mask, count
+        in zip(ref_env, proc_env, audible, np.count_nonzero(audible, axis=1))
+        if count >= MIN_FRAMES
+    ]
     if not scores:
         return 0.0
     return float(np.mean(scores))

@@ -1,16 +1,20 @@
 import ast
 import pathlib
+import struct
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
 from clarity_bench.audio import (
     KernelBank,
     SampleBuffer,
+    _next_fast_len,
     convolve_channels,
     convolve_sum,
     mono,
@@ -60,6 +64,115 @@ def test_non_finite_sample_raises_format_error_naming_the_file(tmp_path):
     wavfile.write(path, 16000, np.array([[0.1, 0.0], [0.2, np.nan]], dtype=np.float32))
     with pytest.raises(FormatError, match="nan.wav"):
         read_wav(path)
+
+
+def riff(*chunks):
+    """RIFF/WAVE bytes holding (id, body) chunks, each odd-sized body padded."""
+    body = b"".join(
+        name + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2)
+        for name, data in chunks
+    )
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def fmt_chunk(tag, channels, bits, extra=b""):
+    block = channels * bits // 8
+    return b"fmt ", struct.pack("<HHIIHH", tag, channels, 16000, 16000 * block, block, bits) + extra
+
+
+FLOAT_FRAMES = np.array([[0.5, -0.25], [0.125, 1.0], [-1.0, 0.0]], dtype=np.float32)
+FLOAT_DATA = (b"data", FLOAT_FRAMES.tobytes())
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("frames", [1, 7, 1001])
+def test_write_wav_bytes_equal_scipy(tmp_path, channels, frames):
+    data = np.random.default_rng(frames).uniform(-1, 1, (channels, frames))
+    write_wav(tmp_path / "ours.wav", SampleBuffer(data))
+    wavfile.write(tmp_path / "scipy.wav", 16000, data.T.astype(np.float32))
+    ours = (tmp_path / "ours.wav").read_bytes()
+    assert ours == (tmp_path / "scipy.wav").read_bytes()
+    assert len(ours) == 58 + 4 * channels * frames
+
+
+def test_write_wav_refuses_to_overflow_the_riff_size(tmp_path):
+    # A read-only broadcast view stands in for 4 GiB of samples; the size
+    # check comes before any conversion, so nothing that large is made.
+    huge = SimpleNamespace(data=np.broadcast_to(0.0, (2, 1 << 29)))
+    with pytest.raises(ValueError, match="overflow"):
+        write_wav(tmp_path / "huge.wav", huge)
+    assert not (tmp_path / "huge.wav").exists()
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.float32])
+@pytest.mark.parametrize("shape", [(9,), (9, 2)])
+def test_read_wav_reads_what_scipy_wrote(tmp_path, dtype, shape):
+    rng = np.random.default_rng(3)
+    if dtype == np.int16:
+        data = rng.integers(-32768, 32768, shape).astype(np.int16)
+        expected = data / 32768.0
+    else:
+        data = rng.uniform(-1, 1, shape).astype(np.float32)
+        expected = data.astype(np.float64)
+    wavfile.write(tmp_path / "x.wav", 16000, data)
+    loaded = read_wav(tmp_path / "x.wav")
+    assert np.array_equal(loaded.data, np.atleast_2d(expected.T))
+
+
+def test_read_wav_reads_wave_format_extensible_float32(tmp_path):
+    # cbSize 22, 32 valid bits, channel mask FL|FR, then the
+    # KSDATAFORMAT_SUBTYPE_IEEE_FLOAT GUID, whose first two bytes are tag 3.
+    guid = struct.pack("<H", 3) + bytes.fromhex("000000001000800000aa00389b71")
+    extra = struct.pack("<HHI", 22, 32, 0b11) + guid
+    path = tmp_path / "ext.wav"
+    path.write_bytes(riff(fmt_chunk(0xFFFE, 2, 32, extra), FLOAT_DATA))
+    assert np.array_equal(read_wav(path).data, FLOAT_FRAMES.T)
+
+
+def test_read_wav_skips_an_odd_sized_chunk_and_its_pad_byte(tmp_path):
+    path = tmp_path / "list.wav"
+    path.write_bytes(riff(fmt_chunk(3, 2, 32), (b"LIST", b"INFOabc"), FLOAT_DATA))
+    assert len(path.read_bytes()) % 2 == 0
+    assert np.array_equal(read_wav(path).data, FLOAT_FRAMES.T)
+
+
+def scipy_wav(dtype):
+    def write(path):
+        wavfile.write(path, 16000, np.zeros((4, 2), dtype=dtype))
+    return write
+
+
+@pytest.mark.parametrize("make, words", [
+    pytest.param(lambda p: p.write_bytes(b"not a wave file at all"), ["RIFF"], id="not-riff"),
+    pytest.param(lambda p: p.write_bytes(riff(FLOAT_DATA)), ["fmt"], id="no-fmt"),
+    pytest.param(lambda p: p.write_bytes(riff(fmt_chunk(3, 2, 32))), ["data"], id="no-data"),
+    pytest.param(lambda p: p.write_bytes(riff(fmt_chunk(3, 0, 32), FLOAT_DATA)), ["channels"],
+                 id="no-channels"),
+    pytest.param(lambda p: p.write_bytes(riff(fmt_chunk(3, 2, 32), FLOAT_DATA)[:-5]),
+                 ["truncated"], id="truncated-data"),
+    pytest.param(lambda p: p.write_bytes(riff(fmt_chunk(3, 2, 32), (b"data", b"\0" * 12))),
+                 ["whole number of frames"], id="partial-frame"),
+    pytest.param(scipy_wav(np.int32), ["unsupported", "32 bits"], id="int32"),
+    pytest.param(scipy_wav(np.uint8), ["unsupported", "8 bits"], id="uint8"),
+    pytest.param(scipy_wav(np.float64), ["unsupported", "64 bits"], id="float64"),
+])
+def test_read_wav_rejects_malformed_or_unsupported_files(tmp_path, make, words):
+    path = tmp_path / "bad.wav"
+    make(path)
+    with pytest.raises(FormatError) as info:
+        read_wav(path)
+    for word in [str(path), *words]:
+        assert word in str(info.value)
+
+
+def test_read_wav_lets_a_missing_file_raise_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        read_wav(tmp_path / "absent.wav")
+
+
+def test_next_fast_len_matches_scipy():
+    for n in [*range(1, (1 << 17) + 1), 10**6 + 1, 1_048_577, 3 * 10**6 + 7, 123_456_789]:
+        assert _next_fast_len(n) == next_fast_len(n, real=True), n
 
 
 def test_rate_mismatch(tmp_path):
@@ -269,7 +382,7 @@ def test_scale_to_rms_hits_target_and_leaves_silence_unchanged():
 
 def test_one_fft_convolution_in_the_package():
     # Every convolution goes through audio.convolve_channels or
-    # audio.convolve_sum; no other module takes FFTs itself.
+    # audio.convolve_sum; no other module imports an FFT module for it.
     package = pathlib.Path(__file__).resolve().parents[1] / "src" / "clarity_bench"
     fft_users = set()
     for path in sorted(package.glob("*.py")):
@@ -283,6 +396,6 @@ def test_one_fft_convolution_in_the_package():
                 assert getattr(node, "attr", getattr(node, "id", None)) != "fftconvolve", path.name
                 continue
             assert not any(m.endswith(".fftconvolve") for m in modules), path.name
-            if any(m == "scipy.fft" or m.startswith("scipy.fft.") for m in modules):
+            if any(m == "numpy.fft" or m.startswith("numpy.fft.") for m in modules):
                 fft_users.add(path.stem)
     assert fft_users == {"audio"}

@@ -436,6 +436,29 @@ def test_cli_score_rejects_a_stereo_reference(small_dataset, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_score_rejects_a_mono_mix(small_dataset, tmp_path, capsys):
+    from scipy.io import wavfile
+
+    path = copy_dataset(small_dataset, tmp_path / "d")
+    rate, data = wavfile.read(tmp_path / "d" / "S0001_mix.wav")
+    wavfile.write(tmp_path / "d" / "S0001_mix.wav", rate, data[:, 0])
+    out = tmp_path / "s.csv"
+    code = main(["score", "--dataset", str(path), "--out", str(out)])
+    assert_one_error_line(code, capsys, "S0001", "S0001_mix.wav", "stereo")
+    assert not out.exists()
+
+
+def test_cli_score_rejects_a_truncated_mix(small_dataset, tmp_path, capsys):
+    path = copy_dataset(small_dataset, tmp_path / "d")
+    mix = tmp_path / "d" / "S0001_mix.wav"
+    blob = mix.read_bytes()
+    mix.write_bytes(blob[: len(blob) // 2])
+    out = tmp_path / "s.csv"
+    code = main(["score", "--dataset", str(path), "--out", str(out)])
+    assert_one_error_line(code, capsys, "S0001_mix.wav", "truncated")
+    assert not out.exists()
+
+
 def test_run_manifest_aggregates_are_the_record_means():
     from clarity_bench.harness import RunManifest
 

@@ -26,7 +26,17 @@ def test_package_root_loads_no_submodule():
     assert not {m for m in loaded if m.startswith("clarity_bench.")}
 
 
-def test_generate_never_loads_scipy_signal(tmp_path):
+def scipy_modules(loaded):
+    return {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+
+
+def test_cli_import_loads_no_scipy():
+    loaded = loaded_after("import clarity_bench.cli")
+    assert "clarity_bench.cli" in loaded
+    assert not scipy_modules(loaded)
+
+
+def test_generate_never_loads_scipy(tmp_path):
     out = tmp_path / "set"
     loaded = loaded_after(
         "import clarity_bench.cli as cli\n"
@@ -34,5 +44,5 @@ def test_generate_never_loads_scipy_signal(tmp_path):
     )
     assert (out / "manifest.json").exists()
     assert "clarity_bench.scenes" in loaded
-    assert "scipy.signal" not in loaded
+    assert not scipy_modules(loaded)
     assert "clarity_bench.harness" not in loaded

@@ -6,8 +6,10 @@ from scipy.fft import next_fast_len
 
 from clarity_bench.audio import REFERENCE_RMS, convolve_channels, scale_to_rms
 from clarity_bench.metrics import (
+    AUDIBILITY_DB,
     CENTER_FREQUENCIES,
     ENVELOPE_CUTOFF,
+    MIN_FRAMES,
     SPECTRAL_SCALE_DB,
     _GAMMATONE_BANK,
     EarScore,
@@ -432,6 +434,32 @@ def prescaled_front_end(ref, proc, ear_levels, quality):
               for b in (ref_bands, proc_bands)]
     return (_db(_smoothed(ref_bands)), _db(_smoothed(proc_bands)), *levels,
             p_slice.start - r_slice.start)
+
+
+def per_band_envelope_correlation(ref_env, proc_env):
+    """The envelope correlation as a plain loop of np.mean Pearsons, band by band."""
+    scores = []
+    for band_ref, band_proc in zip(ref_env, proc_env):
+        mask = band_ref > AUDIBILITY_DB
+        if mask.sum() < MIN_FRAMES:
+            continue
+        a = band_ref[mask] - band_ref[mask].mean()
+        b = band_proc[mask] - band_proc[mask].mean()
+        denom = np.sqrt(np.sum(a * a) * np.sum(b * b))
+        scores.append(max(float(np.sum(a * b) / denom) if denom else 0.0, 0.0))
+    return float(np.mean(scores)) if scores else 0.0
+
+
+def test_envelope_correlation_keeps_the_bits_of_the_per_band_loop():
+    rng = np.random.default_rng(11)
+    for draw in range(300):
+        frames = int(rng.integers(MIN_FRAMES // 2, 900))
+        ref_env = rng.normal(AUDIBILITY_DB + rng.normal(0, 10), 15, (32, frames))
+        proc_env = rng.uniform(-1, 1) * ref_env + rng.normal(0, rng.uniform(0.1, 30), ref_env.shape)
+        if draw % 5 == 0:
+            proc_env[: draw % 32] = 3.0   # bands with no variance score 0
+        assert _envelope_correlation(ref_env, proc_env) == per_band_envelope_correlation(
+            ref_env, proc_env), draw
 
 
 def two_pass_ear_score(ref, proc, ear_levels):
