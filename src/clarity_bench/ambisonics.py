@@ -118,15 +118,6 @@ class AmbiSignal:
         return self.data[0]
 
 
-def truncate(signal, new_order):
-    """Keep only the channels up to new_order (drop higher degrees)."""
-    if new_order > signal.order:
-        raise ValueError(
-            f"cannot truncate order {signal.order} signal to higher order {new_order}"
-        )
-    return AmbiSignal(signal.data[: num_channels(new_order)])
-
-
 def fibonacci_directions(count):
     """Deterministic spherical Fibonacci point set.
 

@@ -21,7 +21,7 @@ import numpy as np
 from .audio import DEFAULT_RATE, read_wav
 from .errors import StatisticsError
 from .hearing_aid import EARS, amplify, flat_audiogram
-from .metrics import better_ear, combined_score, ear_scores
+from .metrics import MIN_OVERLAP, ear_scores
 # Not called here: perfbench/tracing.py wraps the two metrics at this
 # module, and its traced run fails without these names.
 from .metrics import intelligibility_score, quality_score  # noqa: F401
@@ -233,12 +233,13 @@ def score_dataset(manifest_path, audiogram=None):
     For every scene the rendered ear signals are amplified with the
     audiogram's prescription and scored per ear against the stored
     reference, both ears and both metrics in one ear_scores call; each
-    metric keeps its better ear. The record also holds every field of
-    each ear's EarScore (haspi_like_left, hasqi_like_correlation_left,
-    lag_left, ..., lag_right) and counts the samples amplification
-    clipped. Rows come back sorted by scene id. The manifest's 'rate' must
-    be DEFAULT_RATE, every mix stereo and every reference mono, else
-    ValueError naming the scene and the file.
+    metric keeps its better ear, and 'ave' is the mean of the two. The
+    record also holds every field of each ear's EarScore (haspi_like_left,
+    hasqi_like_correlation_left, lag_left, ..., lag_right) and counts the
+    samples amplification clipped. Rows come back sorted by scene id. The manifest's 'rate' must
+    be DEFAULT_RATE, every mix stereo and every reference mono and not
+    empty, and every mix long enough to overlap MIN_OVERLAP of its
+    reference, else ValueError naming the scene and the file.
     """
     audiogram = audiogram or flat_audiogram(40.0)
     with open(manifest_path, encoding="utf-8") as fp:
@@ -256,15 +257,20 @@ def score_dataset(manifest_path, audiogram=None):
         if reference.channels != 1:
             raise ValueError(f"{scene_id}: reference {reference_path} has "
                              f"{reference.channels} channels, expected mono")
+        if reference.frames == 0:
+            raise ValueError(f"{scene_id}: reference {reference_path} has no samples")
+        if ears.frames < math.ceil(MIN_OVERLAP * reference.frames):
+            raise ValueError(f"{scene_id}: mix {mix_path} has {ears.frames} frames, fewer "
+                             f"than {MIN_OVERLAP:.0%} of the {reference.frames}-frame reference")
         amplified = amplify(ears, audiogram)
         per_ear = ear_scores(reference.channel(0), amplified.ears.data, levels)
-        score = combined_score(better_ear(*(e.haspi_like for e in per_ear)),
-                               better_ear(*(e.hasqi_like for e in per_ear)))
+        haspi = max(e.haspi_like for e in per_ear)
+        hasqi = max(e.hasqi_like for e in per_ear)
         record = {
             "scene": scene_id,
-            "haspi_like": score.haspi_like,
-            "hasqi_like": score.hasqi_like,
-            "ave": score.combined,
+            "haspi_like": haspi,
+            "hasqi_like": hasqi,
+            "ave": (haspi + hasqi) / 2.0,
             "clipped": amplified.clipped,
         }
         for ear, result in zip(EARS, per_ear):

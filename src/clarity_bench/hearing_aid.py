@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import DEFAULT_RATE, SampleBuffer, convolve_channels
+from .room import is_finite_number
 
 AUDIOGRAM_FREQUENCIES = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 6000.0)
 EARS = ("left", "right")   # the rows of a stereo ear buffer, in order
@@ -73,8 +74,9 @@ def load_audiogram(path):
             if key not in table:
                 raise ValueError(f"{path}: {name} ear lacks frequency '{key}'")
             level = table[key]
-            if isinstance(level, bool) or not isinstance(level, (int, float)):
-                raise ValueError(f"{path}: {name} ear level at {key} Hz is not a number: {level!r}")
+            if not is_finite_number(level):
+                raise ValueError(f"{path}: {name} ear level at {key} Hz is not a finite number: "
+                                 f"{level!r}")
             levels.append(float(level))
         ears.append(tuple(levels))
     return Audiogram(left=ears[0], right=ears[1])

@@ -4,24 +4,29 @@ Two reference-based surrogate metrics mirror the challenge's pair of
 indices: an intelligibility-like score built on per-band envelope
 correlation, and a quality-like score that adds a long-term spectral
 penalty. Like HASPI and HASQI, both read one auditory front end that
-runs once per scene in `ear_scores`: each ear is aligned to the
-reference once, and each aligned signal runs once through a 32-band
-ERB-spaced gammatone filter bank. Half-wave rectification, a 32 Hz
-second-order low-pass and decimation to 256 Hz by linear interpolation
-give linear band envelopes, and the band RMS the long-term band levels.
+runs once per scene in `ear_scores`, the scorer's one entry point: each
+ear is aligned to the reference once, and each aligned signal runs once
+through a 32-band ERB-spaced gammatone filter bank. Half-wave
+rectification, a 32 Hz second-order low-pass and decimation to 256 Hz by
+linear interpolation give linear band envelopes, and the band RMS the
+long-term band levels.
 Only the dB conversion (-80 dB floor) is per metric, after a gain: 1 for
 the intelligibility score, and for the quality score the gain that
 brings the waveform to audio.REFERENCE_RMS. Every earlier stage is
 positively homogeneous, so this equals scaling the waveform first, up to
 rounding.
 
-Both ears of a listener are scored in one call, one row each. Each ear
-is aligned to the reference at its own lag, and one cross-correlation
-call gives the lags of all rows. The reference front end runs once per
-distinct aligned reference segment: ears aligned at the same overlap
-(every ear with a lag >= 0 and a full overlap) share one reference
-pass, so a two-ear call filters three signals, not four. A row scores
-exactly as it would alone, bit for bit.
+`ear_scores` takes the ears of a listener as rows, one audiogram row per
+ear, and returns one EarScore per ear: both scores, the quality score's
+two terms and the lag. Each ear is aligned to the reference at its own
+lag, and one cross-correlation call gives the lags of all rows. The
+reference front end runs once per distinct aligned reference segment:
+ears aligned at the same overlap (every ear with a lag >= 0 and a full
+overlap) share one reference pass, so a two-ear call filters three
+signals, not four. A row scores exactly as it would alone, bit for bit.
+`intelligibility_score` and `quality_score` are one-ear views: each
+passes one 1-D ear and its audiogram to `ear_scores` as a single row and
+returns one field.
 
 Hearing loss enters as pure band attenuation on the processed branch
 (the audiogram interpolated to each band centre); the reference branch
@@ -31,9 +36,10 @@ fewer than 50 audible frames is left out.
 
 These numbers are the module constants below (BANDS, FMIN, FMAX,
 ENVELOPE_RATE, ENVELOPE_CUTOFF, FLOOR_DB, AUDIBILITY_DB, MIN_FRAMES,
-SPECTRAL_SCALE_DB). They are not parameters: like the challenge, which
-fixed its evaluation model, every signal is scored by the same front end,
-and every signal is a plain array at audio.DEFAULT_RATE.
+SPECTRAL_SCALE_DB, MIN_OVERLAP). They are not parameters: like the
+challenge, which fixed its evaluation model, every signal is scored by
+the same front end, and every signal is a plain array at
+audio.DEFAULT_RATE.
 
 The gammatone bank, built once per process, is an audio.KernelBank: its
 32 kernels' spectrum is memoized at the last FFT length used, so the
@@ -51,7 +57,6 @@ against 0.010 s at 51,000 frames (one thread).
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 from scipy.signal import butter, lfilter
@@ -90,6 +95,7 @@ FLOOR_DB = -80.0
 AUDIBILITY_DB = -60.0
 MIN_FRAMES = 50
 SPECTRAL_SCALE_DB = 30.0
+MIN_OVERLAP = 0.9        # share of the reference an aligned ear must overlap
 
 # Band centres, ERB-spaced with half-step insets at both edges.
 CENTER_FREQUENCIES = erb_rate_inverse(
@@ -161,20 +167,19 @@ def _db(linear, gain=1.0):
     return 20.0 * np.log10(np.maximum(gain * linear, _FLOOR_LIN))
 
 
-def audiogram_band_attenuation(ear_levels, centers):
-    """Audiogram losses interpolated to band centres (log-f, dB domain)."""
-    ear_levels = np.asarray(ear_levels, dtype=np.float64)
+def audiogram_band_attenuation(ear_levels):
+    """Audiogram losses interpolated to the band centres (log-f, dB domain)."""
     freqs = np.asarray(AUDIOGRAM_FREQUENCIES)
-    f = np.clip(np.asarray(centers, dtype=np.float64), freqs[0], freqs[-1])
-    return np.interp(np.log(f), np.log(freqs), ear_levels)
+    f = np.clip(CENTER_FREQUENCIES, freqs[0], freqs[-1])
+    return np.interp(np.log(f), np.log(freqs), np.asarray(ear_levels, dtype=np.float64))
 
 
 def _aligned_slices(r, rows):
     """(reference slice, processed slice) per row of rows, trimming r and
-    the row to >= 90% overlap at the row's best feasible lag.
+    the row to their overlap at the row's best feasible lag.
 
-    Only lags that leave at least 90% of the reference overlapping are
-    searched; when no such lag exists (rows shorter than 90% of ref) the
+    Only lags that leave at least MIN_OVERLAP of the reference overlapping
+    are searched; when no such lag exists (rows shorter than that) the
     inputs are rejected, and so are non-finite samples. The lag is the
     peak of the row's cross-correlation with r; one convolve_channels call
     gives every row's, so the reversed reference is transformed once, and
@@ -184,10 +189,10 @@ def _aligned_slices(r, rows):
     if not (np.isfinite(r).all() and np.isfinite(rows).all()):
         raise ValueError("reference and processed signals must be finite")
     size = rows.shape[1]
-    needed = int(np.ceil(0.9 * r.size))
+    needed = int(np.ceil(MIN_OVERLAP * r.size))
     if size < needed:
         raise ValueError(
-            f"processed signal ({size} samples) cannot overlap 90% of "
+            f"processed signal ({size} samples) cannot overlap {MIN_OVERLAP:.0%} of "
             f"the {r.size}-sample reference at any lag"
         )
     corr = convolve_channels(rows, r[::-1])
@@ -236,25 +241,6 @@ def _envelope_correlation(ref_env, proc_env):
     return float(np.mean(scores))
 
 
-def _ear_rows(proc, ear_levels):
-    """(proc rows, audiogram rows, True when proc is a single signal).
-
-    A 1-D proc is one ear with a 1-D audiogram; a 2-D proc holds one ear
-    per row, with one audiogram row per ear.
-    """
-    single = np.ndim(proc) < 2
-    rows = _as_mono_array(proc)[None] if single else np.ascontiguousarray(proc, dtype=np.float64)
-    levels = np.asarray(ear_levels, dtype=np.float64)
-    levels = levels[None] if single else levels
-    if rows.ndim != 2 or levels.shape != (len(rows), len(AUDIOGRAM_FREQUENCIES)):
-        raise ValueError(
-            f"need a 1-D or 2-D processed signal and one audiogram of "
-            f"{len(AUDIOGRAM_FREQUENCIES)} levels per row, got a {rows.ndim - single}-D "
-            f"signal and audiogram shape {np.shape(ear_levels)}"
-        )
-    return rows, levels, single
-
-
 def _band_features(bands):
     """(linear envelopes, band RMS) of band signals (bands, frames)."""
     return _smoothed(bands), np.sqrt(np.mean(bands**2, axis=1))
@@ -287,17 +273,23 @@ def _score_ear(ref_features, proc_features, ref_gain, proc_gain, lag):
     return EarScore(haspi, 0.5 * c_term + 0.5 * s_term, c_term, s_term, lag)
 
 
-def ear_scores(ref, proc, ear_levels):
-    """Both scores of proc against ref from one front-end pass.
+def ear_scores(ref, ears, levels):
+    """Both scores of every ear against ref from one front-end pass.
 
-    ref is the clean reference array; proc the processed ear signal; ear_levels
-    the audiogram for the ear being scored (dB HL at the six standard
-    frequencies). Returns an EarScore. A 2-D proc holds one ear per row
-    and ear_levels one audiogram row per ear; the result is then a tuple
-    of one EarScore per row, each equal to that of the row alone.
+    ref is the clean reference array; ears holds one processed ear signal
+    per row, and levels one audiogram row per ear (dB HL at the six
+    standard frequencies). Returns a tuple of one EarScore per row, each
+    equal to that of the row scored alone.
     """
     r = _as_mono_array(ref)
-    rows, levels, single = _ear_rows(proc, ear_levels)
+    rows = np.ascontiguousarray(ears, dtype=np.float64)
+    levels = np.asarray(levels, dtype=np.float64)
+    if rows.ndim != 2 or levels.shape != (len(rows), len(AUDIOGRAM_FREQUENCIES)):
+        raise ValueError(
+            f"need one processed ear per row and one audiogram of "
+            f"{len(AUDIOGRAM_FREQUENCIES)} levels per ear, got signal shape "
+            f"{rows.shape} and audiogram shape {levels.shape}"
+        )
     ref_gain = _rms_gain(r)
     references = {}
     scores = []
@@ -305,65 +297,33 @@ def ear_scores(ref, proc, ear_levels):
         key = (r_slice.start, r_slice.stop)
         if key not in references:
             references[key] = _band_features(gammatone_bands(r[r_slice]))
-        attenuation = audiogram_band_attenuation(ear, CENTER_FREQUENCIES)
+        attenuation = audiogram_band_attenuation(ear)
         proc_bands = gammatone_bands(p[p_slice]) * 10.0 ** (-attenuation[:, None] / 20.0)
         scores.append(_score_ear(references[key], _band_features(proc_bands),
                                  ref_gain, _rms_gain(p), p_slice.start - r_slice.start))
-    return scores[0] if single else tuple(scores)
+    return tuple(scores)
 
 
-def _view(scores, field):
-    return field(scores) if isinstance(scores, EarScore) else tuple(map(field, scores))
+def _one_ear(ref, proc, ear_levels):
+    """The EarScore of one ear: a 1-D proc with its 1-D audiogram."""
+    (score,) = ear_scores(ref, np.asarray(proc)[None], np.asarray(ear_levels)[None])
+    return score
 
 
 def intelligibility_score(ref, proc, ear_levels):
-    """HASPI-like surrogate in [0, 1]: ear_scores(...).haspi_like, with
-    the same arguments and the same scalar or per-row tuple result."""
-    return _view(ear_scores(ref, proc, ear_levels), attrgetter("haspi_like"))
+    """HASPI-like surrogate in [0, 1] of one ear: the haspi_like field of
+    ear_scores with proc and ear_levels as its one row."""
+    return _one_ear(ref, proc, ear_levels).haspi_like
 
 
-def quality_score(ref, proc, ear_levels, return_terms=False):
-    """HASQI-like surrogate in [0, 1]: ear_scores(...).hasqi_like.
+def quality_score(ref, proc, ear_levels):
+    """HASQI-like surrogate in [0, 1] of one ear: the hasqi_like field of
+    ear_scores with proc and ear_levels as its one row.
 
     Both signals are scored at audio.REFERENCE_RMS, so a uniform gain on
     proc does not change the score. The score averages the
     envelope-correlation term with a spectral-naturalness term
-    S = 1 - min(1, mean |dL| / scale) over long-term band levels.
-    With return_terms the (score, correlation term, spectral term)
-    triple comes back instead of the bare score. proc and ear_levels take
-    one ear per row as in ear_scores, giving a tuple with one result per
-    row.
+    S = 1 - min(1, mean |dL| / scale) over long-term band levels; the
+    EarScore keeps both terms.
     """
-    fields = ("hasqi_like", "hasqi_like_correlation", "hasqi_like_spectral")
-    return _view(ear_scores(ref, proc, ear_levels),
-                 attrgetter(*fields) if return_terms else attrgetter(fields[0]))
-
-
-@dataclass(frozen=True)
-class MetricScore:
-    """Intelligibility-like and quality-like scores with their mean."""
-
-    haspi_like: float
-    hasqi_like: float
-    combined: float
-
-    def __post_init__(self):
-        if self.combined != (self.haspi_like + self.hasqi_like) / 2.0:
-            raise ValueError("combined must equal the mean of the two scores")
-
-
-def combined_score(haspi_like, hasqi_like):
-    """Bundle two scores with their arithmetic mean."""
-    for name, v in (("haspi_like", haspi_like), ("hasqi_like", hasqi_like)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {v}")
-    return MetricScore(
-        haspi_like=float(haspi_like),
-        hasqi_like=float(hasqi_like),
-        combined=(float(haspi_like) + float(hasqi_like)) / 2.0,
-    )
-
-
-def better_ear(left_score, right_score):
-    """Listener-level reduction: the better of the two ears."""
-    return max(left_score, right_score)
+    return _one_ear(ref, proc, ear_levels).hasqi_like

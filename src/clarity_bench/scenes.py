@@ -177,18 +177,18 @@ class SourceSignal:
 
 
 @dataclass(frozen=True)
-class TargetSpec:
+class PlacedSource:
+    """A source signal at a position in the room, starting at onset_s: the
+    target and every interferer."""
+
     position: tuple
     source: SourceSignal
     onset_s: float = 0.0
 
-
-@dataclass(frozen=True)
-class InterfererSpec:
-    kind: str
-    position: tuple
-    source: SourceSignal
-    onset_s: float = 0.0
+    @property
+    def kind(self):
+        """The kind is stored once, in the source."""
+        return self.source.kind
 
 
 @dataclass(frozen=True)
@@ -200,8 +200,8 @@ class ListenerSpec:
 @dataclass(frozen=True)
 class SceneSpec:
     room: RoomSpec
-    target: TargetSpec
-    interferers: tuple
+    target: PlacedSource
+    interferers: tuple   # of PlacedSource
     listener: ListenerSpec
     snr_db: float = None
     fidelity: str = "simulated"
@@ -226,7 +226,7 @@ def scene_to_dict(scene):
         },
         "interferers": [
             {
-                "kind": i.kind,
+                "kind": i.source.kind,
                 "position": list(i.position),
                 "source": _source_signal_to_dict(i.source),
                 "onset_s": i.onset_s,
@@ -256,9 +256,11 @@ def scene_from_dict(payload, directory=None):
     duration_s, which a synthetic source (no file) must give, is > 0, and a
     synthetic one lasts at least one sample at DEFAULT_RATE; a given file
     is a string; a given synth_seed is a non-negative integer; and onset
-    plus duration must not pass MAX_SCENE_SECONDS. The target's source.kind (absent means speech) must
-    be one of SOURCE_KINDS, and an interferer's source.kind, when given,
-    must equal the interferer's kind. snr_db is null or within
+    plus duration must not pass MAX_SCENE_SECONDS. The target's
+    source.kind (absent means speech) must be one of SOURCE_KINDS. An
+    interferer's "kind" must be one of SOURCE_KINDS, and its source.kind,
+    when given, must equal it; the interferer's PlacedSource keeps the
+    kind in its source only. snr_db is null or within
     MAX_ABS_SNR_DB. The scene seed is a non-negative integer. A relative
     source file is joined to `directory` when one is given.
     """
@@ -332,7 +334,7 @@ def scene_from_dict(payload, directory=None):
     target = None
     if (spec := section("target")) is not None:
         pos = position("target.position", spec.get("position"))
-        target = TargetSpec(pos, *source("target", spec, SOURCE_KINDS))
+        target = PlacedSource(pos, *source("target", spec, SOURCE_KINDS))
 
     entries = payload.get("interferers")
     if not isinstance(entries, list) or not 1 <= len(entries) <= 3:
@@ -351,7 +353,7 @@ def scene_from_dict(payload, directory=None):
             problems.append(f"{path}.kind: must be {', '.join(SOURCE_KINDS[:-1])} or {SOURCE_KINDS[-1]}")
         pos = position(f"{path}.position", spec.get("position"))
         src, onset = source(path, spec, (kind,) if known else SOURCE_KINDS)
-        interferers.append(InterfererSpec(kind, pos, src, onset))
+        interferers.append(PlacedSource(pos, src, onset))
 
     listener = None
     if (spec := section("listener")) is not None:
@@ -584,12 +586,7 @@ def render_scene(scene, profile=None, keep_components=False):
         "seed": scene.seed,
         "fidelity": scene.fidelity,
         "snr_db": scene.snr_db,
-        "profile": {
-            "ambisonic_order": profile.ambisonic_order,
-            "interferer_directivity": profile.interferer_directivity,
-            "transducer_noise_db": profile.transducer_noise_db,
-            "absorption_scale": profile.absorption_scale,
-        },
+        "profile": asdict(profile),
         "duration_s": frames / DEFAULT_RATE,
         "interferer_gain": float(interferer_gain),
         "ear_gain": float(EAR_CALIBRATION_GAIN),
@@ -648,8 +645,7 @@ def _build_scene(rng_seed, room, fidelity):
         kind = SOURCE_KINDS[int(rng.integers(0, len(SOURCE_KINDS)))]
         onset = float(rng.uniform(0.0, 0.3))
         interferers.append(
-            InterfererSpec(
-                kind=kind,
+            PlacedSource(
                 position=tuple(positions[2 + j]),
                 source=SourceSignal(
                     kind=kind,
@@ -662,7 +658,7 @@ def _build_scene(rng_seed, room, fidelity):
 
     return SceneSpec(
         room=room,
-        target=TargetSpec(
+        target=PlacedSource(
             position=tuple(target_pos),
             source=SourceSignal(kind="speech", duration_s=target_duration,
                                 synth_seed=int(rng.integers(0, 2**31))),

@@ -14,7 +14,6 @@ from clarity_bench.ambisonics import (
     fibonacci_directions,
     num_channels,
     sh_eval,
-    truncate,
 )
 from clarity_bench.audio import SampleBuffer, mono
 from clarity_bench.hrtf import DEFAULT_TAPS, HrtfSet, binaural_decode, decoder_bank, default_hrtf_set
@@ -151,28 +150,14 @@ def test_ambi_signal_order_comes_from_a_square_channel_count():
             AmbiSignal(np.zeros((channels, 3)))
 
 
-def test_truncate_channel_counts():
-    rng = np.random.default_rng(3)
-    sig = AmbiSignal(rng.uniform(-1, 1, (49, 20)))
-    low = truncate(sig, 1)
-    assert low.channels == 4
-    assert np.array_equal(low.data, sig.data[:4])
-    same = truncate(sig, 6)
-    assert np.array_equal(same.data, sig.data)
-    assert np.array_equal(truncate(sig, 0).w, sig.w)
-    with pytest.raises(ValueError):
-        truncate(low, 2)
-
-
 def test_truncate_commutes_with_zeroing_high_degrees():
     rng = np.random.default_rng(4)
     sig = AmbiSignal(rng.uniform(-1, 1, (49, 30)))
     zeroed = sig.data.copy()
     zeroed[4:] = 0.0
     zeroed_sig = AmbiSignal(zeroed)
-    a = binaural_decode(truncate(sig, 1))
-    b = binaural_decode(truncate(zeroed_sig, 1))
-    assert np.array_equal(a.data, b.data)
+    # The order-1 field is the first 4 channels, which zeroing leaves alone.
+    a = binaural_decode(AmbiSignal(sig.data[:4]))
     # Decoding the zeroed field at its original order uses the order-6
     # pseudo-inverse; on a finite quasi-uniform grid that differs from the
     # order-1 decode by a small cross-degree leakage term.

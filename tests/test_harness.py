@@ -1,9 +1,11 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
+from clarity_bench.audio import read_wav
 from clarity_bench.cli import main
 from clarity_bench.errors import StatisticsError
 from clarity_bench.harness import (
@@ -163,6 +165,7 @@ def test_score_dataset_records_each_ears_scores(small_dataset, tmp_path):
             assert per_ear == [score(ref, ears.channel(0), audiogram.ear("left")),
                                score(ref, ears.channel(1), audiogram.ear("right"))]
             assert rec[metric] == max(per_ear)
+        assert rec["ave"] == (rec["haspi_like"] + rec["hasqi_like"]) / 2.0
     write_run_manifest(run, tmp_path / "ears.run.json")
     payload = json.loads((tmp_path / "ears.run.json").read_text())
     assert payload["records"] == list(run.records)
@@ -173,6 +176,7 @@ def test_score_dataset_runs_one_front_end_per_scene(small_dataset, tmp_path, mon
     # filters and smooths three signals (one reference, two ears) for both
     # metrics, and its record holds each ear's quality terms and lag.
     import os
+    from dataclasses import asdict
 
     from clarity_bench import metrics
     from clarity_bench.audio import read_wav
@@ -200,9 +204,8 @@ def test_score_dataset_runs_one_front_end_per_scene(small_dataset, tmp_path, mon
         ref = read_wav(os.path.join(base, f"{rec['scene']}_ref.wav")).channel(0)
         for index, ear in enumerate(("left", "right")):
             assert 0 <= rec[f"lag_{ear}"] <= ears.frames - ref.size
-            terms = metrics.quality_score(ref, ears.channel(index), audiogram.ear(ear), return_terms=True)
-            assert terms == tuple(rec[f"{key}_{ear}"] for key in (
-                "hasqi_like", "hasqi_like_correlation", "hasqi_like_spectral"))
+            (alone,) = metrics.ear_scores(ref, ears.data[index : index + 1], audiogram.ear(ear)[None])
+            assert asdict(alone) == {key: rec[f"{key}_{ear}"] for key in asdict(alone)}
     write_run_manifest(run, tmp_path / "terms.run.json")
     payload = json.loads((tmp_path / "terms.run.json").read_text())
     assert payload["records"] == list(run.records)
@@ -459,6 +462,40 @@ def test_cli_score_rejects_a_truncated_mix(small_dataset, tmp_path, capsys):
     assert not out.exists()
 
 
+def cut_wav(path, frames):
+    """Keep the first `frames` frames of a WAV file."""
+    from scipy.io import wavfile
+
+    rate, data = wavfile.read(path)
+    wavfile.write(path, rate, data[:frames])
+
+
+@pytest.mark.parametrize("name, share, words", [
+    ("mix", 0.0, ["S0001_mix.wav", "0 frames", "90%"]),
+    ("mix", 0.85, ["S0001_mix.wav", "90%"]),
+    ("ref", 0.0, ["S0001_ref.wav", "no samples"]),
+], ids=["empty-mix", "short-mix", "empty-reference"])
+def test_cli_score_rejects_an_empty_or_short_signal(small_dataset, tmp_path, capsys, name, share, words):
+    path = copy_dataset(small_dataset, tmp_path / "d")
+    reference_frames = read_wav(tmp_path / "d" / "S0001_ref.wav").frames
+    cut_wav(tmp_path / "d" / f"S0001_{name}.wav", int(share * reference_frames))
+    out = tmp_path / "s.csv"
+    code = main(["score", "--dataset", str(path), "--out", str(out)])
+    assert_one_error_line(code, capsys, "S0001", *words)
+    assert not out.exists()
+
+
+def test_score_dataset_accepts_a_mix_at_the_overlap_limit(small_dataset, tmp_path):
+    path = copy_dataset(small_dataset, tmp_path / "d")
+    reference_frames = read_wav(tmp_path / "d" / "S0001_ref.wav").frames
+    limit = math.ceil(0.9 * reference_frames)
+    cut_wav(tmp_path / "d" / "S0001_mix.wav", limit)
+    record = score_dataset(path).records[1]
+    assert record["scene"] == "S0001"
+    for ear in ("left", "right"):
+        assert limit - reference_frames <= record[f"lag_{ear}"] <= 0
+
+
 def test_run_manifest_aggregates_are_the_record_means():
     from clarity_bench.harness import RunManifest
 
@@ -478,6 +515,9 @@ def test_run_manifest_aggregates_are_the_record_means():
         ({"left": {"250": None}, "right": {}}, ["ag.json", "left ear", "250 Hz"]),
         ({"left": {}, "right": {"4000": True}}, ["ag.json", "right ear", "4000 Hz"]),
         ({"left": {"1000": "40"}, "right": {}}, ["ag.json", "left ear", "1000 Hz"]),
+        ({"left": {}, "right": {"2000": 10**400}}, ["ag.json", "right ear", "2000 Hz"]),
+        ({"left": {"500": float("nan")}, "right": {}}, ["ag.json", "left ear", "500 Hz"]),
+        ({"left": {}, "right": {"6000": float("inf")}}, ["ag.json", "right ear", "6000 Hz"]),
     ],
 )
 def test_cli_score_rejects_malformed_audiogram(tmp_path, capsys, payload, words):

@@ -13,15 +13,12 @@ from clarity_bench.metrics import (
     SPECTRAL_SCALE_DB,
     _GAMMATONE_BANK,
     EarScore,
-    MetricScore,
     _aligned_slices,
     _db,
     _envelope_correlation,
     _gammatone_kernels,
     _smoothed,
     audiogram_band_attenuation,
-    better_ear,
-    combined_score,
     ear_scores,
     erb,
     gammatone_bands,
@@ -37,6 +34,12 @@ ZERO_EAR = np.zeros(6)
 def speech(seconds=2.0, seed=0, level=0.1):
     x = speech_like(seconds, seed=seed)
     return x * (level / np.sqrt(np.mean(x**2)))
+
+
+def one_ear(ref, proc, ear_levels):
+    """The EarScore of proc alone: an ear_scores call with one row."""
+    (score,) = ear_scores(ref, np.asarray(proc)[None], np.asarray(ear_levels)[None])
+    return score
 
 
 def test_config_centers_increase_and_stay_below_nyquist():
@@ -188,11 +191,10 @@ def test_quality_lowpass_penalized():
     freqs = np.fft.rfftfreq(x.size, 1.0 / RATE)
     spectrum[freqs > 1000.0] = 0.0
     lowpassed = np.fft.irfft(spectrum, x.size)
-    identity, _, s_identity = quality_score(x, x, ZERO_EAR, return_terms=True)
-    degraded, _, s_degraded = quality_score(x, lowpassed, ZERO_EAR, return_terms=True)
-    assert degraded < identity
-    assert s_degraded < 1.0
-    assert s_identity == pytest.approx(1.0, abs=1e-9)
+    identity, degraded = one_ear(x, x, ZERO_EAR), one_ear(x, lowpassed, ZERO_EAR)
+    assert degraded.hasqi_like < identity.hasqi_like
+    assert degraded.hasqi_like_spectral < 1.0
+    assert identity.hasqi_like_spectral == pytest.approx(1.0, abs=1e-9)
 
 
 def test_scores_bounded_for_arbitrary_inputs():
@@ -202,27 +204,6 @@ def test_scores_bounded_for_arbitrary_inputs():
     for fn in (intelligibility_score, quality_score):
         v = fn(x, junk, np.array([30, 40, 50, 60, 70, 80]))
         assert 0.0 <= v <= 1.0
-
-
-def test_combined_score_paper_rows():
-    assert combined_score(0.266, 0.128).combined == pytest.approx(0.197)
-    assert combined_score(0.797, 0.414).combined == pytest.approx(0.6055)
-    assert combined_score(0.0, 0.0).combined == 0.0
-
-
-def test_combined_score_validation():
-    with pytest.raises(ValueError):
-        combined_score(1.2, 0.0)
-    with pytest.raises(ValueError):
-        combined_score(0.5, -0.1)
-    with pytest.raises(ValueError):
-        MetricScore(haspi_like=0.4, hasqi_like=0.2, combined=0.35)
-
-
-def test_better_ear():
-    assert better_ear(0.4, 0.6) == 0.6
-    assert better_ear(0.5, 0.5) == 0.5
-    assert better_ear(0.0, 0.3) == 0.3
 
 
 def test_audiogram_attenuation_lowers_scores():
@@ -282,8 +263,8 @@ def test_quality_correlation_term_is_intelligibility_of_normalized_pair():
     proc = 0.3 * x + 0.02 * rng.standard_normal(x.size)
     ear = np.array([20.0, 25.0, 30.0, 40.0, 50.0, 60.0])
     normalized = [v * (REFERENCE_RMS / np.sqrt(np.mean(v * v))) for v in (x, proc)]
-    _, c_term, _ = quality_score(x, proc, ear, return_terms=True)
-    # quality_score applies its gain after filtering: equal up to rounding.
+    c_term = one_ear(x, proc, ear).hasqi_like_correlation
+    # The quality gain is applied after filtering: equal up to rounding.
     assert c_term == pytest.approx(intelligibility_score(*normalized, ear), abs=1e-12)
 
 
@@ -328,17 +309,6 @@ SHARED = two_ears(X, (40, 70), X.size + 100)
 APART = two_ears(X, (40, -60), X.size)
 
 
-@pytest.mark.parametrize("score, kwargs", [
-    (intelligibility_score, {}),
-    (quality_score, {}),
-    (quality_score, {"return_terms": True}),
-])
-@pytest.mark.parametrize("ears", [SHARED, APART], ids=["shared", "apart"])
-def test_two_ear_call_equals_the_per_ear_calls(score, kwargs, ears):
-    both = score(X, ears, EAR_ROWS, **kwargs)
-    assert both == tuple(score(X, row, levels, **kwargs) for row, levels in zip(ears, EAR_ROWS))
-
-
 def test_two_ear_test_signals_align_as_intended():
     shared = [r for r, _ in _aligned_slices(X, SHARED)]
     apart = [r for r, _ in _aligned_slices(X, APART)]
@@ -346,11 +316,10 @@ def test_two_ear_test_signals_align_as_intended():
     assert apart == [slice(0, X.size - 40), slice(60, X.size)]
 
 
-@pytest.mark.parametrize("score", [intelligibility_score, quality_score])
 @pytest.mark.parametrize("ears, passes", [(SHARED, 3), (APART, 4)], ids=["shared", "apart"])
-def test_two_ear_call_filters_a_shared_reference_once(monkeypatch, score, ears, passes):
+def test_two_ear_call_filters_a_shared_reference_once(monkeypatch, ears, passes):
     calls = count_gammatone_calls(monkeypatch)
-    score(X, ears, EAR_ROWS)
+    ear_scores(X, ears, EAR_ROWS)
     assert len(calls) == passes
 
 
@@ -362,9 +331,15 @@ def test_two_ear_call_filters_a_shared_reference_once(monkeypatch, score, ears, 
     (SHARED[None], EAR_ROWS),
 ])
 def test_scores_need_one_audiogram_row_per_signal_row(proc, levels):
-    for score in (intelligibility_score, quality_score):
+    for score in (ear_scores, intelligibility_score, quality_score):
         with pytest.raises(ValueError, match="one audiogram"):
             score(X, proc, levels)
+
+
+def test_ear_scores_take_rows_only():
+    # One 1-D ear goes through the one-ear views, not ear_scores.
+    with pytest.raises(ValueError, match="one processed ear per row"):
+        ear_scores(X, SHARED[0], EAR_ROWS[0])
 
 
 LONG_SPEECH = speech(1.2, seed=22)
@@ -383,10 +358,11 @@ TWO_EAR_DRAWS = given(
 def test_two_ear_scores_are_the_per_ear_scores_and_bounded(n, extra, lags, gains, noise, seed):
     x = LONG_SPEECH[:n]
     ears = two_ears(x, lags, n + extra, gains, noise, seed)
-    for score in (intelligibility_score, quality_score):
-        both = score(x, ears, EAR_ROWS)
-        assert both == tuple(score(x, row, levels) for row, levels in zip(ears, EAR_ROWS))
-        assert all(0.0 <= v <= 1.0 for v in both)
+    both = ear_scores(x, ears, EAR_ROWS)
+    assert both == tuple(one_ear(x, row, levels) for row, levels in zip(ears, EAR_ROWS))
+    for e in both:
+        assert all(0.0 <= v <= 1.0 for v in (
+            e.haspi_like, e.hasqi_like, e.hasqi_like_correlation, e.hasqi_like_spectral))
 
 
 def per_ear_slices(r, p):
@@ -427,7 +403,7 @@ def prescaled_front_end(ref, proc, ear_levels, quality):
     if quality:
         ref, proc = scale_to_rms(ref, REFERENCE_RMS), scale_to_rms(proc, REFERENCE_RMS)
     r_slice, p_slice = per_ear_slices(ref, proc)
-    attenuation = audiogram_band_attenuation(ear_levels, CENTER_FREQUENCIES)
+    attenuation = audiogram_band_attenuation(ear_levels)
     ref_bands = gammatone_bands(ref[r_slice])
     proc_bands = gammatone_bands(proc[p_slice]) * 10.0 ** (-attenuation[:, None] / 20.0)
     levels = [20.0 * np.log10(np.maximum(np.sqrt(np.mean(b**2, axis=1)), 1e-4))
@@ -490,9 +466,12 @@ def test_one_front_end_matches_one_pass_per_metric(n, extra, lags, gains, noise,
 @pytest.mark.parametrize("ears", [SHARED, APART], ids=["shared", "apart"])
 def test_ear_scores_gather_both_scores_and_the_lags(ears):
     got = ear_scores(X, ears, EAR_ROWS)
-    assert [e.haspi_like for e in got] == list(intelligibility_score(X, ears, EAR_ROWS))
-    terms = quality_score(X, ears, EAR_ROWS, return_terms=True)
-    assert [(e.hasqi_like, e.hasqi_like_correlation, e.hasqi_like_spectral) for e in got] == list(terms)
+    pairs = list(zip(ears, EAR_ROWS))
+    assert got == tuple(one_ear(X, *pair) for pair in pairs)
+    assert [e.haspi_like for e in got] == [intelligibility_score(X, *pair) for pair in pairs]
+    assert [e.hasqi_like for e in got] == [quality_score(X, *pair) for pair in pairs]
+    for e in got:
+        assert e.hasqi_like == 0.5 * e.hasqi_like_correlation + 0.5 * e.hasqi_like_spectral
     lags = [p.start - r.start for r, p in (per_ear_slices(X, row) for row in ears)]
     assert [e.lag for e in got] == lags == ([40, 70] if ears is SHARED else [40, -60])
 

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,12 @@ from clarity_bench.room import RoomSpec
 from clarity_bench.scenes import (
     EAR_CALIBRATION_GAIN,
     FidelityProfile,
-    InterfererSpec,
     ListenerSpec,
+    PlacedSource,
+    SOURCE_KINDS,
     RotationTrajectory,
     SceneSpec,
     SourceSignal,
-    TargetSpec,
     add_transducer_noise,
     apply_trajectory,
     default_trajectory,
@@ -40,14 +41,13 @@ def simple_scene(**overrides):
     room = RoomSpec((6.6, 5.8, 2.8), absorption=0.438)
     base = dict(
         room=room,
-        target=TargetSpec(
+        target=PlacedSource(
             position=(2.0, 3.0, 1.5),
             source=SourceSignal(kind="speech", duration_s=1.0, synth_seed=5),
             onset_s=0.3,
         ),
         interferers=(
-            InterfererSpec(
-                kind="noise",
+            PlacedSource(
                 position=(5.0, 2.0, 1.5),
                 source=SourceSignal(kind="noise", duration_s=1.5, synth_seed=6),
                 onset_s=0.0,
@@ -105,6 +105,20 @@ def test_scene_json_round_trip(tmp_path):
     save_scene(scene, path)
     loaded = load_scene(path)
     assert loaded == scene
+
+
+def test_code_built_scene_survives_save_and_load(tmp_path):
+    # An interferer's kind lives in its source alone, so a kind changed in
+    # code is the kind its file entry carries, and the file loads back.
+    scene = draw_scenes(1, seed=5)[0]
+    for kind in SOURCE_KINDS:
+        changed = replace(scene, interferers=tuple(
+            replace(i, source=replace(i.source, kind=kind)) for i in scene.interferers))
+        path = tmp_path / f"{kind}.json"
+        save_scene(changed, path)
+        entries = json.loads(path.read_text())["interferers"]
+        assert [(e["kind"], e["source"]["kind"]) for e in entries] == [(kind, kind)] * len(entries)
+        assert load_scene(path) == changed
 
 
 def test_scene_json_directivity_key_is_ignored():
@@ -496,8 +510,7 @@ def test_render_degenerate_scene_reduces_to_encode_decode(tmp_path):
     scene = simple_scene(
         room=room,
         interferers=(
-            InterfererSpec(
-                kind="noise",
+            PlacedSource(
                 position=(5.0, 2.0, 1.5),
                 source=SourceSignal(kind="noise", file=str(silent_path)),
                 onset_s=0.0,
@@ -560,9 +573,9 @@ def test_render_rejects_a_file_source_past_the_scene_limit(tmp_path, monkeypatch
     source = SourceSignal(kind="noise", file=str(long_path))
     scene = simple_scene()
     if which == "target":
-        scene = simple_scene(target=TargetSpec(scene.target.position, source, onset_s=1.5))
+        scene = simple_scene(target=PlacedSource(scene.target.position, source, onset_s=1.5))
     else:
-        scene = simple_scene(interferers=(InterfererSpec("noise", (5.0, 2.0, 1.5), source, 1.5),))
+        scene = simple_scene(interferers=(PlacedSource((5.0, 2.0, 1.5), source, 1.5),))
 
     def no_rir(*args, **kwargs):
         raise AssertionError("room impulse response computed before the length check")
@@ -669,9 +682,8 @@ def test_generate_dataset_measured_like_records_profile(tmp_path):
         manifest = json.load(fp)
     entry = manifest["scenes"][0]
     assert manifest["fidelity"] == "measured_like"
-    assert entry["profile"]["ambisonic_order"] == 1
-    assert entry["profile"]["transducer_noise_db"] is not None
-    assert entry["profile"]["interferer_directivity"] == "cardioid"
+    assert entry["profile"] == {"ambisonic_order": 1, "interferer_directivity": "cardioid",
+                                "transducer_noise_db": -25.0, "absorption_scale": 0.85}
 
 
 def test_mix_returns_its_gain():
