@@ -316,11 +316,32 @@ def test_two_ear_test_signals_align_as_intended():
     assert apart == [slice(0, X.size - 40), slice(60, X.size)]
 
 
+# Each view is one EarScore field; the third case also compares the two
+# quality terms that hasqi_like averages.
+@pytest.mark.parametrize("score, kwargs", [
+    (intelligibility_score, {"field": "haspi_like"}),
+    (quality_score, {"field": "hasqi_like"}),
+    (quality_score, {"field": "hasqi_like", "terms": ("hasqi_like_correlation", "hasqi_like_spectral")}),
+])
+@pytest.mark.parametrize("ears", [SHARED, APART], ids=["shared", "apart"])
+def test_two_ear_call_equals_the_per_ear_calls(score, kwargs, ears):
+    both = ear_scores(X, ears, EAR_ROWS)
+    pairs = list(zip(ears, EAR_ROWS))
+    assert [getattr(e, kwargs["field"]) for e in both] == [score(X, *pair) for pair in pairs]
+    for term in kwargs.get("terms", ()):
+        assert [getattr(e, term) for e in both] == [getattr(one_ear(X, *pair), term) for pair in pairs]
+
+
+@pytest.mark.parametrize("score", [intelligibility_score, quality_score])
 @pytest.mark.parametrize("ears, passes", [(SHARED, 3), (APART, 4)], ids=["shared", "apart"])
-def test_two_ear_call_filters_a_shared_reference_once(monkeypatch, ears, passes):
+def test_two_ear_call_filters_a_shared_reference_once(monkeypatch, score, ears, passes):
     calls = count_gammatone_calls(monkeypatch)
     ear_scores(X, ears, EAR_ROWS)
     assert len(calls) == passes
+    # A one-ear view filters its reference and its ear once each.
+    calls.clear()
+    score(X, ears[0], EAR_ROWS[0])
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("proc, levels", [
