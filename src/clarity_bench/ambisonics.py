@@ -4,7 +4,8 @@ Conventions are fixed to ACN channel ordering with SN3D normalization.
 Azimuth is measured counter-clockwise from the +x axis seen from above
 (+y is left), elevation upward from the horizontal plane. With these
 conventions the first four channels of a plane-wave encoding are
-W = 1, Y = sin(az) cos(el), Z = sin(el), X = cos(az) cos(el).
+W = 1, Y = sin(az) cos(el), Z = sin(el), X = cos(az) cos(el): y, z, x of
+the unit vector that sh_eval takes, for it works by a Cartesian recurrence.
 
 Fields reach the ears through hrtf.binaural_decode, which owns the one
 HRTF set and its virtual-loudspeaker layout.
@@ -27,20 +28,22 @@ def num_channels(order):
     return (order + 1) ** 2
 
 
-def sh_eval(order, azimuth, elevation):
-    """Real spherical harmonics up to `order` at one or many directions.
+def sh_eval(order, x, y, z):
+    """Real spherical harmonics up to `order` at one or many unit vectors.
 
-    The associated Legendre functions P_l^m(sin el), without the
-    Condon-Shortley phase, come from the standard recurrence:
-    P_m^m = (2m-1)!! cos^m(el), P_{m+1}^m = (2m+1) sin(el) P_m^m, and
-    (l-m) P_l^m = (2l-1) sin(el) P_{l-1}^m - (l+m-1) P_{l-2}^m.
-    cos(m az) and sin(m az) come from the angle-addition formulas.
+    Each term is a polynomial in x, y, z (Sloan, JCGT 2(2), 2013), so no
+    angle is formed. cos^m(el) cos(m az) and cos^m(el) sin(m az) are the
+    real and imaginary parts of (x + iy)^m, one complex product per m. The
+    quotient Q_l^m = P_l^m(z) / cos^m(el) of the associated Legendre
+    function, without the Condon-Shortley phase, follows the standard
+    recurrence from Q_m^m = (2m-1)!!: Q_{m+1}^m = (2m+1) z Q_m^m and
+    (l-m) Q_l^m = (2l-1) z Q_{l-1}^m - (l+m-1) Q_{l-2}^m.
 
     Parameters
     ----------
     order : int, 0..MAX_ORDER
-    azimuth, elevation : float or 1-D array (radians)
-        Elevation must lie within [-pi/2, pi/2].
+    x, y, z : float or 1-D array
+        Unit-vector components; x^2 + y^2 + z^2 must lie within 1e-9 of 1.
 
     Returns
     -------
@@ -50,32 +53,27 @@ def sh_eval(order, azimuth, elevation):
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}, got {order}")
-    scalar = np.isscalar(azimuth) and np.isscalar(elevation)
-    az = np.atleast_1d(np.asarray(azimuth, dtype=np.float64))
-    el = np.atleast_1d(np.asarray(elevation, dtype=np.float64))
-    az, el = np.broadcast_arrays(az, el)
-    if np.any(np.abs(el) > np.pi / 2 + 1e-12):
-        raise ValueError("elevation outside [-pi/2, pi/2]")
+    scalar = all(np.isscalar(v) for v in (x, y, z))
+    x, y, z = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, float)) for v in (x, y, z)))
+    if not np.all(np.abs(x * x + y * y + z * z - 1.0) <= 1e-9):   # NaN and inf fail too
+        raise ValueError("points must be finite unit vectors: x^2 + y^2 + z^2 within 1e-9 of 1")
 
-    x, cos_el = np.sin(el), np.cos(el)
-    cos_1, sin_1 = np.cos(az), np.sin(az)
-    cos_m, sin_m = np.ones_like(az), np.zeros_like(az)
-    p_mm = np.ones_like(el)
-    out = np.empty((num_channels(order), az.size), dtype=np.float64)
+    re, im = x, y   # (x + iy)^1
+    out = np.empty((num_channels(order), x.size), dtype=np.float64)
     for mm in range(order + 1):
-        if mm > 0:
-            p_mm = (2 * mm - 1) * cos_el * p_mm
-            cos_m, sin_m = cos_m * cos_1 - sin_m * sin_1, sin_m * cos_1 + cos_m * sin_1
-        p_lo, p_l = np.zeros_like(el), p_mm  # P_{m-1}^m = 0 starts the recurrence
+        if mm > 1:
+            re, im = re * x - im * y, im * x + re * y
+        q_lo, q_l = 0.0, math.prod(range(1, 2 * mm, 2))   # Q_{m-1}^m = 0, Q_m^m = (2m-1)!!
         for l in range(mm, order + 1):
             if l > mm:
-                p_lo, p_l = p_l, ((2 * l - 1) * x * p_l - (l + mm - 1) * p_lo) / (l - mm)
+                q_lo, q_l = q_l, ((2 * l - 1) * z * q_l - (l + mm - 1) * q_lo) / (l - mm)
             norm = math.sqrt(math.factorial(l - mm) / math.factorial(l + mm))
             if mm == 0:
-                out[acn_index(l, 0)] = norm * p_l
+                out[acn_index(l, 0)] = norm * q_l
             else:
-                out[acn_index(l, mm)] = math.sqrt(2.0) * norm * p_l * cos_m
-                out[acn_index(l, -mm)] = math.sqrt(2.0) * norm * p_l * sin_m
+                scaled = math.sqrt(2.0) * norm * q_l
+                np.multiply(scaled, re, out=out[acn_index(l, mm)])
+                np.multiply(scaled, im, out=out[acn_index(l, -mm)])
     return out[:, 0] if scalar else out
 
 

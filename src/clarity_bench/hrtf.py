@@ -144,7 +144,8 @@ def decoder_bank(order):
         raise ValueError(
             f"HRTF set of {count} directions cannot decode {k} channels (order {order})"
         )
-    basis = sh_eval(order, hrtfs.azimuths, hrtfs.elevations).T   # L x K
+    az, el = hrtfs.azimuths, hrtfs.elevations
+    basis = sh_eval(order, np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)).T   # L x K
     bank = np.linalg.pinv(basis) @ np.stack([hrtfs.left, hrtfs.right])
     bank.flags.writeable = False
     return bank

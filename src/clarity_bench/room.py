@@ -5,8 +5,11 @@ Every mirror image of the source contributes a single spike:
     amplitude = (-sqrt(1 - absorption)) ** reflections / distance
 
 placed at the nearest sample to distance/c, weighted by the source
-directivity at the emission angle, and panned into the Ambisonic channels
-by the spherical harmonics of its arrival direction. The reflection
+directivity (a cardioid's 0.5 (1 + cos psi), from the emission cosine
+cos psi: the image's mirrored aim dotted with its unit vector toward the
+listener), and panned into the Ambisonic channels by the spherical
+harmonics of its arrival direction, the unit vector offset / distance
+from the listener; no angle is formed. The reflection
 coefficient keeps the energy convention |r|^2 = 1 - absorption; the
 alternating sign is the pressure-reflection form, which stops co-binned
 late arrivals from summing coherently and skewing decay measurements.
@@ -106,12 +109,12 @@ class AmbiRir:
     image_count: int
 
 
-def directivity_gain(pattern, angle):
-    """Gain of a source pattern at an emission angle from its aim."""
+def directivity_gain(pattern, cos_angle):
+    """Gain of a source pattern, given the cosine of the emission angle from its aim."""
     if pattern == "omni":
-        return np.ones_like(np.asarray(angle, dtype=np.float64))
+        return np.ones_like(np.asarray(cos_angle, dtype=np.float64))
     if pattern == "cardioid":
-        return 0.5 * (1.0 + np.cos(angle))
+        return 0.5 * (1.0 + np.asarray(cos_angle, dtype=np.float64))
     raise ValueError(f"unknown directivity {pattern!r}")
 
 
@@ -178,18 +181,16 @@ def image_source_rir(room, source, listener, order, time_limit):
         dist = dist[keep]
         bins = bins[keep]
         ix, iy, iz = (i[keep] for i in near)
-        ox, oy, oz = offsets[0][ix], offsets[1][iy], offsets[2][iz]
+        ux, uy, uz = offsets[0][ix] / dist, offsets[1][iy] / dist, offsets[2][iz] / dist
         amp = powers[hops[0][ix] + hops[1][iy] + hops[2][iz]] / dist
         if aim is not None:
-            mirrored = np.where(np.array(parity) == 1, -aim, aim)
-            emission = -np.stack([ox, oy, oz], axis=1) / dist[:, None]
-            cos_psi = np.clip(emission @ mirrored, -1.0, 1.0)
-            amp = amp * directivity_gain("cardioid", np.arccos(cos_psi))
-        azimuth = np.arctan2(oy, ox)
-        elevation = np.arcsin(np.clip(oz / dist, -1.0, 1.0))
-        coeffs = sh_eval(order, azimuth, elevation)
+            mx, my, mz = np.where(np.array(parity) == 1, -aim, aim)
+            cos_psi = np.clip(-(ux * mx + uy * my + uz * mz), -1.0, 1.0)
+            amp *= directivity_gain("cardioid", cos_psi)
+        coeffs = sh_eval(order, ux, uy, uz)
+        coeffs *= amp
         for ch in range(k):
-            rir[ch] += np.bincount(bins, weights=coeffs[ch] * amp, minlength=frames)
+            rir[ch] += np.bincount(bins, weights=coeffs[ch], minlength=frames)
         image_count += int(keep.sum())
 
     return AmbiRir(

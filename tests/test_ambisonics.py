@@ -18,38 +18,45 @@ from clarity_bench.ambisonics import (
 from clarity_bench.audio import SampleBuffer, mono
 from clarity_bench.hrtf import DEFAULT_TAPS, HrtfSet, binaural_decode, decoder_bank, default_hrtf_set
 
-from ambisonic_oracles import encode, yaw_rotation
+from ambisonic_oracles import encode, unit_vector, yaw_rotation
 
 
 def test_sh_order0_is_one():
     for az, el in [(0.0, 0.0), (1.3, -0.4), (5.0, 1.2)]:
-        assert sh_eval(0, az, el) == pytest.approx([1.0])
+        assert sh_eval(0, *unit_vector(az, el)) == pytest.approx([1.0])
 
 
 def test_sh_order1_frontal():
-    assert sh_eval(1, 0.0, 0.0) == pytest.approx([1.0, 0.0, 0.0, 1.0], abs=1e-15)
+    assert sh_eval(1, *unit_vector(0.0, 0.0)) == pytest.approx([1.0, 0.0, 0.0, 1.0], abs=1e-15)
 
 
 def test_sh_order1_left():
-    assert sh_eval(1, np.pi / 2, 0.0) == pytest.approx([1.0, 1.0, 0.0, 0.0], abs=1e-15)
+    assert sh_eval(1, *unit_vector(np.pi / 2, 0.0)) == pytest.approx([1.0, 1.0, 0.0, 0.0], abs=1e-15)
 
 
 def test_sh_degree1_closed_forms_random_directions():
     rng = np.random.default_rng(42)
     az = rng.uniform(0, 2 * np.pi, 1000)
     el = rng.uniform(-np.pi / 2, np.pi / 2, 1000)
-    y = sh_eval(1, az, el)
+    y = sh_eval(1, *unit_vector(az, el))
     assert np.max(np.abs(y[0] - 1.0)) < 1e-12
     assert np.max(np.abs(y[1] - np.sin(az) * np.cos(el))) < 1e-12
     assert np.max(np.abs(y[2] - np.sin(el))) < 1e-12
     assert np.max(np.abs(y[3] - np.cos(az) * np.cos(el))) < 1e-12
 
 
-def test_sh_elevation_domain():
+def test_sh_unit_vector_domain():
+    # Non-finite points and points off the unit sphere by more than 1e-9
+    # in x^2 + y^2 + z^2 are rejected, alone or among good points.
+    for point in [(0.0, 0.0, 0.0), (0.6, 0.6, 0.6), (1.0 + 6e-10, 0.0, 0.0),
+                  (np.nan, 0.0, 1.0), (0.0, np.inf, 0.0), (-np.inf, np.nan, 0.0)]:
+        with pytest.raises(ValueError, match="unit vectors"):
+            sh_eval(2, *point)
+        with pytest.raises(ValueError, match="unit vectors"):
+            sh_eval(2, *np.array([(0.0, 0.0, 1.0), point]).T)
+    assert sh_eval(2, 1.0 + 4e-10, 0.0, 0.0).shape == (9,)
     with pytest.raises(ValueError):
-        sh_eval(2, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        sh_eval(9, 0.0, 0.0)
+        sh_eval(9, 1.0, 0.0, 0.0)
 
 
 def test_encode_zero_signal():
@@ -263,7 +270,20 @@ directions = st.lists(
 def test_sh_eval_equals_legendre_formula(points):
     az, el = np.array(points).T
     for order in range(MAX_ORDER + 1):
-        assert np.max(np.abs(sh_eval(order, az, el) - legendre_sh_eval(order, az, el))) < 1e-12
+        y = sh_eval(order, *unit_vector(az, el))
+        assert np.max(np.abs(y - legendre_sh_eval(order, az, el))) < 1e-12
+
+
+def test_sh_eval_low_orders_are_the_leading_rows_of_high_orders():
+    # Truncating a field to a lower order keeps its leading channels, so the
+    # order-N harmonics must be the first (N+1)^2 rows of any higher order's,
+    # bit for bit.
+    rng = np.random.default_rng(19)
+    points = rng.normal(size=(3, 500))
+    points /= np.linalg.norm(points, axis=0)
+    full = sh_eval(MAX_ORDER, *points)
+    for order in range(MAX_ORDER):
+        assert np.array_equal(sh_eval(order, *points), full[: num_channels(order)])
 
 
 def test_sh_eval_sectoral_terms_stay_accurate_near_the_poles():
@@ -272,7 +292,7 @@ def test_sh_eval_sectoral_terms_stay_accurate_near_the_poles():
     az = 0.4
     for delta in np.logspace(-9, -3, 13):
         for el in (np.pi / 2 - delta, -np.pi / 2 + delta):
-            y = sh_eval(MAX_ORDER, az, el)
+            y = sh_eval(MAX_ORDER, *unit_vector(az, el))
             for mm in range(1, MAX_ORDER + 1):
                 exact = (
                     math.sqrt(2.0 / math.factorial(2 * mm))

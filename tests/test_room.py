@@ -13,6 +13,8 @@ from clarity_bench.room import (
 )
 from clarity_bench.scenes import PAPER_ROOM
 
+from ambisonic_oracles import angle_sh_eval
+
 PAPER_DIMS = (6.6, 5.8, 2.8)
 
 
@@ -40,9 +42,15 @@ def brute_force_image_count(room, source, listener, time_limit, rate=16000):
     return count
 
 
-def row_wise_image_source_rir(room, source, listener, order, time_limit, rate=16000):
+def row_wise_image_source_rir(room, source, listener, order, time_limit, angles=False, rate=16000):
     """The image-source loop with one (x, y, z) row per image and one pow per
-    image, as the renderer computed it before its per-axis form."""
+    image, as the renderer computed it before its per-axis form.
+
+    Each image's arrival direction is the unit vector offset / distance, and
+    a cardioid's gain comes from its emission cosine, with the renderer's
+    arithmetic. With angles=True they take the route the renderer took
+    before: azimuth and elevation into angle_sh_eval, and the gain through
+    arccos and cos."""
     dims = np.asarray(room.dimensions)
     src = np.asarray(source.position, dtype=np.float64)
     lis = np.asarray(listener, dtype=np.float64)
@@ -76,14 +84,22 @@ def row_wise_image_source_rir(room, source, listener, order, time_limit, rate=16
                 offsets = offsets[keep]
                 reflections = np.abs(2 * lattice[keep] - parity).sum(axis=1)
                 amp = beta ** reflections / dist
-                if aim is not None:
-                    mirrored = np.where(parity == 1, -aim, aim)
-                    emission = -offsets / dist[:, None]
-                    cos_psi = np.clip(emission @ mirrored, -1.0, 1.0)
-                    amp = amp * directivity_gain("cardioid", np.arccos(cos_psi))
-                azimuth = np.arctan2(offsets[:, 1], offsets[:, 0])
-                elevation = np.arcsin(np.clip(offsets[:, 2] / dist, -1.0, 1.0))
-                coeffs = sh_eval(order, azimuth, elevation)
+                if angles:
+                    if aim is not None:
+                        mirrored = np.where(parity == 1, -aim, aim)
+                        emission = -offsets / dist[:, None]
+                        cos_psi = np.clip(emission @ mirrored, -1.0, 1.0)
+                        amp = amp * (0.5 * (1.0 + np.cos(np.arccos(cos_psi))))
+                    azimuth = np.arctan2(offsets[:, 1], offsets[:, 0])
+                    elevation = np.arcsin(np.clip(offsets[:, 2] / dist, -1.0, 1.0))
+                    coeffs = angle_sh_eval(order, azimuth, elevation)
+                else:
+                    ux, uy, uz = (offsets / dist[:, None]).T
+                    if aim is not None:
+                        mx, my, mz = np.where(parity == 1, -aim, aim)
+                        cos_psi = np.clip(-(ux * mx + uy * my + uz * mz), -1.0, 1.0)
+                        amp = amp * directivity_gain("cardioid", cos_psi)
+                    coeffs = sh_eval(order, ux, uy, uz)
                 for ch in range(k):
                     rir[ch] += np.bincount(bins, weights=coeffs[ch] * amp, minlength=frames)
                 image_count += int(keep.sum())
@@ -97,50 +113,121 @@ def assert_same_rir(room, source, listener, order, time_limit):
     assert np.array_equal(got.signal.data, want.signal.data)
 
 
-@pytest.mark.parametrize("order", [0, 1, 6])
-@pytest.mark.parametrize("absorption_scale", [1.0, 0.85])
-@pytest.mark.parametrize("directivity", ["omni", "cardioid"])
-def test_image_source_rir_equals_row_wise_oracle_in_the_paper_room(order, absorption_scale, directivity):
+def assert_near_angle_route(room, source, listener, order, time_limit):
+    # The unit-vector route rounds differently from the angle route; its
+    # RIR stays within 1e-13 of the peak (about 1e-15 measured).
+    got = image_source_rir(room, source, listener, order, time_limit)
+    want = row_wise_image_source_rir(room, source, listener, order, time_limit, angles=True)
+    assert got.image_count == want.image_count
+    peak = np.max(np.abs(want.signal.data))
+    assert np.max(np.abs(got.signal.data - want.signal.data)) <= 1e-13 * peak
+
+
+def paper_room_cases(absorption_scale, directivity):
     room = RoomSpec(PAPER_ROOM.dimensions, PAPER_ROOM.absorption * absorption_scale)
     listener = (3.3, 2.9, 1.2)
     for position in ((1.0, 4.6, 1.6), (5.9, 0.7, 2.1)):
         aim = tuple(np.subtract(listener, position)) if directivity == "cardioid" else None
-        assert_same_rir(room, SourceSpec(position, directivity, aim), listener, order, 0.35)
+        yield room, SourceSpec(position, directivity, aim), listener
+
+
+paper_room = pytest.mark.parametrize("absorption_scale", [1.0, 0.85])
+directivities = pytest.mark.parametrize("directivity", ["omni", "cardioid"])
+
+
+@pytest.mark.parametrize("order", [0, 1, 6])
+@paper_room
+@directivities
+def test_image_source_rir_equals_row_wise_oracle_in_the_paper_room(order, absorption_scale, directivity):
+    for room, source, listener in paper_room_cases(absorption_scale, directivity):
+        assert_same_rir(room, source, listener, order, 0.35)
+
+
+@pytest.mark.parametrize("order", [0, 1, 6])
+@paper_room
+@directivities
+def test_image_source_rir_is_near_the_angle_route_in_the_paper_room(order, absorption_scale, directivity):
+    for room, source, listener in paper_room_cases(absorption_scale, directivity):
+        assert_near_angle_route(room, source, listener, order, 0.35)
+
+
+@paper_room
+@directivities
+def test_order1_rir_is_the_first_four_channels_of_order6(absorption_scale, directivity):
+    # Profiles that differ only in order share one geometry: truncating the
+    # order-6 RIR must give the order-1 RIR exactly.
+    for room, source, listener in paper_room_cases(absorption_scale, directivity):
+        low = image_source_rir(room, source, listener, 1, 0.35)
+        high = image_source_rir(room, source, listener, 6, 0.35)
+        assert low.image_count == high.image_count
+        assert np.array_equal(low.signal.data, high.signal.data[:4])
 
 
 unit = st.floats(0.05, 0.95)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    dims=st.tuples(*[st.floats(1.5, 5.0)] * 3),
-    src=st.tuples(unit, unit, unit),
-    lis=st.tuples(unit, unit, unit),
-    absorption=st.floats(0.05, 1.0),
-    order=st.integers(0, 3),
-    aim=st.one_of(st.none(), st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: any(a))),
-    extra=st.floats(0.002, 0.04),
-)
-@example(dims=(2.0, 2.0, 2.0), src=(0.5, 0.5, 0.5), lis=(0.5, 0.5, 0.75), absorption=1.0,
-         order=0, aim=(0.0, 0.0, 1.190608368674377e-212), extra=0.03125)   # |aim|^2 underflows
-def test_image_source_rir_equals_row_wise_oracle(dims, src, lis, absorption, order, aim, extra):
+def hypothesis_room(test):
+    """Run `test` over 40 random rooms and the case whose |aim|^2 underflows."""
+    return settings(max_examples=40, deadline=None)(given(
+        dims=st.tuples(*[st.floats(1.5, 5.0)] * 3),
+        src=st.tuples(unit, unit, unit),
+        lis=st.tuples(unit, unit, unit),
+        absorption=st.floats(0.05, 1.0),
+        order=st.integers(0, 3),
+        aim=st.one_of(st.none(), st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: any(a))),
+        extra=st.floats(0.002, 0.04),
+    )(example(dims=(2.0, 2.0, 2.0), src=(0.5, 0.5, 0.5), lis=(0.5, 0.5, 0.75), absorption=1.0,
+              order=0, aim=(0.0, 0.0, 1.190608368674377e-212), extra=0.03125)(test)))
+
+
+def room_case(dims, src, lis, absorption, aim, extra):
+    """(room, source, listener, time_limit) of one Hypothesis room."""
     room = RoomSpec(dims, absorption=absorption)
     src = tuple(np.multiply(src, dims))
     lis = tuple(np.multiply(lis, dims))
     direct = float(np.linalg.norm(np.subtract(src, lis)))
     assume(direct > 0.05)
     source = SourceSpec(src, "omni" if aim is None else "cardioid", aim)
-    assert_same_rir(room, source, lis, order, direct / room.speed_of_sound + extra)
+    return room, source, lis, direct / room.speed_of_sound + extra
+
+
+@hypothesis_room
+def test_image_source_rir_equals_row_wise_oracle(dims, src, lis, absorption, order, aim, extra):
+    room, source, lis, limit = room_case(dims, src, lis, absorption, aim, extra)
+    assert_same_rir(room, source, lis, order, limit)
+
+
+@hypothesis_room
+def test_image_source_rir_is_near_the_angle_route(dims, src, lis, absorption, order, aim, extra):
+    room, source, lis, limit = room_case(dims, src, lis, absorption, aim, extra)
+    assert_near_angle_route(room, source, lis, order, limit)
+
+
+def test_sh_eval_calls_carry_one_point_per_image(monkeypatch):
+    # The benchmark's traced run wraps room.sh_eval and counts the size of
+    # each call's second argument as its points; that count must be one
+    # point per image.
+    import clarity_bench.room as room_module
+
+    calls = []
+    monkeypatch.setattr(room_module, "sh_eval", lambda *args: calls.append(args) or sh_eval(*args))
+    for room, source, listener in paper_room_cases(0.85, "cardioid"):
+        calls.clear()
+        rir = image_source_rir(room, source, listener, 6, 0.35)
+        assert calls and all(np.ndim(args[1]) == 1 for args in calls)
+        assert sum(args[1].size for args in calls) == rir.image_count
 
 
 def test_directivity_trivials():
-    assert directivity_gain("omni", 0.0) == 1.0
-    assert directivity_gain("omni", 2.7) == 1.0
-    assert directivity_gain("cardioid", 0.0) == pytest.approx(1.0)
-    assert directivity_gain("cardioid", np.pi) == pytest.approx(0.0, abs=1e-15)
-    assert directivity_gain("cardioid", np.pi / 2) == pytest.approx(0.5)
+    # The gain takes the cosine of the emission angle from the aim.
+    assert directivity_gain("omni", 1.0) == 1.0
+    assert directivity_gain("omni", -0.3) == 1.0
+    assert directivity_gain("cardioid", 1.0) == 1.0
+    assert directivity_gain("cardioid", 0.0) == 0.5
+    assert directivity_gain("cardioid", -1.0) == 0.0
+    assert np.array_equal(directivity_gain("cardioid", np.array([1.0, 0.0, -1.0])), [1.0, 0.5, 0.0])
     with pytest.raises(ValueError):
-        directivity_gain("figure8", 0.0)
+        directivity_gain("figure8", 1.0)
 
 
 def test_fully_absorbing_room_keeps_only_direct_path():
