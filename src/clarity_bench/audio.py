@@ -177,7 +177,7 @@ def write_wav(path, buffer):
         fp.write(buffer.data.T.astype("<f4").tobytes())
 
 
-def _next_fast_len(n):
+def next_fast_len(n):
     """Smallest 2^a 3^b 5^c >= n: the fast real-FFT length that
     scipy.fft.next_fast_len(n, real=True) returns."""
     best = 1 << (n - 1).bit_length()
@@ -231,7 +231,7 @@ class KernelBank:
         if x.size == 0:
             raise ValueError("convolve requires non-empty signal and kernel")
         length = self.kernels.shape[-1] + x.shape[-1] - 1
-        nfft = _next_fast_len(length)
+        nfft = next_fast_len(length)
         memo_nfft, spectrum = self._memo
         if memo_nfft != nfft:
             spectrum = rfft(self.kernels, nfft)

@@ -12,24 +12,50 @@ of a full-length cosine. It rounds in another order than the cosine sum, and
 stays within 1e-11 absolute (2e-10 of TARGET_RMS) of it; the cosine sum is
 no more exact, since its arguments reach about 1.3e5 rad, where rounding
 the argument alone is about 1e-11 rad.
+
+Every spectral shaping (the two syllabic envelopes, the frication high-pass
+and the pink-noise tilt) goes through _shaped_noise: the n-sample Gaussian
+draw, zero-padded to m = next_fast_len(n), is filtered circularly at m by a
+zero-phase gain and cut back to its first n samples. The draws are still n
+samples, so the random stream does not depend on m. Where n is 5-smooth
+(every 1.8 s target: 28,800 = 2^7 3^2 5^2 samples), m = n and the output is
+bit for bit the circular filter at n that this rule replaced. At other n
+(interferer lengths are 16 x a millisecond count, such as 42,544 = 16 x 2,659)
+no transform runs at a length with a large prime factor, where numpy.fft is
+many times slower; the output then differs from the circular form at n,
+mostly near the ends, where the wrap-around meets the zero padding.
 """
 
 import numpy as np
 
-from .audio import DEFAULT_RATE, scale_to_rms
+from .audio import DEFAULT_RATE, next_fast_len, scale_to_rms
 
 TARGET_RMS = 0.05  # about -26 dBFS
 TALKER_F0 = 120.0  # Hz, the talker's mean fundamental
 
 
+def _shaped_noise(noise, gain):
+    """noise filtered by the zero-phase response gain(freqs in Hz).
+
+    The filter is circular at m = next_fast_len(noise.size) on the draw
+    zero-padded to m; the first noise.size samples are returned."""
+    n = noise.size
+    m = next_fast_len(n)
+    spectrum = np.fft.rfft(noise, m)
+    spectrum *= gain(np.fft.rfftfreq(m, 1.0 / DEFAULT_RATE))
+    return np.fft.irfft(spectrum, m)[:n]
+
+
+def _pink_gain(freqs):
+    """f^-0.5 tilt with the DC bin removed."""
+    gain = np.zeros_like(freqs)
+    gain[1:] = freqs[1:] ** -0.5
+    return gain
+
+
 def _syllabic_envelope(n, rng, rate_hz=3.0, gate=0.12):
     """Slow positive envelope with speech-like pauses."""
-    noise = rng.standard_normal(n)
-    spectrum = np.fft.rfft(noise)
-    freqs = np.fft.rfftfreq(n, 1.0 / DEFAULT_RATE)
-    spectrum *= np.exp(-((freqs / rate_hz) ** 2))
-    slow = np.fft.irfft(spectrum, n)
-    slow = np.abs(slow)
+    slow = np.abs(_shaped_noise(rng.standard_normal(n), lambda f: np.exp(-((f / rate_hz) ** 2))))
     slow /= slow.max() + 1e-12
     return np.maximum(slow - gate, 0.0)
 
@@ -53,11 +79,9 @@ def speech_like(duration_s, seed):
     harmonics = (acc * z).real
     voiced = harmonics * _syllabic_envelope(n, rng)
 
-    frication = rng.standard_normal(n)
-    spectrum = np.fft.rfft(frication)
-    freqs = np.fft.rfftfreq(n, 1.0 / DEFAULT_RATE)
-    spectrum *= 1.0 / (1.0 + np.exp(-(freqs - 3000.0) / 400.0))
-    frication = np.fft.irfft(spectrum, n) * _syllabic_envelope(n, rng, rate_hz=4.0)
+    frication = _shaped_noise(rng.standard_normal(n),
+                              lambda f: 1.0 / (1.0 + np.exp(-(f - 3000.0) / 400.0)))
+    frication *= _syllabic_envelope(n, rng, rate_hz=4.0)
 
     mix = voiced + 0.15 * frication * (np.abs(harmonics).mean() + 1e-12)
     return scale_to_rms(mix, TARGET_RMS)
@@ -67,12 +91,7 @@ def noise_like(duration_s, seed):
     """Pink-ish stationary noise (spectrum ~ f^-0.5)."""
     rng = np.random.default_rng(seed)
     n = int(round(duration_s * DEFAULT_RATE))
-    spectrum = np.fft.rfft(rng.standard_normal(n))
-    freqs = np.fft.rfftfreq(n, 1.0 / DEFAULT_RATE)
-    shaping = np.ones_like(freqs)
-    shaping[1:] = freqs[1:] ** -0.5
-    shaping[0] = 0.0
-    return scale_to_rms(np.fft.irfft(spectrum * shaping, n), TARGET_RMS)
+    return scale_to_rms(_shaped_noise(rng.standard_normal(n), _pink_gain), TARGET_RMS)
 
 
 def music_like(duration_s, seed):

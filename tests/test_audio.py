@@ -7,17 +7,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len
+from scipy.fft import next_fast_len as scipy_next_fast_len
 from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
 from clarity_bench.audio import (
     KernelBank,
     SampleBuffer,
-    _next_fast_len,
     convolve_channels,
     convolve_sum,
     mono,
+    next_fast_len,
     read_wav,
     rms_array,
     scale_to_rms,
@@ -172,7 +172,7 @@ def test_read_wav_lets_a_missing_file_raise_file_not_found(tmp_path):
 
 def test_next_fast_len_matches_scipy():
     for n in [*range(1, (1 << 17) + 1), 10**6 + 1, 1_048_577, 3 * 10**6 + 7, 123_456_789]:
-        assert _next_fast_len(n) == next_fast_len(n, real=True), n
+        assert next_fast_len(n) == scipy_next_fast_len(n, real=True), n
 
 
 def test_rate_mismatch(tmp_path):
