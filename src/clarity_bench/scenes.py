@@ -5,17 +5,26 @@ target talker, one to three interferers, a listener with a yaw
 trajectory, a desired SNR and a seed. Rendering turns it into hearing
 aid ear signals:
 
-    room impulse responses  ->  W pass  ->  SNR gain  ->  field pass
-    ->  transducer noise    ->  head rotation  ->  binaural decode
+    room impulse responses  ->  W pass  ->  SNR gain  ->  per frame span:
+        still head and tail:  binaural RIRs at the held yaw
+        head turn:            field pass  ->  transducer noise
+                              ->  head rotation  ->  binaural decode
+    ->  ears, stitched by frame
 
 The W pass convolves the dry sources, each at its onset, with only the
 omnidirectional (W) channel of their impulse responses, giving two
 signals: the target's W and the interferer sum's W. From them
-mix_at_snr takes one scalar, the interferer gain. The field pass then
-convolves the target and the gain-scaled interferers with every
-Ambisonic channel at once, so the mixed field is rendered in one pass and
-no per-source field is formed. hrtf.binaural_decode takes the rotated
-field to the ears through the one fixed HRTF set.
+mix_at_snr takes one scalar, the interferer gain, which scales the
+interferers' inputs. Rotation and decode are linear and, while the yaw is
+held, time-invariant; so before the listener turns and after the turn
+the ears are the sources convolved with their binaural RIRs (each RIR
+decoded at the held yaw through hrtf.decoder_bank). Over the turn, the
+field pass convolves the target and the gain-scaled interferers with
+every Ambisonic channel at once, so the mixed field is rendered in one
+pass and no per-source field is formed; apply_trajectory rotates it and
+hrtf.binaural_decode takes it to the ears through the one fixed HRTF
+set. Transducer noise enters the field at every frame, so with it the
+turn's field spans the whole scene.
 
 The fidelity profile bundles the four knobs that separate the idealized
 simulation from a measurement-like capture: Ambisonic order, interferer
@@ -30,6 +39,7 @@ checked where it is read, and every problem is reported at once.
 """
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -42,7 +52,7 @@ from .audio import (  # noqa: F401  (convolve_channels: perfbench/tracing.py wra
     rms_array, scale_to_rms, write_wav,
 )
 from .errors import MixError, SceneValidationError
-from .hrtf import binaural_decode
+from .hrtf import DEFAULT_TAPS, binaural_decode, decoder_bank
 from .room import SPEED_OF_SOUND, RoomSpec, SourceSpec, image_source_rir, is_finite_number
 from .workers import ordered_map
 
@@ -53,6 +63,7 @@ DEFAULT_RIR_SECONDS = 0.35
 # field of this length is 188 MiB, and a render holds a few at once.
 MAX_SCENE_SECONDS = 30.0
 ROTATION_BLOCK_SECONDS = 0.01
+_HOP = int(round(ROTATION_BLOCK_SECONDS * DEFAULT_RATE))   # frames between rotation block centres
 
 # Fixed microphone calibration applied to the decoded ear signals. It
 # compensates the free-field spreading loss at desk-scale distances so the
@@ -418,7 +429,29 @@ def mix_at_snr(target_w, interferer_w, snr_db, active_range):
     return target_rms / interferer_rms * 10.0 ** (-snr_db / 20.0)
 
 
-def apply_trajectory(field, trajectory):
+def _block_yaws(trajectory, first, stop):
+    """The listener yaw at the centres k * _HOP of rotation blocks
+    k = first .. stop - 1; block k spans frames (k - 1) * _HOP to
+    (k + 1) * _HOP."""
+    return trajectory.yaw_at(np.arange(first, stop) * _HOP / DEFAULT_RATE)
+
+
+def _turn_pairs(x, cos_m, sin_m):
+    """x (K, ...) with each (l, +m), (l, -m) channel pair turned by the
+    angle whose cosine and sine are cos_m[m - 1] and sin_m[m - 1]; m = 0
+    channels pass unchanged. The gains are scalars or per-frame tracks."""
+    out = np.empty_like(x)
+    for l in range(len(cos_m) + 1):
+        out[acn_index(l, 0)] = x[acn_index(l, 0)]
+        for mm in range(1, l + 1):
+            pos, neg = acn_index(l, mm), acn_index(l, -mm)
+            c, s = cos_m[mm - 1], sin_m[mm - 1]
+            out[pos] = c * x[pos] - s * x[neg]
+            out[neg] = s * x[pos] + c * x[neg]
+    return out
+
+
+def apply_trajectory(field, trajectory, start=0):
     """Rotate a field through a time-varying listener yaw.
 
     The yaw is held per block: 50%-overlapped blocks of twice
@@ -428,34 +461,27 @@ def apply_trajectory(field, trajectory):
     weight. A yaw rotation only turns each (l, +m), (l, -m) channel pair
     by the angle m*yaw, so the crossfade of the block rotations is one cos
     and one sin gain track per m = 1..order, applied pairwise; m = 0
-    channels pass unchanged.
+    channels pass unchanged. The field's first frame is frame `start` of
+    the scene, whose block grid starts at frame 0; each frame gets the
+    gains it has in a field that starts at 0.
     """
-    hop = int(round(ROTATION_BLOCK_SECONDS * DEFAULT_RATE))
+    hop = _HOP
     frames = field.frames
     ramp = (np.arange(hop) + 0.5) / hop
     fade_in, fade_out = ramp, ramp[::-1]
-    # Sample t = k*hop + j lies in the second half of block k (started at
+    # Frame t = k*hop + j lies in the second half of block k (started at
     # (k-1)*hop) and in the first half of block k + 1.
-    hops = -(-frames // hop)
-    centers = np.arange(hops + 1) * hop / DEFAULT_RATE
-    angles = -np.outer(np.arange(1, field.order + 1), trajectory.yaw_at(centers))
+    first = start // hop
+    hops = -(-(start + frames) // hop) - first
+    angles = -np.outer(np.arange(1, field.order + 1), _block_yaws(trajectory, first, first + hops + 1))
     weight = fade_out + fade_in
+    offset = start - first * hop
 
     def track(per_block):
         faded = fade_out * per_block[:, :-1, None] + fade_in * per_block[:, 1:, None]
-        return (faded / weight).reshape(field.order, hops * hop)[:, :frames]
+        return (faded / weight).reshape(field.order, hops * hop)[:, offset : offset + frames]
 
-    cos_m, sin_m = track(np.cos(angles)), track(np.sin(angles))
-    x = field.data
-    out = np.empty_like(x)
-    for l in range(field.order + 1):
-        out[acn_index(l, 0)] = x[acn_index(l, 0)]
-        for mm in range(1, l + 1):
-            pos, neg = acn_index(l, mm), acn_index(l, -mm)
-            c, s = cos_m[mm - 1], sin_m[mm - 1]
-            out[pos] = c * x[pos] - s * x[neg]
-            out[neg] = s * x[pos] + c * x[neg]
-    return AmbiSignal(out)
+    return AmbiSignal(_turn_pairs(field.data, track(np.cos(angles)), track(np.sin(angles))))
 
 
 def add_transducer_noise(field, level_db, seed, reference_rms):
@@ -508,18 +534,89 @@ def _scene_child_seeds(scene_seed):
     return [int(c.generate_state(1)[0]) for c in children]
 
 
+def _render_ears(placed, rirs, trajectory, noise=None):
+    """The calibrated ears of the sources in `placed` (sources, frames),
+    each at its onset, through their RIRs `rirs` (K, sources, taps).
+
+    Rotation and decode are linear, and time-invariant wherever the yaw
+    is held. So while both blocks of a hop carry the trajectory's first
+    yaw (the still head) or its last (the still tail), the ears are the
+    sources convolved with their binaural RIRs at that yaw. A binaural
+    RIR is the source's RIR through the decoder bank turned by the held
+    yaw, and it is taps + DEFAULT_TAPS - 1 frames long; one convolve_sum
+    renders the ears of both yaws. The K-channel field is formed only
+    over the frames between, plus DEFAULT_TAPS - 1 frames of decode
+    history on each side, and goes through apply_trajectory and
+    binaural_decode; the parts are stitched by frame. Self-noise, a
+    (level_db, seed, reference_rms) triple for add_transducer_noise, is
+    added to the field at every frame, so with it the field spans the
+    whole scene.
+    """
+    channels, sources, taps = rirs.shape
+    frames = placed.shape[1] + taps - 1
+    length = frames + DEFAULT_TAPS - 1
+    history = DEFAULT_TAPS - 1
+    yaws = _block_yaws(trajectory, 0, -(-frames // _HOP) + 1)
+    moved = np.flatnonzero(yaws != yaws[0])
+    # Ears [0, head) take the first yaw, [tail, length) the last; between
+    # them the field is rotated and decoded.
+    if noise is not None:
+        head, tail = 0, length
+    elif not moved.size:
+        head, tail = length, length
+    else:
+        head = (moved[0] - 1) * _HOP
+        tail = (np.flatnonzero(yaws != yaws[-1])[-1] + 1) * _HOP + history
+        # A field window that reaches the field's end is decoded to the
+        # ears' end: past the field there are only zeros.
+        tail = tail if tail < frames else length
+    ears = np.empty((2, length))
+
+    held = [(yaw, lo, hi) for yaw, lo, hi in ((yaws[0], 0, head), (yaws[-1], tail, length)) if lo < hi]
+    if held:
+        # Turning the field by -yaw before the decode is turning the
+        # decoder's channel pairs by +yaw.
+        order = math.isqrt(channels) - 1
+        m = np.arange(1, order + 1)
+        bank = decoder_bank(order).transpose(1, 0, 2)
+        banks = np.concatenate([_turn_pairs(bank, np.cos(m * yaw), np.sin(m * yaw)).transpose(1, 0, 2)
+                                for yaw, _, _ in held])
+        # The RIRs laid end to end, each followed by the decode's history
+        # in zeros, so one decode gives every source's binaural RIR.
+        spaced = np.zeros((channels, sources, taps + history))
+        spaced[:, :, :taps] = rirs
+        brirs = convolve_sum(spaced.reshape(channels, -1), banks)[:, : spaced[0].size]
+        still = convolve_sum(placed, brirs.reshape(len(banks), sources, taps + history))
+        for i, (_, lo, hi) in enumerate(held):
+            ears[:, lo:hi] = still[2 * i : 2 * i + 2, lo:hi]
+
+    if head < tail:
+        lo, hi = max(0, head - history), min(frames, tail)
+        first = max(0, lo - taps + 1)
+        field = AmbiSignal(convolve_sum(placed[:, first:hi], rirs)[:, lo - first : hi - first])
+        if noise is not None:
+            field = add_transducer_noise(field, *noise)
+        turn = binaural_decode(apply_trajectory(field, trajectory, start=lo))
+        ears[:, head:tail] = turn.data[:, head - lo : tail - lo]
+    return SampleBuffer(ears * EAR_CALIBRATION_GAIN)
+
+
 def render_scene(scene, profile=None, keep_components=False):
     """Render a scene to hearing-aid ear signals plus the scoring reference.
 
     Deterministic in (scene, profile). The stages are: dry sources and
-    their room impulse responses -> W pass and interferer gain -> one
-    pass for the mixed field -> transducer noise -> head rotation ->
-    binaural decode. The reference is the dry target utterance
-    RMS-normalized to -26 dBFS. keep_components adds the target,
-    interferer and noise ear signals, which sum to the ears; it alone
-    pays for separate target and interferer field passes. A file source
-    that ends after MAX_SCENE_SECONDS raises SceneValidationError before
-    any impulse response is computed.
+    their room impulse responses -> W pass and interferer gain -> ears
+    (_render_ears): binaural RIRs where the listener holds still, and
+    the mixed field -> transducer noise -> head rotation -> binaural
+    decode over the head turn, or over the whole scene when there is
+    self-noise. The reference is the dry target utterance RMS-normalized
+    to -26 dBFS. The record holds target_lag, the frame at which the
+    target's direct sound reaches the ears: its onset plus the direct
+    path plus the HRTF centre tap. keep_components adds the target,
+    interferer and noise ear signals, which sum to the ears; the target
+    and interferer ears come from their own renders. A file source that
+    ends after MAX_SCENE_SECONDS raises SceneValidationError before any
+    impulse response is computed.
     """
     profile = profile or FidelityProfile.from_name(scene.fidelity)
     listener = np.asarray(scene.listener.position)
@@ -561,26 +658,22 @@ def render_scene(scene, profile=None, keep_components=False):
     active = (onsets[0], onsets[0] + drys[0].size + taps - 1)
 
     # The W pass gives the target and interferer-sum W signals, which fix
-    # the interferer gain; scaling the interferer inputs by it makes the
-    # one K-channel pass render the mixed field.
+    # the interferer gain; scaling the interferer inputs by it makes each
+    # later pass render the mix.
     w_kernels = np.zeros((2, *rirs.shape[1:]))
     w_kernels[0, 0] = rirs[0, 0]
     w_kernels[1, 1:] = rirs[0, 1:]
     target_w, interferer_w = convolve_sum(placed, w_kernels)
     interferer_gain = mix_at_snr(target_w, interferer_w, scene.snr_db, active)
     placed[1:] *= interferer_gain
-    mixed = AmbiSignal(convolve_sum(placed, rirs))
-    target_w_rms = rms_array(target_w[active[0] : active[1]])
-    noisy = add_transducer_noise(mixed, profile.transducer_noise_db,
-                                 child_seeds[4], target_w_rms)
-
-    def to_ears(field):
-        decoded = binaural_decode(apply_trajectory(field, scene.listener.trajectory))
-        return SampleBuffer(decoded.data * EAR_CALIBRATION_GAIN)
-
-    ears = to_ears(noisy)
+    noise = None
+    if profile.transducer_noise_db is not None:
+        noise = (profile.transducer_noise_db, child_seeds[4], rms_array(target_w[active[0] : active[1]]))
+    trajectory = scene.listener.trajectory
+    ears = _render_ears(placed, rirs, trajectory, noise)
 
     reference = mono(scale_to_rms(drys[0], REFERENCE_RMS))
+    direct = np.linalg.norm(np.asarray(scene.target.position) - listener)
 
     record = {
         "seed": scene.seed,
@@ -591,14 +684,16 @@ def render_scene(scene, profile=None, keep_components=False):
         "interferer_gain": float(interferer_gain),
         "ear_gain": float(EAR_CALIBRATION_GAIN),
         "target_onset_s": scene.target.onset_s,
+        "target_lag": onsets[0] + int(round(direct / room.speed_of_sound * DEFAULT_RATE))
+                      + DEFAULT_TAPS // 2,
     }
 
     components = None
     if keep_components:
         # Rotation and decode are linear, so the noise share is what the
-        # target and interferer decodes leave of the ears.
-        target_ears = to_ears(AmbiSignal(convolve_sum(placed[:1], rirs[:, :1])))
-        interferer_ears = to_ears(AmbiSignal(convolve_sum(placed[1:], rirs[:, 1:])))
+        # target and interferer ears leave of the ears.
+        target_ears = _render_ears(placed[:1], rirs[:, :1], trajectory)
+        interferer_ears = _render_ears(placed[1:], rirs[:, 1:], trajectory)
         components = {
             "target_ears": target_ears,
             "interferer_ears": interferer_ears,

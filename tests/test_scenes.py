@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clarity_bench.ambisonics import AmbiSignal
-from clarity_bench.audio import REFERENCE_RMS, mono, read_wav, rms_array, scale_to_rms
+from clarity_bench.audio import REFERENCE_RMS, convolve_sum, mono, read_wav, rms_array, scale_to_rms
 from clarity_bench.errors import MixError, SceneValidationError
 from clarity_bench.hrtf import DEFAULT_TAPS, binaural_decode
 from clarity_bench.room import RoomSpec
@@ -33,6 +35,7 @@ from clarity_bench.scenes import (
 )
 
 from ambisonic_oracles import encode, yaw_rotation
+from render_oracle import full_field_render
 
 RATE = 16000
 
@@ -383,6 +386,18 @@ def test_apply_trajectory_equals_block_matmul(order, trajectory):
     assert np.max(np.abs(out.data - block_matmul_trajectory(field, trajectory))) < 1e-12
 
 
+@pytest.mark.parametrize("start, stop", [(0, 3333), (0, 100), (37, 3333), (160, 1600), (1001, 1002)])
+def test_apply_trajectory_of_a_window_keeps_the_whole_fields_bits(start, stop):
+    # A field that starts at frame `start` of the scene is rotated as
+    # those frames of the whole field are.
+    rng = np.random.default_rng(8)
+    field = AmbiSignal(rng.uniform(-1, 1, (16, 3333)))
+    trajectory = RotationTrajectory(((0.0, -0.4), (0.05, 0.9), (0.15, 0.2), (0.18, 3.5)))
+    whole = apply_trajectory(field, trajectory).data[:, start:stop]
+    window = apply_trajectory(AmbiSignal(field.data[:, start:stop]), trajectory, start=start)
+    assert np.array_equal(window.data, whole)
+
+
 def test_apply_trajectory_constant_zero_is_identity():
     rng = np.random.default_rng(3)
     field = AmbiSignal(rng.uniform(-1, 1, (16, 3200)))
@@ -498,26 +513,24 @@ def test_default_trajectory_determinism_and_bounds():
 # --- rendering ---------------------------------------------------------------
 
 
-def test_render_degenerate_scene_reduces_to_encode_decode(tmp_path):
-    # anechoic room, silent interferer (zero WAV), SNR mixing disabled,
-    # static listener: the pipeline collapses to one delayed, scaled
-    # plane-wave encode + binaural decode
+def anechoic_scene(tmp_path):
+    """Anechoic room, silent interferer (zero WAV), SNR mixing disabled,
+    static listener."""
     from clarity_bench.audio import write_wav
 
     silent_path = tmp_path / "silence.wav"
     write_wav(silent_path, mono(np.zeros(3200)))
-    room = RoomSpec((6.6, 5.8, 2.8), absorption=1.0)
-    scene = simple_scene(
-        room=room,
-        interferers=(
-            PlacedSource(
-                position=(5.0, 2.0, 1.5),
-                source=SourceSignal(kind="noise", file=str(silent_path)),
-                onset_s=0.0,
-            ),
-        ),
+    return simple_scene(
+        room=RoomSpec((6.6, 5.8, 2.8), absorption=1.0),
+        interferers=(PlacedSource((5.0, 2.0, 1.5), SourceSignal(kind="noise", file=str(silent_path))),),
         snr_db=None,
     )
+
+
+def test_render_degenerate_scene_reduces_to_encode_decode(tmp_path):
+    # in the anechoic scene the pipeline collapses to one delayed, scaled
+    # plane-wave encode + binaural decode
+    scene = anechoic_scene(tmp_path)
     result = render_scene(scene, profile=FidelityProfile.simulated())
     target_pos = np.asarray(scene.target.position)
     listener = np.asarray(scene.listener.position)
@@ -537,6 +550,23 @@ def test_render_degenerate_scene_reduces_to_encode_decode(tmp_path):
     want = oracle.data * EAR_CALIBRATION_GAIN
     assert result.ears.data.shape == want.shape
     assert np.max(np.abs(result.ears.data - want)) < 1e-6
+
+
+def test_render_records_the_target_lag_where_each_ear_meets_the_target(tmp_path):
+    # target_lag is the onset plus the direct path plus the HRTF centre
+    # tap; in the anechoic scene of the test above each ear's
+    # cross-correlation with the dry target peaks within the largest ITD
+    # (11 samples) of it.
+    scene = anechoic_scene(tmp_path)
+    result = render_scene(scene, profile=FidelityProfile.simulated())
+    dist = np.linalg.norm(np.subtract(scene.target.position, scene.listener.position))
+    lag = result.record["target_lag"]
+    assert lag == round(0.3 * RATE) + round(dist / 343.0 * RATE) + DEFAULT_TAPS // 2
+    dry = scene.target.source.resolve()
+    n = result.ears.frames + dry.size
+    for ear in result.ears.data:
+        xcorr = np.fft.irfft(np.fft.rfft(ear, n) * np.conj(np.fft.rfft(dry, n)), n)
+        assert abs(int(np.argmax(xcorr[: ear.size])) - lag) <= 11
 
 
 def test_load_scene_reads_a_relative_source_file_beside_the_scene(tmp_path, monkeypatch):
@@ -695,7 +725,9 @@ def test_mix_returns_its_gain():
 
 def test_mix_w_equals_mixed_field_w(monkeypatch):
     # The gain comes from a W-only pass; the mixed field comes from one
-    # pass over every channel with the interferers pre-scaled by it.
+    # pass over every channel with the interferers pre-scaled by it. A
+    # render forms the field only over the head turn, so the whole field
+    # is the full-field oracle's.
     from clarity_bench import scenes
 
     seen = {}
@@ -705,19 +737,14 @@ def test_mix_w_equals_mixed_field_w(monkeypatch):
         seen["gain"] = mix_at_snr(*args)
         return seen["gain"]
 
-    def noise(field, *args):
-        seen["field"] = field
-        return add_transducer_noise(field, *args)
-
     monkeypatch.setattr(scenes, "mix_at_snr", mix)
-    monkeypatch.setattr(scenes, "add_transducer_noise", noise)
     scene = draw_scenes(1, seed=5)[0]
     assert len(scene.interferers) > 1
     render_scene(scene)
     target_w, interferer_w = seen["w"]
     gain = seen["gain"]
     assert gain != 1.0
-    field = seen["field"]
+    field = full_field_render(scene)[2]
     assert field.order == 6 and field.frames == target_w.size == interferer_w.size
     assert np.max(np.abs(field.w - (target_w + gain * interferer_w))) < 1e-12
 
@@ -729,6 +756,95 @@ def test_render_components_leave_ears_unchanged():
     split = render_scene(scene, profile=profile, keep_components=True)
     assert np.array_equal(split.ears.data, plain.ears.data)
     assert split.record == plain.record
+
+
+# The turn scene's field lasts its last source's end (0.6 s) plus the RIR.
+TURN_SCENE_S = 0.6 + 0.35
+
+
+def turn_scene(trajectory):
+    """A two-interferer scene in a large room (few image sources), short
+    enough that a trajectory can hold, turn and hold again within it."""
+    return simple_scene(
+        room=RoomSpec((16.0, 14.0, 6.0), absorption=0.438),
+        target=PlacedSource((6.0, 7.0, 1.5), SourceSignal("speech", 0.4, 5), onset_s=0.2),
+        interferers=(PlacedSource((9.0, 5.0, 1.5), SourceSignal("noise", 0.6, 6)),
+                     PlacedSource((7.0, 10.0, 1.2), SourceSignal("music", 0.5, 7), onset_s=0.1)),
+        listener=ListenerSpec((8.0, 8.0, 1.6), trajectory),
+    )
+
+
+@st.composite
+def trajectories(draw, kind):
+    yaw, gap = st.floats(-np.pi, np.pi), st.floats(0.005, 0.3)
+    if kind == "one breakpoint":
+        return RotationTrajectory(((0.0, draw(yaw)),))
+    if kind == "moving throughout":
+        yaws = draw(st.lists(yaw, min_size=12, max_size=12))
+        return RotationTrajectory(tuple(zip(np.arange(12) * 0.1, yaws)))
+    if kind == "turn from t = 0":
+        return RotationTrajectory(((0.0, draw(yaw)), (draw(gap), draw(yaw))))
+    first, start = draw(yaw), draw(st.floats(0.005, TURN_SCENE_S))
+    if kind == "turn past the end":
+        return RotationTrajectory(((0.0, first), (start, first), (TURN_SCENE_S + draw(gap), draw(yaw))))
+    turned = draw(yaw)
+    times = np.cumsum([start] + [draw(gap) for _ in range(3)])
+    if kind == "return to start":
+        return RotationTrajectory(((0.0, first), (times[0], first), (times[1], turned), (times[2], first)))
+    assert kind == "two turns"
+    return RotationTrajectory(((0.0, first), (times[0], first), (times[1], turned), (times[2], turned),
+                               (times[3], draw(yaw))))
+
+
+@pytest.mark.parametrize("kind", ["one breakpoint", "turn from t = 0", "turn past the end",
+                                  "two turns", "return to start", "moving throughout"])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data(), order=st.integers(1, 6), noise=st.booleans(), keep=st.booleans())
+def test_render_equals_the_full_field_render(kind, data, order, noise, keep):
+    # Still frames through binaural RIRs, the turn through the field: the
+    # ears stay within 1e-12 of the full-field render's peak; with noise
+    # the field spans the whole scene and the ears keep its bits.
+    scene = turn_scene(data.draw(trajectories(kind)))
+    profile = FidelityProfile(ambisonic_order=order, transducer_noise_db=-25.0 if noise else None)
+    result = render_scene(scene, profile=profile, keep_components=keep)
+    ears, components, _ = full_field_render(scene, profile, keep_components=keep)
+    peak = np.max(np.abs(ears.data))
+    if noise:
+        assert np.array_equal(result.ears.data, ears.data)
+    else:
+        assert np.max(np.abs(result.ears.data - ears.data)) <= 1e-12 * peak
+    if keep:
+        for name, oracle in components.items():
+            assert np.max(np.abs(result.components[name].data - oracle)) <= 1e-12 * peak
+
+
+def test_render_forms_the_field_only_over_the_head_turn(monkeypatch):
+    from clarity_bench import scenes
+
+    frames = {"rotated": [], "field": []}
+
+    def rotate(field, *args, **kwargs):
+        frames["rotated"].append(field.frames)
+        return apply_trajectory(field, *args, **kwargs)
+
+    def convolve(data, kernels):
+        if kernels.shape[0] == 49:   # the order-6 field
+            frames["field"].append(data.shape[1])
+        return convolve_sum(data, kernels)
+
+    monkeypatch.setattr(scenes, "apply_trajectory", rotate)
+    monkeypatch.setattr(scenes, "convolve_sum", convolve)
+    render_scene(simple_scene(), keep_components=True)
+    assert frames == {"rotated": [], "field": []}
+
+    scene = draw_scenes(1, seed=5)[0]
+    result = render_scene(scene)
+    (t0, _), (t1, _) = scene.listener.trajectory.breakpoints[-2:]
+    span = (t1 - t0) * RATE + 2 * (DEFAULT_TAPS - 1) + 2 * 160
+    taps = int(round(0.35 * RATE))
+    assert len(frames["rotated"]) == len(frames["field"]) == 1
+    assert frames["rotated"][0] <= span < result.ears.frames / 4
+    assert frames["field"][0] <= frames["rotated"][0] + taps - 1
 
 
 def test_traced_layers_resolve():
