@@ -1,20 +1,21 @@
-"""Real spherical-harmonic sound fields: evaluation and truncation.
+"""Real spherical harmonics, Ambisonic signals and Fibonacci directions.
 
 Conventions are fixed to ACN channel ordering with SN3D normalization.
-Azimuth is measured counter-clockwise from the +x axis seen from above
-(+y is left), elevation upward from the horizontal plane. With these
-conventions the first four channels of a plane-wave encoding are
-W = 1, Y = sin(az) cos(el), Z = sin(el), X = cos(az) cos(el): y, z, x of
-the unit vector that sh_eval takes, for it works by a Cartesian recurrence.
+Every direction is a unit vector (x, y, z): +x forward, +y left, +z up.
+The first four channels of a plane-wave encoding are W = 1, Y = y,
+Z = z, X = x, for sh_eval works by a Cartesian recurrence and forms no
+angle. fibonacci_directions is the one place where angles (the spiral's)
+turn into vectors.
 
 Fields reach the ears through hrtf.binaural_decode, which owns the one
 HRTF set and its virtual-loudspeaker layout.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .audio import SampleBuffer
 
 MAX_ORDER = 8
 
@@ -77,38 +78,26 @@ def sh_eval(order, x, y, z):
     return out[:, 0] if scalar else out
 
 
-@dataclass(frozen=True)
-class AmbiSignal:
+class AmbiSignal(SampleBuffer):
     """Ambisonic signal at audio.DEFAULT_RATE: (N+1)^2 channels in ACN
     order, SN3D, for an order N >= 0 read off the channel count.
 
     data has shape ((order+1)**2, frames); all channels share one length.
+    A frozen SampleBuffer that takes no 1-D data.
     """
 
-    data: np.ndarray
-
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        if arr.ndim != 2:
+        if np.ndim(self.data) != 2:
             raise ValueError("AmbiSignal data must be 2-D (channels, frames)")
-        if arr.shape[0] < 1 or math.isqrt(arr.shape[0]) ** 2 != arr.shape[0]:
+        super().__post_init__()
+        if self.channels < 1 or math.isqrt(self.channels) ** 2 != self.channels:
             raise ValueError(
-                f"an Ambisonic signal has (order+1)^2 channels, got {arr.shape[0]}"
+                f"an Ambisonic signal has (order+1)^2 channels, got {self.channels}"
             )
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
 
     @property
     def order(self):
         return math.isqrt(self.channels) - 1
-
-    @property
-    def channels(self):
-        return self.data.shape[0]
-
-    @property
-    def frames(self):
-        return self.data.shape[1]
 
     @property
     def w(self):
@@ -119,13 +108,13 @@ class AmbiSignal:
 def fibonacci_directions(count):
     """Deterministic spherical Fibonacci point set.
 
-    Returns (azimuths, elevations) arrays of the given size, quasi-uniform
-    over the sphere. The default HRTF set lies on 64 of these points.
+    Returns the (x, y, z) unit-vector components, arrays of the given
+    size, quasi-uniform over the sphere in a descending z sweep. The
+    default HRTF set lies on 64 of these points.
     """
     i = np.arange(count)
     golden = np.pi * (3.0 - np.sqrt(5.0))
-    z = 1.0 - (2.0 * i + 1.0) / count
     azimuths = np.mod(i * golden, 2.0 * np.pi)
-    elevations = np.arcsin(np.clip(z, -1.0, 1.0))
-    return azimuths, elevations
-
+    elevations = np.arcsin(np.clip(1.0 - (2.0 * i + 1.0) / count, -1.0, 1.0))
+    cos_el = np.cos(elevations)
+    return cos_el * np.cos(azimuths), cos_el * np.sin(azimuths), np.sin(elevations)

@@ -28,6 +28,7 @@ so the bank's output keeps the bits of convolve_channels(kernels, x) and
 the scores do not move.
 """
 
+import json
 import struct
 from dataclasses import dataclass
 
@@ -114,6 +115,17 @@ def _parse_wav(blob):
     if channels == 0:
         raise ValueError("the fmt chunk declares no channels")
     return rate, channels, tag, bits, chunks[b"data"]
+
+
+def read_json(path):
+    """The JSON document in a UTF-8 file, the one reader of the JSON inputs
+    (manifests, scenes, audiograms); ValueError naming the path when the
+    file is not UTF-8, not JSON or nested too deeply to parse."""
+    with open(path, encoding="utf-8") as fp:
+        try:
+            return json.load(fp)
+        except (ValueError, RecursionError) as exc:   # JSONDecodeError, UnicodeDecodeError, nesting
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def read_wav(path):

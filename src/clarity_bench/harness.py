@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .audio import DEFAULT_RATE, read_wav
+from .audio import DEFAULT_RATE, read_json, read_wav
 from .errors import StatisticsError
 from .hearing_aid import EARS, amplify, flat_audiogram
 from .metrics import MIN_OVERLAP, ear_scores
@@ -200,8 +200,8 @@ def _dataset_file(base, scene_id, name):
 
 
 def _dataset_entries(manifest, path):
-    """(id, mix path, reference path) of every manifest entry, its files
-    resolved; raises on the first problem, before anything is scored."""
+    """(id, (mix path, reference path)) of every manifest entry, its files
+    resolved; raises on the first problem (a repeated id is one) first."""
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: manifest must be a JSON object")
     scenes = manifest.get("scenes")
@@ -213,7 +213,7 @@ def _dataset_entries(manifest, path):
     if type(rate) is not int or rate != DEFAULT_RATE:
         raise ValueError(f"{path}: 'rate' must be the integer {DEFAULT_RATE}, got {rate!r}")
     base = os.path.dirname(os.path.abspath(path))
-    entries = []
+    entries = {}
     for index, entry in enumerate(scenes):
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: scene {index}: entry must be an object")
@@ -222,9 +222,11 @@ def _dataset_entries(manifest, path):
             if not isinstance(entry.get(key), str):
                 raise ValueError(f"{where}: '{key}' must be a string")
         scene_id = entry["id"]
-        entries.append((scene_id, _dataset_file(base, scene_id, entry["mix"]),
-                        _dataset_file(base, scene_id, entry["reference"])))
-    return entries
+        if scene_id in entries:
+            raise ValueError(f"{where}: scene id {scene_id!r} is listed twice")
+        entries[scene_id] = (_dataset_file(base, scene_id, entry["mix"]),
+                             _dataset_file(base, scene_id, entry["reference"]))
+    return list(entries.items())
 
 
 def score_dataset(manifest_path, audiogram=None):
@@ -242,13 +244,12 @@ def score_dataset(manifest_path, audiogram=None):
     reference, else ValueError naming the scene and the file.
     """
     audiogram = audiogram or flat_audiogram(40.0)
-    with open(manifest_path, encoding="utf-8") as fp:
-        manifest = json.load(fp)
+    manifest = read_json(manifest_path)
     entries = _dataset_entries(manifest, manifest_path)
     levels = np.stack([audiogram.ear(ear) for ear in EARS])
 
     def score_one(entry):
-        scene_id, mix_path, reference_path = entry
+        scene_id, (mix_path, reference_path) = entry
         ears = read_wav(mix_path)
         reference = read_wav(reference_path)
         if ears.channels != 2:

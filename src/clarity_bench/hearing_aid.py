@@ -8,12 +8,11 @@ number of clamped samples reported, so level-planning mistakes surface
 instead of silently distorting.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import DEFAULT_RATE, SampleBuffer, convolve_channels
+from .audio import DEFAULT_RATE, SampleBuffer, convolve_channels, read_json
 from .room import is_finite_number
 
 AUDIOGRAM_FREQUENCIES = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 6000.0)
@@ -58,8 +57,7 @@ def flat_audiogram(level_db):
 
 def load_audiogram(path):
     """Read {left: {"250": dB, ...}, right: {...}} JSON."""
-    with open(path, encoding="utf-8") as fp:
-        payload = json.load(fp)
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: audiogram must be a JSON object with 'left' and 'right'")
     ears = []

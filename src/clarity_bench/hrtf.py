@@ -7,7 +7,8 @@ delay (so overall latency is direction-independent), and a first-order
 head-shadow shelf H(s) = (alpha(theta) s + beta) / (s + beta) with
 beta = 2c/a and alpha = 1 + cos(theta_inc), discretized by the bilinear
 transform. theta_inc is the angle between the arrival direction and the
-ear's axis (+y for the left ear, -y for the right).
+ear's axis (+y for the left ear, -y for the right). A direction is a unit
+vector (x, y, z), +x forward and +z up; without pinnae it acts by y alone.
 
 The stage is fixed: a head of radius HEAD_RADIUS = 8.75 cm, sound at
 room.SPEED_OF_SOUND, FIRs of DEFAULT_TAPS = 64 taps at audio.DEFAULT_RATE.
@@ -55,17 +56,6 @@ def woodworth_itd(lateral_angle):
     return HEAD_RADIUS / SPEED_OF_SOUND * (theta + math.sin(theta))
 
 
-def direction_vector(azimuth, elevation):
-    """Unit vector for (azimuth, elevation); +x forward, +y left, +z up."""
-    return np.array(
-        [
-            math.cos(elevation) * math.cos(azimuth),
-            math.cos(elevation) * math.sin(azimuth),
-            math.sin(elevation),
-        ]
-    )
-
-
 def _fractional_delay(delay):
     """8-tap Hann-windowed sinc centred on `delay` samples, in DEFAULT_TAPS taps."""
     x = np.arange(DEFAULT_TAPS, dtype=np.float64) - delay
@@ -91,30 +81,26 @@ def _head_shadow(fir, cos_inc):
     return out
 
 
-def synth_hrtf(azimuth, elevation):
-    """Synthesize one (left FIR, right FIR) pair."""
-    d = direction_vector(azimuth, elevation)
-    lateral = math.asin(max(-1.0, min(1.0, d[1])))
-    itd = woodworth_itd(abs(lateral))
-    half = 0.5 * itd * DEFAULT_RATE * math.copysign(1.0, d[1]) if d[1] != 0.0 else 0.0
+def synth_hrtf(direction):
+    """Synthesize the (left FIR, right FIR) pair of a unit vector (x, y, z)."""
+    y = direction[1]
+    itd = woodworth_itd(abs(math.asin(max(-1.0, min(1.0, y)))))
+    half = 0.5 * itd * DEFAULT_RATE * math.copysign(1.0, y) if y != 0.0 else 0.0
 
     base = DEFAULT_TAPS // 2
     left = _fractional_delay(base - half)
     right = _fractional_delay(base + half)
-    left = _head_shadow(left, d[1])
-    right = _head_shadow(right, -d[1])
-    return left, right
+    return _head_shadow(left, y), _head_shadow(right, -y)
 
 
 @dataclass(frozen=True)
 class HrtfSet:
-    """Directions with one FIR pair each, DEFAULT_TAPS taps at DEFAULT_RATE.
-
-    The arrays are read-only; left and right hold one row per direction.
+    """Unit-vector directions with one FIR pair each, DEFAULT_TAPS taps at
+    DEFAULT_RATE. The arrays are read-only; directions holds x, y, z rows
+    and left and right one row per direction.
     """
 
-    azimuths: np.ndarray
-    elevations: np.ndarray
+    directions: np.ndarray   # (3, count)
     left: np.ndarray   # (count, DEFAULT_TAPS)
     right: np.ndarray  # (count, DEFAULT_TAPS)
 
@@ -124,11 +110,11 @@ def default_hrtf_set():
     """Spherical-head set on 64 spherical Fibonacci directions, which are
     the virtual loudspeakers of the decode (enough for order 6's 49
     channels). Built once per process and shared by every caller."""
-    az, el = fibonacci_directions(64)
-    left, right = (np.stack(firs) for firs in zip(*map(synth_hrtf, az, el)))
-    for array in (az, el, left, right):
+    directions = np.stack(fibonacci_directions(64))
+    left, right = (np.stack(firs) for firs in zip(*map(synth_hrtf, directions.T)))
+    for array in (directions, left, right):
         array.flags.writeable = False
-    return HrtfSet(az, el, left, right)
+    return HrtfSet(directions, left, right)
 
 
 @cache
@@ -139,13 +125,12 @@ def decoder_bank(order):
     Raises ValueError when K exceeds the 64 directions of the set.
     """
     hrtfs = default_hrtf_set()
-    count, k = hrtfs.azimuths.size, num_channels(order)
+    count, k = hrtfs.directions.shape[1], num_channels(order)
     if count < k:
         raise ValueError(
             f"HRTF set of {count} directions cannot decode {k} channels (order {order})"
         )
-    az, el = hrtfs.azimuths, hrtfs.elevations
-    basis = sh_eval(order, np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)).T   # L x K
+    basis = sh_eval(order, *hrtfs.directions).T   # L x K
     bank = np.linalg.pinv(basis) @ np.stack([hrtfs.left, hrtfs.right])
     bank.flags.writeable = False
     return bank

@@ -4,9 +4,9 @@ Every mirror image of the source contributes a single spike:
 
     amplitude = (-sqrt(1 - absorption)) ** reflections / distance
 
-placed at the nearest sample to distance/c, weighted by the source
-directivity (a cardioid's 0.5 (1 + cos psi), from the emission cosine
-cos psi: the image's mirrored aim dotted with its unit vector toward the
+placed at the nearest sample to distance/c, weighted, for a source with
+an aim, by the cardioid gain 0.5 (1 + cos psi) of the emission cosine
+cos psi (the image's mirrored aim dotted with its unit vector toward the
 listener), and panned into the Ambisonic channels by the spherical
 harmonics of its arrival direction, the unit vector offset / distance
 from the listener; no angle is formed. The reflection
@@ -78,18 +78,14 @@ class RoomSpec:
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Point source with an optional cardioid directivity."""
+    """Point source: omni without an aim, else a cardioid pointed along
+    its aim, which is stored normalised and must be non-zero."""
 
     position: tuple
-    directivity: str = "omni"
     aim: tuple = None
 
     def __post_init__(self):
-        if self.directivity not in ("omni", "cardioid"):
-            raise ValueError(f"unknown directivity {self.directivity!r}")
-        if self.directivity == "cardioid":
-            if self.aim is None:
-                raise ValueError("cardioid sources need an aim vector")
+        if self.aim is not None:
             aim = np.asarray(self.aim, dtype=np.float64)
             norm = np.linalg.norm(aim)
             if norm == 0 and np.any(aim):   # the squares underflow: rescale first
@@ -107,15 +103,6 @@ class AmbiRir:
 
     signal: AmbiSignal
     image_count: int
-
-
-def directivity_gain(pattern, cos_angle):
-    """Gain of a source pattern, given the cosine of the emission angle from its aim."""
-    if pattern == "omni":
-        return np.ones_like(np.asarray(cos_angle, dtype=np.float64))
-    if pattern == "cardioid":
-        return 0.5 * (1.0 + np.asarray(cos_angle, dtype=np.float64))
-    raise ValueError(f"unknown directivity {pattern!r}")
 
 
 def image_source_rir(room, source, listener, order, time_limit):
@@ -160,7 +147,7 @@ def image_source_rir(room, source, listener, order, time_limit):
     # bins < frames test below decides on the rest.
     cutoff = ((frames + 1) * c / DEFAULT_RATE) ** 2
 
-    aim = np.asarray(source.aim, dtype=np.float64) if source.directivity == "cardioid" else None
+    aim = None if source.aim is None else np.asarray(source.aim, dtype=np.float64)
 
     k = num_channels(order)
     rir = np.zeros((k, frames))
@@ -186,7 +173,7 @@ def image_source_rir(room, source, listener, order, time_limit):
         if aim is not None:
             mx, my, mz = np.where(np.array(parity) == 1, -aim, aim)
             cos_psi = np.clip(-(ux * mx + uy * my + uz * mz), -1.0, 1.0)
-            amp *= directivity_gain("cardioid", cos_psi)
+            amp *= 0.5 * (1.0 + cos_psi)
         coeffs = sh_eval(order, ux, uy, uz)
         coeffs *= amp
         for ch in range(k):

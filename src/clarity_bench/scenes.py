@@ -31,7 +31,7 @@ simulation from a measurement-like capture: Ambisonic order, interferer
 directivity, microphone self-noise, and a perturbation of the room
 absorption. Each knob can be toggled alone (`FidelityProfile.with_knob`).
 Directivity comes from the profile alone: under a cardioid profile every
-interferer points at the listener. A scene carries no directivity, and
+interferer is aimed at the listener. A scene carries no directivity, and
 scene files that still hold a "directivity" key load with it ignored.
 
 A scene dictionary is read in one walk, `scene_from_dict`: each field is
@@ -48,8 +48,8 @@ import numpy as np
 from . import signals
 from .ambisonics import AmbiSignal, acn_index
 from .audio import (  # noqa: F401  (convolve_channels: perfbench/tracing.py wraps it by this name)
-    DEFAULT_RATE, REFERENCE_RMS, SampleBuffer, convolve_channels, convolve_sum, mono, read_wav,
-    rms_array, scale_to_rms, write_wav,
+    DEFAULT_RATE, REFERENCE_RMS, SampleBuffer, convolve_channels, convolve_sum, mono, read_json,
+    read_wav, rms_array, scale_to_rms, write_wav,
 )
 from .errors import MixError, SceneValidationError
 from .hrtf import DEFAULT_TAPS, binaural_decode, decoder_bank
@@ -63,6 +63,7 @@ DEFAULT_RIR_SECONDS = 0.35
 # field of this length is 188 MiB, and a render holds a few at once.
 MAX_SCENE_SECONDS = 30.0
 ROTATION_BLOCK_SECONDS = 0.01
+MAX_SCENES = 9999   # the most that the four-digit scene ids S%04d hold
 _HOP = int(round(ROTATION_BLOCK_SECONDS * DEFAULT_RATE))   # frames between rotation block centres
 
 # Fixed microphone calibration applied to the decoded ear signals. It
@@ -254,6 +255,11 @@ def scene_to_dict(scene):
     }
 
 
+def is_seed(value):
+    """True for a non-negative integer that is not a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def scene_from_dict(payload, directory=None):
     """Build a SceneSpec from a scene dictionary, checking each field where it is read.
 
@@ -278,9 +284,6 @@ def scene_from_dict(payload, directory=None):
     if not isinstance(payload, dict):
         raise SceneValidationError(["scene: must be an object"])
     problems = []
-
-    def is_seed(value):
-        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
     def section(key):
         value = payload.get(key)
@@ -395,9 +398,7 @@ def load_scene(path):
     directory, and stored as an absolute path, whatever the working
     directory.
     """
-    with open(path, encoding="utf-8") as fp:
-        payload = json.load(fp)
-    return scene_from_dict(payload, os.path.dirname(os.path.abspath(path)))
+    return scene_from_dict(read_json(path), os.path.dirname(os.path.abspath(path)))
 
 
 def save_scene(scene, path):
@@ -639,10 +640,8 @@ def render_scene(scene, profile=None, keep_components=False):
                                         f"after the {MAX_SCENE_SECONDS:g} s scene limit"])
     onsets, rirs = [], []
     for index, spec in enumerate(specs):
-        directivity, aim = "omni", None
-        if index > 0 and profile.interferer_directivity == "cardioid":
-            directivity, aim = "cardioid", listener - np.asarray(spec.position)
-        src = SourceSpec(tuple(spec.position), directivity, aim)
+        cardioid = index > 0 and profile.interferer_directivity == "cardioid"
+        src = SourceSpec(spec.position, listener - np.asarray(spec.position) if cardioid else None)
         rir = image_source_rir(room, src, listener, profile.ambisonic_order, DEFAULT_RIR_SECONDS)
         onsets.append(int(round(spec.onset_s * DEFAULT_RATE)))
         rirs.append(rir.signal.data)
@@ -780,12 +779,16 @@ def generate_dataset(out_dir, count, seed, fidelity="simulated"):
     """Render a seeded batch of scenes to WAV/JSON files plus a manifest.
 
     Returns the manifest path. Re-running with identical arguments
-    reproduces every byte, regardless of the worker count.
+    reproduces every byte, regardless of the worker count. A count outside
+    1..MAX_SCENES, or a seed that is not a non-negative integer, raises
+    ValueError before out_dir exists.
     """
     from . import __version__
 
-    if count < 1:
-        raise ValueError(f"scene count must be at least 1, got {count}")
+    if not 1 <= count <= MAX_SCENES:
+        raise ValueError(f"scene count must be at least 1 and at most {MAX_SCENES}, got {count}")
+    if not is_seed(seed):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     os.makedirs(out_dir, exist_ok=True)
     scenes = draw_scenes(count, seed, fidelity=fidelity)
     profile = FidelityProfile.from_name(fidelity)

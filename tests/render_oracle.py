@@ -40,10 +40,9 @@ def full_field_render(scene, profile=None, keep_components=False):
             source = replace(source, synth_seed=child_seeds[index])
         drys.append(source.resolve())
         onsets.append(int(round(spec.onset_s * DEFAULT_RATE)))
-        directivity, aim = "omni", None
-        if index > 0 and profile.interferer_directivity == "cardioid":
-            directivity, aim = "cardioid", listener - np.asarray(spec.position)
-        rir = image_source_rir(room, SourceSpec(tuple(spec.position), directivity, aim), listener,
+        cardioid = index > 0 and profile.interferer_directivity == "cardioid"
+        aim = listener - np.asarray(spec.position) if cardioid else None
+        rir = image_source_rir(room, SourceSpec(spec.position, aim), listener,
                                profile.ambisonic_order, DEFAULT_RIR_SECONDS)
         rirs.append(rir.signal.data)
 

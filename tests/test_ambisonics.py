@@ -209,13 +209,11 @@ def test_decode_under_determined_grid():
 
 
 def test_fibonacci_grid_is_deterministic_and_unit():
-    az1, el1 = fibonacci_directions(64)
-    az2, el2 = fibonacci_directions(64)
-    assert np.array_equal(az1, az2) and np.array_equal(el1, el2)
-    assert az1.size == 64
-    z = np.sin(el1)
-    assert np.all(np.abs(z) <= 1.0)
-    assert np.all(np.diff(z) < 0)  # descending z sweep
+    first, second = np.stack(fibonacci_directions(64)), np.stack(fibonacci_directions(64))
+    assert np.array_equal(first, second)
+    assert first.shape == (3, 64)
+    assert np.max(np.abs(np.sum(first**2, axis=0) - 1.0)) < 1e-12
+    assert np.all(np.diff(first[2]) < 0)  # descending z sweep
 
 
 # --- the SH-domain render equals the formulas it replaced -----------------------
@@ -243,7 +241,8 @@ def legendre_sh_eval(order, azimuth, elevation):
 def speaker_feed_decode(signal, hrtfs):
     """Pseudo-inverse feeds on the set's own directions, each convolved
     with that direction's HRTF pair and summed per ear."""
-    basis = legendre_sh_eval(signal.order, hrtfs.azimuths, hrtfs.elevations).T
+    x, y, z = hrtfs.directions
+    basis = legendre_sh_eval(signal.order, np.arctan2(y, x), np.arcsin(z)).T
     feeds = np.linalg.pinv(basis).T @ signal.data
     return np.stack([
         fftconvolve(feeds, hrtfs.left, mode="full", axes=1).sum(axis=0),
@@ -318,7 +317,8 @@ def test_binaural_decode_uses_the_sets_own_directions():
     # oracle with the same FIRs on a layout turned by 0.3 rad is far off.
     rng = np.random.default_rng(50)
     hrtfs = default_hrtf_set()
-    turned = HrtfSet(hrtfs.azimuths + 0.3, hrtfs.elevations, hrtfs.left, hrtfs.right)
+    x, y, z = hrtfs.directions
+    turned = HrtfSet(np.stack(unit_vector(np.arctan2(y, x) + 0.3, np.arcsin(z))), hrtfs.left, hrtfs.right)
     field = AmbiSignal(rng.uniform(-1, 1, (49, 700)))
     ears = binaural_decode(field)
     assert np.max(np.abs(ears.data - speaker_feed_decode(field, hrtfs))) < 1e-12

@@ -554,3 +554,51 @@ def test_cli_report_paper_table_rejects_values_that_are_not_scores(tmp_path, cap
     )
     code = main(["report", "--paper-table", str(path)])
     assert_one_error_line(code, capsys, "table.csv", "line 3", "ave", value)
+
+
+@pytest.mark.parametrize("args, words", [
+    pytest.param(["--n", "100000000000000000000", "--seed", "3"], ["at most 9999"], id="huge-count"),
+    pytest.param(["--n", "1", "--seed", "-1"], ["seed", "non-negative"], id="negative-seed"),
+])
+def test_cli_generate_refuses_before_making_the_directory(tmp_path, capsys, args, words):
+    code = main(["generate", *args, "--out", str(tmp_path / "d")])
+    assert_one_error_line(code, capsys, *words)
+    assert not (tmp_path / "d").exists()
+
+
+BROKEN_JSON = [
+    pytest.param(b"{\n", id="malformed"),
+    pytest.param(b'{"rate": "\xff"}', id="not-utf-8"),
+    pytest.param(b"[" * 100000 + b"]" * 100000, id="nested-too-deeply"),
+]
+
+
+@pytest.mark.parametrize("blob", BROKEN_JSON)
+@pytest.mark.parametrize("option", ["--dataset", "--audiogram"])
+def test_cli_score_names_a_broken_json_file(small_dataset, tmp_path, capsys, option, blob):
+    broken = tmp_path / "broken.json"
+    broken.write_bytes(blob)
+    files = {"--dataset": str(small_dataset), option: str(broken)}
+    code = main(["score", *(arg for pair in files.items() for arg in pair), "--out", str(tmp_path / "s.csv")])
+    assert_one_error_line(code, capsys, str(broken))
+
+
+@pytest.mark.parametrize("blob", BROKEN_JSON)
+def test_load_scene_names_a_broken_json_file(tmp_path, blob):
+    from clarity_bench.scenes import load_scene
+
+    broken = tmp_path / "broken_scene.json"
+    broken.write_bytes(blob)
+    with pytest.raises(ValueError, match="broken_scene.json"):
+        load_scene(broken)
+
+
+def test_cli_score_rejects_a_repeated_scene_id(small_dataset, tmp_path, capsys):
+    path = copy_dataset(small_dataset, tmp_path / "d")
+    manifest = json.loads(path.read_text())
+    manifest["scenes"][1] = dict(manifest["scenes"][0])
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "s.csv"
+    code = main(["score", "--dataset", str(path), "--out", str(out)])
+    assert_one_error_line(code, capsys, "manifest.json", "'S0000'", "twice")
+    assert not out.exists()

@@ -13,11 +13,12 @@ from clarity_bench.hrtf import (
     _fractional_delay,
     _head_shadow,
     default_hrtf_set,
-    direction_vector,
     synth_hrtf,
     woodworth_itd,
 )
 from clarity_bench.room import SPEED_OF_SOUND
+
+from ambisonic_oracles import unit_vector
 
 
 def fir_delay(fir):
@@ -29,7 +30,7 @@ def fir_delay(fir):
 
 def test_median_plane_symmetry():
     for el in (0.0, 0.4, -0.7):
-        left, right = synth_hrtf(0.0, el)
+        left, right = synth_hrtf(unit_vector(0.0, el))
         assert np.array_equal(left, right)
 
 
@@ -40,7 +41,7 @@ def test_woodworth_itd_value():
 
 
 def test_full_lateral_itd_in_samples():
-    left, right = synth_hrtf(np.pi / 2, 0.0)
+    left, right = synth_hrtf((0.0, 1.0, 0.0))
     measured = fir_delay(right) - fir_delay(left)
     expected = woodworth_itd(np.pi / 2) * 16000  # about 10.5
     # the shadow filter adds about one sample of group delay on the far ear
@@ -48,7 +49,7 @@ def test_full_lateral_itd_in_samples():
 
 
 def test_contralateral_shadow_attenuates_high_frequencies():
-    _, right = synth_hrtf(np.pi / 2, 0.0)  # right ear fully shadowed
+    _, right = synth_hrtf((0.0, 1.0, 0.0))  # right ear fully shadowed
     freqs = np.fft.rfftfreq(4096, 1 / 16000)
     mag = np.abs(np.fft.rfft(right, 4096))
     at = lambda f: 20 * np.log10(mag[np.argmin(np.abs(freqs - f))])
@@ -60,10 +61,23 @@ def test_left_right_mirror_symmetry():
     for _ in range(20):
         az = rng.uniform(-np.pi, np.pi)
         el = rng.uniform(-np.pi / 2, np.pi / 2)
-        left_a, right_a = synth_hrtf(az, el)
-        left_b, right_b = synth_hrtf(-az, el)
+        x, y, z = unit_vector(az, el)
+        left_a, right_a = synth_hrtf((x, y, z))
+        left_b, right_b = synth_hrtf((x, -y, z))
         assert np.max(np.abs(left_a - right_b)) < 1e-12
         assert np.max(np.abs(right_a - left_b)) < 1e-12
+
+
+def test_mirror_images_front_back_and_up_down_share_a_pair():
+    # The spherical head has no pinnae: (x, y, z) and (-x, y, -z) have the
+    # same lateral component, so they get the same pair bit for bit, with
+    # no front-back or up-down cue.
+    rng = np.random.default_rng(3)
+    for direction in [*rng.normal(size=(20, 3)), np.array([1.0, 0.0, 0.0])]:
+        x, y, z = direction / np.linalg.norm(direction)
+        left_a, right_a = synth_hrtf((x, y, z))
+        left_b, right_b = synth_hrtf((-x, y, -z))
+        assert np.array_equal(left_a, left_b) and np.array_equal(right_a, right_b)
 
 
 def test_itd_monotone_in_lateral_angle():
@@ -82,9 +96,10 @@ def test_head_shadow_dc_gain_unity():
 
 def test_default_set_covers_decode_grid():
     hs = default_hrtf_set()
-    assert hs.azimuths.size == hs.elevations.size == 64
+    assert hs.directions.shape == (3, 64)
+    assert np.allclose(np.sum(hs.directions**2, axis=0), 1.0, rtol=0, atol=1e-12)
     assert hs.left.shape == hs.right.shape == (64, DEFAULT_TAPS) == (64, 64)
-    assert not any(a.flags.writeable for a in (hs.azimuths, hs.elevations, hs.left, hs.right))
+    assert not any(a.flags.writeable for a in (hs.directions, hs.left, hs.right))
 
 
 def lfilter_shadow(fir, cos_inc):
@@ -99,9 +114,8 @@ def lfilter_shadow(fir, cos_inc):
 
 def test_head_shadow_equals_lfilter_on_the_default_set():
     hs = default_hrtf_set()
-    assert hs.azimuths.size == 64
-    for index, (az, el) in enumerate(zip(hs.azimuths, hs.elevations)):
-        y = direction_vector(az, el)[1]
+    assert hs.directions.shape[1] == 64
+    for index, y in enumerate(hs.directions[1]):
         half = math.copysign(0.5 * woodworth_itd(abs(math.asin(y))) * 16000, y) if y != 0.0 else 0.0
         for fir, shift, cos_inc in ((hs.left, -half, y), (hs.right, half, -y)):
             delay = _fractional_delay(DEFAULT_TAPS // 2 + shift)

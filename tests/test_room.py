@@ -8,7 +8,6 @@ from clarity_bench.room import (
     AmbiRir,
     RoomSpec,
     SourceSpec,
-    directivity_gain,
     image_source_rir,
 )
 from clarity_bench.scenes import PAPER_ROOM
@@ -60,7 +59,7 @@ def row_wise_image_source_rir(room, source, listener, order, time_limit, angles=
     spans = np.ceil(c * time_limit / (2.0 * dims)).astype(int) + 1
     axes = [np.arange(-n, n + 1) for n in spans]
     cutoff = ((frames + 1) * c / rate) ** 2
-    aim = np.asarray(source.aim, dtype=np.float64) if source.directivity == "cardioid" else None
+    aim = None if source.aim is None else np.asarray(source.aim, dtype=np.float64)
     k = num_channels(order)
     rir = np.zeros((k, frames))
     image_count = 0
@@ -98,7 +97,7 @@ def row_wise_image_source_rir(room, source, listener, order, time_limit, angles=
                     if aim is not None:
                         mx, my, mz = np.where(parity == 1, -aim, aim)
                         cos_psi = np.clip(-(ux * mx + uy * my + uz * mz), -1.0, 1.0)
-                        amp = amp * directivity_gain("cardioid", cos_psi)
+                        amp = amp * (0.5 * (1.0 + cos_psi))
                     coeffs = sh_eval(order, ux, uy, uz)
                 for ch in range(k):
                     rir[ch] += np.bincount(bins, weights=coeffs[ch] * amp, minlength=frames)
@@ -128,7 +127,7 @@ def paper_room_cases(absorption_scale, directivity):
     listener = (3.3, 2.9, 1.2)
     for position in ((1.0, 4.6, 1.6), (5.9, 0.7, 2.1)):
         aim = tuple(np.subtract(listener, position)) if directivity == "cardioid" else None
-        yield room, SourceSpec(position, directivity, aim), listener
+        yield room, SourceSpec(position, aim), listener
 
 
 paper_room = pytest.mark.parametrize("absorption_scale", [1.0, 0.85])
@@ -187,7 +186,7 @@ def room_case(dims, src, lis, absorption, aim, extra):
     lis = tuple(np.multiply(lis, dims))
     direct = float(np.linalg.norm(np.subtract(src, lis)))
     assume(direct > 0.05)
-    source = SourceSpec(src, "omni" if aim is None else "cardioid", aim)
+    source = SourceSpec(src, aim)
     return room, source, lis, direct / room.speed_of_sound + extra
 
 
@@ -218,16 +217,24 @@ def test_sh_eval_calls_carry_one_point_per_image(monkeypatch):
         assert sum(args[1].size for args in calls) == rir.image_count
 
 
-def test_directivity_trivials():
-    # The gain takes the cosine of the emission angle from the aim.
-    assert directivity_gain("omni", 1.0) == 1.0
-    assert directivity_gain("omni", -0.3) == 1.0
-    assert directivity_gain("cardioid", 1.0) == 1.0
-    assert directivity_gain("cardioid", 0.0) == 0.5
-    assert directivity_gain("cardioid", -1.0) == 0.0
-    assert np.array_equal(directivity_gain("cardioid", np.array([1.0, 0.0, -1.0])), [1.0, 0.5, 0.0])
-    with pytest.raises(ValueError):
-        directivity_gain("figure8", 1.0)
+@pytest.mark.parametrize("aim, gain", [
+    pytest.param((1.0, 0.0, 0.0), 1.0, id="at-the-listener"),
+    pytest.param((0.0, 1.0, 0.0), 0.5, id="across"),
+    pytest.param((-1.0, 0.0, 0.0), 0.0, id="away"),
+])
+def test_cardioid_gain_on_the_direct_path(aim, gain):
+    # With absorption 1 only the direct path is left, so the cardioid's
+    # gain 0.5 (1 + cos psi) scales the one spike of every channel.
+    room = RoomSpec(PAPER_DIMS, absorption=1.0)
+    source, listener = (2.0, 3.0, 1.5), (4.0, 3.0, 1.5)
+    omni = image_source_rir(room, SourceSpec(source), listener, 1, 0.1)
+    card = image_source_rir(room, SourceSpec(source, aim), listener, 1, 0.1)
+    assert np.array_equal(card.signal.data, gain * omni.signal.data)
+
+
+def test_a_zero_aim_is_rejected():
+    with pytest.raises(ValueError, match="non-zero"):
+        SourceSpec((1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
 
 
 def test_fully_absorbing_room_keeps_only_direct_path():
@@ -290,7 +297,7 @@ def test_cardioid_energy_bounded_by_omni():
     omni = image_source_rir(room, SourceSpec((1.5, 2.0, 1.5)), listener, 0, 0.2)
     card = image_source_rir(
         room,
-        SourceSpec((1.5, 2.0, 1.5), "cardioid", aim=(1.0, 0.0, 0.0)),
+        SourceSpec((1.5, 2.0, 1.5), aim=(1.0, 0.0, 0.0)),
         listener,
         0,
         0.2,
@@ -299,11 +306,6 @@ def test_cardioid_energy_bounded_by_omni():
     # facing the listener: the direct spike is unattenuated
     direct = np.argmax(np.abs(omni.signal.w) > 0)
     assert card.signal.w[direct] == pytest.approx(omni.signal.w[direct])
-
-
-def test_cardioid_requires_aim():
-    with pytest.raises(ValueError):
-        SourceSpec((1.0, 1.0, 1.0), "cardioid")
 
 
 def test_geometry_errors():
