@@ -99,11 +99,6 @@ class AmbiSignal(SampleBuffer):
     def order(self):
         return math.isqrt(self.channels) - 1
 
-    @property
-    def w(self):
-        """The omnidirectional (ACN 0) channel."""
-        return self.data[0]
-
 
 def fibonacci_directions(count):
     """Deterministic spherical Fibonacci point set.

@@ -36,8 +36,6 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FormatError, RateMismatchError
-
 DEFAULT_RATE = 16000
 # RMS of -26 dBFS: the level of the scoring reference, and the level at
 # which metrics.ear_scores reads both signals for the quality score (a
@@ -133,10 +131,10 @@ def read_wav(path):
 
     Supports little-endian PCM 16-bit integer and IEEE float32, also as
     WAVE_FORMAT_EXTENSIBLE. 16-bit samples are scaled by 1/32768 into
-    [-1, 1). A truncated file, a NaN or infinite sample or any other
-    format raises FormatError; a file at any rate but DEFAULT_RATE raises
-    RateMismatchError (there is deliberately no resampler in this
-    pipeline).
+    [-1, 1). A truncated file, a NaN or infinite sample, any other format
+    or a file at any rate but DEFAULT_RATE (there is deliberately no
+    resampler in this pipeline) raises ValueError naming the file; a
+    missing file raises FileNotFoundError.
     """
     try:
         with open(path, "rb") as fp:
@@ -144,22 +142,22 @@ def read_wav(path):
     except FileNotFoundError:
         raise
     except (OSError, ValueError, struct.error) as exc:
-        raise FormatError(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
+        raise ValueError(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
     if (tag, bits) not in _SAMPLE_TYPES:
-        raise FormatError(
+        raise ValueError(
             f"{path}: unsupported sample format (tag {tag}, {bits} bits); "
             "only PCM16 and float32 are handled"
         )
     frames, partial = divmod(len(data), channels * bits // 8)
     if partial:
-        raise FormatError(f"{path}: data chunk does not hold a whole number of frames")
+        raise ValueError(f"{path}: data chunk does not hold a whole number of frames")
     scaled = np.frombuffer(data, _SAMPLE_TYPES[tag, bits]).astype(np.float64)
     if tag == _PCM:
         scaled /= 32768.0
     if not np.isfinite(scaled).all():
-        raise FormatError(f"{path}: holds a NaN or infinite sample")
+        raise ValueError(f"{path}: holds a NaN or infinite sample")
     if rate != DEFAULT_RATE:
-        raise RateMismatchError(
+        raise ValueError(
             f"{path}: rate {rate} Hz but pipeline demands {DEFAULT_RATE} Hz"
         )
     return SampleBuffer(scaled.reshape(frames, channels).T)

@@ -3,12 +3,15 @@
 Each command imports its own modules: `score` and `report` load the
 scorer (`harness`, `hearing_aid`, `metrics`) inside their branches, so
 `generate` runs on the render modules alone and never loads SciPy.
+
+Every bad input is raised as ValueError (or OSError, for a file that
+cannot be opened) with the file or scene it concerns in its text; main
+prints it as one `error:` line on stderr and returns 1.
 """
 
 import argparse
 import sys
 
-from .errors import ClarityBenchError
 from .scenes import FIDELITY_NAMES, generate_dataset
 
 _BUNDLED = "__bundled__"
@@ -77,7 +80,7 @@ def main(argv=None):
             if args.paper_table is not None:
                 path = None if args.paper_table == _BUNDLED else args.paper_table
                 print(report_published(load_published_results(path)))
-    except (ClarityBenchError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -19,7 +19,6 @@ from importlib import resources
 import numpy as np
 
 from .audio import DEFAULT_RATE, read_json, read_wav
-from .errors import StatisticsError
 from .hearing_aid import EARS, amplify, flat_audiogram
 from .metrics import MIN_OVERLAP, ear_scores
 # Not called here: perfbench/tracing.py wraps the two metrics at this
@@ -56,7 +55,7 @@ def pearson(x, y):
     yd = y - y.mean()
     denom = math.sqrt(float(np.sum(xd * xd)) * float(np.sum(yd * yd)))
     if denom == 0.0:
-        raise StatisticsError("zero variance in a correlation input")
+        raise ValueError("zero variance in a correlation input")
     return float(np.sum(xd * yd)) / denom
 
 
@@ -93,23 +92,30 @@ def bundled_results_path():
 def _read_score_rows(path, header, what):
     """Rows of a CSV with exactly `header` as dicts, the last three columns
     parsed as scores. A score that is not a number in [0, 1] (NaN and
-    infinities included) raises ValueError naming the file and line."""
+    infinities included) or a line the csv module cannot parse raises
+    ValueError naming the file and line; text that is not UTF-8 raises
+    ValueError naming the file."""
     rows = []
     with open(path, encoding="utf-8") as fp:
         reader = csv.DictReader(fp)
-        if reader.fieldnames != header:
-            raise ValueError(f"{path}: line 1: expected {','.join(header)} header")
-        for line_no, rec in enumerate(reader, start=2):
-            try:
-                row = {key: rec[key] for key in header[:-3]}
-                for key in header[-3:]:
-                    value = float(rec[key])
-                    if not 0.0 <= value <= 1.0:
-                        raise ValueError(f"{key} {rec[key]!r} is not a score in [0, 1]")
-                    row[key] = value
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-            rows.append(row)
+        try:
+            if reader.fieldnames != header:
+                raise ValueError(f"{path}: line 1: expected {','.join(header)} header")
+            for line_no, rec in enumerate(reader, start=2):
+                try:
+                    row = {key: rec[key] for key in header[:-3]}
+                    for key in header[-3:]:
+                        value = float(rec[key])
+                        if not 0.0 <= value <= 1.0:
+                            raise ValueError(f"{key} {rec[key]!r} is not a score in [0, 1]")
+                        row[key] = value
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+                rows.append(row)
+        except UnicodeDecodeError as exc:   # decoded ahead of the parser, so no line
+            raise ValueError(f"{path}: {exc}") from exc
+        except csv.Error as exc:   # e.g. a field over csv.field_size_limit()
+            raise ValueError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no {what} rows")
     return rows
@@ -161,7 +167,7 @@ def report_published(rows):
         try:
             corr = metric_correlation(subset)
             lines.append(f"best-entry-per-team metric correlation: r = {corr:.3f}")
-        except (ValueError, StatisticsError) as exc:
+        except ValueError as exc:
             lines.append(f"best-entry-per-team metric correlation: unavailable ({exc})")
         lines.append("")
     lines.append(f"flagged rows: {flagged_total}")
@@ -317,8 +323,15 @@ def write_run_manifest(run, path):
 
 
 def read_scores_csv(path):
-    """Rows of a scores CSV; raises ValueError with the offending line."""
-    return _read_score_rows(path, ["scene", "haspi_like", "hasqi_like", "ave"], "score")
+    """Rows of a scores CSV; raises ValueError with the offending line, or
+    with both lines of a scene listed twice."""
+    rows = _read_score_rows(path, ["scene", "haspi_like", "hasqi_like", "ave"], "score")
+    first_line = {}
+    for line_no, row in enumerate(rows, start=2):
+        seen = first_line.setdefault(row["scene"], line_no)
+        if seen != line_no:
+            raise ValueError(f"{path}: line {line_no}: scene {row['scene']!r} repeats line {seen}")
+    return rows
 
 
 def report_scores(paths):

@@ -56,7 +56,8 @@ def flat_audiogram(level_db):
 
 
 def load_audiogram(path):
-    """Read {left: {"250": dB, ...}, right: {...}} JSON."""
+    """Read {left: {"250": dB, ...}, right: {...}} JSON; every problem
+    raises ValueError naming the file."""
     payload = read_json(path)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: audiogram must be a JSON object with 'left' and 'right'")
@@ -77,27 +78,15 @@ def load_audiogram(path):
                                  f"{level!r}")
             levels.append(float(level))
         ears.append(tuple(levels))
-    return Audiogram(left=ears[0], right=ears[1])
-
-
-@dataclass(frozen=True)
-class GainCurve:
-    """Insertion gain in dB at the audiogram frequencies, clamped >= 0."""
-
-    frequencies: tuple
-    gains_db: tuple
-
-    def __post_init__(self):
-        if len(self.frequencies) != len(self.gains_db):
-            raise ValueError("frequency/gain lengths differ")
-        if any(g < 0 for g in self.gains_db):
-            raise ValueError("insertion gains must be >= 0 dB")
-        object.__setattr__(self, "frequencies", tuple(float(f) for f in self.frequencies))
-        object.__setattr__(self, "gains_db", tuple(float(g) for g in self.gains_db))
+    try:
+        return Audiogram(left=ears[0], right=ears[1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def nalr_gains(audiogram, ear):
-    """Prescribed insertion-gain curve for one ear.
+    """Prescribed insertion gains in dB for one ear, one per
+    AUDIOGRAM_FREQUENCIES.
 
     With H_f the hearing level at frequency f:
 
@@ -109,33 +98,33 @@ def nalr_gains(audiogram, ear):
     """
     levels = audiogram.ear(ear)
     x = 0.05 * (levels[1] + levels[2] + levels[3])
-    gains = tuple(
+    return tuple(
         max(0.0, x + 0.31 * levels[i] + _NALR_K[f])
         for i, f in enumerate(AUDIOGRAM_FREQUENCIES)
     )
-    return GainCurve(frequencies=AUDIOGRAM_FREQUENCIES, gains_db=gains)
 
 
-def _target_db(curve, freqs):
-    """Curve interpolated linearly in (log f, dB), flat outside its range."""
+def _target_db(gains_db, freqs):
+    """Gains at AUDIOGRAM_FREQUENCIES interpolated linearly in (log f, dB),
+    flat outside their range."""
     f = np.clip(np.maximum(np.asarray(freqs, dtype=np.float64), 1.0),
-                curve.frequencies[0], curve.frequencies[-1])
-    return np.interp(np.log(f), np.log(curve.frequencies), curve.gains_db)
+                AUDIOGRAM_FREQUENCIES[0], AUDIOGRAM_FREQUENCIES[-1])
+    return np.interp(np.log(f), np.log(AUDIOGRAM_FREQUENCIES), gains_db)
 
 
-def design_fir(curve):
-    """Linear-phase FIR of DEFAULT_TAPS taps at DEFAULT_RATE matching a
-    gain curve, by frequency sampling.
+def design_fir(gains_db):
+    """Linear-phase FIR of DEFAULT_TAPS taps at DEFAULT_RATE matching
+    insertion gains in dB at AUDIOGRAM_FREQUENCIES, by frequency sampling.
 
     The target magnitude is sampled on the DEFAULT_TAPS-point DFT grid,
     inverted as a zero-phase response and delayed by (DEFAULT_TAPS-1)/2.
     Coefficients are exactly symmetric; the realized magnitude sits within
-    +-1 dB of the curve at the prescription frequencies.
+    +-1 dB of the gains at the prescription frequencies.
     """
     taps = DEFAULT_TAPS
     half = (taps - 1) // 2
     bin_freqs = np.arange(taps // 2 + 1) * DEFAULT_RATE / taps
-    magnitude = 10.0 ** (_target_db(curve, bin_freqs) / 20.0)
+    magnitude = 10.0 ** (_target_db(gains_db, bin_freqs) / 20.0)
     spectrum = np.concatenate([magnitude, magnitude[-1:0:-1]])
     zero_phase = np.fft.ifft(spectrum).real
     fir = np.empty(taps)

@@ -51,7 +51,6 @@ from .audio import (  # noqa: F401  (convolve_channels: perfbench/tracing.py wra
     DEFAULT_RATE, REFERENCE_RMS, SampleBuffer, convolve_channels, convolve_sum, mono, read_json,
     read_wav, rms_array, scale_to_rms, write_wav,
 )
-from .errors import MixError, SceneValidationError
 from .hrtf import DEFAULT_TAPS, binaural_decode, decoder_bank
 from .room import SPEED_OF_SOUND, RoomSpec, SourceSpec, image_source_rir, is_finite_number
 from .workers import ordered_map
@@ -220,39 +219,30 @@ class SceneSpec:
     seed: int = 0
 
 
-def _source_signal_to_dict(src):
-    return {key: value for key, value in asdict(src).items() if value is not None}
+def _as_lists(value):
+    """value with every tuple and array in it turned into a list."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(item) for item in value]
+    return value
 
 
 def scene_to_dict(scene):
-    return {
-        "room": {
-            "dimensions": list(scene.room.dimensions),
-            "absorption": scene.room.absorption,
-            "speed_of_sound": scene.room.speed_of_sound,
-        },
-        "target": {
-            "position": list(scene.target.position),
-            "source": _source_signal_to_dict(scene.target.source),
-            "onset_s": scene.target.onset_s,
-        },
-        "interferers": [
-            {
-                "kind": i.source.kind,
-                "position": list(i.position),
-                "source": _source_signal_to_dict(i.source),
-                "onset_s": i.onset_s,
-            }
-            for i in scene.interferers
-        ],
-        "listener": {
-            "position": list(scene.listener.position),
-            "trajectory": [[t, y] for t, y in scene.listener.trajectory.breakpoints],
-        },
-        "snr_db": scene.snr_db,
-        "fidelity": scene.fidelity,
-        "seed": scene.seed,
-    }
+    """The scene dictionary that scene_from_dict reads back: the
+    dataclass fields as lists and numbers, less the source fields that
+    are None, with each interferer's kind beside its source and the
+    trajectory as its [time, yaw] pairs."""
+    payload = _as_lists(asdict(scene))
+    listener = payload["listener"]
+    listener["trajectory"] = listener["trajectory"]["breakpoints"]
+    for placed in (payload["target"], *payload["interferers"]):
+        placed["source"] = {key: value for key, value in placed["source"].items() if value is not None}
+    for interferer in payload["interferers"]:
+        interferer["kind"] = interferer["source"]["kind"]
+    return payload
 
 
 def is_seed(value):
@@ -264,12 +254,12 @@ def scene_from_dict(payload, directory=None):
     """Build a SceneSpec from a scene dictionary, checking each field where it is read.
 
     This is the one reader of a scene dictionary: every problem found is
-    collected, prefixed by its path, into one SceneValidationError. The
-    room and the listener trajectory are checked by building a RoomSpec
-    (speed_of_sound absent means SPEED_OF_SOUND) and a RotationTrajectory,
-    so their rules live in one place. Numbers must be finite and not
-    booleans (`is_finite_number`). Positions are three numbers inside the
-    room. Every source needs an onset_s >= 0 (absent means 0); its
+    collected, prefixed by its path, into one ValueError that joins them
+    by "; ". The room and the listener trajectory are checked by building
+    a RoomSpec (speed_of_sound absent means SPEED_OF_SOUND) and a
+    RotationTrajectory, so their rules live in one place. Numbers must be
+    finite and not booleans (`is_finite_number`). Positions are three
+    numbers inside the room. Every source needs an onset_s >= 0 (absent means 0); its
     duration_s, which a synthetic source (no file) must give, is > 0, and a
     synthetic one lasts at least one sample at DEFAULT_RATE; a given file
     is a string; a given synth_seed is a non-negative integer; and onset
@@ -282,7 +272,7 @@ def scene_from_dict(payload, directory=None):
     source file is joined to `directory` when one is given.
     """
     if not isinstance(payload, dict):
-        raise SceneValidationError(["scene: must be an object"])
+        raise ValueError("scene: must be an object")
     problems = []
 
     def section(key):
@@ -387,7 +377,7 @@ def scene_from_dict(payload, directory=None):
     if not is_seed(seed):
         problems.append(f"seed: must be a non-negative integer, got {seed!r}")
     if problems:
-        raise SceneValidationError(problems)
+        raise ValueError("; ".join(problems))
     return SceneSpec(room, target, tuple(interferers), listener, snr, fidelity, seed)
 
 
@@ -396,9 +386,14 @@ def load_scene(path):
 
     A relative source file is taken relative to the scene file's
     directory, and stored as an absolute path, whatever the working
-    directory.
+    directory. A scene that breaks a rule raises ValueError naming the
+    file.
     """
-    return scene_from_dict(read_json(path), os.path.dirname(os.path.abspath(path)))
+    payload = read_json(path)
+    try:
+        return scene_from_dict(payload, os.path.dirname(os.path.abspath(path)))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_scene(scene, path):
@@ -424,9 +419,9 @@ def mix_at_snr(target_w, interferer_w, snr_db, active_range):
     target_rms = rms_array(target_w[start:stop])
     interferer_rms = rms_array(interferer_w[start:stop])
     if interferer_rms == 0.0:
-        raise MixError("interferer sum is silent over the target-active range")
+        raise ValueError("interferer sum is silent over the target-active range")
     if target_rms == 0.0:
-        raise MixError("target is silent over the target-active range")
+        raise ValueError("target is silent over the target-active range")
     return target_rms / interferer_rms * 10.0 ** (-snr_db / 20.0)
 
 
@@ -616,7 +611,7 @@ def render_scene(scene, profile=None, keep_components=False):
     path plus the HRTF centre tap. keep_components adds the target,
     interferer and noise ear signals, which sum to the ears; the target
     and interferer ears come from their own renders. A file source that
-    ends after MAX_SCENE_SECONDS raises SceneValidationError before any
+    ends after MAX_SCENE_SECONDS raises ValueError before any
     impulse response is computed.
     """
     profile = profile or FidelityProfile.from_name(scene.fidelity)
@@ -636,8 +631,8 @@ def render_scene(scene, profile=None, keep_components=False):
         end = spec.onset_s + drys[-1].size / DEFAULT_RATE
         if source.file is not None and end > MAX_SCENE_SECONDS:
             where = "target" if index == 0 else f"interferers[{index - 1}]"
-            raise SceneValidationError([f"{where}.source.file {source.file}: ends at {end:g} s, "
-                                        f"after the {MAX_SCENE_SECONDS:g} s scene limit"])
+            raise ValueError(f"{where}.source.file {source.file}: ends at {end:g} s, "
+                             f"after the {MAX_SCENE_SECONDS:g} s scene limit")
     onsets, rirs = [], []
     for index, spec in enumerate(specs):
         cardioid = index > 0 and profile.interferer_directivity == "cardioid"

@@ -77,7 +77,7 @@ def test_encode_w_channel_equals_input():
     rng = np.random.default_rng(1)
     x = rng.uniform(-1, 1, 200)
     out = encode(mono(x), 2.1, -0.6, 6)
-    assert np.array_equal(out.w, x)
+    assert np.array_equal(out.data[0], x)
 
 
 def test_encode_rejects_multichannel():

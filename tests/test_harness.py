@@ -7,7 +7,6 @@ import pytest
 
 from clarity_bench.audio import read_wav
 from clarity_bench.cli import main
-from clarity_bench.errors import StatisticsError
 from clarity_bench.harness import (
     LeaderboardRow,
     best_per_team,
@@ -45,7 +44,7 @@ def test_pearson_validation():
         pearson([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         pearson([1.0, 2.0, 3.0], [1.0, 2.0])
-    with pytest.raises(StatisticsError):
+    with pytest.raises(ValueError, match="zero variance in a correlation input"):
         pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
@@ -518,6 +517,8 @@ def test_run_manifest_aggregates_are_the_record_means():
         ({"left": {}, "right": {"2000": 10**400}}, ["ag.json", "right ear", "2000 Hz"]),
         ({"left": {"500": float("nan")}, "right": {}}, ["ag.json", "left ear", "500 Hz"]),
         ({"left": {}, "right": {"6000": float("inf")}}, ["ag.json", "right ear", "6000 Hz"]),
+        ({"left": {"250": 150}, "right": {}},
+         ["ag.json: left ear levels must lie in [0, 120] dB HL"]),
     ],
 )
 def test_cli_score_rejects_malformed_audiogram(tmp_path, capsys, payload, words):
@@ -556,6 +557,30 @@ def test_cli_report_paper_table_rejects_values_that_are_not_scores(tmp_path, cap
     assert_one_error_line(code, capsys, "table.csv", "line 3", "ave", value)
 
 
+SCORES_HEADER = "scene,haspi_like,hasqi_like,ave\n"
+TABLE_HEADER = "entry,eval_set,haspi,hasqi,ave\n"
+
+
+@pytest.mark.parametrize("option, text, encoding, words", [
+    pytest.param("--scores", SCORES_HEADER + "S" * 200_000 + ",0.400,0.200,0.300\n", "utf-8",
+                 ["line 2", "field larger than field limit"], id="oversized-field"),
+    pytest.param("--paper-table", TABLE_HEADER + "E01," + "e" * 200_000 + ",0.4,0.2,0.3\n", "utf-8",
+                 ["line 2", "field larger than field limit"], id="paper-table-oversized-field"),
+    pytest.param("--scores", SCORES_HEADER + "S0000,0.400,0.200,0.300\n", "utf-16",
+                 ["'utf-8' codec can't decode byte 0xff in position 0"], id="not-utf-8"),
+    pytest.param("--paper-table", TABLE_HEADER + "E01,eval1,0.4,0.2,0.3\n", "utf-16",
+                 ["'utf-8' codec can't decode byte 0xff in position 0"], id="paper-table-not-utf-8"),
+    pytest.param("--scores", SCORES_HEADER + "S0000,0.400,0.200,0.300\nS0001,0.500,0.100,0.300\n"
+                 "S0000,0.400,0.200,0.300\n", "utf-8", ["line 4", "'S0000'", "line 2"],
+                 id="repeated-scene"),
+])
+def test_cli_report_names_a_csv_it_cannot_read(tmp_path, capsys, option, text, encoding, words):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode(encoding))
+    code = main(["report", option, str(path)])
+    assert_one_error_line(code, capsys, f"{path}: ", *words)
+
+
 @pytest.mark.parametrize("args, words", [
     pytest.param(["--n", "100000000000000000000", "--seed", "3"], ["at most 9999"], id="huge-count"),
     pytest.param(["--n", "1", "--seed", "-1"], ["seed", "non-negative"], id="negative-seed"),
@@ -570,6 +595,7 @@ BROKEN_JSON = [
     pytest.param(b"{\n", id="malformed"),
     pytest.param(b'{"rate": "\xff"}', id="not-utf-8"),
     pytest.param(b"[" * 100000 + b"]" * 100000, id="nested-too-deeply"),
+    pytest.param(b"{}", id="breaks-a-rule"),
 ]
 
 

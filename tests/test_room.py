@@ -240,7 +240,7 @@ def test_a_zero_aim_is_rejected():
 def test_fully_absorbing_room_keeps_only_direct_path():
     room = RoomSpec(PAPER_DIMS, absorption=1.0)
     rir = image_source_rir(room, SourceSpec((2.0, 3.0, 1.5)), (4.0, 3.0, 1.5), 1, 0.1)
-    w = rir.signal.w
+    w = rir.signal.data[0]
     nonzero = np.nonzero(w)[0]
     assert nonzero.size == 1
     assert nonzero[0] == round(2.0 / 343.0 * 16000)
@@ -254,7 +254,7 @@ def test_fully_absorbing_room_keeps_only_direct_path():
 def test_direct_path_two_metres_spec_numbers():
     room = RoomSpec(PAPER_DIMS, absorption=1.0)
     rir = image_source_rir(room, SourceSpec((2.0, 2.0, 1.5)), (4.0, 2.0, 1.5), 0, 0.05)
-    w = rir.signal.w
+    w = rir.signal.data[0]
     assert np.argmax(np.abs(w)) == 93
     assert w[93] == pytest.approx(0.5)
 
@@ -263,9 +263,9 @@ def test_direct_amplitude_follows_inverse_distance():
     room = RoomSpec((10.0, 9.0, 4.0), absorption=1.0)
     one = image_source_rir(room, SourceSpec((3.0, 4.0, 2.0)), (4.0, 4.0, 2.0), 0, 0.06)
     two = image_source_rir(room, SourceSpec((3.0, 4.0, 2.0)), (5.0, 4.0, 2.0), 0, 0.06)
-    assert np.max(np.abs(one.signal.w)) == pytest.approx(1.0)
-    assert np.max(np.abs(two.signal.w)) == pytest.approx(0.5)
-    assert np.max(np.abs(two.signal.w)) == pytest.approx(0.5 * np.max(np.abs(one.signal.w)))
+    assert np.max(np.abs(one.signal.data[0])) == pytest.approx(1.0)
+    assert np.max(np.abs(two.signal.data[0])) == pytest.approx(0.5)
+    assert np.max(np.abs(two.signal.data[0])) == pytest.approx(0.5 * np.max(np.abs(one.signal.data[0])))
 
 
 def test_image_count_matches_lattice_enumeration():
@@ -285,7 +285,7 @@ def test_energy_monotone_in_absorption():
     for alpha in (0.2, 0.35, 0.5, 0.65, 0.8):
         room = RoomSpec((4.0, 3.5, 2.9), absorption=alpha)
         rir = image_source_rir(room, SourceSpec((1.0, 1.2, 1.4)), (2.8, 2.2, 1.3), 0, 0.25)
-        w = rir.signal.w
+        w = rir.signal.data[0]
         direct = np.argmax(w != 0.0)
         tail_energies.append(float(np.sum(w[direct + 1 :] ** 2)))
     assert all(b < a for a, b in zip(tail_energies, tail_energies[1:]))
@@ -302,10 +302,10 @@ def test_cardioid_energy_bounded_by_omni():
         0,
         0.2,
     )
-    assert np.sum(card.signal.w**2) <= np.sum(omni.signal.w**2)
+    assert np.sum(card.signal.data[0]**2) <= np.sum(omni.signal.data[0]**2)
     # facing the listener: the direct spike is unattenuated
-    direct = np.argmax(np.abs(omni.signal.w) > 0)
-    assert card.signal.w[direct] == pytest.approx(omni.signal.w[direct])
+    direct = np.argmax(np.abs(omni.signal.data[0]) > 0)
+    assert card.signal.data[0][direct] == pytest.approx(omni.signal.data[0][direct])
 
 
 def test_geometry_errors():
@@ -346,5 +346,5 @@ def test_paper_room_reverberation_time():
     """6.6 x 5.8 x 2.8 m at the Sabine-derived operating point."""
     room = RoomSpec(PAPER_DIMS, absorption=0.438)
     rir = image_source_rir(room, SourceSpec((2.0, 3.1, 1.5)), (4.4, 2.5, 1.6), 0, 0.45)
-    rt = schroeder_rt60(rir.signal.w, 16000)
+    rt = schroeder_rt60(rir.signal.data[0], 16000)
     assert 0.22 <= rt <= 0.32

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from clarity_bench.ambisonics import AmbiSignal
 from clarity_bench.audio import REFERENCE_RMS, convolve_sum, mono, read_wav, rms_array, scale_to_rms
-from clarity_bench.errors import MixError, SceneValidationError
 from clarity_bench.hrtf import DEFAULT_TAPS, binaural_decode
 from clarity_bench.room import RoomSpec
 from clarity_bench.scenes import (
@@ -124,6 +123,19 @@ def test_code_built_scene_survives_save_and_load(tmp_path):
         assert load_scene(path) == changed
 
 
+def test_scene_with_array_positions_saves_and_loads_back(tmp_path):
+    scene = simple_scene(target=replace(simple_scene().target, position=(2.0, 3.0, 1.0)))
+    arrays = replace(
+        scene,
+        target=replace(scene.target, position=np.array([2, 3, 1])),
+        interferers=tuple(replace(i, position=np.array(i.position)) for i in scene.interferers),
+        listener=replace(scene.listener, position=np.array(scene.listener.position)),
+    )
+    path = tmp_path / "scene.json"
+    save_scene(arrays, path)
+    assert load_scene(path) == scene
+
+
 def test_scene_json_directivity_key_is_ignored():
     # Directivity comes from the fidelity profile; older scene files that
     # carry a per-interferer key still load, whatever it holds.
@@ -137,17 +149,15 @@ def test_scene_json_directivity_key_is_ignored():
 def test_scene_validation_interferer_count():
     payload = scene_to_dict(simple_scene())
     payload["interferers"] = payload["interferers"] * 4
-    with pytest.raises(SceneValidationError) as err:
+    with pytest.raises(ValueError, match="between 1 and 3"):
         scene_from_dict(payload)
-    assert any("between 1 and 3" in p for p in err.value.problems)
 
 
 def test_scene_validation_position_out_of_room():
     payload = scene_to_dict(simple_scene())
     payload["target"]["position"] = [9.0, 3.0, 1.5]
-    with pytest.raises(SceneValidationError) as err:
+    with pytest.raises(ValueError, match=r"target\.position"):
         scene_from_dict(payload)
-    assert any("target.position" in p for p in err.value.problems)
 
 
 def test_scene_validation_collects_all_problems():
@@ -155,9 +165,9 @@ def test_scene_validation_collects_all_problems():
     payload["target"]["position"] = [9.0, 3.0, 1.5]
     payload["snr_db"] = "loud"
     payload["fidelity"] = "imagined"
-    with pytest.raises(SceneValidationError) as err:
+    with pytest.raises(ValueError) as err:
         scene_from_dict(payload)
-    text = "; ".join(err.value.problems)
+    text = str(err.value)
     assert "target.position" in text and "snr_db" in text and "fidelity" in text
 
 
@@ -166,9 +176,9 @@ def test_scene_validation_takes_room_and_trajectory_rules_from_their_classes():
     payload["room"]["absorption"] = 2.0
     payload["listener"]["trajectory"] = [[0.5, 0.0]]
     payload["seed"] = "x"
-    with pytest.raises(SceneValidationError) as err:
+    with pytest.raises(ValueError) as err:
         scene_from_dict(payload)
-    text = "; ".join(err.value.problems)
+    text = str(err.value)
     assert "room: absorption must lie in (0, 1]" in text
     assert "listener.trajectory: first trajectory breakpoint must be at t=0" in text
     assert "seed" in text
@@ -237,9 +247,9 @@ BAD_SOURCE_FIELDS = [
 def test_scene_validation_rejects_bad_source_fields(path, value, named):
     payload = scene_to_dict(simple_scene())
     set_path(payload, path, value)
-    with pytest.raises(SceneValidationError) as err:
+    with pytest.raises(ValueError) as err:
         scene_from_dict(payload)
-    assert any(named in p for p in err.value.problems), err.value.problems
+    assert named in str(err.value)
 
 
 def test_scene_validation_accepts_sources_up_to_the_scene_limit():
@@ -276,13 +286,12 @@ def leaf_paths(node, path=()):
 def test_every_field_written_is_checked_on_read(path):
     payload = scene_to_dict(simple_scene())
     set_path(payload, path, "x")
-    with pytest.raises(SceneValidationError) as err:
+    with pytest.raises(ValueError, match=rf"(^|; ){path[0]}"):
         scene_from_dict(payload)
-    assert any(p.startswith(path[0]) for p in err.value.problems), err.value.problems
 
 
 def test_scene_from_dict_rejects_a_payload_that_is_not_an_object():
-    with pytest.raises(SceneValidationError, match="scene: must be an object"):
+    with pytest.raises(ValueError, match="scene: must be an object"):
         scene_from_dict([scene_to_dict(simple_scene())])
 
 
@@ -338,9 +347,9 @@ def test_mix_achieved_snr_within_tenth_db():
 
 def test_mix_rejects_silent_interferers():
     target, _ = w_with_rms(0.1, 0.1)
-    with pytest.raises(MixError, match="interferer sum is silent"):
+    with pytest.raises(ValueError, match="interferer sum is silent"):
         mix_at_snr(target, np.zeros(4000), 0.0, (0, 4000))
-    with pytest.raises(MixError, match="target is silent"):
+    with pytest.raises(ValueError, match="target is silent"):
         mix_at_snr(np.zeros(4000), target, 0.0, (0, 4000))
     with pytest.raises(ValueError, match="empty target-active range"):
         mix_at_snr(target, target, 0.0, (4000, 5000))
@@ -611,9 +620,9 @@ def test_render_rejects_a_file_source_past_the_scene_limit(tmp_path, monkeypatch
         raise AssertionError("room impulse response computed before the length check")
 
     monkeypatch.setattr(scenes, "image_source_rir", no_rir)
-    with pytest.raises(SceneValidationError) as err:
+    with pytest.raises(ValueError) as err:
         render_scene(scene)
-    (problem,) = err.value.problems
+    (problem,) = str(err.value).split("; ")
     assert problem.startswith(f"{which}.source.file {long_path}:")
     assert "30.5 s" in problem and "scene limit" in problem
 
@@ -746,7 +755,7 @@ def test_mix_w_equals_mixed_field_w(monkeypatch):
     assert gain != 1.0
     field = full_field_render(scene)[2]
     assert field.order == 6 and field.frames == target_w.size == interferer_w.size
-    assert np.max(np.abs(field.w - (target_w + gain * interferer_w))) < 1e-12
+    assert np.max(np.abs(field.data[0] - (target_w + gain * interferer_w))) < 1e-12
 
 
 def test_render_components_leave_ears_unchanged():
