@@ -49,7 +49,7 @@ class SampleBuffer:
 
     Parameters
     ----------
-    data : ndarray, shape (channels, frames)
+    data : ndarray, shape (channels, frames), or (frames,) for one channel
         Amplitude values, nominally within [-1, 1]. Stored as float64 and
         marked read-only; buffers are immutable once constructed.
     """
@@ -75,11 +75,6 @@ class SampleBuffer:
     def channel(self, index):
         """Return one channel as a read-only 1-D array."""
         return self.data[index]
-
-
-def mono(samples):
-    """Wrap a 1-D array as a single-channel SampleBuffer."""
-    return SampleBuffer(np.asarray(samples, dtype=np.float64)[None, :])
 
 
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE

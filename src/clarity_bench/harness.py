@@ -6,6 +6,10 @@ offline: every stored "Ave" is re-derived from its HASPI/HASQI pair, and
 the best-entry-per-team correlation between the two metrics is
 recomputed. A row is flagged when its stored mean cannot be explained by
 display rounding (tolerance 0.0005).
+
+Both score tables, the leaderboard and the scores CSVs, go through one
+reader, `_read_score_rows`, and share its rules; `pearson` is
+`statistics.correlation` behind this module's input checks.
 """
 
 import csv
@@ -13,6 +17,7 @@ import json
 import math
 import os
 import re
+import statistics
 from dataclasses import asdict, dataclass
 from importlib import resources
 
@@ -27,6 +32,9 @@ from .metrics import intelligibility_score, quality_score  # noqa: F401
 from .workers import ordered_map
 
 ROUNDING_TOLERANCE = 0.0005
+SCORE_COLUMNS = ("haspi_like", "hasqi_like", "ave")
+SCORES_HEADER = ("scene", *SCORE_COLUMNS)
+LEADERBOARD_HEADER = ("entry", "eval_set", "haspi", "hasqi", "ave")
 
 
 def _unexplained_by_rounding(ave, haspi, hasqi):
@@ -41,22 +49,19 @@ def round3(value):
 
 
 def pearson(x, y):
-    """Sample Pearson correlation coefficient.
+    """Sample Pearson correlation coefficient (statistics.correlation).
 
-    Needs at least 3 paired values and non-degenerate variance.
+    Needs two equal-length lists of at least 3 values, neither constant.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("pearson needs two equal-length 1-D score lists")
-    if x.size < 3:
-        raise ValueError(f"pearson needs at least 3 pairs, got {x.size}")
-    xd = x - x.mean()
-    yd = y - y.mean()
-    denom = math.sqrt(float(np.sum(xd * xd)) * float(np.sum(yd * yd)))
-    if denom == 0.0:
-        raise ValueError("zero variance in a correlation input")
-    return float(np.sum(xd * yd)) / denom
+    x, y = [float(v) for v in x], [float(v) for v in y]
+    if len(x) != len(y):
+        raise ValueError("pearson needs two equal-length score lists")
+    if len(x) < 3:
+        raise ValueError(f"pearson needs at least 3 pairs, got {len(x)}")
+    try:
+        return statistics.correlation(x, y)
+    except statistics.StatisticsError as exc:   # a constant input
+        raise ValueError("zero variance in a correlation input") from exc
 
 
 @dataclass(frozen=True)
@@ -91,28 +96,36 @@ def bundled_results_path():
 
 def _read_score_rows(path, header, what):
     """Rows of a CSV with exactly `header` as dicts, the last three columns
-    parsed as scores. A score that is not a number in [0, 1] (NaN and
-    infinities included) or a line the csv module cannot parse raises
-    ValueError naming the file and line; text that is not UTF-8 raises
-    ValueError naming the file."""
+    parsed as scores; the one reader of score tables. Each ValueError
+    names the file and the physical line (blank lines count, though csv
+    skips them): a score that is not a number in [0, 1] (NaN and
+    infinities included), a line the csv module cannot parse, or a row
+    whose key (every column but the scores) repeats an earlier row's,
+    naming both lines. Text that is not UTF-8 fails ahead of the parser
+    and names the file alone."""
     rows = []
+    first_line = {}
     with open(path, encoding="utf-8") as fp:
         reader = csv.DictReader(fp)
         try:
-            if reader.fieldnames != header:
+            if reader.fieldnames != list(header):
                 raise ValueError(f"{path}: line 1: expected {','.join(header)} header")
-            for line_no, rec in enumerate(reader, start=2):
+            for rec in reader:
                 try:
                     row = {key: rec[key] for key in header[:-3]}
+                    seen = first_line.setdefault(tuple(row.values()), reader.line_num)
+                    if seen != reader.line_num:
+                        named = ", ".join(f"{key} {value!r}" for key, value in row.items())
+                        raise ValueError(f"{named} repeats line {seen}")
                     for key in header[-3:]:
                         value = float(rec[key])
                         if not 0.0 <= value <= 1.0:
                             raise ValueError(f"{key} {rec[key]!r} is not a score in [0, 1]")
                         row[key] = value
                 except (KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+                    raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
                 rows.append(row)
-        except UnicodeDecodeError as exc:   # decoded ahead of the parser, so no line
+        except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         except csv.Error as exc:   # e.g. a field over csv.field_size_limit()
             raise ValueError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
@@ -123,9 +136,8 @@ def _read_score_rows(path, header, what):
 
 def load_published_results(path=None):
     """Rows of the published leaderboard (or any CSV in the same layout)."""
-    path = path or bundled_results_path()
-    header = ["entry", "eval_set", "haspi", "hasqi", "ave"]
-    return [LeaderboardRow(**row) for row in _read_score_rows(path, header, "leaderboard")]
+    rows = _read_score_rows(path or bundled_results_path(), LEADERBOARD_HEADER, "leaderboard")
+    return [LeaderboardRow(**row) for row in rows]
 
 
 def best_per_team(rows):
@@ -178,6 +190,11 @@ def report_published(rows):
 # Scoring rendered datasets
 
 
+def _column_means(rows):
+    """Mean of each SCORE_COLUMNS column over rows."""
+    return {key: sum(r[key] for r in rows) / len(rows) for key in SCORE_COLUMNS}
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Record of one scoring run; its aggregates are the record means."""
@@ -189,10 +206,7 @@ class RunManifest:
 
     @property
     def aggregates(self):
-        return {
-            key: sum(r[key] for r in self.records) / len(self.records)
-            for key in ("haspi_like", "hasqi_like", "ave")
-        }
+        return _column_means(self.records)
 
 
 def _dataset_file(base, scene_id, name):
@@ -301,7 +315,7 @@ def write_scores_csv(run, path):
     """
     with open(path, "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp)
-        writer.writerow(["scene", "haspi_like", "hasqi_like", "ave"])
+        writer.writerow(SCORES_HEADER)
         for rec in run.records:
             h = round3(rec["haspi_like"])
             q = round3(rec["hasqi_like"])
@@ -323,15 +337,8 @@ def write_run_manifest(run, path):
 
 
 def read_scores_csv(path):
-    """Rows of a scores CSV; raises ValueError with the offending line, or
-    with both lines of a scene listed twice."""
-    rows = _read_score_rows(path, ["scene", "haspi_like", "hasqi_like", "ave"], "score")
-    first_line = {}
-    for line_no, row in enumerate(rows, start=2):
-        seen = first_line.setdefault(row["scene"], line_no)
-        if seen != line_no:
-            raise ValueError(f"{path}: line {line_no}: scene {row['scene']!r} repeats line {seen}")
-    return rows
+    """Rows of a scores CSV, keyed by scene (see _read_score_rows)."""
+    return _read_score_rows(path, SCORES_HEADER, "score")
 
 
 def report_scores(paths):
@@ -343,10 +350,7 @@ def report_scores(paths):
         flags = [r for r in rows
                  if _unexplained_by_rounding(r["ave"], r["haspi_like"], r["hasqi_like"])]
         flagged_total += len(flags)
-        means = {
-            key: sum(r[key] for r in rows) / len(rows)
-            for key in ("haspi_like", "hasqi_like", "ave")
-        }
+        means = _column_means(rows)
         lines.append(
             f"{path}: {len(rows)} scenes | mean haspi_like {means['haspi_like']:.3f} "
             f"| mean hasqi_like {means['hasqi_like']:.3f} | mean ave {means['ave']:.3f} "

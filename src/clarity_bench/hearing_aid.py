@@ -104,12 +104,11 @@ def nalr_gains(audiogram, ear):
     )
 
 
-def _target_db(gains_db, freqs):
-    """Gains at AUDIOGRAM_FREQUENCIES interpolated linearly in (log f, dB),
-    flat outside their range."""
-    f = np.clip(np.maximum(np.asarray(freqs, dtype=np.float64), 1.0),
-                AUDIOGRAM_FREQUENCIES[0], AUDIOGRAM_FREQUENCIES[-1])
-    return np.interp(np.log(f), np.log(AUDIOGRAM_FREQUENCIES), gains_db)
+def interpolate_audiogram(values, freqs):
+    """dB values at AUDIOGRAM_FREQUENCIES (gains or hearing levels)
+    interpolated linearly in (log f, dB) to freqs, flat outside their range."""
+    f = np.clip(freqs, AUDIOGRAM_FREQUENCIES[0], AUDIOGRAM_FREQUENCIES[-1])
+    return np.interp(np.log(f), np.log(AUDIOGRAM_FREQUENCIES), values)
 
 
 def design_fir(gains_db):
@@ -124,7 +123,7 @@ def design_fir(gains_db):
     taps = DEFAULT_TAPS
     half = (taps - 1) // 2
     bin_freqs = np.arange(taps // 2 + 1) * DEFAULT_RATE / taps
-    magnitude = 10.0 ** (_target_db(gains_db, bin_freqs) / 20.0)
+    magnitude = 10.0 ** (interpolate_audiogram(gains_db, bin_freqs) / 20.0)
     spectrum = np.concatenate([magnitude, magnitude[-1:0:-1]])
     zero_phase = np.fft.ifft(spectrum).real
     fir = np.empty(taps)

@@ -28,8 +28,10 @@ signals, not four. A row scores exactly as it would alone, bit for bit.
 passes one 1-D ear and its audiogram to `ear_scores` as a single row and
 returns one field.
 
-Hearing loss enters as pure band attenuation on the processed branch
-(the audiogram interpolated to each band centre); the reference branch
+Hearing loss enters as pure band attenuation on the processed branch:
+the audiogram is interpolated to each band centre by
+hearing_aid.interpolate_audiogram, the interpolation that also shapes
+the amplification FIR, so there is one of it. The reference branch
 stays unmodified. Frames whose reference envelope is below -60 dB are
 ignored, so inaudible stretches neither help nor hurt, and a band with
 fewer than 50 audible frames is left out.
@@ -62,7 +64,7 @@ import numpy as np
 from scipy.signal import butter, lfilter
 
 from .audio import DEFAULT_RATE, REFERENCE_RMS, KernelBank, convolve_channels, rms_array
-from .hearing_aid import AUDIOGRAM_FREQUENCIES
+from .hearing_aid import AUDIOGRAM_FREQUENCIES, interpolate_audiogram
 
 _ERB_SLOPE = 4.37e-3   # per Hz
 _ERB_MIN = 24.7        # Hz
@@ -165,13 +167,6 @@ def _smoothed(bands):
 def _db(linear, gain=1.0):
     """20*log10(gain * linear) with the FLOOR_DB floor."""
     return 20.0 * np.log10(np.maximum(gain * linear, _FLOOR_LIN))
-
-
-def audiogram_band_attenuation(ear_levels):
-    """Audiogram losses interpolated to the band centres (log-f, dB domain)."""
-    freqs = np.asarray(AUDIOGRAM_FREQUENCIES)
-    f = np.clip(CENTER_FREQUENCIES, freqs[0], freqs[-1])
-    return np.interp(np.log(f), np.log(freqs), np.asarray(ear_levels, dtype=np.float64))
 
 
 def _aligned_slices(r, rows):
@@ -297,7 +292,7 @@ def ear_scores(ref, ears, levels):
         key = (r_slice.start, r_slice.stop)
         if key not in references:
             references[key] = _band_features(gammatone_bands(r[r_slice]))
-        attenuation = audiogram_band_attenuation(ear)
+        attenuation = interpolate_audiogram(ear, CENTER_FREQUENCIES)
         proc_bands = gammatone_bands(p[p_slice]) * 10.0 ** (-attenuation[:, None] / 20.0)
         scores.append(_score_ear(references[key], _band_features(proc_bands),
                                  ref_gain, _rms_gain(p), p_slice.start - r_slice.start))

@@ -48,7 +48,7 @@ import numpy as np
 from . import signals
 from .ambisonics import AmbiSignal, acn_index
 from .audio import (  # noqa: F401  (convolve_channels: perfbench/tracing.py wraps it by this name)
-    DEFAULT_RATE, REFERENCE_RMS, SampleBuffer, convolve_channels, convolve_sum, mono, read_json,
+    DEFAULT_RATE, REFERENCE_RMS, SampleBuffer, convolve_channels, convolve_sum, read_json,
     read_wav, rms_array, scale_to_rms, write_wav,
 )
 from .hrtf import DEFAULT_TAPS, binaural_decode, decoder_bank
@@ -121,14 +121,13 @@ class FidelityProfile:
             return cls.measured_like()
         raise ValueError(f"unknown fidelity {name!r}; expected one of {FIDELITY_NAMES}")
 
-    def with_knob(self, knob):
+    @classmethod
+    def with_knob(cls, knob):
         """The simulated profile with a single measured-like knob enabled."""
-        base = FidelityProfile.simulated()
-        measured = FidelityProfile.measured_like()
         if knob not in _KNOB_FIELDS:
             raise ValueError(f"unknown knob {knob!r}; expected one of {sorted(_KNOB_FIELDS)}")
         field_name = _KNOB_FIELDS[knob]
-        return replace(base, **{field_name: getattr(measured, field_name)})
+        return replace(cls.simulated(), **{field_name: getattr(cls.measured_like(), field_name)})
 
 
 _KNOB_FIELDS = {
@@ -453,10 +452,11 @@ def apply_trajectory(field, trajectory, start=0):
     The yaw is held per block: 50%-overlapped blocks of twice
     ROTATION_BLOCK_SECONDS, each rotated by the negated yaw at its centre
     time (a listener turning by +theta sees the field rotate by -theta),
-    crossfaded with triangular windows and divided by the summed window
-    weight. A yaw rotation only turns each (l, +m), (l, -m) channel pair
-    by the angle m*yaw, so the crossfade of the block rotations is one cos
-    and one sin gain track per m = 1..order, applied pairwise; m = 0
+    crossfaded with triangular windows; at the 160-frame hop the two
+    windows over a frame sum to exactly 1, so nothing is normalized. A
+    yaw rotation only turns each (l, +m), (l, -m) channel pair by the
+    angle m*yaw, so the crossfade of the block rotations is one cos and
+    one sin gain track per m = 1..order, applied pairwise; m = 0
     channels pass unchanged. The field's first frame is frame `start` of
     the scene, whose block grid starts at frame 0; each frame gets the
     gains it has in a field that starts at 0.
@@ -470,12 +470,11 @@ def apply_trajectory(field, trajectory, start=0):
     first = start // hop
     hops = -(-(start + frames) // hop) - first
     angles = -np.outer(np.arange(1, field.order + 1), _block_yaws(trajectory, first, first + hops + 1))
-    weight = fade_out + fade_in
     offset = start - first * hop
 
     def track(per_block):
         faded = fade_out * per_block[:, :-1, None] + fade_in * per_block[:, 1:, None]
-        return (faded / weight).reshape(field.order, hops * hop)[:, offset : offset + frames]
+        return faded.reshape(field.order, hops * hop)[:, offset : offset + frames]
 
     return AmbiSignal(_turn_pairs(field.data, track(np.cos(angles)), track(np.sin(angles))))
 
@@ -666,7 +665,7 @@ def render_scene(scene, profile=None, keep_components=False):
     trajectory = scene.listener.trajectory
     ears = _render_ears(placed, rirs, trajectory, noise)
 
-    reference = mono(scale_to_rms(drys[0], REFERENCE_RMS))
+    reference = SampleBuffer(scale_to_rms(drys[0], REFERENCE_RMS))
     direct = np.linalg.norm(np.asarray(scene.target.position) - listener)
 
     record = {
@@ -786,11 +785,10 @@ def generate_dataset(out_dir, count, seed, fidelity="simulated"):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     os.makedirs(out_dir, exist_ok=True)
     scenes = draw_scenes(count, seed, fidelity=fidelity)
-    profile = FidelityProfile.from_name(fidelity)
 
     def render_one(index):
         scene_id = f"S{index:04d}"
-        result = render_scene(scenes[index], profile=profile)
+        result = render_scene(scenes[index])
         write_wav(os.path.join(out_dir, f"{scene_id}_mix.wav"), result.ears)
         write_wav(os.path.join(out_dir, f"{scene_id}_ref.wav"), result.reference)
         save_scene(scenes[index], os.path.join(out_dir, f"{scene_id}_scene.json"))

@@ -15,7 +15,7 @@ from clarity_bench.ambisonics import (
     num_channels,
     sh_eval,
 )
-from clarity_bench.audio import SampleBuffer, mono
+from clarity_bench.audio import SampleBuffer
 from clarity_bench.hrtf import DEFAULT_TAPS, HrtfSet, binaural_decode, decoder_bank, default_hrtf_set
 
 from ambisonic_oracles import encode, unit_vector, yaw_rotation
@@ -60,7 +60,7 @@ def test_sh_unit_vector_domain():
 
 
 def test_encode_zero_signal():
-    out = encode(mono(np.zeros(64)), 0.7, 0.1, 3)
+    out = encode(SampleBuffer(np.zeros(64)), 0.7, 0.1, 3)
     assert out.channels == 16
     assert not np.any(out.data)
 
@@ -68,7 +68,7 @@ def test_encode_zero_signal():
 def test_encode_impulse_scales_coefficients():
     impulse = np.zeros(8)
     impulse[0] = 1.0
-    out = encode(mono(impulse), 0.0, 0.0, 1)
+    out = encode(SampleBuffer(impulse), 0.0, 0.0, 1)
     assert out.data[:, 0] == pytest.approx([1.0, 0.0, 0.0, 1.0], abs=1e-15)
     assert not np.any(out.data[:, 1:])
 
@@ -76,7 +76,7 @@ def test_encode_impulse_scales_coefficients():
 def test_encode_w_channel_equals_input():
     rng = np.random.default_rng(1)
     x = rng.uniform(-1, 1, 200)
-    out = encode(mono(x), 2.1, -0.6, 6)
+    out = encode(SampleBuffer(x), 2.1, -0.6, 6)
     assert np.array_equal(out.data[0], x)
 
 
@@ -119,16 +119,16 @@ def test_plane_wave_consistency_rotation_equals_shifted_encode():
             az = rng.uniform(0, 2 * np.pi)
             el = rng.uniform(-np.pi / 2, np.pi / 2)
             theta = rng.uniform(-np.pi, np.pi)
-            rotated = yaw_rotation(order, theta).matrix @ encode(mono(x), az, el, order).data
-            direct = encode(mono(x), az + theta, el, order)
+            rotated = yaw_rotation(order, theta).matrix @ encode(SampleBuffer(x), az, el, order).data
+            direct = encode(SampleBuffer(x), az + theta, el, order)
             assert np.max(np.abs(rotated - direct.data)) < 1e-9
 
 
 def test_plane_wave_consistency_specific_order6():
     rng = np.random.default_rng(2)
     x = rng.uniform(-1, 1, 128)
-    rotated = yaw_rotation(6, 0.5).matrix @ encode(mono(x), 0.3, 0.1, 6).data
-    direct = encode(mono(x), 0.8, 0.1, 6)
+    rotated = yaw_rotation(6, 0.5).matrix @ encode(SampleBuffer(x), 0.3, 0.1, 6).data
+    direct = encode(SampleBuffer(x), 0.8, 0.1, 6)
     assert np.max(np.abs(rotated - direct.data)) < 1e-9
 
 
@@ -180,7 +180,7 @@ def test_decode_all_delta_hrtfs_keeps_energy():
     x = np.sin(2 * np.pi * 100.0 * np.arange(4000) / 16000)
     mono_energy = np.sum(x**2)
     for order, az, el in ((6, 0.0, 0.0), (6, 1.0, 0.3), (1, np.pi / 2, 0.0), (3, 2.5, -0.7)):
-        ears = binaural_decode(encode(mono(x), az, el, order))
+        ears = binaural_decode(encode(SampleBuffer(x), az, el, order))
         for ch in range(2):
             energy = np.sum(ears.channel(ch) ** 2)
             assert abs(10 * np.log10(energy / mono_energy)) < 1.0

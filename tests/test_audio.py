@@ -16,7 +16,6 @@ from clarity_bench.audio import (
     SampleBuffer,
     convolve_channels,
     convolve_sum,
-    mono,
     next_fast_len,
     read_wav,
     rms_array,
@@ -182,7 +181,8 @@ def test_rate_mismatch(tmp_path):
 
 
 def test_buffer_invariants():
-    buf = mono(np.zeros(5))
+    buf = SampleBuffer(np.zeros(5))
+    assert buf.data.shape == (1, 5)   # 1-D data is one channel
     with pytest.raises(ValueError):
         buf.data[0, 0] = 1.0  # immutable
 

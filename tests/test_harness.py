@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -559,6 +560,7 @@ def test_cli_report_paper_table_rejects_values_that_are_not_scores(tmp_path, cap
 
 SCORES_HEADER = "scene,haspi_like,hasqi_like,ave\n"
 TABLE_HEADER = "entry,eval_set,haspi,hasqi,ave\n"
+BUNDLED_LINES = pathlib.Path(bundled_results_path()).read_text(encoding="utf-8").splitlines(True)
 
 
 @pytest.mark.parametrize("option, text, encoding, words", [
@@ -573,6 +575,18 @@ TABLE_HEADER = "entry,eval_set,haspi,hasqi,ave\n"
     pytest.param("--scores", SCORES_HEADER + "S0000,0.400,0.200,0.300\nS0001,0.500,0.100,0.300\n"
                  "S0000,0.400,0.200,0.300\n", "utf-8", ["line 4", "'S0000'", "line 2"],
                  id="repeated-scene"),
+    pytest.param("--scores", SCORES_HEADER + "\nS0000,nan,0.2,0.3\n", "utf-8",
+                 ["line 3: haspi_like"], id="blank-line-before-a-bad-score"),
+    pytest.param("--scores", SCORES_HEADER + "S0000,0.4,0.2,0.3\n\nS0000,0.4,0.2,0.3\n", "utf-8",
+                 ["line 4: scene 'S0000' repeats line 2"], id="blank-line-before-a-repeated-scene"),
+    pytest.param("--paper-table", TABLE_HEADER + "\nE01,eval1,nan,0.2,0.3\n", "utf-8",
+                 ["line 3: haspi"], id="paper-table-blank-line-before-a-bad-score"),
+    pytest.param("--paper-table", TABLE_HEADER + "E01,eval1,0.4,0.2,0.3\n\nE01,eval1,0.4,0.2,0.3\n",
+                 "utf-8", ["line 4: entry 'E01', eval_set 'eval1' repeats line 2"],
+                 id="paper-table-blank-line-before-a-repeated-row"),
+    pytest.param("--paper-table", "".join(BUNDLED_LINES) + BUNDLED_LINES[1], "utf-8",
+                 [f"line {len(BUNDLED_LINES) + 1}: entry 'E02', eval_set 'eval1' repeats line 2"],
+                 id="bundled-table-with-a-repeated-row"),
 ])
 def test_cli_report_names_a_csv_it_cannot_read(tmp_path, capsys, option, text, encoding, words):
     path = tmp_path / "bad.csv"

@@ -147,10 +147,8 @@ def test_amplify_reports_clipping():
 
 
 def test_amplify_rejects_mono():
-    from clarity_bench.audio import mono
-
     with pytest.raises(ValueError):
-        amplify(mono(np.zeros(100)), flat_audiogram(0.0))
+        amplify(SampleBuffer(np.zeros(100)), flat_audiogram(0.0))
 
 
 def test_audiogram_json_round_trip(tmp_path):

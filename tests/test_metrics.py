@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from clarity_bench.audio import REFERENCE_RMS, convolve_channels, scale_to_rms
+from clarity_bench.hearing_aid import interpolate_audiogram
 from clarity_bench.metrics import (
     AUDIBILITY_DB,
     CENTER_FREQUENCIES,
@@ -18,7 +19,6 @@ from clarity_bench.metrics import (
     _envelope_correlation,
     _gammatone_kernels,
     _smoothed,
-    audiogram_band_attenuation,
     ear_scores,
     erb,
     gammatone_bands,
@@ -424,7 +424,7 @@ def prescaled_front_end(ref, proc, ear_levels, quality):
     if quality:
         ref, proc = scale_to_rms(ref, REFERENCE_RMS), scale_to_rms(proc, REFERENCE_RMS)
     r_slice, p_slice = per_ear_slices(ref, proc)
-    attenuation = audiogram_band_attenuation(ear_levels)
+    attenuation = interpolate_audiogram(ear_levels, CENTER_FREQUENCIES)
     ref_bands = gammatone_bands(ref[r_slice])
     proc_bands = gammatone_bands(proc[p_slice]) * 10.0 ** (-attenuation[:, None] / 20.0)
     levels = [20.0 * np.log10(np.maximum(np.sqrt(np.mean(b**2, axis=1)), 1e-4))
