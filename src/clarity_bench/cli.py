@@ -57,18 +57,14 @@ def main(argv=None):
             )
             print(manifest)
         elif args.command == "score":
-            from .harness import score_dataset, write_run_manifest, write_scores_csv
+            from .harness import score_dataset, summary_line, write_run_manifest, write_scores_csv
             from .hearing_aid import load_audiogram
 
             audiogram = load_audiogram(args.audiogram) if args.audiogram else None
             run = score_dataset(args.dataset, audiogram=audiogram)
             write_scores_csv(run, args.out)
             write_run_manifest(run, args.out + ".run.json")
-            agg = run.aggregates
-            print(
-                f"{len(run.records)} scenes | mean haspi_like {agg['haspi_like']:.3f} "
-                f"| mean hasqi_like {agg['hasqi_like']:.3f} | mean ave {agg['ave']:.3f}"
-            )
+            print(summary_line(run["records"]))
             print(args.out)
         elif args.command == "report":
             from .harness import load_published_results, report_published, report_scores

@@ -10,6 +10,10 @@ display rounding (tolerance 0.0005).
 Both score tables, the leaderboard and the scores CSVs, go through one
 reader, `_read_score_rows`, and share its rules; `pearson` is
 `statistics.correlation` behind this module's input checks.
+
+`score_scene` scores one scene from buffers in memory and touches no
+file; `score_dataset` reads and checks a dataset's WAV files for it and
+returns the run as the plain dict written to `*.run.json`.
 """
 
 import csv
@@ -195,18 +199,11 @@ def _column_means(rows):
     return {key: sum(r[key] for r in rows) / len(rows) for key in SCORE_COLUMNS}
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Record of one scoring run; its aggregates are the record means."""
-
-    version: str
-    dataset: str
-    fidelity: str
-    records: tuple
-
-    @property
-    def aggregates(self):
-        return _column_means(self.records)
+def summary_line(rows):
+    """'N scenes | mean haspi_like ... | mean hasqi_like ... | mean ave ...'
+    of score rows, each mean at 3 decimals."""
+    means = _column_means(rows)
+    return " | ".join([f"{len(rows)} scenes", *(f"mean {key} {means[key]:.3f}" for key in SCORE_COLUMNS)])
 
 
 def _dataset_file(base, scene_id, name):
@@ -249,24 +246,42 @@ def _dataset_entries(manifest, path):
     return list(entries.items())
 
 
-def score_dataset(manifest_path, audiogram=None):
-    """Run the baseline (passthrough + amplification) over a dataset.
+def score_scene(ears, reference, audiogram):
+    """Score one scene with the baseline (passthrough + amplification).
 
-    For every scene the rendered ear signals are amplified with the
-    audiogram's prescription and scored per ear against the stored
-    reference, both ears and both metrics in one ear_scores call; each
+    The stereo ears (a SampleBuffer) are amplified with the audiogram's
+    prescription and scored against the clean reference (a 1-D array or
+    one row), both ears and both metrics in one ear_scores call; each
     metric keeps its better ear, and 'ave' is the mean of the two. The
     record also holds every field of each ear's EarScore (haspi_like_left,
     hasqi_like_correlation_left, lag_left, ..., lag_right) and counts the
-    samples amplification clipped. Rows come back sorted by scene id. The manifest's 'rate' must
-    be DEFAULT_RATE, every mix stereo and every reference mono and not
-    empty, and every mix long enough to overlap MIN_OVERLAP of its
-    reference, else ValueError naming the scene and the file.
+    samples amplification clipped. No file is read or written.
+    """
+    amplified = amplify(ears, audiogram)
+    levels = np.stack([audiogram.ear(ear) for ear in EARS])
+    per_ear = ear_scores(reference, amplified.ears.data, levels)
+    haspi = max(e.haspi_like for e in per_ear)
+    hasqi = max(e.hasqi_like for e in per_ear)
+    record = {"haspi_like": haspi, "hasqi_like": hasqi, "ave": (haspi + hasqi) / 2.0,
+              "clipped": amplified.clipped}
+    for ear, result in zip(EARS, per_ear):
+        record.update((f"{key}_{ear}", value) for key, value in asdict(result).items())
+    return record
+
+
+def score_dataset(manifest_path, audiogram=None):
+    """The run of score_scene over a dataset (audiogram default: flat 40 dB HL).
+
+    The run is the dict written to *.run.json: version, fidelity,
+    'dataset' (the manifest's absolute path), the records sorted by
+    'scene' and 'aggregates', their SCORE_COLUMNS means. The manifest's
+    'rate' must be DEFAULT_RATE, every mix stereo and every reference
+    mono and not empty, and every mix long enough to overlap MIN_OVERLAP
+    of its reference, else ValueError naming the scene and the file.
     """
     audiogram = audiogram or flat_audiogram(40.0)
     manifest = read_json(manifest_path)
     entries = _dataset_entries(manifest, manifest_path)
-    levels = np.stack([audiogram.ear(ear) for ear in EARS])
 
     def score_one(entry):
         scene_id, (mix_path, reference_path) = entry
@@ -283,28 +298,16 @@ def score_dataset(manifest_path, audiogram=None):
         if ears.frames < math.ceil(MIN_OVERLAP * reference.frames):
             raise ValueError(f"{scene_id}: mix {mix_path} has {ears.frames} frames, fewer "
                              f"than {MIN_OVERLAP:.0%} of the {reference.frames}-frame reference")
-        amplified = amplify(ears, audiogram)
-        per_ear = ear_scores(reference.channel(0), amplified.ears.data, levels)
-        haspi = max(e.haspi_like for e in per_ear)
-        hasqi = max(e.hasqi_like for e in per_ear)
-        record = {
-            "scene": scene_id,
-            "haspi_like": haspi,
-            "hasqi_like": hasqi,
-            "ave": (haspi + hasqi) / 2.0,
-            "clipped": amplified.clipped,
-        }
-        for ear, result in zip(EARS, per_ear):
-            record.update((f"{key}_{ear}", value) for key, value in asdict(result).items())
-        return record
+        return {"scene": scene_id, **score_scene(ears, reference.channel(0), audiogram)}
 
     records = sorted(ordered_map(score_one, entries), key=lambda r: r["scene"])
-    return RunManifest(
-        version=manifest.get("version", "unknown"),
-        dataset=os.path.abspath(manifest_path),
-        fidelity=manifest.get("fidelity", "unknown"),
-        records=tuple(records),
-    )
+    return {
+        "version": manifest.get("version", "unknown"),
+        "dataset": os.path.abspath(manifest_path),
+        "fidelity": manifest.get("fidelity", "unknown"),
+        "records": records,
+        "aggregates": _column_means(records),
+    }
 
 
 def write_scores_csv(run, path):
@@ -316,7 +319,7 @@ def write_scores_csv(run, path):
     with open(path, "w", encoding="utf-8", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(SCORES_HEADER)
-        for rec in run.records:
+        for rec in run["records"]:
             h = round3(rec["haspi_like"])
             q = round3(rec["hasqi_like"])
             writer.writerow(
@@ -325,15 +328,9 @@ def write_scores_csv(run, path):
 
 
 def write_run_manifest(run, path):
-    payload = {
-        "version": run.version,
-        "dataset": run.dataset,
-        "fidelity": run.fidelity,
-        "records": list(run.records),
-        "aggregates": run.aggregates,
-    }
+    """Write the run that score_dataset returns as JSON."""
     with open(path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, indent=2, sort_keys=True)
+        json.dump(run, fp, indent=2, sort_keys=True)
 
 
 def read_scores_csv(path):
@@ -350,13 +347,7 @@ def report_scores(paths):
         flags = [r for r in rows
                  if _unexplained_by_rounding(r["ave"], r["haspi_like"], r["hasqi_like"])]
         flagged_total += len(flags)
-        means = _column_means(rows)
-        lines.append(
-            f"{path}: {len(rows)} scenes | mean haspi_like {means['haspi_like']:.3f} "
-            f"| mean hasqi_like {means['hasqi_like']:.3f} | mean ave {means['ave']:.3f} "
-            f"| flags {len(flags)}"
-        )
-        for r in flags:
-            lines.append(f"  FLAG {r['scene']}: ave {r['ave']:.3f} != mean of metrics")
+        lines.append(f"{path}: {summary_line(rows)} | flags {len(flags)}")
+        lines.extend(f"  FLAG {r['scene']}: ave {r['ave']:.3f} != mean of metrics" for r in flags)
     lines.append(f"flagged rows: {flagged_total}")
     return "\n".join(lines)

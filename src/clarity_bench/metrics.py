@@ -130,8 +130,13 @@ _GAMMATONE_BANK = KernelBank(_gammatone_kernels())
 _ENVELOPE_SMOOTHER = butter(2, ENVELOPE_CUTOFF, fs=DEFAULT_RATE)
 
 
-def _as_mono_array(signal):
-    return np.asarray(signal, dtype=np.float64).ravel()
+def _one_channel(signal, name):
+    """signal, 1-D or a single row, as a 1-D float64 array, else ValueError."""
+    x = np.asarray(signal, dtype=np.float64)
+    x = x[0] if x.ndim == 2 and len(x) == 1 else x
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"{name} must be one non-empty channel, got shape {np.shape(signal)}")
+    return x
 
 
 def gammatone_bands(signal):
@@ -141,7 +146,7 @@ def gammatone_bands(signal):
     band is a 4th-order gammatone whose measured -3 dB bandwidth is
     1.019 * ERB(fc).
     """
-    x = _as_mono_array(signal)
+    x = _one_channel(signal, "signal")
     return _GAMMATONE_BANK.convolve(x)[:, : x.size]
 
 
@@ -271,12 +276,12 @@ def _score_ear(ref_features, proc_features, ref_gain, proc_gain, lag):
 def ear_scores(ref, ears, levels):
     """Both scores of every ear against ref from one front-end pass.
 
-    ref is the clean reference array; ears holds one processed ear signal
-    per row, and levels one audiogram row per ear (dB HL at the six
-    standard frequencies). Returns a tuple of one EarScore per row, each
-    equal to that of the row scored alone.
+    ref is the clean reference, 1-D or one row (else ValueError); ears
+    holds one processed ear signal per row, and levels one audiogram row
+    per ear (dB HL at the six standard frequencies). Returns a tuple of
+    one EarScore per row, each equal to that of the row scored alone.
     """
-    r = _as_mono_array(ref)
+    r = _one_channel(ref, "reference")
     rows = np.ascontiguousarray(ears, dtype=np.float64)
     levels = np.asarray(levels, dtype=np.float64)
     if rows.ndim != 2 or levels.shape != (len(rows), len(AUDIOGRAM_FREQUENCIES)):

@@ -4,12 +4,12 @@ Every mirror image of the source contributes a single spike:
 
     amplitude = (-sqrt(1 - absorption)) ** reflections / distance
 
-placed at the nearest sample to distance/c, weighted, for a source with
-an aim, by the cardioid gain 0.5 (1 + cos psi) of the emission cosine
-cos psi (the image's mirrored aim dotted with its unit vector toward the
-listener), and panned into the Ambisonic channels by the spherical
-harmonics of its arrival direction, the unit vector offset / distance
-from the listener; no angle is formed. The reflection
+placed at the nearest sample to distance / SPEED_OF_SOUND, weighted,
+for a source with an aim, by the cardioid gain 0.5 (1 + cos psi) of the
+emission cosine cos psi (the image's mirrored aim dotted with its unit
+vector toward the listener), and panned into the Ambisonic channels by
+the spherical harmonics of its arrival direction, the unit vector
+offset / distance from the listener; no angle is formed. The reflection
 coefficient keeps the energy convention |r|^2 = 1 - absorption; the
 alternating sign is the pressure-reflection form, which stops co-binned
 late arrivals from summing coherently and skewing decay measurements.
@@ -51,12 +51,11 @@ def is_finite_number(value):
 class RoomSpec:
     """Rectangular room with uniform, frequency-independent absorption.
 
-    Its rules, each on finite non-boolean numbers (`is_finite_number`): three
-    dimensions > 0, absorption in (0, 1], speed_of_sound > 0."""
+    Its rules, on finite non-boolean numbers (`is_finite_number`): three
+    dimensions > 0 and absorption in (0, 1]. Sound travels at SPEED_OF_SOUND."""
 
     dimensions: tuple
     absorption: float
-    speed_of_sound: float = SPEED_OF_SOUND
 
     def __post_init__(self):
         """Raise one ValueError that names every broken rule."""
@@ -69,8 +68,6 @@ class RoomSpec:
             problems.append(f"dimensions must be three positive lengths, got {self.dimensions}")
         if not (is_finite_number(self.absorption) and 0.0 < self.absorption <= 1.0):
             problems.append(f"absorption must lie in (0, 1], got {self.absorption}")
-        if not (is_finite_number(self.speed_of_sound) and self.speed_of_sound > 0):
-            problems.append(f"speed_of_sound must be a number > 0, got {self.speed_of_sound}")
         if problems:
             raise ValueError("; ".join(problems))
         object.__setattr__(self, "dimensions", tuple(float(d) for d in dims))
@@ -126,26 +123,25 @@ def image_source_rir(room, source, listener, order, time_limit):
     dims = np.asarray(room.dimensions)
     src = np.asarray(source.position, dtype=np.float64)
     lis = np.asarray(listener, dtype=np.float64)
-    c = room.speed_of_sound
     if np.allclose(src, lis):
         raise ValueError("source and listener positions coincide")
     direct = float(np.linalg.norm(src - lis))
     frames = int(round(time_limit * DEFAULT_RATE))
-    if int(round(direct / c * DEFAULT_RATE)) >= frames:
+    if int(round(direct / SPEED_OF_SOUND * DEFAULT_RATE)) >= frames:
         raise ValueError(
             f"time limit {time_limit} s ends before the direct path arrives "
-            f"({direct / c:.4f} s)"
+            f"({direct / SPEED_OF_SOUND:.4f} s)"
         )
 
     beta = -np.sqrt(1.0 - room.absorption)
-    reach = c * time_limit
+    reach = SPEED_OF_SOUND * time_limit
     spans = np.ceil(reach / (2.0 * dims)).astype(int) + 1
     axes = [np.arange(-n, n + 1) for n in spans]
     # |2n - p| <= 2 span + 1 on each axis, so the table covers every image.
     powers = beta ** np.arange(2 * int(spans.sum()) + 4)
     # Images a sample beyond the last bin cannot round into it; the exact
     # bins < frames test below decides on the rest.
-    cutoff = ((frames + 1) * c / DEFAULT_RATE) ** 2
+    cutoff = ((frames + 1) * SPEED_OF_SOUND / DEFAULT_RATE) ** 2
 
     aim = None if source.aim is None else np.asarray(source.aim, dtype=np.float64)
 
@@ -161,7 +157,7 @@ def image_source_rir(room, source, listener, order, time_limit):
         dist = np.sqrt(sq[0][near[0]] + sq[1][near[1]] + sq[2][near[2]])
         if np.any(dist < 1e-9):
             raise ValueError("degenerate geometry: zero-distance image")
-        bins = np.round(dist / c * DEFAULT_RATE).astype(int)
+        bins = np.round(dist / SPEED_OF_SOUND * DEFAULT_RATE).astype(int)
         keep = bins < frames
         if not np.any(keep):
             continue

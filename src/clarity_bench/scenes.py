@@ -249,26 +249,33 @@ def is_seed(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _interferer_count_problem(count):
+    """The complaint about `count` interferers (None: no list), or None for 1 to 3."""
+    if count is None or not 1 <= count <= 3:
+        return f"interferers: need between 1 and 3, got {'none' if count is None else count}"
+
+
 def scene_from_dict(payload, directory=None):
     """Build a SceneSpec from a scene dictionary, checking each field where it is read.
 
     This is the one reader of a scene dictionary: every problem found is
     collected, prefixed by its path, into one ValueError that joins them
     by "; ". The room and the listener trajectory are checked by building
-    a RoomSpec (speed_of_sound absent means SPEED_OF_SOUND) and a
-    RotationTrajectory, so their rules live in one place. Numbers must be
-    finite and not booleans (`is_finite_number`). Positions are three
-    numbers inside the room. Every source needs an onset_s >= 0 (absent means 0); its
-    duration_s, which a synthetic source (no file) must give, is > 0, and a
-    synthetic one lasts at least one sample at DEFAULT_RATE; a given file
-    is a string; a given synth_seed is a non-negative integer; and onset
-    plus duration must not pass MAX_SCENE_SECONDS. The target's
-    source.kind (absent means speech) must be one of SOURCE_KINDS. An
-    interferer's "kind" must be one of SOURCE_KINDS, and its source.kind,
-    when given, must equal it; the interferer's PlacedSource keeps the
-    kind in its source only. snr_db is null or within
-    MAX_ABS_SNR_DB. The scene seed is a non-negative integer. A relative
-    source file is joined to `directory` when one is given.
+    a RoomSpec and a RotationTrajectory, so their rules live in one place;
+    a room's speed_of_sound, which scene_to_dict does not write, must be
+    SPEED_OF_SOUND when given. Numbers must be finite and not booleans
+    (`is_finite_number`). Positions are three numbers inside the room.
+    Every source needs an onset_s >= 0 (absent means 0); its duration_s,
+    which a synthetic source (no file) must give, is > 0, and a synthetic
+    one lasts at least one sample at DEFAULT_RATE; a given file is a
+    string; a given synth_seed is a non-negative integer; and onset plus
+    duration must not pass MAX_SCENE_SECONDS. The target's source.kind
+    (absent means speech) must be one of SOURCE_KINDS. An interferer's
+    "kind" must be one of SOURCE_KINDS, and its source.kind, when given,
+    must equal it; the interferer's PlacedSource keeps the kind in its
+    source only. snr_db is null or within MAX_ABS_SNR_DB. The scene seed
+    is a non-negative integer. A relative source file is joined to
+    `directory` when one is given.
     """
     if not isinstance(payload, dict):
         raise ValueError("scene: must be an object")
@@ -283,9 +290,10 @@ def scene_from_dict(payload, directory=None):
 
     room = None
     if (spec := section("room")) is not None:
+        if (speed := spec.get("speed_of_sound", SPEED_OF_SOUND)) != SPEED_OF_SOUND:
+            problems.append(f"room: speed_of_sound must be {SPEED_OF_SOUND:g} when given, got {speed!r}")
         try:
-            room = RoomSpec(spec.get("dimensions"), spec.get("absorption"),
-                            spec.get("speed_of_sound", SPEED_OF_SOUND))
+            room = RoomSpec(spec.get("dimensions"), spec.get("absorption"))
         except ValueError as exc:
             problems.append(f"room: {exc}")
 
@@ -340,9 +348,8 @@ def scene_from_dict(payload, directory=None):
         target = PlacedSource(pos, *source("target", spec, SOURCE_KINDS))
 
     entries = payload.get("interferers")
-    if not isinstance(entries, list) or not 1 <= len(entries) <= 3:
-        problems.append("interferers: need between 1 and 3, got "
-                        f"{len(entries) if isinstance(entries, list) else 'none'}")
+    if problem := _interferer_count_problem(len(entries) if isinstance(entries, list) else None):
+        problems.append(problem)
         entries = entries if isinstance(entries, list) else []
     interferers = []
     for i, spec in enumerate(entries):
@@ -611,12 +618,15 @@ def render_scene(scene, profile=None, keep_components=False):
     interferer and noise ear signals, which sum to the ears; the target
     and interferer ears come from their own renders. A file source that
     ends after MAX_SCENE_SECONDS raises ValueError before any
-    impulse response is computed.
+    impulse response is computed, and so does a scene built in code with
+    other than 1 to 3 interferers, before any source is synthesized.
     """
+    if problem := _interferer_count_problem(len(scene.interferers)):
+        raise ValueError(problem)
     profile = profile or FidelityProfile.from_name(scene.fidelity)
     listener = np.asarray(scene.listener.position)
     absorption = min(1.0, scene.room.absorption * profile.absorption_scale)
-    room = RoomSpec(scene.room.dimensions, absorption, scene.room.speed_of_sound)
+    room = RoomSpec(scene.room.dimensions, absorption)
     child_seeds = _scene_child_seeds(scene.seed)
 
     specs = (scene.target, *scene.interferers)
@@ -677,7 +687,7 @@ def render_scene(scene, profile=None, keep_components=False):
         "interferer_gain": float(interferer_gain),
         "ear_gain": float(EAR_CALIBRATION_GAIN),
         "target_onset_s": scene.target.onset_s,
-        "target_lag": onsets[0] + int(round(direct / room.speed_of_sound * DEFAULT_RATE))
+        "target_lag": onsets[0] + int(round(direct / SPEED_OF_SOUND * DEFAULT_RATE))
                       + DEFAULT_TAPS // 2,
     }
 

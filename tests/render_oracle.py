@@ -29,8 +29,7 @@ def full_field_render(scene, profile=None, keep_components=False):
     """
     profile = profile or FidelityProfile.from_name(scene.fidelity)
     listener = np.asarray(scene.listener.position)
-    room = RoomSpec(scene.room.dimensions, min(1.0, scene.room.absorption * profile.absorption_scale),
-                    scene.room.speed_of_sound)
+    room = RoomSpec(scene.room.dimensions, min(1.0, scene.room.absorption * profile.absorption_scale))
     child_seeds = _scene_child_seeds(scene.seed)
     specs = (scene.target, *scene.interferers)
     drys, onsets, rirs = [], [], []

@@ -363,6 +363,20 @@ def test_ear_scores_take_rows_only():
         ear_scores(X, SHARED[0], EAR_ROWS[0])
 
 
+def test_ear_scores_take_a_reference_as_one_row():
+    assert ear_scores(X[None], SHARED, EAR_ROWS) == ear_scores(X, SHARED, EAR_ROWS)
+
+
+@pytest.mark.parametrize("ref", [np.stack([X, X]), X[:, None], X[None, None], np.zeros(0), np.zeros((1, 0))],
+                         ids=["two-rows", "column", "3-d", "empty", "empty-row"])
+def test_scores_reject_a_reference_that_is_not_one_channel(ref):
+    for score, proc, levels in ((ear_scores, SHARED, EAR_ROWS),
+                                (intelligibility_score, SHARED[0], EAR_ROWS[0]),
+                                (quality_score, SHARED[0], EAR_ROWS[0])):
+        with pytest.raises(ValueError, match="reference must be one non-empty channel"):
+            score(ref, proc, levels)
+
+
 LONG_SPEECH = speech(1.2, seed=22)
 TWO_EAR_DRAWS = given(
     n=st.integers(6000, 16000),

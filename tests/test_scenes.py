@@ -602,6 +602,25 @@ def test_load_scene_reads_a_relative_source_file_beside_the_scene(tmp_path, monk
                           scale_to_rms(dry.astype(np.float32).astype(np.float64), REFERENCE_RMS))
 
 
+@pytest.mark.parametrize("count", [4, 5])
+def test_render_rejects_more_than_three_interferers_before_synthesis(monkeypatch, count):
+    # Four unseeded interferers would give the fourth the noise's child
+    # seed, five would run out of child seeds; the reader's check comes first.
+    from clarity_bench import signals
+
+    scene = draw_scenes(1, seed=5)[0]
+    first = scene.interferers[0]
+    unseeded = replace(first, source=replace(first.source, synth_seed=None))
+    scene = replace(scene, interferers=(unseeded,) * count)
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("source synthesized before the interferer count check")
+
+    monkeypatch.setattr(signals, "source_signal", no_synthesis)
+    with pytest.raises(ValueError, match=f"^interferers: need between 1 and 3, got {count}$"):
+        render_scene(scene)
+
+
 @pytest.mark.parametrize("which", ["target", "interferers[0]"])
 def test_render_rejects_a_file_source_past_the_scene_limit(tmp_path, monkeypatch, which):
     # 29 s of samples from a 1.5 s onset ends at 30.5 s; the check must
