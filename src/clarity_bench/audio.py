@@ -14,10 +14,14 @@ and read_wav reads that and PCM16.
 
 There are two convolutions. convolve_sum filters many inputs into many
 outputs block by block (overlap-save); the renderer's multichannel
-stages use it: the wet field and the binaural decode. convolve_channels
-is one whole-signal FFT convolution with broadcasting; the scoring path
-uses it (the hearing aid and the alignment), because the scores are
-pinned to its output bits and overlap-save rounds differently.
+stages use it: the W pass, the wet field and the binaural decodes. It
+computes only the blocks of the frames a stage asks for, a window on the
+block grid of the whole convolution, and streams the spectra a chunk of
+outputs or blocks at a time, so no stage holds every spectrum of a
+49-channel field at once. convolve_channels is one whole-signal FFT
+convolution with broadcasting; the scoring path uses it (the hearing
+aid and the alignment), because the scores are pinned to its output
+bits and overlap-save rounds differently.
 
 convolve_channels is a KernelBank used once. A bank kept for a kernel set
 that never changes, the gammatone bank, memoizes the kernels' spectrum at
@@ -41,6 +45,9 @@ DEFAULT_RATE = 16000
 # which metrics.ear_scores reads both signals for the quality score (a
 # gain applied after filtering).
 REFERENCE_RMS = 10.0 ** (-26.0 / 20.0)
+# The most bytes of complex spectra that one chunk of convolve_sum holds:
+# its kernel or block spectra and their summed products.
+SPECTRA_BUDGET = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -247,18 +254,46 @@ class KernelBank:
         return irfft(np.multiply(spectrum, rfft(x, nfft)), nfft)[..., :length]
 
 
-def convolve_sum(data, kernels):
-    """Multi-input, multi-output FIR filtering by overlap-save.
+def _block_spectra(data, taps, nfft, step, first, stop):
+    """rfft (inputs, stop - first, nfft // 2 + 1) of overlap-save blocks
+    first .. stop - 1: block b holds the nfft frames of data from frame
+    b * step - (taps - 1), zeros where data has none."""
+    inputs, frames = data.shape
+    lo = first * step - (taps - 1)
+    padded = np.zeros((inputs, (stop - first - 1) * step + nfft))
+    begin, end = max(lo, 0), min(lo + padded.shape[1], frames)
+    padded[:, begin - lo : end - lo] = data[:, begin:end]
+    return rfft(sliding_window_view(padded, nfft, axis=1)[:, ::step], axis=2)
+
+
+def convolve_sum(data, kernels, start=0, stop=None):
+    """Frames [start, stop) of multi-input, multi-output FIR filtering by
+    overlap-save.
 
     out[o] = sum over i of kernels[o, i] convolved with data[i], each a
     full linear convolution: data (inputs, frames) and kernels (outputs,
-    inputs, taps) give (outputs, frames + taps - 1). The FFT length is the
-    smallest power of two that is at least 2 * taps and at least 1024.
-    The inputs are cut into blocks of that length overlapping by
-    taps - 1 frames; each block of each input takes one real FFT, the
-    products with the kernel spectra are summed over the inputs in the
-    frequency domain, and each output takes one inverse FFT per block,
-    whose first taps - 1 frames (the circular wrap) are dropped.
+    inputs, taps) give frames + taps - 1 output frames, all of them when
+    no window is given. A window outside 0 <= start < stop <=
+    frames + taps - 1 raises ValueError.
+
+    The FFT length is the smallest power of two that is at least 2 * taps
+    and at least 1024. The full output is cut into blocks of
+    step = nfft - taps + 1 frames on a grid from frame 0, and block b is
+    computed from the nfft input frames that end at its last frame: one
+    real FFT of each input, the products with the kernel spectra summed
+    over the inputs in the frequency domain, and one inverse FFT per
+    output, whose first taps - 1 frames (the circular wrap) are dropped.
+    Only the blocks that overlap the window are computed, on the grid of
+    the full output, so a window's frames keep the bits of the same frames
+    of the whole output.
+
+    The spectra are streamed. When the kernel spectra are the larger side
+    (more outputs than blocks), every block's spectrum is held and the
+    outputs are taken a chunk at a time; otherwise every kernel spectrum
+    is held and the blocks are taken a chunk at a time. A chunk's spectra
+    and summed products stay within SPECTRA_BUDGET bytes (at least one
+    output or block per chunk). Each output and block is the same
+    arithmetic in any chunk, so chunking changes no bit.
     """
     data = np.asarray(data, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -273,16 +308,36 @@ def convolve_sum(data, kernels):
     outputs, kernel_inputs, taps = kernels.shape
     if kernel_inputs != inputs:
         raise ValueError(f"kernels take {kernel_inputs} inputs, data has {inputs}")
+    length = frames + taps - 1
+    stop = length if stop is None else stop
+    if not 0 <= start < stop <= length:
+        raise ValueError(f"window [{start}, {stop}) is not within the {length} output frames")
     nfft = max(1024, 1 << (2 * taps - 1).bit_length())
     step = nfft - taps + 1
-    length = frames + taps - 1
-    blocks = -(-length // step)
-    padded = np.zeros((inputs, (blocks - 1) * step + nfft))
-    padded[:, taps - 1 : taps - 1 + frames] = data
-    spectra = rfft(sliding_window_view(padded, nfft, axis=1)[:, ::step], axis=2)
-    summed = np.einsum("oif,ibf->obf", rfft(kernels, nfft, axis=2), spectra)
-    out = irfft(summed, nfft, axis=2)[:, :, taps - 1 :]
-    return out.reshape(outputs, blocks * step)[:, :length]
+    first, last = start // step, -(-stop // step)
+    spectrum_bytes = 16 * (nfft // 2 + 1)
+    out = np.empty((outputs, stop - start))
+
+    def place(rows, kernel_spectra, spectra, begin, end):
+        # Blocks begin .. end - 1 of outputs `rows`, cut to the window.
+        summed = np.einsum("oif,ibf->obf", kernel_spectra, spectra)
+        blocks = irfft(summed, nfft, axis=2)[:, :, taps - 1 :].reshape(len(summed), -1)
+        lo, hi = max(start, begin * step), min(stop, end * step)
+        out[rows, lo - start : hi - start] = blocks[:, lo - begin * step : hi - begin * step]
+
+    if outputs > last - first:
+        spectra = _block_spectra(data, taps, nfft, step, first, last)
+        chunk = max(1, SPECTRA_BUDGET // (spectrum_bytes * (inputs + last - first)))
+        for row in range(0, outputs, chunk):
+            rows = slice(row, row + chunk)
+            place(rows, rfft(kernels[rows], nfft, axis=2), spectra, first, last)
+    else:
+        kernel_spectra = rfft(kernels, nfft, axis=2)
+        chunk = max(1, SPECTRA_BUDGET // (spectrum_bytes * (inputs + outputs)))
+        for begin in range(first, last, chunk):
+            end = min(begin + chunk, last)
+            place(slice(None), kernel_spectra, _block_spectra(data, taps, nfft, step, begin, end), begin, end)
+    return out
 
 
 def rms_array(x):

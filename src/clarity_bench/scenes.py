@@ -249,33 +249,98 @@ def is_seed(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _interferer_count_problem(count):
-    """The complaint about `count` interferers (None: no list), or None for 1 to 3."""
-    if count is None or not 1 <= count <= 3:
-        return f"interferers: need between 1 and 3, got {'none' if count is None else count}"
+def scene_problems(scene):
+    """The rules that a SceneSpec breaks, each as "path: complaint", in
+    field order; empty when it keeps them all. This is the one checker of
+    a scene: scene_from_dict and render_scene both call it.
 
-
-def scene_from_dict(payload, directory=None):
-    """Build a SceneSpec from a scene dictionary, checking each field where it is read.
-
-    This is the one reader of a scene dictionary: every problem found is
-    collected, prefixed by its path, into one ValueError that joins them
-    by "; ". The room and the listener trajectory are checked by building
-    a RoomSpec and a RotationTrajectory, so their rules live in one place;
-    a room's speed_of_sound, which scene_to_dict does not write, must be
-    SPEED_OF_SOUND when given. Numbers must be finite and not booleans
-    (`is_finite_number`). Positions are three numbers inside the room.
-    Every source needs an onset_s >= 0 (absent means 0); its duration_s,
+    Numbers must be finite and not booleans (`is_finite_number`).
+    Positions are three numbers inside the room. There are 1 to 3
+    interferers. Every source needs an onset_s >= 0; its duration_s,
     which a synthetic source (no file) must give, is > 0, and a synthetic
     one lasts at least one sample at DEFAULT_RATE; a given file is a
     string; a given synth_seed is a non-negative integer; and onset plus
-    duration must not pass MAX_SCENE_SECONDS. The target's source.kind
-    (absent means speech) must be one of SOURCE_KINDS. An interferer's
-    "kind" must be one of SOURCE_KINDS, and its source.kind, when given,
-    must equal it; the interferer's PlacedSource keeps the kind in its
-    source only. snr_db is null or within MAX_ABS_SNR_DB. The scene seed
-    is a non-negative integer. A relative source file is joined to
-    `directory` when one is given.
+    duration must not pass MAX_SCENE_SECONDS. Every source.kind is one of
+    SOURCE_KINDS. snr_db is None or within MAX_ABS_SNR_DB, the fidelity
+    is one of FIDELITY_NAMES and the seed is a non-negative integer. The
+    room and the trajectory keep their own rules (RoomSpec,
+    RotationTrajectory). A part that is None, which the reader leaves
+    where it could not build one, is skipped; interferers None means no
+    list.
+    """
+    problems = []
+    room = scene.room
+
+    def position(path, pos):
+        if not (isinstance(pos, (list, tuple)) and len(pos) == 3 and all(map(is_finite_number, pos))):
+            problems.append(f"{path}: need three finite coordinates")
+        elif room is not None and not all(0 < p < d for p, d in zip(pos, room.dimensions)):
+            problems.append(f"{path}: position {list(pos)} outside room bounds {list(room.dimensions)}")
+
+    def placed(path, spec):
+        position(f"{path}.position", spec.position)
+        onset, src = spec.onset_s, spec.source
+        if not (is_finite_number(onset) and onset >= 0):
+            problems.append(f"{path}.onset_s: must be a finite number >= 0, got {onset!r}")
+            onset = 0.0
+        if src is None:
+            return
+        if src.kind not in SOURCE_KINDS:
+            problems.append(f"{path}.source.kind: must be one of {SOURCE_KINDS}, got {src.kind!r}")
+        if src.synth_seed is not None and not is_seed(src.synth_seed):
+            problems.append(f"{path}.source.synth_seed: must be a non-negative integer, got {src.synth_seed!r}")
+        if src.file is not None and not isinstance(src.file, str):
+            problems.append(f"{path}.source.file: must be a path string, got {src.file!r}")
+        duration, length = src.duration_s, 0.0
+        if src.file is None or duration is not None:
+            if is_finite_number(duration) and duration > 0:
+                length = duration
+                if src.file is None and round(duration * DEFAULT_RATE) < 1:
+                    problems.append(f"{path}.source.duration_s: {duration!r} s is shorter "
+                                    f"than one sample at {DEFAULT_RATE} Hz")
+            else:
+                need = "a synthetic source needs" if src.file is None else "must be"
+                problems.append(f"{path}.source.duration_s: {need} a finite duration > 0, "
+                                f"got {duration!r}")
+        if onset + length > MAX_SCENE_SECONDS:
+            problems.append(f"{path}: ends at {onset + length:g} s, after the "
+                            f"{MAX_SCENE_SECONDS:g} s scene limit")
+
+    if scene.target is not None:
+        placed("target", scene.target)
+    count = None if scene.interferers is None else len(scene.interferers)
+    if count is None or not 1 <= count <= 3:
+        problems.append(f"interferers: need between 1 and 3, got {'none' if count is None else count}")
+    for i, spec in enumerate(scene.interferers or ()):
+        if spec is not None:
+            placed(f"interferers[{i}]", spec)
+    if scene.listener is not None:
+        position("listener.position", scene.listener.position)
+    snr = scene.snr_db
+    if snr is not None and not (is_finite_number(snr) and abs(snr) <= MAX_ABS_SNR_DB):
+        problems.append(f"snr_db: must be null or a number within +-{MAX_ABS_SNR_DB:g}, got {snr!r}")
+    if scene.fidelity not in FIDELITY_NAMES:
+        problems.append(f"fidelity: must be one of {FIDELITY_NAMES}")
+    if not is_seed(scene.seed):
+        problems.append(f"seed: must be a non-negative integer, got {scene.seed!r}")
+    return problems
+
+
+def scene_from_dict(payload, directory=None):
+    """Build a SceneSpec from a scene dictionary and check it.
+
+    This is the one reader of a scene dictionary: every problem found is
+    collected, prefixed by its path, into one ValueError that joins them
+    by "; ". The reader checks the shape of the dictionary and builds the
+    scene from what it holds; scene_problems then checks the values. The
+    room and the listener trajectory are checked by building a RoomSpec
+    and a RotationTrajectory, so their rules live in one place; a room's
+    speed_of_sound, which scene_to_dict does not write, must be
+    SPEED_OF_SOUND when given. An absent onset_s means 0 and an absent
+    target source.kind means speech. An interferer's "kind" must be one
+    of SOURCE_KINDS, and its source.kind, when given, must equal it; the
+    interferer's PlacedSource keeps the kind in its source only. A
+    relative source file is joined to `directory` when one is given.
     """
     if not isinstance(payload, dict):
         raise ValueError("scene: must be an object")
@@ -297,94 +362,62 @@ def scene_from_dict(payload, directory=None):
         except ValueError as exc:
             problems.append(f"room: {exc}")
 
-    def position(path, pos):
-        if not (isinstance(pos, (list, tuple)) and len(pos) == 3 and all(map(is_finite_number, pos))):
-            problems.append(f"{path}: need three finite coordinates")
-            return None
-        if room is not None and not all(0 < p < d for p, d in zip(pos, room.dimensions)):
-            problems.append(f"{path}: position {list(pos)} outside room bounds {list(room.dimensions)}")
-        return tuple(pos)
-
-    def source(path, spec, kinds):
-        """The (SourceSignal, onset_s) of a target or interferer entry."""
+    def placed(path, spec, kind=None):
+        """The PlacedSource of a target or interferer entry, its source
+        None when there is no source description; a given source.kind
+        must equal `kind` when there is one."""
+        position = spec.get("position")
+        position = tuple(position) if isinstance(position, list) else position
         onset = spec.get("onset_s", 0.0)
-        if not (is_finite_number(onset) and onset >= 0):
-            problems.append(f"{path}.onset_s: must be a finite number >= 0, got {onset!r}")
-            onset = 0.0
         src = spec.get("source")
         if not isinstance(src, dict):
             problems.append(f"{path}.source: missing source description")
-            return None, onset
-        kind = src.get("kind", kinds[0])
-        if kind not in kinds:
-            problems.append(f"{path}.source.kind: must be one of {kinds}, got {kind!r}")
-        seed = src.get("synth_seed")
-        if seed is not None and not is_seed(seed):
-            problems.append(f"{path}.source.synth_seed: must be a non-negative integer, got {seed!r}")
+            return PlacedSource(position, None, onset)
+        given = src.get("kind", kind or SOURCE_KINDS[0])
+        if kind is not None and given != kind and given in SOURCE_KINDS:
+            problems.append(f"{path}.source.kind: must be the interferer's kind {kind!r}, got {given!r}")
         file = src.get("file")
-        if file is not None and not isinstance(file, str):
-            problems.append(f"{path}.source.file: must be a path string, got {file!r}")
-        elif file is not None and directory is not None:
+        if isinstance(file, str) and directory is not None:
             file = os.path.join(directory, file)
-        duration, length = src.get("duration_s"), 0.0
-        if file is None or duration is not None:
-            if is_finite_number(duration) and duration > 0:
-                length = duration
-                if file is None and round(duration * DEFAULT_RATE) < 1:
-                    problems.append(f"{path}.source.duration_s: {duration!r} s is shorter "
-                                    f"than one sample at {DEFAULT_RATE} Hz")
-            else:
-                need = "a synthetic source needs" if file is None else "must be"
-                problems.append(f"{path}.source.duration_s: {need} a finite duration > 0, "
-                                f"got {duration!r}")
-        if onset + length > MAX_SCENE_SECONDS:
-            problems.append(f"{path}: ends at {onset + length:g} s, after the "
-                            f"{MAX_SCENE_SECONDS:g} s scene limit")
-        return SourceSignal(kind, duration, seed, file), onset
+        source = SourceSignal(given, src.get("duration_s"), src.get("synth_seed"), file)
+        return PlacedSource(position, source, onset)
 
     target = None
     if (spec := section("target")) is not None:
-        pos = position("target.position", spec.get("position"))
-        target = PlacedSource(pos, *source("target", spec, SOURCE_KINDS))
+        target = placed("target", spec)
 
     entries = payload.get("interferers")
-    if problem := _interferer_count_problem(len(entries) if isinstance(entries, list) else None):
-        problems.append(problem)
-        entries = entries if isinstance(entries, list) else []
-    interferers = []
-    for i, spec in enumerate(entries):
-        path = f"interferers[{i}]"
-        if not isinstance(spec, dict):
-            problems.append(f"{path}: not an object")
-            continue
-        kind = spec.get("kind")
-        known = kind in SOURCE_KINDS
-        if not known:
-            problems.append(f"{path}.kind: must be {', '.join(SOURCE_KINDS[:-1])} or {SOURCE_KINDS[-1]}")
-        pos = position(f"{path}.position", spec.get("position"))
-        src, onset = source(path, spec, (kind,) if known else SOURCE_KINDS)
-        interferers.append(PlacedSource(pos, src, onset))
+    interferers = None
+    if isinstance(entries, list):
+        interferers = []
+        for i, spec in enumerate(entries):
+            path = f"interferers[{i}]"
+            if not isinstance(spec, dict):
+                problems.append(f"{path}: not an object")
+                interferers.append(None)
+                continue
+            kind = spec.get("kind")
+            if kind not in SOURCE_KINDS:
+                problems.append(f"{path}.kind: must be {', '.join(SOURCE_KINDS[:-1])} or {SOURCE_KINDS[-1]}")
+            interferers.append(placed(path, spec, kind if kind in SOURCE_KINDS else None))
+        interferers = tuple(interferers)
 
     listener = None
     if (spec := section("listener")) is not None:
-        pos = position("listener.position", spec.get("position"))
+        position = spec.get("position")
+        trajectory = None
         try:
-            listener = ListenerSpec(pos, RotationTrajectory(spec.get("trajectory") or ()))
+            trajectory = RotationTrajectory(spec.get("trajectory") or ())
         except ValueError as exc:
             problems.append(f"listener.trajectory: {exc}")
+        listener = ListenerSpec(tuple(position) if isinstance(position, list) else position, trajectory)
 
-    snr = payload.get("snr_db")
-    if snr is not None and not (is_finite_number(snr) and abs(snr) <= MAX_ABS_SNR_DB):
-        problems.append(f"snr_db: must be null or a number within +-{MAX_ABS_SNR_DB:g}, got {snr!r}")
-    fidelity = payload.get("fidelity")
-    if fidelity not in FIDELITY_NAMES:
-        problems.append(f"fidelity: must be one of {FIDELITY_NAMES}")
-    seed = payload.get("seed")
-    if not is_seed(seed):
-        problems.append(f"seed: must be a non-negative integer, got {seed!r}")
+    scene = SceneSpec(room, target, interferers, listener, payload.get("snr_db"),
+                      payload.get("fidelity"), payload.get("seed"))
+    problems += scene_problems(scene)
     if problems:
         raise ValueError("; ".join(problems))
-    return SceneSpec(room, target, tuple(interferers), listener, snr, fidelity, seed)
+    return scene
 
 
 def load_scene(path):
@@ -546,13 +579,16 @@ def _render_ears(placed, rirs, trajectory, noise=None):
     sources convolved with their binaural RIRs at that yaw. A binaural
     RIR is the source's RIR through the decoder bank turned by the held
     yaw, and it is taps + DEFAULT_TAPS - 1 frames long; one convolve_sum
-    renders the ears of both yaws. The K-channel field is formed only
-    over the frames between, plus DEFAULT_TAPS - 1 frames of decode
-    history on each side, and goes through apply_trajectory and
-    binaural_decode; the parts are stitched by frame. Self-noise, a
-    (level_db, seed, reference_rms) triple for add_transducer_noise, is
-    added to the field at every frame, so with it the field spans the
-    whole scene.
+    decodes the binaural RIRs of both yaws, and each held yaw renders
+    only its own frames through its own two. The K-channel field is
+    formed only over the frames between, plus DEFAULT_TAPS - 1 frames of
+    decode history on each side, and goes through apply_trajectory and
+    binaural_decode; the parts are stitched by frame. Every stage asks
+    convolve_sum for just the frames it keeps, on the block grid of the
+    whole convolution, so the field keeps the bits of the full-field
+    render's. Self-noise, a (level_db, seed, reference_rms) triple for
+    add_transducer_noise, is added to the field at every frame, so with
+    it the field spans the whole scene.
     """
     channels, sources, taps = rirs.shape
     frames = placed.shape[1] + taps - 1
@@ -587,15 +623,14 @@ def _render_ears(placed, rirs, trajectory, noise=None):
         # in zeros, so one decode gives every source's binaural RIR.
         spaced = np.zeros((channels, sources, taps + history))
         spaced[:, :, :taps] = rirs
-        brirs = convolve_sum(spaced.reshape(channels, -1), banks)[:, : spaced[0].size]
-        still = convolve_sum(placed, brirs.reshape(len(banks), sources, taps + history))
+        brirs = convolve_sum(spaced.reshape(channels, -1), banks, 0, spaced[0].size)
+        brirs = brirs.reshape(len(banks), sources, taps + history)
         for i, (_, lo, hi) in enumerate(held):
-            ears[:, lo:hi] = still[2 * i : 2 * i + 2, lo:hi]
+            ears[:, lo:hi] = convolve_sum(placed, brirs[2 * i : 2 * i + 2], lo, hi)
 
     if head < tail:
         lo, hi = max(0, head - history), min(frames, tail)
-        first = max(0, lo - taps + 1)
-        field = AmbiSignal(convolve_sum(placed[:, first:hi], rirs)[:, lo - first : hi - first])
+        field = AmbiSignal(convolve_sum(placed, rirs, lo, hi))
         if noise is not None:
             field = add_transducer_noise(field, *noise)
         turn = binaural_decode(apply_trajectory(field, trajectory, start=lo))
@@ -618,11 +653,12 @@ def render_scene(scene, profile=None, keep_components=False):
     interferer and noise ear signals, which sum to the ears; the target
     and interferer ears come from their own renders. A file source that
     ends after MAX_SCENE_SECONDS raises ValueError before any
-    impulse response is computed, and so does a scene built in code with
-    other than 1 to 3 interferers, before any source is synthesized.
+    impulse response is computed. A scene that breaks a rule of
+    scene_problems raises the reader's ValueError before any source is
+    synthesized.
     """
-    if problem := _interferer_count_problem(len(scene.interferers)):
-        raise ValueError(problem)
+    if problems := scene_problems(scene):
+        raise ValueError("; ".join(problems))
     profile = profile or FidelityProfile.from_name(scene.fidelity)
     listener = np.asarray(scene.listener.position)
     absorption = min(1.0, scene.room.absorption * profile.absorption_scale)

@@ -3,14 +3,18 @@ import pathlib
 import struct
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import next_fast_len as scipy_next_fast_len
 from scipy.io import wavfile
 from scipy.signal import fftconvolve
 
+from clarity_bench import audio
 from clarity_bench.audio import (
     KernelBank,
     SampleBuffer,
@@ -341,6 +345,74 @@ def test_convolve_sum_rejects_empty_and_mismatched_inputs():
         convolve_sum(np.ones((3, 8)), np.ones((1, 2, 4)))
     with pytest.raises(ValueError):
         convolve_sum(np.ones(8), np.ones((1, 1, 4)))
+
+
+def overlap_save_step(taps):
+    """The block length of convolve_sum's grid for `taps`-tap kernels."""
+    return max(1024, 1 << (2 * taps - 1).bit_length()) - taps + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(draw=st.data(), outputs=st.integers(1, 4), inputs=st.integers(1, 3),
+       taps=st.integers(1, 700), frames=st.integers(1, 4000))
+def test_convolve_sum_window_is_the_slice_of_the_full_output(draw, outputs, inputs, taps, frames):
+    # Windows anywhere, at block edges, one frame long and in the tail
+    # past the data keep the bits of the whole output's frames.
+    rng = np.random.default_rng([outputs, inputs, taps, frames])
+    data = rng.standard_normal((inputs, frames))
+    kernels = rng.standard_normal((outputs, inputs, taps))
+    length = frames + taps - 1
+    step = overlap_save_step(taps)
+    edges = [b * step + d for b in range(length // step + 2) for d in (-1, 0, 1)]
+    bound = st.one_of(st.integers(0, length), st.sampled_from(edges),
+                      st.sampled_from([frames - 1, frames, frames + 1, length - 1, length]))
+    start = draw.draw(bound.filter(lambda v: 0 <= v < length), label="start")
+    stop = draw.draw(st.one_of(st.just(start + 1), bound.filter(lambda v: start < v <= length)),
+                     label="stop")
+    full = convolve_sum(data, kernels)
+    assert np.array_equal(convolve_sum(data, kernels, start, stop), full[:, start:stop])
+    assert np.array_equal(convolve_sum(data, kernels, start), full[:, start:])
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 5), (5, 5), (6, 5), (0, 108), (107, 108), (-5, None)])
+def test_convolve_sum_rejects_a_window_outside_its_output(start, stop):
+    data, kernels = np.ones((2, 100)), np.ones((3, 2, 8))   # 107 output frames
+    assert convolve_sum(data, kernels, 106, 107).shape == (3, 1)
+    with pytest.raises(ValueError, match="window"):
+        convolve_sum(data, kernels, start, stop)
+
+
+@pytest.mark.parametrize("outputs, inputs, taps, frames, window", [
+    (49, 4, 5600, 30000, (9000, 14300)),   # the head turn: outputs chunked
+    (49, 3, 5600, 30000, None),
+    (4, 49, 64, 22652, None),              # the binaural-RIR decode: blocks chunked
+    (2, 4, 5663, 30000, (25000, 35662)),   # a held yaw's tail
+])
+def test_convolve_sum_streams_without_changing_a_bit(monkeypatch, outputs, inputs, taps, frames, window):
+    rng = np.random.default_rng(outputs + inputs + taps)
+    data = rng.standard_normal((inputs, frames))
+    kernels = rng.standard_normal((outputs, inputs, taps))
+    window = window or (0, frames + taps - 1)
+    want = convolve_sum(data, kernels, *window)
+    monkeypatch.setattr(audio, "SPECTRA_BUDGET", 1)   # one output or one block per chunk
+    assert np.array_equal(convolve_sum(data, kernels, *window), want)
+
+
+def test_convolve_sum_holds_a_chunk_of_spectra_not_all_of_them():
+    # The head turn's call: 49 outputs of 4 inputs through 5,600 taps over
+    # 5,300 frames. Holding every kernel spectrum and block product at
+    # once traced 38.6 MiB; a chunk of spectra is SPECTRA_BUDGET.
+    rng = np.random.default_rng(0)
+    data = rng.standard_normal((4, 48000))
+    kernels = rng.standard_normal((49, 4, 5600))
+    tracemalloc.start()
+    try:
+        field = convolve_sum(data, kernels, 20000, 25300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.shape == (49, 5300)
+    assert peak < 16 * 2**20
 
 
 def test_rms_constant():

@@ -621,6 +621,36 @@ def test_render_rejects_more_than_three_interferers_before_synthesis(monkeypatch
         render_scene(scene)
 
 
+def moved_first_interferer(scene, position):
+    first = replace(scene.interferers[0], position=position)
+    return replace(scene, interferers=(first, *scene.interferers[1:]))
+
+
+@pytest.mark.parametrize("change, text", [
+    (lambda s: replace(s, snr_db=float("nan")), "snr_db: must be null or a number within +-60, got nan"),
+    (lambda s: replace(s, snr_db=500.0), "snr_db: must be null or a number within +-60, got 500.0"),
+    (lambda s: moved_first_interferer(s, (100, 1, 1)),
+     "interferers[0].position: position [100, 1, 1] outside room bounds [6.6, 5.8, 2.8]"),
+    (lambda s: replace(s, target=replace(s.target, onset_s=-0.5)),
+     "target.onset_s: must be a finite number >= 0, got -0.5"),
+], ids=["snr_db=nan", "snr_db=500", "interferer outside the room", "negative onset"])
+def test_render_rejects_a_scene_built_in_code_as_the_reader_does(monkeypatch, change, text):
+    from clarity_bench import signals
+
+    scene = change(draw_scenes(1, seed=5)[0])
+    with pytest.raises(ValueError) as read:
+        scene_from_dict(scene_to_dict(scene))
+    assert str(read.value) == text
+
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("source synthesized before the scene was checked")
+
+    monkeypatch.setattr(signals, "source_signal", no_synthesis)
+    with pytest.raises(ValueError) as rendered:
+        render_scene(scene)
+    assert str(rendered.value) == text
+
+
 @pytest.mark.parametrize("which", ["target", "interferers[0]"])
 def test_render_rejects_a_file_source_past_the_scene_limit(tmp_path, monkeypatch, which):
     # 29 s of samples from a 1.5 s onset ends at 30.5 s; the check must
@@ -857,10 +887,11 @@ def test_render_forms_the_field_only_over_the_head_turn(monkeypatch):
         frames["rotated"].append(field.frames)
         return apply_trajectory(field, *args, **kwargs)
 
-    def convolve(data, kernels):
+    def convolve(data, kernels, start=0, stop=None):
+        stop = data.shape[1] + kernels.shape[2] - 1 if stop is None else stop
         if kernels.shape[0] == 49:   # the order-6 field
-            frames["field"].append(data.shape[1])
-        return convolve_sum(data, kernels)
+            frames["field"].append(stop - start)
+        return convolve_sum(data, kernels, start, stop)
 
     monkeypatch.setattr(scenes, "apply_trajectory", rotate)
     monkeypatch.setattr(scenes, "convolve_sum", convolve)
@@ -875,6 +906,27 @@ def test_render_forms_the_field_only_over_the_head_turn(monkeypatch):
     assert len(frames["rotated"]) == len(frames["field"]) == 1
     assert frames["rotated"][0] <= span < result.ears.frames / 4
     assert frames["field"][0] <= frames["rotated"][0] + taps - 1
+
+
+def test_render_forms_the_turn_field_with_the_full_field_bits(monkeypatch):
+    # The turn's field is asked of convolve_sum as a window of the whole
+    # convolution, so it keeps the bits of the full-field render's field.
+    from clarity_bench import scenes
+
+    seen = []
+
+    def rotate(field, trajectory, start=0):
+        seen.append((field.data, start))
+        return apply_trajectory(field, trajectory, start=start)
+
+    monkeypatch.setattr(scenes, "apply_trajectory", rotate)
+    scene = draw_scenes(1, seed=5)[0]
+    render_scene(scene)
+    (field, lo), = seen
+    full = full_field_render(scene)[2].data
+    hi = lo + field.shape[1]
+    assert 0 < lo < hi < full.shape[1]
+    assert np.array_equal(field, full[:, lo:hi])
 
 
 def test_traced_layers_resolve():
