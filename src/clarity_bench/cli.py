@@ -2,7 +2,8 @@
 
 Each command imports its own modules: `score` and `report` load the
 scorer (`harness`, `hearing_aid`, `metrics`) inside their branches, so
-`generate` runs on the render modules alone and never loads SciPy.
+`generate` runs on the render modules alone. No command loads SciPy;
+the program runs on NumPy alone.
 
 Every bad input is raised as ValueError (or OSError, for a file that
 cannot be opened) with the file or scene it concerns in its text; main

@@ -49,19 +49,27 @@ three passes of a scene at one length transform the kernels once. It
 keeps the bits of audio.convolve_channels(kernels, signal), the
 convolution the scores were pinned to, because it multiplies the same
 spectra in the same order. The alignment cross-correlation is
-audio.convolve_channels itself, of all rows at once. The envelope
-low-pass stays a recursive filter (scipy.signal butter + lfilter):
-convolving with the biquad's impulse response, cut where it falls below
-1e-18 (4,163 taps), matches lfilter within 1e-13 but is about 3x slower,
-0.020 s against 0.006 s per 32-band call at 28,800 frames and 0.032 s
-against 0.010 s at 51,000 frames (one thread).
+audio.convolve_channels itself, of all rows at once.
+
+The envelope low-pass is the second-order Butterworth biquad of the
+bilinear transform, its coefficients in closed form, and it is evaluated
+only at the samples the decimation reads. The 62.5-sample frame grid
+repeats every 125 samples, two frames, and the interpolation reads two
+samples per frame, so a block of 125 rectified samples enters through
+one fixed 125 x 6 matrix: the filter state it leaves at the block's end
+and its own part of the four samples read. A doubling scan over the
+blocks carries the state from block to block; it is elementwise, so each
+band row gets the bits it would get alone. On speech bands this stays
+within 1e-12 of the band's peak envelope of scipy.signal's butter and
+lfilter followed by the same decimation, and it takes 0.0053 s per
+32-band call at 51,883 frames where rectification and lfilter alone took
+0.014 s (one thread).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, lfilter
 
 from .audio import DEFAULT_RATE, REFERENCE_RMS, KernelBank, convolve_channels, rms_array
 from .hearing_aid import AUDIOGRAM_FREQUENCIES, interpolate_audiogram
@@ -127,7 +135,58 @@ def _gammatone_kernels():
 
 
 _GAMMATONE_BANK = KernelBank(_gammatone_kernels())
-_ENVELOPE_SMOOTHER = butter(2, ENVELOPE_CUTOFF, fs=DEFAULT_RATE)
+
+_FRAME_HOP = DEFAULT_RATE / ENVELOPE_RATE         # 62.5 samples
+_BLOCK = int(2 * _FRAME_HOP)                      # the frame grid's period
+_BLOCK_READS = (0, 1, int(_FRAME_HOP), int(_FRAME_HOP) + 1)
+
+
+def _envelope_biquad():
+    """(b0, z) of the 2nd-order Butterworth low-pass at ENVELOPE_CUTOFF,
+    the biquad b0 (1 + q)^2 / ((1 - z q) (1 - conj(z) q)) in the unit
+    delay q.
+
+    The bilinear transform z = (1 + s) / (1 - s), with s in units of twice
+    the sample rate, maps the analog Butterworth poles, prewarped to the
+    cutoff, to z and conj(z); both zeros go to -1 and the gain at DC is 1.
+    """
+    k = math.tan(math.pi * ENVELOPE_CUTOFF / DEFAULT_RATE)
+    s = k * complex(-math.sqrt(0.5), math.sqrt(0.5))
+    return k * k / ((1.0 - s) * (1.0 - s).conjugate()).real, (1.0 + s) / (1.0 - s)
+
+
+def _envelope_block_operators():
+    """The envelope biquad over one block of _BLOCK samples.
+
+    The biquad's output is y[m] = b0 x[m] + 2 Re(r w[m]), with the complex
+    one-pole state w[m + 1] = z w[m] + x[m] at its pole z of residue r.
+    The state is carried as (Re w, Im w), which each sample turns and
+    scales by z. The transposed direct form's two states nearly cancel at
+    this low cutoff: carried across blocks they drifted 5e-12 of the peak
+    envelope from lfilter, this state 7e-13.
+
+    Returns (projection, step, reads). projection (_BLOCK, 6) takes a
+    block's input to the state w it leaves at the block's end from a zero
+    start (Re, Im), then to its own part of the outputs at _BLOCK_READS.
+    step is z**_BLOCK, which carries w across a block, and reads (4, 2)
+    takes the block's start state (Re w, Im w) to the outputs at
+    _BLOCK_READS.
+    """
+    b0, z = _envelope_biquad()
+    residue = b0 * (z + 1.0) ** 2 / (z - z.conjugate())
+    powers = z ** np.arange(_BLOCK + 1)
+    response = np.concatenate([[b0], 2.0 * (residue * powers[:-1]).real])
+    end_state = powers[_BLOCK - 1 :: -1]
+    outputs = [np.concatenate([response[m::-1], np.zeros(_BLOCK - 1 - m)]) for m in _BLOCK_READS]
+    projection = np.column_stack([end_state.real, end_state.imag, *outputs])
+    carried = 2.0 * residue * powers[list(_BLOCK_READS)]
+    reads = np.column_stack([carried.real, -carried.imag])
+    for array in (projection, reads):
+        array.flags.writeable = False
+    return projection, complex(powers[_BLOCK]), reads
+
+
+_ENVELOPE_BLOCKS = _envelope_block_operators()
 
 
 def _one_channel(signal, name):
@@ -155,17 +214,38 @@ def _smoothed(bands):
 
     Half-wave rectification, 2nd-order low-pass at the envelope cutoff,
     then decimation to ENVELOPE_RATE by linear interpolation (np.interp's
-    own formula, so the two agree bit for bit).
+    own formula). The low-pass runs block by block and is evaluated only
+    at the samples the interpolation reads.
     """
-    b, a = _ENVELOPE_SMOOTHER
-    smooth = lfilter(b, a, np.maximum(bands, 0.0), axis=-1)
-    n = smooth.shape[-1]
+    projection, step, reads = _ENVELOPE_BLOCKS
+    shape, n = bands.shape[:-1], bands.shape[-1]
+    blocks = -(-n // _BLOCK)
+    rectified = np.empty((*shape, blocks * _BLOCK))
+    np.maximum(bands, 0.0, out=rectified[..., :n])
+    rectified[..., n:] = 0.0
+    # One matmul per band row: each block's end state and samples read.
+    per_block = rectified.reshape(*shape, blocks, _BLOCK) @ projection
+    # Block j starts in the state block j - 1 leaves: a doubling scan of
+    # the end states, shifted by one block, elementwise so that each row
+    # keeps its own bits.
+    re = np.zeros((*shape, blocks))
+    im = np.zeros((*shape, blocks))
+    re[..., 1:], im[..., 1:] = per_block[..., :-1, 0], per_block[..., :-1, 1]
+    span = 1
+    while span < blocks:
+        carried_re = step.real * re[..., :-span] - step.imag * im[..., :-span]
+        carried_im = step.imag * re[..., :-span] + step.real * im[..., :-span]
+        re[..., span:] += carried_re
+        im[..., span:] += carried_im
+        step, span = step * step, 2 * span
+    read = per_block[..., 2:] + re[..., None] * reads[:, 0] + im[..., None] * reads[:, 1]
+    # Block j reads frames 2j and 2j + 1, each as the (lo, hi) pair it
+    # interpolates between.
     frames = int(np.floor(n / DEFAULT_RATE * ENVELOPE_RATE))
-    positions = np.arange(frames) * (DEFAULT_RATE / ENVELOPE_RATE)
-    below = positions.astype(np.intp)
-    frac = positions - below
-    lo = smooth[..., below]
-    hi = smooth[..., np.minimum(below + 1, n - 1)]
+    pairs = read.reshape(*shape, 2 * blocks, 2)[..., :frames, :]
+    positions = np.arange(frames) * _FRAME_HOP
+    frac = positions - positions.astype(np.intp)
+    lo, hi = pairs[..., 0], pairs[..., 1]
     return np.where(frac == 0.0, lo, (hi - lo) * frac + lo)
 
 

@@ -191,11 +191,11 @@ def test_score_dataset_runs_one_front_end_per_scene(small_dataset, tmp_path, mon
             return fn(*args, **kwargs)
         return counted
 
-    for name in ("gammatone_bands", "lfilter"):
+    for name in ("gammatone_bands", "_smoothed"):
         monkeypatch.setattr(metrics, name, counting(name, getattr(metrics, name)))
     run = score_dataset(small_dataset)
     scenes = len(run["records"])
-    assert sorted(calls) == ["gammatone_bands"] * 3 * scenes + ["lfilter"] * 3 * scenes
+    assert sorted(calls) == ["_smoothed"] * 3 * scenes + ["gammatone_bands"] * 3 * scenes
     monkeypatch.undo()
 
     audiogram = flat_audiogram(40.0)
@@ -210,6 +210,20 @@ def test_score_dataset_runs_one_front_end_per_scene(small_dataset, tmp_path, mon
     write_run_manifest(run, tmp_path / "terms.run.json")
     payload = json.loads((tmp_path / "terms.run.json").read_text())
     assert payload["records"] == run["records"]
+
+
+def test_score_dataset_same_bytes_for_any_worker_count(tmp_path, monkeypatch):
+    for fidelity in ("measured_like", "simulated"):
+        manifest = generate_dataset(tmp_path / fidelity, count=2, seed=3, fidelity=fidelity)
+        outputs = {}
+        for workers in ("1", "2"):
+            monkeypatch.setenv("CLARITY_BENCH_THREADS", workers)
+            out = tmp_path / f"{fidelity}-{workers}"
+            out.mkdir()
+            assert main(["score", "--dataset", str(manifest), "--out", str(out / "scores.csv")]) == 0
+            outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(outputs["1"]) == ["scores.csv", "scores.csv.run.json"]
+        assert outputs["1"] == outputs["2"]
 
 
 def test_score_dataset_missing_file_names_scene(small_dataset, tmp_path):

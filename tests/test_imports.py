@@ -46,3 +46,17 @@ def test_generate_never_loads_scipy(tmp_path):
     assert "clarity_bench.scenes" in loaded
     assert not scipy_modules(loaded)
     assert "clarity_bench.harness" not in loaded
+
+
+def test_score_and_report_never_load_scipy(tmp_path):
+    out, scores = tmp_path / "set", tmp_path / "scores.csv"
+    loaded = loaded_after(
+        "import clarity_bench.cli as cli\n"
+        f"assert cli.main(['generate', '--n', '1', '--seed', '3', '--out', {str(out)!r}]) == 0\n"
+        f"assert cli.main(['score', '--dataset', {str(out / 'manifest.json')!r}, "
+        f"'--out', {str(scores)!r}]) == 0\n"
+        f"assert cli.main(['report', '--scores', {str(scores)!r}, '--paper-table']) == 0"
+    )
+    assert scores.exists()
+    assert {"clarity_bench.harness", "clarity_bench.metrics"} <= loaded
+    assert not scipy_modules(loaded)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
+from scipy.signal import butter, lfilter
 
 from clarity_bench.audio import REFERENCE_RMS, convolve_channels, scale_to_rms
 from clarity_bench.hearing_aid import interpolate_audiogram
@@ -16,6 +17,7 @@ from clarity_bench.metrics import (
     EarScore,
     _aligned_slices,
     _db,
+    _envelope_biquad,
     _envelope_correlation,
     _gammatone_kernels,
     _smoothed,
@@ -246,15 +248,54 @@ def test_envelope_is_one_row_of_the_multiband_envelopes():
         assert np.array_equal(_db(_smoothed(row)), envelopes[k])
 
 
-def test_envelope_decimation_equals_np_interp():
-    from scipy.signal import butter, lfilter
+# The smoother and lfilter round differently; lfilter's own recursion
+# rounds at about 1e-13 of the peak (poles at radius 0.991), and the two
+# differ by under 1e-12 on speech bands.
+ENVELOPE_TOLERANCE = 1e-10   # of each row's peak envelope
 
-    band = gammatone_bands(speech(1.0, seed=17))[9]
+
+def lfilter_envelopes(bands):
+    """The envelope oracle: scipy.signal butter + lfilter, then np.interp
+    at the 256 Hz frame positions."""
     b, a = butter(2, ENVELOPE_CUTOFF, fs=RATE)
-    smooth = lfilter(b, a, np.maximum(band, 0.0))
-    positions = np.arange(256) * (RATE / 256.0)
-    expected = 20.0 * np.log10(np.maximum(np.interp(positions, np.arange(band.size), smooth), 1e-4))
-    assert np.array_equal(_db(_smoothed(band)), expected)
+    smooth = lfilter(b, a, np.maximum(bands, 0.0), axis=-1)
+    n = smooth.shape[-1]
+    positions = np.arange(n * 256 // RATE) * (RATE / 256.0)
+    rows = [np.interp(positions, np.arange(n), row) for row in smooth.reshape(-1, n)]
+    return np.reshape(rows, (*bands.shape[:-1], positions.size))
+
+
+def assert_envelopes_match_lfilter(bands):
+    ours, expected = _smoothed(bands), lfilter_envelopes(bands)
+    assert ours.shape == expected.shape
+    peak = np.abs(expected).max(axis=-1, keepdims=True, initial=0.0)
+    assert np.all(np.abs(ours - expected) <= ENVELOPE_TOLERANCE * peak)
+
+
+def test_envelope_decimation_equals_np_interp():
+    assert_envelopes_match_lfilter(gammatone_bands(speech(1.0, seed=17)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 400), rows=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@example(n=1, rows=2, seed=0)      # no frame
+@example(n=62, rows=0, seed=1)     # no frame
+@example(n=63, rows=1, seed=2)
+@example(n=124, rows=2, seed=3)
+@example(n=125, rows=1, seed=4)    # one whole block
+@example(n=126, rows=3, seed=5)
+@example(n=250, rows=2, seed=6)
+def test_envelope_equals_lfilter_at_any_length(n, rows, seed):
+    # rows == 0 draws one 1-D signal
+    rng = np.random.default_rng(seed)
+    assert_envelopes_match_lfilter(rng.standard_normal((rows, n) if rows else n))
+
+
+def test_envelope_biquad_is_scipys_butterworth():
+    b0, pole = _envelope_biquad()
+    b, a = butter(2, ENVELOPE_CUTOFF, fs=RATE)
+    np.testing.assert_array_max_ulp(b0 * np.array([1.0, 2.0, 1.0]), b, maxulp=4)
+    np.testing.assert_array_max_ulp(np.poly([pole, pole.conjugate()]).real, a, maxulp=4)
 
 
 def test_quality_correlation_term_is_intelligibility_of_normalized_pair():
