@@ -27,9 +27,12 @@ convolve_channels is a KernelBank used once. A bank kept for a kernel set
 that never changes, the gammatone bank, memoizes the kernels' spectrum at
 the last FFT length it was asked for, one length at a time, so the
 signals of one scene, which share a length, pay for that transform once.
-Memoized or not, the same two spectra are multiplied in the same order,
-so the bank's output keeps the bits of convolve_channels(kernels, x) and
-the scores do not move.
+convolve_rows streams a signal through the bank a chunk of kernel rows
+at a time: one transform of the signal, then each chunk's products and
+inverses, so the full (rows, length) output need never exist. Memoized
+or not, whole or in chunks, the same two spectra are multiplied in the
+same order and each row is inverted alone, so the bank's output keeps
+the bits of convolve_channels(kernels, x) and the scores do not move.
 """
 
 import json
@@ -221,12 +224,13 @@ class KernelBank:
     """A fixed FIR kernel set (..., taps) whose spectrum is memoized.
 
     convolve(x) takes the real FFT of the kernels and of x at a fast
-    length, multiplies them in that order and inverts the product. The
-    memo holds the kernels' FFT at one FFT length, the last one used; a
-    signal that needs another length replaces it. The length and its
-    spectrum are stored and read as one tuple, so threads sharing a bank
-    can at worst transform the kernels twice, never use a spectrum of the
-    wrong length.
+    length, multiplies them in that order and inverts the product;
+    convolve_rows(x, chunk, scratch) gives the same rows a chunk at a
+    time. The memo holds the kernels' FFT at one FFT length, the last one
+    used; a signal that needs another length replaces it. The length and
+    its spectrum are stored and read as one tuple, so threads sharing a
+    bank can at worst transform the kernels twice, never use a spectrum of
+    the wrong length.
     """
 
     def __init__(self, kernels):
@@ -237,8 +241,9 @@ class KernelBank:
         self.kernels = kernels
         self._memo = (0, None)   # (FFT length, rfft of the kernels at it)
 
-    def convolve(self, x):
-        """Full linear convolution of every kernel with x along the last axis."""
+    def _spectra(self, x):
+        """(output length, FFT length, kernel spectrum, signal spectrum) of
+        the full convolution with x."""
         x = np.asarray(x, dtype=np.float64)
         if x.size == 0:
             raise ValueError("convolve requires non-empty signal and kernel")
@@ -248,10 +253,35 @@ class KernelBank:
         if memo_nfft != nfft:
             spectrum = rfft(self.kernels, nfft)
             self._memo = (nfft, spectrum)
+        return length, nfft, spectrum, rfft(x, nfft)
+
+    def convolve(self, x):
+        """Full linear convolution of every kernel with x along the last axis."""
+        length, nfft, spectrum, signal = self._spectra(x)
         # np.multiply, not `*`: NumPy may compute `a * temporary` in the
         # temporary's buffer as temporary * a, and with fused multiply-adds
         # the swapped complex product rounds differently.
-        return irfft(np.multiply(spectrum, rfft(x, nfft)), nfft)[..., :length]
+        return irfft(np.multiply(spectrum, signal), nfft)[..., :length]
+
+    def convolve_rows(self, x, chunk, scratch):
+        """The rows of convolve(x) for a kernel set (rows, taps), `chunk`
+        rows at a time: yields (rows, length) arrays in row order.
+
+        x is transformed once; each row is the same product and inverse
+        FFT as in convolve, so the rows keep its bits. One chunk's product
+        and inverse are held, in arrays kept in the dict scratch: each
+        yielded array is overwritten by the next, and a caller that passes
+        one dict to several calls reuses the arrays while the FFT length
+        stays the same.
+        """
+        length, nfft, spectrum, signal = self._spectra(x)
+        if scratch.get("shape") != (chunk, nfft):
+            scratch.update(shape=(chunk, nfft), product=np.empty((chunk, nfft // 2 + 1), complex),
+                           inverse=np.empty((chunk, nfft)))
+        for row in range(0, len(spectrum), chunk):
+            kernels = spectrum[row : row + chunk]
+            product = np.multiply(kernels, signal, out=scratch["product"][: len(kernels)])
+            yield irfft(product, nfft, out=scratch["inverse"][: len(kernels)])[:, :length]
 
 
 def _block_spectra(data, taps, nfft, step, first, stop):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,10 +7,12 @@ from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.signal import butter, lfilter
 
+from clarity_bench import metrics
 from clarity_bench.audio import REFERENCE_RMS, convolve_channels, scale_to_rms
 from clarity_bench.hearing_aid import interpolate_audiogram
 from clarity_bench.metrics import (
     AUDIBILITY_DB,
+    BANDS,
     CENTER_FREQUENCIES,
     ENVELOPE_CUTOFF,
     MIN_FRAMES,
@@ -16,6 +20,7 @@ from clarity_bench.metrics import (
     _GAMMATONE_BANK,
     EarScore,
     _aligned_slices,
+    _band_features,
     _db,
     _envelope_biquad,
     _envelope_correlation,
@@ -218,24 +223,23 @@ def test_audiogram_attenuation_lowers_scores():
 # --- the shared front end -------------------------------------------------
 
 
-def count_gammatone_calls(monkeypatch):
-    from clarity_bench import metrics
-
+def count_front_end_calls(monkeypatch):
+    """Counts the signals that enter the per-signal front end."""
     calls = []
-    original = metrics.gammatone_bands
+    original = metrics._band_features
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(metrics, "gammatone_bands", counted)
+    monkeypatch.setattr(metrics, "_band_features", counted)
     return calls
 
 
 @pytest.mark.parametrize("score", [intelligibility_score, quality_score])
 def test_each_score_filters_each_signal_once(monkeypatch, score):
     x = speech(1.0, seed=15)
-    calls = count_gammatone_calls(monkeypatch)
+    calls = count_front_end_calls(monkeypatch)
     score(x, 0.5 * x, ZERO_EAR)
     assert len(calls) == 2
 
@@ -376,7 +380,7 @@ def test_two_ear_call_equals_the_per_ear_calls(score, kwargs, ears):
 @pytest.mark.parametrize("score", [intelligibility_score, quality_score])
 @pytest.mark.parametrize("ears, passes", [(SHARED, 3), (APART, 4)], ids=["shared", "apart"])
 def test_two_ear_call_filters_a_shared_reference_once(monkeypatch, score, ears, passes):
-    calls = count_gammatone_calls(monkeypatch)
+    calls = count_front_end_calls(monkeypatch)
     ear_scores(X, ears, EAR_ROWS)
     assert len(calls) == passes
     # A one-ear view filters its reference and its ear once each.
@@ -391,6 +395,10 @@ def test_two_ear_call_filters_a_shared_reference_once(monkeypatch, score, ears, 
     (SHARED, np.zeros((2, 5))),
     (SHARED[0], EAR_ROWS),
     (SHARED[None], EAR_ROWS),
+    (SHARED, np.full((2, 6), np.nan)),
+    (SHARED, np.where(EAR_ROWS == 40.0, np.inf, EAR_ROWS)),
+    (SHARED[0], np.full(6, np.nan)),
+    (SHARED[0], np.full(6, -np.inf)),
 ])
 def test_scores_need_one_audiogram_row_per_signal_row(proc, levels):
     for score in (ear_scores, intelligibility_score, quality_score):
@@ -575,3 +583,38 @@ def test_gammatone_memo_holds_one_fft_length():
         memo_nfft, spectrum = bank._memo
         assert memo_nfft == nfft
         assert spectrum.shape == (32, nfft // 2 + 1)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, metrics.BAND_CHUNK, BANDS])
+def test_band_features_stream_without_changing_a_bit(monkeypatch, chunk):
+    # One scratch serves every length, as in an ear_scores call; 2,047
+    # frames is shorter than a kernel, and 3 bands per chunk leave a
+    # shorter last chunk.
+    monkeypatch.setattr(metrics, "BAND_CHUNK", chunk)
+    gains = 10.0 ** (-interpolate_audiogram(EAR_ROWS[0], CENTER_FREQUENCIES) / 20.0)
+    scratch = {}
+    for n in (1, 2047, 12345, 28800, 2047):
+        x = np.random.default_rng(n).standard_normal(n)
+        for scale in (None, gains):
+            bands = gammatone_bands(x) if scale is None else gammatone_bands(x) * scale[:, None]
+            envelopes, levels = _band_features(x, scale, scratch)
+            assert np.array_equal(envelopes, _smoothed(bands)), n
+            assert np.array_equal(levels, np.sqrt(np.mean(bands**2, axis=1))), n
+
+
+def test_ear_scores_hold_a_chunk_of_bands_not_all_of_them():
+    # A two-ear call on a 28,800-frame reference. Holding every band of a
+    # signal at full rate (product, inverse, attenuated and rectified
+    # copies) traced 23-24 MiB above the start; the kernel spectrum memo is
+    # filled by the first call, so the second traces the front end alone.
+    x = speech(1.8, seed=26)
+    ears = two_ears(x, (40, 70), x.size + 1000)
+    ear_scores(x, ears, EAR_ROWS)
+    tracemalloc.start()
+    try:
+        scores = ear_scores(x, ears, EAR_ROWS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s.lag for s in scores] == [40, 70]
+    assert peak <= 12 * 2**20
