@@ -26,22 +26,26 @@ DEFAULT_TAPS = 127   # odd, for a whole-sample group delay; >= 63 resolves 250 H
 
 @dataclass(frozen=True)
 class Audiogram:
-    """Hearing levels in dB HL at the six standard frequencies, per ear."""
+    """Hearing levels in dB HL at the six standard frequencies, per ear:
+    finite numbers that are not booleans (`is_finite_number`), in [0, 120]."""
 
     left: tuple
     right: tuple
 
     def __post_init__(self):
         for name, levels in (("left", self.left), ("right", self.right)):
-            arr = tuple(float(v) for v in levels)
-            if len(arr) != len(AUDIOGRAM_FREQUENCIES):
+            levels = tuple(levels)
+            if len(levels) != len(AUDIOGRAM_FREQUENCIES):
                 raise ValueError(
                     f"{name} ear needs {len(AUDIOGRAM_FREQUENCIES)} levels "
-                    f"at {AUDIOGRAM_FREQUENCIES}, got {len(arr)}"
+                    f"at {AUDIOGRAM_FREQUENCIES}, got {len(levels)}"
                 )
-            if any(not 0.0 <= v <= 120.0 for v in arr):
-                raise ValueError(f"{name} ear levels must lie in [0, 120] dB HL")
-            object.__setattr__(self, name, arr)
+            for freq, level in zip(AUDIOGRAM_FREQUENCIES, levels):
+                if not is_finite_number(level):
+                    raise ValueError(f"{name} ear level at {freq:g} Hz is not a finite number: {level!r}")
+                if not 0.0 <= level <= 120.0:
+                    raise ValueError(f"{name} ear levels must lie in [0, 120] dB HL: {level} at {freq:g} Hz")
+            object.__setattr__(self, name, tuple(float(v) for v in levels))
 
     def ear(self, which):
         if which not in ("left", "right"):
@@ -68,16 +72,10 @@ def load_audiogram(path):
         table = payload[name]
         if not isinstance(table, dict):
             raise ValueError(f"{path}: {name} ear must map frequencies to levels")
-        levels = []
-        for key in (str(int(f)) for f in AUDIOGRAM_FREQUENCIES):
-            if key not in table:
-                raise ValueError(f"{path}: {name} ear lacks frequency '{key}'")
-            level = table[key]
-            if not is_finite_number(level):
-                raise ValueError(f"{path}: {name} ear level at {key} Hz is not a finite number: "
-                                 f"{level!r}")
-            levels.append(float(level))
-        ears.append(tuple(levels))
+        keys = [str(int(f)) for f in AUDIOGRAM_FREQUENCIES]
+        if missing := [key for key in keys if key not in table]:
+            raise ValueError(f"{path}: {name} ear lacks frequency '{missing[0]}'")
+        ears.append([table[key] for key in keys])
     try:
         return Audiogram(left=ears[0], right=ears[1])
     except ValueError as exc:

@@ -385,7 +385,7 @@ def ear_scores(ref, ears, levels):
 
     ref is the clean reference, 1-D or one row (else ValueError); ears
     holds one processed ear signal per row, and levels one audiogram row
-    per ear (dB HL at the six standard frequencies). Returns a tuple of
+    per ear (six levels in [0, 120] dB HL). Returns a tuple of
     one EarScore per row, each equal to that of the row scored alone.
     """
     r = _one_channel(ref, "reference")
@@ -399,6 +399,8 @@ def ear_scores(ref, ears, levels):
         )
     if not np.isfinite(levels).all():
         raise ValueError("need one audiogram of finite levels per ear, got a NaN or infinite level")
+    if ((levels < 0.0) | (levels > 120.0)).any():
+        raise ValueError("need one audiogram of levels in [0, 120] dB HL per ear, got a level outside")
     ref_gain = _rms_gain(r)
     references = {}
     scores = []

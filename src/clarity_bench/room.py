@@ -102,6 +102,17 @@ class AmbiRir:
     image_count: int
 
 
+def direct_path_problem(source, listener, time_limit):
+    """Why no RIR of time_limit seconds joins the two positions, or None:
+    they coincide, or the direct sound arrives after its last frame."""
+    if np.allclose(source, listener):
+        return "source and listener positions coincide"
+    delay = float(np.linalg.norm(np.subtract(source, listener, dtype=np.float64))) / SPEED_OF_SOUND
+    if round(delay * DEFAULT_RATE) >= round(time_limit * DEFAULT_RATE):
+        return f"time limit {time_limit} s ends before the direct path arrives ({delay:.4f} s)"
+    return None
+
+
 def image_source_rir(room, source, listener, order, time_limit):
     """Simulate the Ambisonic RIR between a source and a listener.
 
@@ -123,15 +134,9 @@ def image_source_rir(room, source, listener, order, time_limit):
     dims = np.asarray(room.dimensions)
     src = np.asarray(source.position, dtype=np.float64)
     lis = np.asarray(listener, dtype=np.float64)
-    if np.allclose(src, lis):
-        raise ValueError("source and listener positions coincide")
-    direct = float(np.linalg.norm(src - lis))
+    if problem := direct_path_problem(src, lis, time_limit):
+        raise ValueError(problem)
     frames = int(round(time_limit * DEFAULT_RATE))
-    if int(round(direct / SPEED_OF_SOUND * DEFAULT_RATE)) >= frames:
-        raise ValueError(
-            f"time limit {time_limit} s ends before the direct path arrives "
-            f"({direct / SPEED_OF_SOUND:.4f} s)"
-        )
 
     beta = -np.sqrt(1.0 - room.absorption)
     reach = SPEED_OF_SOUND * time_limit

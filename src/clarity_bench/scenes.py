@@ -36,6 +36,8 @@ scene files that still hold a "directivity" key load with it ignored.
 
 A scene dictionary is read in one walk, `scene_from_dict`: each field is
 checked where it is read, and every problem is reported at once.
+render_scene reads a scene built in code back through it, from
+`scene_to_dict`, so it refuses exactly what the reader refuses.
 """
 
 import json
@@ -52,7 +54,7 @@ from .audio import (  # noqa: F401  (convolve_channels: perfbench/tracing.py wra
     read_wav, rms_array, scale_to_rms, write_wav,
 )
 from .hrtf import DEFAULT_TAPS, binaural_decode, decoder_bank
-from .room import SPEED_OF_SOUND, RoomSpec, SourceSpec, image_source_rir, is_finite_number
+from .room import SPEED_OF_SOUND, RoomSpec, SourceSpec, direct_path_problem, image_source_rir, is_finite_number
 from .workers import ordered_map
 
 PAPER_ROOM = RoomSpec(dimensions=(6.6, 5.8, 2.8), absorption=0.438)
@@ -233,14 +235,16 @@ def scene_to_dict(scene):
     """The scene dictionary that scene_from_dict reads back: the
     dataclass fields as lists and numbers, less the source fields that
     are None, with each interferer's kind beside its source and the
-    trajectory as its [time, yaw] pairs."""
+    trajectory as its [time, yaw] pairs. A part that is None is written
+    as null, for the reader to name."""
     payload = _as_lists(asdict(scene))
-    listener = payload["listener"]
-    listener["trajectory"] = listener["trajectory"]["breakpoints"]
-    for placed in (payload["target"], *payload["interferers"]):
-        placed["source"] = {key: value for key, value in placed["source"].items() if value is not None}
-    for interferer in payload["interferers"]:
-        interferer["kind"] = interferer["source"]["kind"]
+    if (listener := payload["listener"]) is not None:
+        listener["trajectory"] = (listener["trajectory"] or {}).get("breakpoints")
+    for index, placed in enumerate((payload["target"], *(payload["interferers"] or ()))):
+        if placed is not None and placed["source"] is not None:
+            placed["source"] = {key: value for key, value in placed["source"].items() if value is not None}
+            if index:
+                placed["kind"] = placed["source"]["kind"]
     return payload
 
 
@@ -249,98 +253,28 @@ def is_seed(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def scene_problems(scene):
-    """The rules that a SceneSpec breaks, each as "path: complaint", in
-    field order; empty when it keeps them all. This is the one checker of
-    a scene: scene_from_dict and render_scene both call it.
-
-    Numbers must be finite and not booleans (`is_finite_number`).
-    Positions are three numbers inside the room. There are 1 to 3
-    interferers. Every source needs an onset_s >= 0; its duration_s,
-    which a synthetic source (no file) must give, is > 0, and a synthetic
-    one lasts at least one sample at DEFAULT_RATE; a given file is a
-    string; a given synth_seed is a non-negative integer; and onset plus
-    duration must not pass MAX_SCENE_SECONDS. Every source.kind is one of
-    SOURCE_KINDS. snr_db is None or within MAX_ABS_SNR_DB, the fidelity
-    is one of FIDELITY_NAMES and the seed is a non-negative integer. The
-    room and the trajectory keep their own rules (RoomSpec,
-    RotationTrajectory). A part that is None, which the reader leaves
-    where it could not build one, is skipped; interferers None means no
-    list.
-    """
-    problems = []
-    room = scene.room
-
-    def position(path, pos):
-        if not (isinstance(pos, (list, tuple)) and len(pos) == 3 and all(map(is_finite_number, pos))):
-            problems.append(f"{path}: need three finite coordinates")
-        elif room is not None and not all(0 < p < d for p, d in zip(pos, room.dimensions)):
-            problems.append(f"{path}: position {list(pos)} outside room bounds {list(room.dimensions)}")
-
-    def placed(path, spec):
-        position(f"{path}.position", spec.position)
-        onset, src = spec.onset_s, spec.source
-        if not (is_finite_number(onset) and onset >= 0):
-            problems.append(f"{path}.onset_s: must be a finite number >= 0, got {onset!r}")
-            onset = 0.0
-        if src is None:
-            return
-        if src.kind not in SOURCE_KINDS:
-            problems.append(f"{path}.source.kind: must be one of {SOURCE_KINDS}, got {src.kind!r}")
-        if src.synth_seed is not None and not is_seed(src.synth_seed):
-            problems.append(f"{path}.source.synth_seed: must be a non-negative integer, got {src.synth_seed!r}")
-        if src.file is not None and not isinstance(src.file, str):
-            problems.append(f"{path}.source.file: must be a path string, got {src.file!r}")
-        duration, length = src.duration_s, 0.0
-        if src.file is None or duration is not None:
-            if is_finite_number(duration) and duration > 0:
-                length = duration
-                if src.file is None and round(duration * DEFAULT_RATE) < 1:
-                    problems.append(f"{path}.source.duration_s: {duration!r} s is shorter "
-                                    f"than one sample at {DEFAULT_RATE} Hz")
-            else:
-                need = "a synthetic source needs" if src.file is None else "must be"
-                problems.append(f"{path}.source.duration_s: {need} a finite duration > 0, "
-                                f"got {duration!r}")
-        if onset + length > MAX_SCENE_SECONDS:
-            problems.append(f"{path}: ends at {onset + length:g} s, after the "
-                            f"{MAX_SCENE_SECONDS:g} s scene limit")
-
-    if scene.target is not None:
-        placed("target", scene.target)
-    count = None if scene.interferers is None else len(scene.interferers)
-    if count is None or not 1 <= count <= 3:
-        problems.append(f"interferers: need between 1 and 3, got {'none' if count is None else count}")
-    for i, spec in enumerate(scene.interferers or ()):
-        if spec is not None:
-            placed(f"interferers[{i}]", spec)
-    if scene.listener is not None:
-        position("listener.position", scene.listener.position)
-    snr = scene.snr_db
-    if snr is not None and not (is_finite_number(snr) and abs(snr) <= MAX_ABS_SNR_DB):
-        problems.append(f"snr_db: must be null or a number within +-{MAX_ABS_SNR_DB:g}, got {snr!r}")
-    if scene.fidelity not in FIDELITY_NAMES:
-        problems.append(f"fidelity: must be one of {FIDELITY_NAMES}")
-    if not is_seed(scene.seed):
-        problems.append(f"seed: must be a non-negative integer, got {scene.seed!r}")
-    return problems
-
-
 def scene_from_dict(payload, directory=None):
     """Build a SceneSpec from a scene dictionary and check it.
 
-    This is the one reader of a scene dictionary: every problem found is
-    collected, prefixed by its path, into one ValueError that joins them
-    by "; ". The reader checks the shape of the dictionary and builds the
-    scene from what it holds; scene_problems then checks the values. The
-    room and the listener trajectory are checked by building a RoomSpec
-    and a RotationTrajectory, so their rules live in one place; a room's
-    speed_of_sound, which scene_to_dict does not write, must be
-    SPEED_OF_SOUND when given. An absent onset_s means 0 and an absent
-    target source.kind means speech. An interferer's "kind" must be one
-    of SOURCE_KINDS, and its source.kind, when given, must equal it; the
-    interferer's PlacedSource keeps the kind in its source only. A
-    relative source file is joined to `directory` when one is given.
+    This is the one checker of a scene. It walks the dictionary once and
+    collects every problem, prefixed by its path, in field order into one
+    ValueError that joins them by "; ". Numbers must be finite and not
+    booleans (`is_finite_number`). RoomSpec and RotationTrajectory keep
+    the room's and the trajectory's rules; a room's speed_of_sound, which
+    scene_to_dict does not write, must be SPEED_OF_SOUND when given.
+    Positions are three numbers inside the room, and the direct sound of
+    every source must reach the listener within DEFAULT_RIR_SECONDS
+    (`direct_path_problem`). There are 1 to 3 interferers. Every source
+    needs an onset_s >= 0 (absent means 0); its duration_s, which a
+    synthetic source (no file) must give, is > 0, and a synthetic one
+    lasts at least one sample at DEFAULT_RATE; a given file is a string,
+    joined to `directory` when one is given and the file is relative; a
+    given synth_seed is a non-negative integer; and onset plus duration
+    must not pass MAX_SCENE_SECONDS. Every source.kind is one of
+    SOURCE_KINDS (absent means speech for the target); an interferer's
+    "kind" is too, and its source.kind, when given, must equal it. snr_db
+    is None or within MAX_ABS_SNR_DB, the fidelity is one of
+    FIDELITY_NAMES and the seed is a non-negative integer.
     """
     if not isinstance(payload, dict):
         raise ValueError("scene: must be an object")
@@ -362,62 +296,98 @@ def scene_from_dict(payload, directory=None):
         except ValueError as exc:
             problems.append(f"room: {exc}")
 
+    def misplaced(pos, listener=None):
+        """Why pos is not a position inside the room whose direct sound
+        reaches `listener`, when one is given; None if it is."""
+        if not (isinstance(pos, (list, tuple)) and len(pos) == 3 and all(map(is_finite_number, pos))):
+            return "need three finite coordinates"
+        if room is not None and not all(0 < p < d for p, d in zip(pos, room.dimensions)):
+            return f"position {list(pos)} outside room bounds {list(room.dimensions)}"
+        return None if listener is None else direct_path_problem(pos, listener, DEFAULT_RIR_SECONDS)
+
+    # The sources are checked against the listener's position when it is one.
+    spec = payload.get("listener")
+    hearer = spec.get("position") if isinstance(spec, dict) and not misplaced(spec.get("position")) else None
+
     def placed(path, spec, kind=None):
-        """The PlacedSource of a target or interferer entry, its source
-        None when there is no source description; a given source.kind
-        must equal `kind` when there is one."""
+        """The PlacedSource of a target or interferer entry; a given
+        source.kind must equal `kind` when there is one."""
         position = spec.get("position")
-        position = tuple(position) if isinstance(position, list) else position
+        if why := misplaced(position, hearer):
+            problems.append(f"{path}.position: {why}")
         onset = spec.get("onset_s", 0.0)
+        if not (is_finite_number(onset) and onset >= 0):
+            problems.append(f"{path}.onset_s: must be a finite number >= 0, got {onset!r}")
+            onset = 0.0
         src = spec.get("source")
         if not isinstance(src, dict):
             problems.append(f"{path}.source: missing source description")
-            return PlacedSource(position, None, onset)
+            return None
         given = src.get("kind", kind or SOURCE_KINDS[0])
-        if kind is not None and given != kind and given in SOURCE_KINDS:
+        if given not in SOURCE_KINDS:
+            problems.append(f"{path}.source.kind: must be one of {SOURCE_KINDS}, got {given!r}")
+        elif kind is not None and given != kind:
             problems.append(f"{path}.source.kind: must be the interferer's kind {kind!r}, got {given!r}")
-        file = src.get("file")
+        seed, file, duration = src.get("synth_seed"), src.get("file"), src.get("duration_s")
+        if seed is not None and not is_seed(seed):
+            problems.append(f"{path}.source.synth_seed: must be a non-negative integer, got {seed!r}")
+        if file is not None and not isinstance(file, str):
+            problems.append(f"{path}.source.file: must be a path string, got {file!r}")
+        length = duration if is_finite_number(duration) and duration > 0 else 0.0
+        if not length and (file is None or duration is not None):
+            need = "a synthetic source needs" if file is None else "must be"
+            problems.append(f"{path}.source.duration_s: {need} a finite duration > 0, got {duration!r}")
+        elif file is None and round(length * DEFAULT_RATE) < 1:
+            problems.append(f"{path}.source.duration_s: {duration!r} s is shorter "
+                            f"than one sample at {DEFAULT_RATE} Hz")
+        if onset + length > MAX_SCENE_SECONDS:
+            problems.append(f"{path}: ends at {onset + length:g} s, after the "
+                            f"{MAX_SCENE_SECONDS:g} s scene limit")
         if isinstance(file, str) and directory is not None:
             file = os.path.join(directory, file)
-        source = SourceSignal(given, src.get("duration_s"), src.get("synth_seed"), file)
-        return PlacedSource(position, source, onset)
+        position = tuple(position) if isinstance(position, list) else position
+        return PlacedSource(position, SourceSignal(given, duration, seed, file), onset)
 
     target = None
     if (spec := section("target")) is not None:
         target = placed("target", spec)
 
     entries = payload.get("interferers")
-    interferers = None
-    if isinstance(entries, list):
-        interferers = []
-        for i, spec in enumerate(entries):
-            path = f"interferers[{i}]"
-            if not isinstance(spec, dict):
-                problems.append(f"{path}: not an object")
-                interferers.append(None)
-                continue
-            kind = spec.get("kind")
-            if kind not in SOURCE_KINDS:
-                problems.append(f"{path}.kind: must be {', '.join(SOURCE_KINDS[:-1])} or {SOURCE_KINDS[-1]}")
-            interferers.append(placed(path, spec, kind if kind in SOURCE_KINDS else None))
-        interferers = tuple(interferers)
+    count = len(entries) if isinstance(entries, list) else None
+    if count is None or not 1 <= count <= 3:
+        problems.append(f"interferers: need between 1 and 3, got {'none' if count is None else count}")
+    interferers = []
+    for i, spec in enumerate(entries if count else ()):
+        path = f"interferers[{i}]"
+        if not isinstance(spec, dict):
+            problems.append(f"{path}: not an object")
+            continue
+        kind = spec.get("kind")
+        if kind not in SOURCE_KINDS:
+            problems.append(f"{path}.kind: must be {', '.join(SOURCE_KINDS[:-1])} or {SOURCE_KINDS[-1]}")
+        interferers.append(placed(path, spec, kind if kind in SOURCE_KINDS else None))
 
     listener = None
     if (spec := section("listener")) is not None:
         position = spec.get("position")
-        trajectory = None
+        if why := misplaced(position):
+            problems.append(f"listener.position: {why}")
         try:
             trajectory = RotationTrajectory(spec.get("trajectory") or ())
+            listener = ListenerSpec(tuple(position) if isinstance(position, list) else position, trajectory)
         except ValueError as exc:
             problems.append(f"listener.trajectory: {exc}")
-        listener = ListenerSpec(tuple(position) if isinstance(position, list) else position, trajectory)
 
-    scene = SceneSpec(room, target, interferers, listener, payload.get("snr_db"),
-                      payload.get("fidelity"), payload.get("seed"))
-    problems += scene_problems(scene)
+    snr = payload.get("snr_db")
+    if snr is not None and not (is_finite_number(snr) and abs(snr) <= MAX_ABS_SNR_DB):
+        problems.append(f"snr_db: must be null or a number within +-{MAX_ABS_SNR_DB:g}, got {snr!r}")
+    if (fidelity := payload.get("fidelity")) not in FIDELITY_NAMES:
+        problems.append(f"fidelity: must be one of {FIDELITY_NAMES}")
+    if not is_seed(seed := payload.get("seed")):
+        problems.append(f"seed: must be a non-negative integer, got {seed!r}")
     if problems:
         raise ValueError("; ".join(problems))
-    return scene
+    return SceneSpec(room, target, tuple(interferers), listener, snr, fidelity, seed)
 
 
 def load_scene(path):
@@ -653,12 +623,11 @@ def render_scene(scene, profile=None, keep_components=False):
     interferer and noise ear signals, which sum to the ears; the target
     and interferer ears come from their own renders. A file source that
     ends after MAX_SCENE_SECONDS raises ValueError before any
-    impulse response is computed. A scene that breaks a rule of
-    scene_problems raises the reader's ValueError before any source is
-    synthesized.
+    impulse response is computed. Before any source is synthesized the
+    scene is read back from scene_to_dict(scene), so it raises the
+    reader's ValueError where it breaks a rule of scene_from_dict.
     """
-    if problems := scene_problems(scene):
-        raise ValueError("; ".join(problems))
+    scene = scene_from_dict(scene_to_dict(scene))
     profile = profile or FidelityProfile.from_name(scene.fidelity)
     listener = np.asarray(scene.listener.position)
     absorption = min(1.0, scene.room.absorption * profile.absorption_scale)

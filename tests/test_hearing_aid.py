@@ -56,6 +56,10 @@ def test_audiogram_validation():
         Audiogram(left=(0, 0, 0, 0, 0), right=(0,) * 6)
     with pytest.raises(ValueError):
         Audiogram(left=(0, 0, 0, 0, 0, 130), right=(0,) * 6)
+    with pytest.raises(ValueError, match="left ear level at 250 Hz is not a finite number: '40'"):
+        Audiogram(left=("40",) * 6, right=(True,) * 6)
+    with pytest.raises(ValueError, match="right ear level at 250 Hz is not a finite number: True"):
+        Audiogram(left=(40,) * 6, right=(True,) * 6)
 
 
 def test_design_fir_identity_curve():

@@ -399,6 +399,10 @@ def test_two_ear_call_filters_a_shared_reference_once(monkeypatch, score, ears, 
     (SHARED, np.where(EAR_ROWS == 40.0, np.inf, EAR_ROWS)),
     (SHARED[0], np.full(6, np.nan)),
     (SHARED[0], np.full(6, -np.inf)),
+    (SHARED, np.full((2, 6), -500.0)),
+    (SHARED, np.full((2, 6), 1e6)),
+    (SHARED[0], np.full(6, -500.0)),
+    (SHARED[0], np.full(6, 1e6)),
 ])
 def test_scores_need_one_audiogram_row_per_signal_row(proc, levels):
     for score in (ear_scores, intelligibility_score, quality_score):

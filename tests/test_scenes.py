@@ -239,6 +239,9 @@ BAD_SOURCE_FIELDS = [
     (("snr_db",), 10000, "snr_db"),
     (("snr_db",), -60.5, "snr_db"),
     (("snr_db",), 60.5, "snr_db"),
+    (("target", "position"), [4.0, 4.0, 1.6], "target.position: source and listener positions coincide"),
+    (("interferers", 0, "position"), (4.0, 4.0, 1.6),
+     "interferers[0].position: source and listener positions coincide"),
 ]
 
 
@@ -626,6 +629,23 @@ def moved_first_interferer(scene, position):
     return replace(scene, interferers=(first, *scene.interferers[1:]))
 
 
+def far_target(scene):
+    # 248 m from the listener in a 300 m room: the direct sound takes
+    # 0.723 s, past the 0.35 s RIR.
+    x, y, z = scene.listener.position
+    return replace(scene, room=replace(scene.room, dimensions=(300.0, 5.8, 2.8)),
+                   target=replace(scene.target, position=(x + 248.0, y, z)))
+
+
+def first_interferer_source(scene, source):
+    first = replace(scene.interferers[0], source=source)
+    return replace(scene, interferers=(first, *scene.interferers[1:]))
+
+
+def measured(scene):
+    return replace(scene, fidelity="measured_like")
+
+
 @pytest.mark.parametrize("change, text", [
     (lambda s: replace(s, snr_db=float("nan")), "snr_db: must be null or a number within +-60, got nan"),
     (lambda s: replace(s, snr_db=500.0), "snr_db: must be null or a number within +-60, got 500.0"),
@@ -633,7 +653,30 @@ def moved_first_interferer(scene, position):
      "interferers[0].position: position [100, 1, 1] outside room bounds [6.6, 5.8, 2.8]"),
     (lambda s: replace(s, target=replace(s.target, onset_s=-0.5)),
      "target.onset_s: must be a finite number >= 0, got -0.5"),
-], ids=["snr_db=nan", "snr_db=500", "interferer outside the room", "negative onset"])
+    (lambda s: moved_first_interferer(s, s.listener.position),
+     "interferers[0].position: source and listener positions coincide"),
+    (lambda s: measured(moved_first_interferer(s, s.listener.position)),
+     "interferers[0].position: source and listener positions coincide"),
+    (far_target, "target.position: time limit 0.35 s ends before the direct path arrives (0.7230 s)"),
+    (lambda s: measured(far_target(s)),
+     "target.position: time limit 0.35 s ends before the direct path arrives (0.7230 s)"),
+    (lambda s: replace(s, target=None), "target: missing or not an object"),
+    (lambda s: replace(s, listener=None), "listener: missing or not an object"),
+    (lambda s: replace(s, listener=replace(s.listener, trajectory=None)),
+     "listener.trajectory: trajectory needs at least one breakpoint"),
+    (lambda s: replace(s, interferers=None), "interferers: need between 1 and 3, got none"),
+    (lambda s: replace(s, interferers=(None, *s.interferers[1:])), "interferers[0]: not an object"),
+    (lambda s: replace(s, target=replace(s.target, source=None)), "target.source: missing source description"),
+    (lambda s: first_interferer_source(s, None),
+     "interferers[0].kind: must be speech, noise or music; interferers[0].source: missing source description"),
+    (lambda s: first_interferer_source(s, replace(s.interferers[0].source, kind="bogus")),
+     "interferers[0].kind: must be speech, noise or music; "
+     "interferers[0].source.kind: must be one of ('speech', 'noise', 'music'), got 'bogus'"),
+], ids=["snr_db=nan", "snr_db=500", "interferer outside the room", "negative onset",
+        "interferer at the listener", "interferer at the listener, measured_like",
+        "target beyond the RIR", "target beyond the RIR, measured_like",
+        "no target", "no listener", "no trajectory", "no interferer list", "no interferer",
+        "no target source", "no interferer source", "unknown interferer kind"])
 def test_render_rejects_a_scene_built_in_code_as_the_reader_does(monkeypatch, change, text):
     from clarity_bench import signals
 
@@ -649,6 +692,21 @@ def test_render_rejects_a_scene_built_in_code_as_the_reader_does(monkeypatch, ch
     with pytest.raises(ValueError) as rendered:
         render_scene(scene)
     assert str(rendered.value) == text
+
+
+def test_render_takes_array_positions_as_the_reader_does():
+    scene = simple_scene()
+    arrays = replace(
+        scene,
+        target=replace(scene.target, position=np.array(scene.target.position)),
+        interferers=tuple(replace(i, position=np.array(i.position)) for i in scene.interferers),
+        listener=replace(scene.listener, position=np.array(scene.listener.position)),
+    )
+    profile = FidelityProfile.measured_like()
+    got, want = render_scene(arrays, profile), render_scene(scene, profile)
+    assert np.array_equal(got.ears.data, want.ears.data)
+    assert np.array_equal(got.reference.data, want.reference.data)
+    assert got.record == want.record
 
 
 @pytest.mark.parametrize("which", ["target", "interferers[0]"])
