@@ -12,13 +12,14 @@ aid ear signals:
     ->  ears, stitched by frame
 
 The W pass convolves the dry sources, each at its onset, with only the
-omnidirectional (W) channel of their impulse responses, giving two
-signals: the target's W and the interferer sum's W. From them
-mix_at_snr takes one scalar, the interferer gain, which scales the
-interferers' inputs. Rotation and decode are linear and, while the yaw is
-held, time-invariant; so before the listener turns and after the turn
-the ears are the sources convolved with their binaural RIRs (each RIR
-decoded at the held yaw through hrtf.decoder_bank). Over the turn, the
+omnidirectional (W) channel of their impulse responses over the
+target-active frames (the target's onset to the end of its tail),
+giving two signals: the target's W and the interferer sum's W. From
+them mix_at_snr takes one scalar, the interferer gain, which scales the
+interferers' inputs. Rotation and decode are linear and, while the yaw
+is held, time-invariant; so before the listener turns and after the
+turn the ears are the sources convolved with their binaural RIRs (each
+RIR decoded at the held yaw through hrtf.decoder_bank). Over the turn, the
 field pass convolves the target and the gain-scaled interferers with
 every Ambisonic channel at once, so the mixed field is rendered in one
 pass and no per-source field is formed; apply_trajectory rotates it and
@@ -95,10 +96,15 @@ class FidelityProfile:
     absorption_scale: float = 1.0
 
     def __post_init__(self):
-        if not 1 <= self.ambisonic_order <= 6:
-            raise ValueError(f"ambisonic order must be 1..6, got {self.ambisonic_order}")
+        order, noise, scale = self.ambisonic_order, self.transducer_noise_db, self.absorption_scale
+        if not (isinstance(order, int) and not isinstance(order, bool) and 1 <= order <= 6):
+            raise ValueError(f"ambisonic order must be an integer 1..6, got {order!r}")
         if self.interferer_directivity not in ("omni", "cardioid"):
             raise ValueError(f"unknown directivity {self.interferer_directivity!r}")
+        if noise is not None and not is_finite_number(noise):
+            raise ValueError(f"transducer noise level must be None or a finite number, got {noise!r}")
+        if not (is_finite_number(scale) and scale > 0):
+            raise ValueError(f"absorption scale must be a finite number > 0, got {scale!r}")
 
     @classmethod
     def simulated(cls):
@@ -164,10 +170,8 @@ class RotationTrajectory:
         object.__setattr__(self, "breakpoints", pts)
 
     def yaw_at(self, times):
-        t = np.asarray(times, dtype=np.float64)
-        knots = np.array([p[0] for p in self.breakpoints])
-        yaws = np.array([p[1] for p in self.breakpoints])
-        return np.interp(t, knots, yaws)
+        knots, yaws = np.array(self.breakpoints).T
+        return np.interp(times, knots, yaws)
 
 
 @dataclass(frozen=True)
@@ -221,8 +225,8 @@ class SceneSpec:
 
 
 def _as_lists(value):
-    """value with every tuple and array in it turned into a list."""
-    if isinstance(value, np.ndarray):
+    """value with every tuple and array in it a list, every NumPy number a Python one."""
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     if isinstance(value, dict):
         return {key: _as_lists(item) for key, item in value.items()}
@@ -406,27 +410,24 @@ def load_scene(path):
 
 
 def save_scene(scene, path):
+    """Write scene_to_dict(scene) as JSON, encoded in full before the file is opened."""
+    text = json.dumps(scene_to_dict(scene), indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fp:
-        json.dump(scene_to_dict(scene), fp, indent=2, sort_keys=True)
+        fp.write(text)
 
 
-def mix_at_snr(target_w, interferer_w, snr_db, active_range):
+def mix_at_snr(target_w, interferer_w, snr_db):
     """The gain on the summed interferers that hits an SNR against the target.
 
-    The SNR is defined on the omnidirectional (W) channel over the
-    target-active frame range, before any decoding: target_w and
-    interferer_w are the W signals of the target and of the interferer
-    sum, one length. snr_db None gives gain 1.
+    The SNR is defined on the omnidirectional (W) channel, before any
+    decoding: target_w and interferer_w are the W signals of the target
+    and of the interferer sum over the frames the SNR reads, the
+    target-active ones in a render. snr_db None gives gain 1.
     """
     if snr_db is None:
         return 1.0
-    start, stop = active_range
-    start = max(0, int(start))
-    stop = min(target_w.size, int(stop))
-    if stop <= start:
-        raise ValueError("empty target-active range")
-    target_rms = rms_array(target_w[start:stop])
-    interferer_rms = rms_array(interferer_w[start:stop])
+    target_rms = rms_array(target_w)
+    interferer_rms = rms_array(interferer_w)
     if interferer_rms == 0.0:
         raise ValueError("interferer sum is silent over the target-active range")
     if target_rms == 0.0:
@@ -612,20 +613,21 @@ def render_scene(scene, profile=None, keep_components=False):
     """Render a scene to hearing-aid ear signals plus the scoring reference.
 
     Deterministic in (scene, profile). The stages are: dry sources and
-    their room impulse responses -> W pass and interferer gain -> ears
-    (_render_ears): binaural RIRs where the listener holds still, and
-    the mixed field -> transducer noise -> head rotation -> binaural
-    decode over the head turn, or over the whole scene when there is
-    self-noise. The reference is the dry target utterance RMS-normalized
-    to -26 dBFS. The record holds target_lag, the frame at which the
-    target's direct sound reaches the ears: its onset plus the direct
-    path plus the HRTF centre tap. keep_components adds the target,
-    interferer and noise ear signals, which sum to the ears; the target
-    and interferer ears come from their own renders. A file source that
-    ends after MAX_SCENE_SECONDS raises ValueError before any
-    impulse response is computed. Before any source is synthesized the
-    scene is read back from scene_to_dict(scene), so it raises the
-    reader's ValueError where it breaks a rule of scene_from_dict.
+    their room impulse responses -> W pass over the target-active frames
+    and interferer gain -> ears (_render_ears): binaural RIRs where the
+    listener holds still, and the mixed field -> transducer noise ->
+    head rotation -> binaural decode over the head turn, or over the
+    whole scene when there is self-noise. The reference is the dry target
+    utterance RMS-normalized to -26 dBFS. The record holds duration_s,
+    the ears' length, and target_lag, the frame at which the target's
+    direct sound reaches the ears: its onset plus the direct path plus
+    the HRTF centre tap. keep_components adds the target, interferer and
+    noise ear signals, which sum to the ears; the target and interferer
+    ears come from their own renders. A file source that ends after
+    MAX_SCENE_SECONDS raises ValueError before any impulse response is
+    computed. Before any source is synthesized the scene is read back
+    from scene_to_dict(scene), so it raises the reader's ValueError where
+    it breaks a rule of scene_from_dict.
     """
     scene = scene_from_dict(scene_to_dict(scene))
     profile = profile or FidelityProfile.from_name(scene.fidelity)
@@ -661,22 +663,20 @@ def render_scene(scene, profile=None, keep_components=False):
     for row, onset, dry in zip(placed, onsets, drys):
         row[onset : onset + dry.size] = dry
     rirs = np.stack(rirs, axis=1)
-    taps = rirs.shape[2]
-    frames = placed.shape[1] + taps - 1
-    active = (onsets[0], onsets[0] + drys[0].size + taps - 1)
+    active = (onsets[0], onsets[0] + drys[0].size + rirs.shape[2] - 1)
 
-    # The W pass gives the target and interferer-sum W signals, which fix
-    # the interferer gain; scaling the interferer inputs by it makes each
-    # later pass render the mix.
+    # The W pass gives the target and interferer-sum W signals over the
+    # target-active frames, which fix the interferer gain; scaling the
+    # interferer inputs by it makes each later pass render the mix.
     w_kernels = np.zeros((2, *rirs.shape[1:]))
     w_kernels[0, 0] = rirs[0, 0]
     w_kernels[1, 1:] = rirs[0, 1:]
-    target_w, interferer_w = convolve_sum(placed, w_kernels)
-    interferer_gain = mix_at_snr(target_w, interferer_w, scene.snr_db, active)
+    target_w, interferer_w = convolve_sum(placed, w_kernels, *active)
+    interferer_gain = mix_at_snr(target_w, interferer_w, scene.snr_db)
     placed[1:] *= interferer_gain
     noise = None
     if profile.transducer_noise_db is not None:
-        noise = (profile.transducer_noise_db, child_seeds[4], rms_array(target_w[active[0] : active[1]]))
+        noise = (profile.transducer_noise_db, child_seeds[4], rms_array(target_w))
     trajectory = scene.listener.trajectory
     ears = _render_ears(placed, rirs, trajectory, noise)
 
@@ -688,7 +688,7 @@ def render_scene(scene, profile=None, keep_components=False):
         "fidelity": scene.fidelity,
         "snr_db": scene.snr_db,
         "profile": asdict(profile),
-        "duration_s": frames / DEFAULT_RATE,
+        "duration_s": ears.frames / DEFAULT_RATE,
         "interferer_gain": float(interferer_gain),
         "ear_gain": float(EAR_CALIBRATION_GAIN),
         "target_onset_s": scene.target.onset_s,

@@ -53,11 +53,10 @@ def full_field_render(scene, profile=None, keep_components=False):
     w_kernels = np.zeros((2, *rirs.shape[1:]))
     w_kernels[0, 0] = rirs[0, 0]
     w_kernels[1, 1:] = rirs[0, 1:]
-    target_w, interferer_w = convolve_sum(placed, w_kernels)
-    placed[1:] *= mix_at_snr(target_w, interferer_w, scene.snr_db, active)
+    target_w, interferer_w = convolve_sum(placed, w_kernels)[:, active[0] : active[1]]
+    placed[1:] *= mix_at_snr(target_w, interferer_w, scene.snr_db)
     mixed = AmbiSignal(convolve_sum(placed, rirs))
-    noisy = add_transducer_noise(mixed, profile.transducer_noise_db, child_seeds[4],
-                                 rms_array(target_w[active[0] : active[1]]))
+    noisy = add_transducer_noise(mixed, profile.transducer_noise_db, child_seeds[4], rms_array(target_w))
 
     def to_ears(field):
         decoded = binaural_decode(apply_trajectory(field, scene.listener.trajectory))

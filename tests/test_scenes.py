@@ -82,6 +82,26 @@ def test_profile_defaults():
         FidelityProfile(ambisonic_order=7)
 
 
+@pytest.mark.parametrize("knob, value", [
+    ("ambisonic_order", 2.5),
+    ("ambisonic_order", True),
+    ("ambisonic_order", "6"),
+    ("transducer_noise_db", float("inf")),
+    ("transducer_noise_db", float("nan")),
+    ("transducer_noise_db", "-25"),
+    ("absorption_scale", float("nan")),
+    ("absorption_scale", float("inf")),
+    ("absorption_scale", 0.0),
+    ("absorption_scale", -0.5),
+    ("absorption_scale", None),
+])
+def test_profile_rejects_knobs_the_renderer_cannot_use(knob, value):
+    # nan absorption rendered an anechoic room, inf or nan noise gave
+    # non-finite ears, and a float or boolean order failed deep in the RIR.
+    with pytest.raises(ValueError, match=knob.split("_")[0]):
+        FidelityProfile(**{knob: value})
+
+
 def test_profile_single_knob_toggles():
     for knob, field in [
         ("order", "ambisonic_order"),
@@ -136,6 +156,25 @@ def test_scene_with_array_positions_saves_and_loads_back(tmp_path):
     path = tmp_path / "scene.json"
     save_scene(arrays, path)
     assert load_scene(path) == scene
+
+
+def test_scene_with_numpy_integers_saves_loads_and_renders_as_ints(tmp_path):
+    scene = simple_scene()
+    numpy_ints = replace(scene, seed=np.int64(scene.seed), target=replace(
+        scene.target, source=replace(scene.target.source, synth_seed=np.int64(5))))
+    path = tmp_path / "scene.json"
+    save_scene(numpy_ints, path)
+    assert load_scene(path) == scene
+    rendered, plain = render_scene(numpy_ints), render_scene(scene)
+    assert np.array_equal(rendered.ears.data, plain.ears.data)
+    assert rendered.record == plain.record
+
+
+def test_save_scene_leaves_no_file_when_json_cannot_encode_it(tmp_path):
+    path = tmp_path / "scene.json"
+    with pytest.raises(TypeError):
+        save_scene(replace(simple_scene(), seed=object()), path)
+    assert not path.exists()
 
 
 def test_scene_json_directivity_key_is_ignored():
@@ -329,12 +368,12 @@ def w_with_rms(target_rms, interferer_rms, frames=4000):
 
 def test_mix_equal_rms_zero_snr_keeps_gain_one():
     target, interferer = w_with_rms(0.1, 0.1)
-    assert mix_at_snr(target, interferer, 0.0, (0, 4000)) == pytest.approx(1.0, abs=1e-12)
+    assert mix_at_snr(target, interferer, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mix_plus_6db_gain():
     target, interferer = w_with_rms(0.1, 0.1)
-    gain = mix_at_snr(target, interferer, 6.0, (0, 4000))
+    gain = mix_at_snr(target, interferer, 6.0)
     assert gain == pytest.approx(10 ** (-6 / 20), abs=1e-9)
 
 
@@ -343,7 +382,7 @@ def test_mix_achieved_snr_within_tenth_db():
     for _ in range(100):
         target, interferer = w_with_rms(rng.uniform(0.02, 0.5), rng.uniform(0.02, 0.5))
         snr = rng.uniform(-12.0, 12.0)
-        gain = mix_at_snr(target, interferer, snr, (0, 4000))
+        gain = mix_at_snr(target, interferer, snr)
         achieved = 20 * np.log10(rms_array(target) / rms_array(gain * interferer))
         assert achieved == pytest.approx(snr, abs=0.1)
         assert gain == pytest.approx(rms_array(target) / rms_array(interferer) * 10 ** (-snr / 20.0),
@@ -353,11 +392,9 @@ def test_mix_achieved_snr_within_tenth_db():
 def test_mix_rejects_silent_interferers():
     target, _ = w_with_rms(0.1, 0.1)
     with pytest.raises(ValueError, match="interferer sum is silent"):
-        mix_at_snr(target, np.zeros(4000), 0.0, (0, 4000))
+        mix_at_snr(target, np.zeros(4000), 0.0)
     with pytest.raises(ValueError, match="target is silent"):
-        mix_at_snr(np.zeros(4000), target, 0.0, (0, 4000))
-    with pytest.raises(ValueError, match="empty target-active range"):
-        mix_at_snr(target, target, 0.0, (4000, 5000))
+        mix_at_snr(np.zeros(4000), target, 0.0)
 
 
 # --- trajectory application ------------------------------------------------
@@ -772,20 +809,21 @@ def test_transducer_noise_strictly_lowers_component_snr():
     # better-ear SNR drops on every scene. (Order truncation, by contrast,
     # moves raw ear SNR either way -- its damage shows up in the scores,
     # not in this energy ratio.)
+    # The noise knob leaves the target and interferer ears as they are, so
+    # one noisy render gives both SNRs: the clean render's is the target
+    # against the interferers alone.
     scenes = draw_scenes(6, seed=31)
     for scene in scenes:
-        def ear_snr(profile):
-            r = render_scene(scene, profile=profile, keep_components=True)
-            sig = np.sum(r.components["target_ears"].data ** 2, axis=1)
-            rest = (
-                r.components["interferer_ears"].data
-                + r.components["noise_ears"].data
-            )
+        r = render_scene(scene, profile=FidelityProfile.with_knob("transducer_noise"), keep_components=True)
+        sig = np.sum(r.components["target_ears"].data ** 2, axis=1)
+
+        def ear_snr(rest):
             rest_energy = np.sum(rest**2, axis=1)
             return float(np.max(10 * np.log10(sig / rest_energy)))
 
-        noisy = ear_snr(FidelityProfile.simulated().with_knob("transducer_noise"))
-        clean = ear_snr(FidelityProfile.simulated())
+        interferers = r.components["interferer_ears"].data
+        noisy = ear_snr(interferers + r.components["noise_ears"].data)
+        clean = ear_snr(interferers)
         assert noisy < clean
 
 
@@ -836,16 +874,17 @@ def test_generate_dataset_measured_like_records_profile(tmp_path):
 
 def test_mix_returns_its_gain():
     target, interferer = w_with_rms(0.1, 0.2)
-    gain = mix_at_snr(target, interferer, 6.0, (0, 4000))
+    gain = mix_at_snr(target, interferer, 6.0)
     assert gain == pytest.approx(0.5 * 10 ** (-6 / 20), rel=1e-12)
-    assert mix_at_snr(target, interferer, None, (0, 4000)) == 1.0
+    assert mix_at_snr(target, interferer, None) == 1.0
 
 
 def test_mix_w_equals_mixed_field_w(monkeypatch):
-    # The gain comes from a W-only pass; the mixed field comes from one
-    # pass over every channel with the interferers pre-scaled by it. A
-    # render forms the field only over the head turn, so the whole field
-    # is the full-field oracle's.
+    # The gain comes from a W-only pass over the target-active frames, its
+    # onset to the end of its tail; the mixed field comes from one pass
+    # over every channel with the interferers pre-scaled by it. A render
+    # forms the field only over the head turn, so the whole field is the
+    # full-field oracle's.
     from clarity_bench import scenes
 
     seen = {}
@@ -863,8 +902,10 @@ def test_mix_w_equals_mixed_field_w(monkeypatch):
     gain = seen["gain"]
     assert gain != 1.0
     field = full_field_render(scene)[2]
-    assert field.order == 6 and field.frames == target_w.size == interferer_w.size
-    assert np.max(np.abs(field.data[0] - (target_w + gain * interferer_w))) < 1e-12
+    onset = int(round(scene.target.onset_s * RATE))
+    active = slice(onset, onset + scene.target.source.resolve().size + int(round(0.35 * RATE)) - 1)
+    assert field.order == 6 and active.stop - active.start == target_w.size == interferer_w.size
+    assert np.max(np.abs(field.data[0, active] - (target_w + gain * interferer_w))) < 1e-12
 
 
 def test_render_components_leave_ears_unchanged():
