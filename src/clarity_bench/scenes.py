@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import signals
-from .ambisonics import AmbiSignal, acn_index
+from .ambisonics import AmbiSignal, acn_index, num_channels
 from .audio import (  # noqa: F401  (convolve_channels: perfbench/tracing.py wraps it by this name)
     DEFAULT_RATE, REFERENCE_RMS, SampleBuffer, convolve_channels, convolve_sum, read_json,
     read_wav, rms_array, scale_to_rms, write_wav,
@@ -66,7 +66,15 @@ DEFAULT_RIR_SECONDS = 0.35
 MAX_SCENE_SECONDS = 30.0
 ROTATION_BLOCK_SECONDS = 0.01
 MAX_SCENES = 9999   # the most that the four-digit scene ids S%04d hold
-_HOP = int(round(ROTATION_BLOCK_SECONDS * DEFAULT_RATE))   # frames between rotation block centres
+
+
+def _frames(seconds):
+    """The frame count, or frame index, of a time at DEFAULT_RATE, rounded as a render rounds it."""
+    return int(round(seconds * DEFAULT_RATE))
+
+
+_HOP = _frames(ROTATION_BLOCK_SECONDS)   # frames between rotation block centres
+_RIR_TAPS = _frames(DEFAULT_RIR_SECONDS)   # the length of image_source_rir's RIRs
 
 # Fixed microphone calibration applied to the decoded ear signals. It
 # compensates the free-field spreading loss at desk-scale distances so the
@@ -278,7 +286,10 @@ def scene_from_dict(payload, directory=None):
     SOURCE_KINDS (absent means speech for the target); an interferer's
     "kind" is too, and its source.kind, when given, must equal it. snr_db
     is None or within MAX_ABS_SNR_DB, the fidelity is one of
-    FIDELITY_NAMES and the seed is a non-negative integer.
+    FIDELITY_NAMES and the seed is a non-negative integer. When snr_db is
+    given and every interferer is synthetic, one of them must still sound,
+    its RIR's tail included, at the target's first frame or later, where
+    the SNR is set; a file's length is known only to the render.
     """
     if not isinstance(payload, dict):
         raise ValueError("scene: must be an object")
@@ -341,9 +352,11 @@ def scene_from_dict(payload, directory=None):
         if not length and (file is None or duration is not None):
             need = "a synthetic source needs" if file is None else "must be"
             problems.append(f"{path}.source.duration_s: {need} a finite duration > 0, got {duration!r}")
-        elif file is None and round(length * DEFAULT_RATE) < 1:
+        elif file is None and _frames(length) < 1:
             problems.append(f"{path}.source.duration_s: {duration!r} s is shorter "
                             f"than one sample at {DEFAULT_RATE} Hz")
+        if file is None and length:   # the frame where its sound, the RIR's tail included, stops
+            stops[path] = _frames(onset) + _frames(length) + _RIR_TAPS - 1
         if onset + length > MAX_SCENE_SECONDS:
             problems.append(f"{path}: ends at {onset + length:g} s, after the "
                             f"{MAX_SCENE_SECONDS:g} s scene limit")
@@ -352,7 +365,7 @@ def scene_from_dict(payload, directory=None):
         position = tuple(position) if isinstance(position, list) else position
         return PlacedSource(position, SourceSignal(given, duration, seed, file), onset)
 
-    target = None
+    stops, target = {}, None
     if (spec := section("target")) is not None:
         target = placed("target", spec)
 
@@ -385,6 +398,10 @@ def scene_from_dict(payload, directory=None):
     snr = payload.get("snr_db")
     if snr is not None and not (is_finite_number(snr) and abs(snr) <= MAX_ABS_SNR_DB):
         problems.append(f"snr_db: must be null or a number within +-{MAX_ABS_SNR_DB:g}, got {snr!r}")
+    heard = [stops.get(f"interferers[{i}]") for i in range(count or 0)]
+    if snr is not None and target and heard and None not in heard and max(heard) <= _frames(target.onset_s):
+        problems.append(f"interferers: each ends, its {DEFAULT_RIR_SECONDS:g} s RIR tail included, "
+                        "before the target starts, so snr_db has no interferer sound to set")
     if (fidelity := payload.get("fidelity")) not in FIDELITY_NAMES:
         problems.append(f"fidelity: must be one of {FIDELITY_NAMES}")
     if not is_seed(seed := payload.get("seed")):
@@ -501,8 +518,11 @@ def add_transducer_noise(field, level_db, seed, reference_rms):
         return field
     rng = np.random.default_rng(seed)
     sigma = float(reference_rms) * 10.0 ** (level_db / 20.0)
-    noise = rng.standard_normal(field.data.shape) * sigma
-    return AmbiSignal(field.data + noise)
+    # One full-size array: the noise is scaled and the field added in place.
+    noisy = rng.standard_normal(field.data.shape)
+    noisy *= sigma
+    noisy += field.data
+    return AmbiSignal(noisy)
 
 
 def default_trajectory(target_azimuth, seed, onset_s=0.0):
@@ -540,9 +560,11 @@ def _scene_child_seeds(scene_seed):
     return [int(c.generate_state(1)[0]) for c in children]
 
 
-def _render_ears(placed, rirs, trajectory, noise=None):
+def _render_ears(placed, spaced, trajectory, noise=None):
     """The calibrated ears of the sources in `placed` (sources, frames),
-    each at its onset, through their RIRs `rirs` (K, sources, taps).
+    each at its onset, through their RIRs `spaced`, K x sources x
+    (taps + DEFAULT_TAPS - 1): each RIR followed by its decode history
+    in zeros.
 
     Rotation and decode are linear, and time-invariant wherever the yaw
     is held. So while both blocks of a hop carry the trajectory's first
@@ -561,10 +583,11 @@ def _render_ears(placed, rirs, trajectory, noise=None):
     add_transducer_noise, is added to the field at every frame, so with
     it the field spans the whole scene.
     """
-    channels, sources, taps = rirs.shape
-    frames = placed.shape[1] + taps - 1
-    length = frames + DEFAULT_TAPS - 1
+    channels, sources, spacing = spaced.shape
     history = DEFAULT_TAPS - 1
+    taps = spacing - history
+    frames = placed.shape[1] + taps - 1
+    length = frames + history
     yaws = _block_yaws(trajectory, 0, -(-frames // _HOP) + 1)
     moved = np.flatnonzero(yaws != yaws[0])
     # Ears [0, head) take the first yaw, [tail, length) the last; between
@@ -590,18 +613,14 @@ def _render_ears(placed, rirs, trajectory, noise=None):
         bank = decoder_bank(order).transpose(1, 0, 2)
         banks = np.concatenate([_turn_pairs(bank, np.cos(m * yaw), np.sin(m * yaw)).transpose(1, 0, 2)
                                 for yaw, _, _ in held])
-        # The RIRs laid end to end, each followed by the decode's history
-        # in zeros, so one decode gives every source's binaural RIR.
-        spaced = np.zeros((channels, sources, taps + history))
-        spaced[:, :, :taps] = rirs
         brirs = convolve_sum(spaced.reshape(channels, -1), banks, 0, spaced[0].size)
-        brirs = brirs.reshape(len(banks), sources, taps + history)
+        brirs = brirs.reshape(len(banks), sources, spacing)
         for i, (_, lo, hi) in enumerate(held):
             ears[:, lo:hi] = convolve_sum(placed, brirs[2 * i : 2 * i + 2], lo, hi)
 
     if head < tail:
         lo, hi = max(0, head - history), min(frames, tail)
-        field = AmbiSignal(convolve_sum(placed, rirs, lo, hi))
+        field = AmbiSignal(convolve_sum(placed, spaced[..., :taps], lo, hi))
         if noise is not None:
             field = add_transducer_noise(field, *noise)
         turn = binaural_decode(apply_trajectory(field, trajectory, start=lo))
@@ -613,7 +632,9 @@ def render_scene(scene, profile=None, keep_components=False):
     """Render a scene to hearing-aid ear signals plus the scoring reference.
 
     Deterministic in (scene, profile). The stages are: dry sources and
-    their room impulse responses -> W pass over the target-active frames
+    their room impulse responses, held once in the layout _render_ears
+    reads, K x sources x (taps + DEFAULT_TAPS - 1) with each RIR followed
+    by its decode history in zeros -> W pass over the target-active frames
     and interferer gain -> ears (_render_ears): binaural RIRs where the
     listener holds still, and the mixed field -> transducer noise ->
     head rotation -> binaural decode over the head turn, or over the
@@ -649,21 +670,22 @@ def render_scene(scene, profile=None, keep_components=False):
             where = "target" if index == 0 else f"interferers[{index - 1}]"
             raise ValueError(f"{where}.source.file {source.file}: ends at {end:g} s, "
                              f"after the {MAX_SCENE_SECONDS:g} s scene limit")
-    onsets, rirs = [], []
+    # The RIRs are held once, laid out as _render_ears reads them.
+    spaced = np.zeros((num_channels(profile.ambisonic_order), len(specs), _RIR_TAPS + DEFAULT_TAPS - 1))
+    rirs = spaced[..., :_RIR_TAPS]   # K x sources x taps
     for index, spec in enumerate(specs):
         cardioid = index > 0 and profile.interferer_directivity == "cardioid"
         src = SourceSpec(spec.position, listener - np.asarray(spec.position) if cardioid else None)
         rir = image_source_rir(room, src, listener, profile.ambisonic_order, DEFAULT_RIR_SECONDS)
-        onsets.append(int(round(spec.onset_s * DEFAULT_RATE)))
-        rirs.append(rir.signal.data)
+        rirs[:, index] = rir.signal.data
+    onsets = [_frames(spec.onset_s) for spec in specs]
 
-    # Every dry signal sits at its onset in one row of `placed`; the RIRs
-    # stack to K x sources x taps, so one convolve_sum renders a field.
+    # Every dry signal sits at its onset in one row of `placed`, so one
+    # convolve_sum over `rirs` renders a field.
     placed = np.zeros((len(drys), max(o + d.size for o, d in zip(onsets, drys))))
     for row, onset, dry in zip(placed, onsets, drys):
         row[onset : onset + dry.size] = dry
-    rirs = np.stack(rirs, axis=1)
-    active = (onsets[0], onsets[0] + drys[0].size + rirs.shape[2] - 1)
+    active = (onsets[0], onsets[0] + drys[0].size + _RIR_TAPS - 1)
 
     # The W pass gives the target and interferer-sum W signals over the
     # target-active frames, which fix the interferer gain; scaling the
@@ -678,7 +700,7 @@ def render_scene(scene, profile=None, keep_components=False):
     if profile.transducer_noise_db is not None:
         noise = (profile.transducer_noise_db, child_seeds[4], rms_array(target_w))
     trajectory = scene.listener.trajectory
-    ears = _render_ears(placed, rirs, trajectory, noise)
+    ears = _render_ears(placed, spaced, trajectory, noise)
 
     reference = SampleBuffer(scale_to_rms(drys[0], REFERENCE_RMS))
     direct = np.linalg.norm(np.asarray(scene.target.position) - listener)
@@ -692,16 +714,15 @@ def render_scene(scene, profile=None, keep_components=False):
         "interferer_gain": float(interferer_gain),
         "ear_gain": float(EAR_CALIBRATION_GAIN),
         "target_onset_s": scene.target.onset_s,
-        "target_lag": onsets[0] + int(round(direct / SPEED_OF_SOUND * DEFAULT_RATE))
-                      + DEFAULT_TAPS // 2,
+        "target_lag": onsets[0] + _frames(direct / SPEED_OF_SOUND) + DEFAULT_TAPS // 2,
     }
 
     components = None
     if keep_components:
         # Rotation and decode are linear, so the noise share is what the
         # target and interferer ears leave of the ears.
-        target_ears = _render_ears(placed[:1], rirs[:, :1], trajectory)
-        interferer_ears = _render_ears(placed[1:], rirs[:, 1:], trajectory)
+        target_ears = _render_ears(placed[:1], spaced[:, :1], trajectory)
+        interferer_ears = _render_ears(placed[1:], spaced[:, 1:], trajectory)
         components = {
             "target_ears": target_ears,
             "interferer_ears": interferer_ears,

@@ -398,6 +398,22 @@ def test_convolve_sum_streams_without_changing_a_bit(monkeypatch, outputs, input
     assert np.array_equal(convolve_sum(data, kernels, *window), want)
 
 
+@pytest.mark.parametrize("outputs, inputs, frames, window", [
+    (49, 4, 30000, (9000, 14300)),   # the head turn: more outputs than blocks
+    (2, 4, 30000, None),             # more blocks than outputs
+])
+def test_convolve_sum_reads_strided_views_as_their_copies(outputs, inputs, frames, window):
+    # The render's kernels are spaced[..., :taps], each RIR row followed by
+    # the binaural decode's 63 frames of history.
+    rng = np.random.default_rng(outputs)
+    data = rng.standard_normal((inputs, frames + 7))[:, :frames]
+    kernels = rng.standard_normal((outputs, inputs, 5600 + 63))[..., :5600]
+    assert not (data.flags.c_contiguous or kernels.flags.c_contiguous)
+    window = window or (0, frames + 5600 - 1)
+    want = convolve_sum(np.ascontiguousarray(data), np.ascontiguousarray(kernels), *window)
+    assert np.array_equal(convolve_sum(data, kernels, *window), want)
+
+
 def test_convolve_sum_holds_a_chunk_of_spectra_not_all_of_them():
     # The head turn's call: 49 outputs of 4 inputs through 5,600 taps over
     # 5,300 frames. Holding every kernel spectrum and block product at
