@@ -16,12 +16,17 @@ There are two convolutions. convolve_sum filters many inputs into many
 outputs block by block (overlap-save); the renderer's multichannel
 stages use it: the W pass, the wet field and the binaural decodes. It
 computes only the blocks of the frames a stage asks for, a window on the
-block grid of the whole convolution, and streams the spectra a chunk of
+block grid of the whole convolution, and streams its work a chunk of
 outputs or blocks at a time, so no stage holds every spectrum of a
-49-channel field at once. convolve_channels is one whole-signal FFT
-convolution with broadcasting; the scoring path uses it (the hearing
-aid and the alignment), because the scores are pinned to its output
-bits and overlap-save rounds differently.
+49-channel field at once. WORK_BUDGET bounds a call's work arrays (its
+padded input blocks, spectra, summed products and inverse blocks). They
+are views of one float64 buffer, taken from a module-level list of spare
+buffers and put back when the call returns, so the render's many calls
+fault no fresh pages for them; a buffer stays mapped between calls,
+sized by the largest need of the calls it served. convolve_channels is
+one whole-signal FFT convolution with broadcasting; the scoring path
+uses it (the hearing aid and the alignment), because the scores are
+pinned to its output bits and overlap-save rounds differently.
 
 convolve_channels is a KernelBank used once. A bank kept for a kernel set
 that never changes, the gammatone bank, memoizes the kernels' spectrum at
@@ -36,6 +41,7 @@ the bits of convolve_channels(kernels, x) and the scores do not move.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -48,9 +54,13 @@ DEFAULT_RATE = 16000
 # which metrics.ear_scores reads both signals for the quality score (a
 # gain applied after filtering).
 REFERENCE_RMS = 10.0 ** (-26.0 / 20.0)
-# The most bytes of complex spectra that one chunk of convolve_sum holds:
-# its kernel or block spectra and their summed products.
-SPECTRA_BUDGET = 4 << 20
+# The most bytes of work arrays that a convolve_sum call holds, unless a
+# chunk of one output or block needs more.
+WORK_BUDGET = 4 << 20
+# convolve_sum's work buffers that no call holds. A call pops one and
+# appends it back when it returns; list.pop and list.append are atomic,
+# so no two threads share a buffer.
+_SPARE_WORK = []
 
 
 @dataclass(frozen=True)
@@ -284,16 +294,38 @@ class KernelBank:
             yield irfft(product, nfft, out=scratch["inverse"][: len(kernels)])[:, :length]
 
 
-def _block_spectra(data, taps, nfft, step, first, stop):
-    """rfft (inputs, stop - first, nfft // 2 + 1) of overlap-save blocks
-    first .. stop - 1: block b holds the nfft frames of data from frame
-    b * step - (taps - 1), zeros where data has none."""
+def _take_work(size):
+    """A float64 work buffer of at least `size` entries: a spare one, or a
+    new one in place of a spare that is too small."""
+    try:
+        work = _SPARE_WORK.pop()
+    except IndexError:
+        return np.empty(size)
+    return work if work.size >= size else np.empty(size)
+
+
+def _view(region, shape, dtype=np.float64):
+    """The leading entries of the float64 array `region` as a C-ordered
+    array of that shape and dtype."""
+    count = math.prod(shape) * np.dtype(dtype).itemsize // 8
+    return region[:count].view(dtype).reshape(shape)
+
+
+def _block_spectra(data, taps, nfft, step, first, count, padded, spectra):
+    """The rfft (inputs, count, nfft // 2 + 1) of overlap-save blocks
+    first .. first + count - 1, written into the leading entries of the
+    float64 array spectra: block b holds the nfft frames of data from
+    frame b * step - (taps - 1), zeros where data has none. Those frames
+    are laid out in the leading entries of the float64 array padded."""
     inputs, frames = data.shape
+    padded = _view(padded, (inputs, (count - 1) * step + nfft))
     lo = first * step - (taps - 1)
-    padded = np.zeros((inputs, (stop - first - 1) * step + nfft))
     begin, end = max(lo, 0), min(lo + padded.shape[1], frames)
+    padded[:, : begin - lo] = 0
     padded[:, begin - lo : end - lo] = data[:, begin:end]
-    return rfft(sliding_window_view(padded, nfft, axis=1)[:, ::step], axis=2)
+    padded[:, end - lo :] = 0
+    return rfft(sliding_window_view(padded, nfft, axis=1)[:, ::step], axis=2,
+                out=_view(spectra, (inputs, count, nfft // 2 + 1), complex))
 
 
 def convolve_sum(data, kernels, start=0, stop=None):
@@ -317,13 +349,24 @@ def convolve_sum(data, kernels, start=0, stop=None):
     the full output, so a window's frames keep the bits of the same frames
     of the whole output.
 
-    The spectra are streamed. When the kernel spectra are the larger side
+    The work is streamed. When the kernel spectra are the larger side
     (more outputs than blocks), every block's spectrum is held and the
     outputs are taken a chunk at a time; otherwise every kernel spectrum
-    is held and the blocks are taken a chunk at a time. A chunk's spectra
-    and summed products stay within SPECTRA_BUDGET bytes (at least one
-    output or block per chunk). Each output and block is the same
-    arithmetic in any chunk, so chunking changes no bit.
+    is held and the blocks are taken a chunk at a time. The held spectra
+    and one chunk's work arrays (its padded input frames, block or kernel
+    spectra, summed products and inverse blocks) stay within WORK_BUDGET
+    bytes, or take one output or block per chunk where they cannot. Each
+    output and block is the same arithmetic in any chunk, so chunking
+    changes no bit. Each block's kept frames are copied straight into
+    the result.
+
+    Every work array is a view of one float64 buffer, taken from a list of
+    spare buffers (a new one, if none is spare or the spare is too small)
+    and put back when the call returns, so repeated calls fault no fresh
+    pages. The transforms and the summed products write into those views;
+    the result is the only large array a call allocates. A buffer stays
+    mapped after its call, sized by the largest need of the calls that
+    used it; concurrent calls each take their own.
     """
     data = np.asarray(data, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -344,29 +387,62 @@ def convolve_sum(data, kernels, start=0, stop=None):
         raise ValueError(f"window [{start}, {stop}) is not within the {length} output frames")
     nfft = max(1024, 1 << (2 * taps - 1).bit_length())
     step = nfft - taps + 1
+    bins = nfft // 2 + 1
     first, last = start // step, -(-stop // step)
-    spectrum_bytes = 16 * (nfft // 2 + 1)
+    blocks = last - first
+
+    def floats(rows, cols):
+        # The work arrays of a chunk of rows outputs and cols blocks, in
+        # floats: padded frames, block spectra, kernel spectra, summed
+        # products and inverse blocks.
+        return [inputs * ((cols - 1) * step + nfft), 2 * inputs * cols * bins,
+                2 * rows * inputs * bins, 2 * rows * cols * bins, rows * cols * nfft]
+
+    if outputs > blocks:   # every block spectrum held, the outputs in chunks
+        count, sizes = outputs, lambda n: floats(n, blocks)
+    else:                  # every kernel spectrum held, the blocks in chunks
+        count, sizes = blocks, lambda n: floats(outputs, n)
+    held = sum(sizes(0))
+    chunk = max(1, min(count, (WORK_BUDGET // 8 - held) // (sum(sizes(1)) - held)))
+    sizes = sizes(chunk)
+    # Each region starts at an even float offset, as aligned for complex
+    # views as an allocation.
+    offsets = np.cumsum([0] + [size + size % 2 for size in sizes]).tolist()
     out = np.empty((outputs, stop - start))
 
-    def place(rows, kernel_spectra, spectra, begin, end):
-        # Blocks begin .. end - 1 of outputs `rows`, cut to the window.
-        summed = np.einsum("oif,ibf->obf", kernel_spectra, spectra)
-        blocks = irfft(summed, nfft, axis=2)[:, :, taps - 1 :].reshape(len(summed), -1)
-        lo, hi = max(start, begin * step), min(stop, end * step)
-        out[rows, lo - start : hi - start] = blocks[:, lo - begin * step : hi - begin * step]
+    work = _take_work(offsets[-1])
+    try:
+        padded, block_spectra, kernel_spectra, summed, inverse = (
+            work[at : at + size] for at, size in zip(offsets, sizes))
 
-    if outputs > last - first:
-        spectra = _block_spectra(data, taps, nfft, step, first, last)
-        chunk = max(1, SPECTRA_BUDGET // (spectrum_bytes * (inputs + last - first)))
-        for row in range(0, outputs, chunk):
-            rows = slice(row, row + chunk)
-            place(rows, rfft(kernels[rows], nfft, axis=2), spectra, first, last)
-    else:
-        kernel_spectra = rfft(kernels, nfft, axis=2)
-        chunk = max(1, SPECTRA_BUDGET // (spectrum_bytes * (inputs + outputs)))
-        for begin in range(first, last, chunk):
-            end = min(begin + chunk, last)
-            place(slice(None), kernel_spectra, _block_spectra(data, taps, nfft, step, begin, end), begin, end)
+        def kernel_rfft(row, count):
+            return rfft(kernels[row : row + count], nfft, axis=2,
+                        out=_view(kernel_spectra, (count, inputs, bins), complex))
+
+        def place(row, kernel_chunk, spectra, begin):
+            # Outputs row, row + 1, ... of blocks begin, begin + 1, ...,
+            # cut to the window.
+            shape = (len(kernel_chunk), spectra.shape[1])
+            product = np.einsum("oif,ibf->obf", kernel_chunk, spectra,
+                                out=_view(summed, (*shape, bins), complex))
+            blocks_out = irfft(product, nfft, axis=2, out=_view(inverse, (*shape, nfft)))
+            for b in range(begin, begin + shape[1]):
+                lo, hi = max(start, b * step), min(stop, (b + 1) * step)
+                at = taps - 1 - b * step
+                out[row : row + shape[0], lo - start : hi - start] = blocks_out[:, b - begin, lo + at : hi + at]
+
+        if outputs > blocks:
+            spectra = _block_spectra(data, taps, nfft, step, first, blocks, padded, block_spectra)
+            for row in range(0, outputs, chunk):
+                place(row, kernel_rfft(row, min(chunk, outputs - row)), spectra, first)
+        else:
+            kernel_chunk = kernel_rfft(0, outputs)
+            for begin in range(first, last, chunk):
+                n = min(chunk, last - begin)
+                spectra = _block_spectra(data, taps, nfft, step, begin, n, padded, block_spectra)
+                place(0, kernel_chunk, spectra, begin)
+    finally:
+        _SPARE_WORK.append(work)
     return out
 
 

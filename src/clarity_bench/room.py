@@ -20,8 +20,12 @@ nz). Their offset from the listener splits per axis,
 |2nx - px| + |2ny - py| + |2nz - pz|, so both are computed once per axis
 value and gathered for each image. Every amplitude reads
 beta ** reflections from a table of beta's powers built once per call,
-the same pow per entry that an element-wise power would make; the RIR is
-bit-identical to forming one (x, y, z) row and one pow per image.
+the same pow per entry that an element-wise power would make. The
+harmonics of a parity class's images come one channel's row at a time
+from ambisonics.sh_rows, and each row is scaled by the amplitudes and
+binned into its channel as it comes, so no (channels, images) matrix is
+built. The RIR is bit-identical to forming one (x, y, z) row, one pow
+and every harmonic per image before any binning.
 """
 
 import itertools
@@ -31,7 +35,10 @@ from numbers import Real
 
 import numpy as np
 
-from .ambisonics import AmbiSignal, num_channels, sh_eval
+from .ambisonics import AmbiSignal, num_channels, sh_rows
+# Not called here: perfbench/tracing.py wraps sh_eval at this module, and
+# its traced run fails without the name.
+from .ambisonics import sh_eval  # noqa: F401
 from .audio import DEFAULT_RATE
 
 SPEED_OF_SOUND = 343.0
@@ -175,10 +182,10 @@ def image_source_rir(room, source, listener, order, time_limit):
             mx, my, mz = np.where(np.array(parity) == 1, -aim, aim)
             cos_psi = np.clip(-(ux * mx + uy * my + uz * mz), -1.0, 1.0)
             amp *= 0.5 * (1.0 + cos_psi)
-        coeffs = sh_eval(order, ux, uy, uz)
-        coeffs *= amp
-        for ch in range(k):
-            rir[ch] += np.bincount(bins, weights=coeffs[ch], minlength=frames)
+        row = np.empty(dist.size)
+        for ch in sh_rows(order, ux, uy, uz, row):
+            row *= amp
+            rir[ch] += np.bincount(bins, weights=row, minlength=frames)
         image_count += int(keep.sum())
 
     return AmbiRir(

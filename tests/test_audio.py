@@ -4,6 +4,7 @@ import struct
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -394,7 +395,7 @@ def test_convolve_sum_streams_without_changing_a_bit(monkeypatch, outputs, input
     kernels = rng.standard_normal((outputs, inputs, taps))
     window = window or (0, frames + taps - 1)
     want = convolve_sum(data, kernels, *window)
-    monkeypatch.setattr(audio, "SPECTRA_BUDGET", 1)   # one output or one block per chunk
+    monkeypatch.setattr(audio, "WORK_BUDGET", 1)   # one output or one block per chunk
     assert np.array_equal(convolve_sum(data, kernels, *window), want)
 
 
@@ -417,7 +418,7 @@ def test_convolve_sum_reads_strided_views_as_their_copies(outputs, inputs, frame
 def test_convolve_sum_holds_a_chunk_of_spectra_not_all_of_them():
     # The head turn's call: 49 outputs of 4 inputs through 5,600 taps over
     # 5,300 frames. Holding every kernel spectrum and block product at
-    # once traced 38.6 MiB; a chunk of spectra is SPECTRA_BUDGET.
+    # once traced 38.6 MiB; a chunk's work arrays are WORK_BUDGET.
     rng = np.random.default_rng(0)
     data = rng.standard_normal((4, 48000))
     kernels = rng.standard_normal((49, 4, 5600))
@@ -429,6 +430,55 @@ def test_convolve_sum_holds_a_chunk_of_spectra_not_all_of_them():
         tracemalloc.stop()
     assert field.shape == (49, 5300)
     assert peak < 16 * 2**20
+
+
+# (outputs, inputs, taps, frames, window) of the render's convolve_sum
+# calls: the head turn, the binaural-RIR decode and a held yaw's tail.
+RENDER_CALLS = [
+    (49, 4, 5600, 48000, (20000, 25300)),
+    (4, 49, 64, 22652, None),
+    (2, 4, 5663, 30000, (25000, 35662)),
+]
+
+
+def render_call(outputs, inputs, taps, frames, window):
+    rng = np.random.default_rng(outputs + inputs + taps)
+    data = rng.standard_normal((inputs, frames))
+    kernels = rng.standard_normal((outputs, inputs, taps))
+    return data, kernels, *(window or (0, frames + taps - 1))
+
+
+@pytest.mark.parametrize("call", RENDER_CALLS[:2], ids=["outputs chunked", "blocks chunked"])
+def test_convolve_sum_reuses_its_work_buffer(call):
+    # After a call of the same shapes, a call's work arrays are views of a
+    # kept buffer: it allocates its output and little else. Fresh work
+    # arrays traced several MiB per call.
+    args = render_call(*call)
+    convolve_sum(*args)
+    tracemalloc.start()
+    try:
+        out = convolve_sum(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 256 * 1024
+
+
+def test_convolve_sum_threads_never_share_a_work_buffer():
+    # Eight calls of mixed shapes on four threads, while the interpreter
+    # switches threads as often as it can, keep the bits of the same calls
+    # made one after another.
+    calls = [render_call(*RENDER_CALLS[i % 3]) for i in range(8)]
+    expected = [convolve_sum(*args) for args in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(convolve_sum, *args) for args in calls]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(got, want) for got, want in zip(results, expected))
 
 
 def test_rms_constant():

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from clarity_bench.ambisonics import AmbiSignal, num_channels, sh_eval
+from clarity_bench.ambisonics import AmbiSignal, num_channels, sh_eval, sh_rows
 from clarity_bench.room import (
     AmbiRir,
     RoomSpec,
@@ -204,18 +206,32 @@ def test_image_source_rir_is_near_the_angle_route(dims, src, lis, absorption, or
 
 
 def test_sh_eval_calls_carry_one_point_per_image(monkeypatch):
-    # The benchmark's traced run wraps room.sh_eval and counts the size of
-    # each call's second argument as its points; that count must be one
+    # The render evaluates the harmonics through room.sh_rows; counted by
+    # the size of each call's second argument, its points must be one
     # point per image.
     import clarity_bench.room as room_module
 
     calls = []
-    monkeypatch.setattr(room_module, "sh_eval", lambda *args: calls.append(args) or sh_eval(*args))
+    monkeypatch.setattr(room_module, "sh_rows", lambda *args: calls.append(args) or sh_rows(*args))
     for room, source, listener in paper_room_cases(0.85, "cardioid"):
         calls.clear()
         rir = image_source_rir(room, source, listener, 6, 0.35)
         assert calls and all(np.ndim(args[1]) == 1 for args in calls)
         assert sum(args[1].size for args in calls) == rir.image_count
+
+
+def test_image_source_rir_streams_its_harmonic_rows():
+    # Each image's harmonics are scaled and binned a row at a time, so no
+    # (49, images) coefficient matrix is built: holding two of them once
+    # traced about 4.7 x the RIR's bytes.
+    room, source, listener = next(paper_room_cases(1.0, "omni"))
+    tracemalloc.start()
+    try:
+        rir = image_source_rir(room, source, listener, 6, 0.35)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * rir.signal.data.nbytes
 
 
 @pytest.mark.parametrize("aim, gain", [
