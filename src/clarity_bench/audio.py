@@ -24,20 +24,18 @@ are views of one float64 buffer, taken from a module-level list of spare
 buffers and put back when the call returns, so the render's many calls
 fault no fresh pages for them; a buffer stays mapped between calls,
 sized by the largest need of the calls it served. convolve_channels is
-one whole-signal FFT convolution with broadcasting; the scoring path
-uses it (the hearing aid and the alignment), because the scores are
-pinned to its output bits and overlap-save rounds differently.
+one whole-signal FFT convolution with broadcasting that keeps no state;
+the scoring path uses it (the hearing aid and the alignment), because
+the scores are pinned to its output bits and overlap-save rounds
+differently.
 
-convolve_channels is a KernelBank used once. A bank kept for a kernel set
-that never changes, the gammatone bank, memoizes the kernels' spectrum at
-the last FFT length it was asked for, one length at a time, so the
-signals of one scene, which share a length, pay for that transform once.
-convolve_rows streams a signal through the bank a chunk of kernel rows
-at a time: one transform of the signal, then each chunk's products and
-inverses, so the full (rows, length) output need never exist. Memoized
-or not, whole or in chunks, the same two spectra are multiplied in the
-same order and each row is inverted alone, so the bank's output keeps
-the bits of convolve_channels(kernels, x) and the scores do not move.
+A KernelBank holds the gammatone bank, the one kernel set that never
+changes, and memoizes its spectrum at the last FFT length used, so the
+signals of one scene, which share a length, transform it once.
+convolve_rows streams a signal through the bank a chunk of rows at a
+time, so the full (rows, length) output need never exist; the same two
+spectra are multiplied in the same order and each row is inverted alone,
+so the rows keep the bits of convolve_channels(kernels, x).
 """
 
 import json
@@ -224,23 +222,25 @@ def convolve_channels(data, kernels):
     These are the transforms of scipy.signal's FFT convolution, and at the
     package's call sites the outputs agree bit for bit. Swapping the
     operands changes the rounding of the complex product, so each caller
-    keeps a fixed order. This is KernelBank(data).convolve(kernels) with a
-    bank that is used once.
+    keeps a fixed order. An empty operand raises ValueError.
     """
-    return KernelBank(data).convolve(kernels)
+    data = np.asarray(data, dtype=np.float64)
+    kernels = np.asarray(kernels, dtype=np.float64)
+    if data.size == 0 or kernels.size == 0:
+        raise ValueError("convolve requires non-empty signal and kernel")
+    length = data.shape[-1] + kernels.shape[-1] - 1
+    nfft = next_fast_len(length)
+    # np.multiply, not `*`: NumPy may compute `a * temporary` in the
+    # temporary's buffer as temporary * a, and with fused multiply-adds
+    # the swapped complex product rounds differently.
+    return irfft(np.multiply(rfft(data, nfft), rfft(kernels, nfft)), nfft)[..., :length]
 
 
 class KernelBank:
-    """A fixed FIR kernel set (..., taps) whose spectrum is memoized.
-
-    convolve(x) takes the real FFT of the kernels and of x at a fast
-    length, multiplies them in that order and inverts the product;
-    convolve_rows(x, chunk, scratch) gives the same rows a chunk at a
-    time. The memo holds the kernels' FFT at one FFT length, the last one
-    used; a signal that needs another length replaces it. The length and
-    its spectrum are stored and read as one tuple, so threads sharing a
-    bank can at worst transform the kernels twice, never use a spectrum of
-    the wrong length.
+    """A fixed FIR kernel set (rows, taps) whose spectrum is memoized at
+    the FFT length last used. The length and its spectrum are stored and
+    read as one tuple, so threads sharing a bank can at worst transform
+    the kernels twice, never use a spectrum of the wrong length.
     """
 
     def __init__(self, kernels):
@@ -251,9 +251,16 @@ class KernelBank:
         self.kernels = kernels
         self._memo = (0, None)   # (FFT length, rfft of the kernels at it)
 
-    def _spectra(self, x):
-        """(output length, FFT length, kernel spectrum, signal spectrum) of
-        the full convolution with x."""
+    def convolve_rows(self, x, chunk, scratch):
+        """The rows of convolve_channels(kernels, x), `chunk` rows at a
+        time: yields (rows, length) arrays in row order; an empty x raises
+        ValueError at the first. x is transformed once, and each row is
+        the product and inverse FFT of convolve_channels, so the rows keep
+        its bits. One chunk's product and inverse are held, in arrays kept
+        in the dict scratch: each yielded array is overwritten by the
+        next, and a caller that passes one dict to several calls reuses
+        the arrays while the FFT length stays the same.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.size == 0:
             raise ValueError("convolve requires non-empty signal and kernel")
@@ -263,28 +270,7 @@ class KernelBank:
         if memo_nfft != nfft:
             spectrum = rfft(self.kernels, nfft)
             self._memo = (nfft, spectrum)
-        return length, nfft, spectrum, rfft(x, nfft)
-
-    def convolve(self, x):
-        """Full linear convolution of every kernel with x along the last axis."""
-        length, nfft, spectrum, signal = self._spectra(x)
-        # np.multiply, not `*`: NumPy may compute `a * temporary` in the
-        # temporary's buffer as temporary * a, and with fused multiply-adds
-        # the swapped complex product rounds differently.
-        return irfft(np.multiply(spectrum, signal), nfft)[..., :length]
-
-    def convolve_rows(self, x, chunk, scratch):
-        """The rows of convolve(x) for a kernel set (rows, taps), `chunk`
-        rows at a time: yields (rows, length) arrays in row order.
-
-        x is transformed once; each row is the same product and inverse
-        FFT as in convolve, so the rows keep its bits. One chunk's product
-        and inverse are held, in arrays kept in the dict scratch: each
-        yielded array is overwritten by the next, and a caller that passes
-        one dict to several calls reuses the arrays while the FFT length
-        stays the same.
-        """
-        length, nfft, spectrum, signal = self._spectra(x)
+        signal = rfft(x, nfft)
         if scratch.get("shape") != (chunk, nfft):
             scratch.update(shape=(chunk, nfft), product=np.empty((chunk, nfft // 2 + 1), complex),
                            inverse=np.empty((chunk, nfft)))

@@ -15,8 +15,8 @@ once, and its bands are filtered, attenuated, smoothed and reduced
 BAND_CHUNK at a time, so only the envelopes (32 rows at 256 Hz) and the
 32 band levels are kept, never the 32 full-rate bands of a signal. Each
 band row is its own product, inverse FFT, matmul and reduction, so the
-chunking moves no bit; gammatone_bands(signal) is the whole-array view
-of the same bands.
+chunking moves no bit; gammatone_bands(signal), the same bands from
+audio.convolve_channels, is the whole-array oracle of that front end.
 Only the dB conversion (-80 dB floor) is per metric, after a gain: 1 for
 the intelligibility score, and for the quality score the gain that
 brings the waveform to audio.REFERENCE_RMS. Every earlier stage is
@@ -212,10 +212,11 @@ def gammatone_bands(signal):
 
     Returns an array (bands, frames) the same length as the input. Each
     band is a 4th-order gammatone whose measured -3 dB bandwidth is
-    1.019 * ERB(fc).
+    1.019 * ERB(fc). The whole-array oracle of _band_features, computed
+    by audio.convolve_channels, not by the bank whose rows it checks.
     """
     x = _one_channel(signal, "signal")
-    return _GAMMATONE_BANK.convolve(x)[:, : x.size]
+    return convolve_channels(_GAMMATONE_BANK.kernels, x)[:, : x.size]
 
 
 def _smoothed(bands):

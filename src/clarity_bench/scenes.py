@@ -277,19 +277,20 @@ def scene_from_dict(payload, directory=None):
     Positions are three numbers inside the room, and the direct sound of
     every source must reach the listener within DEFAULT_RIR_SECONDS
     (`direct_path_problem`). There are 1 to 3 interferers. Every source
-    needs an onset_s >= 0 (absent means 0); its duration_s, which a
-    synthetic source (no file) must give, is > 0, and a synthetic one
-    lasts at least one sample at DEFAULT_RATE; a given file is a string,
-    joined to `directory` when one is given and the file is relative; a
-    given synth_seed is a non-negative integer; and onset plus duration
-    must not pass MAX_SCENE_SECONDS. Every source.kind is one of
-    SOURCE_KINDS (absent means speech for the target); an interferer's
-    "kind" is too, and its source.kind, when given, must equal it. snr_db
-    is None or within MAX_ABS_SNR_DB, the fidelity is one of
-    FIDELITY_NAMES and the seed is a non-negative integer. When snr_db is
-    given and every interferer is synthetic, one of them must still sound,
-    its RIR's tail included, at the target's first frame or later, where
-    the SNR is set; a file's length is known only to the render.
+    needs an onset_s >= 0 (absent means 0). A synthetic source (no file)
+    needs a duration_s > 0 of at least one sample at DEFAULT_RATE, and
+    onset plus duration must not pass MAX_SCENE_SECONDS; a file source
+    takes its length from the file and gives no duration_s. A given file
+    is a string, joined to `directory` when one is given and the file is
+    relative; a given synth_seed is a non-negative integer. Every
+    source.kind is one of SOURCE_KINDS (absent means speech for the
+    target); an interferer's "kind" is too, and its source.kind, when
+    given, must equal it. snr_db is None or within MAX_ABS_SNR_DB, the
+    fidelity is one of FIDELITY_NAMES and the seed is a non-negative
+    integer. When snr_db is given and every interferer is synthetic, one
+    of them must still sound, its RIR's tail included, at the target's
+    first frame or later, where the SNR is set; a file's length is known
+    only to the render.
     """
     if not isinstance(payload, dict):
         raise ValueError("scene: must be an object")
@@ -348,10 +349,12 @@ def scene_from_dict(payload, directory=None):
             problems.append(f"{path}.source.synth_seed: must be a non-negative integer, got {seed!r}")
         if file is not None and not isinstance(file, str):
             problems.append(f"{path}.source.file: must be a path string, got {file!r}")
-        length = duration if is_finite_number(duration) and duration > 0 else 0.0
-        if not length and (file is None or duration is not None):
-            need = "a synthetic source needs" if file is None else "must be"
-            problems.append(f"{path}.source.duration_s: {need} a finite duration > 0, got {duration!r}")
+        length = duration if file is None and is_finite_number(duration) and duration > 0 else 0.0
+        if file is not None and duration is not None:
+            problems.append(f"{path}.source.duration_s: a file source takes its length from the file; omit it")
+        elif file is None and not length:
+            problems.append(f"{path}.source.duration_s: a synthetic source needs a finite duration > 0, "
+                            f"got {duration!r}")
         elif file is None and _frames(length) < 1:
             problems.append(f"{path}.source.duration_s: {duration!r} s is shorter "
                             f"than one sample at {DEFAULT_RATE} Hz")
@@ -625,7 +628,8 @@ def _render_ears(placed, spaced, trajectory, noise=None):
             field = add_transducer_noise(field, *noise)
         turn = binaural_decode(apply_trajectory(field, trajectory, start=lo))
         ears[:, head:tail] = turn.data[:, head - lo : tail - lo]
-    return SampleBuffer(ears * EAR_CALIBRATION_GAIN)
+    ears *= EAR_CALIBRATION_GAIN
+    return SampleBuffer(ears)
 
 
 def render_scene(scene, profile=None, keep_components=False):

@@ -239,8 +239,8 @@ def test_convolve_rejects_empty_and_multichannel():
         convolve_channels(np.zeros((2, 4)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         KernelBank(np.zeros((2, 0)))
-    with pytest.raises(ValueError):
-        KernelBank(np.ones((2, 3))).convolve([])
+    with pytest.raises(ValueError):   # at the first row the generator yields
+        next(KernelBank(np.ones((2, 3))).convolve_rows([], 1, {}))
 
 
 @pytest.mark.parametrize("site", ["render", "amplify", "gammatone", "xcorr"])
@@ -268,9 +268,10 @@ def test_convolve_channels_equals_fftconvolve_at_each_call_site(site):
 
 
 def test_kernel_bank_shared_by_threads_never_uses_a_stale_spectrum():
-    # Threads alternate between two FFT lengths on one bank while the
-    # interpreter switches threads as often as it can; every output must
-    # still be the bits of a fresh convolve_channels.
+    # Threads alternate between two FFT lengths on one bank, each with its
+    # own scratch, while the interpreter switches threads as often as it
+    # can; every output's stacked rows must still be the bits of a fresh
+    # convolve_channels.
     rng = np.random.default_rng(13)
     kernels = rng.standard_normal((8, 64))
     signals = [rng.standard_normal(500), rng.standard_normal(1500)]
@@ -279,10 +280,12 @@ def test_kernel_bank_shared_by_threads_never_uses_a_stale_spectrum():
     mismatches = []
 
     def work():
+        scratch = {}
         for k in range(200):
             i = k % 2
             try:
-                if not np.array_equal(bank.convolve(signals[i]), expected[i]):
+                rows = np.concatenate([chunk.copy() for chunk in bank.convolve_rows(signals[i], 3, scratch)])
+                if not np.array_equal(rows, expected[i]):
                     mismatches.append(i)
             except ValueError as exc:   # spectra of two lengths do not broadcast
                 mismatches.append(exc)
@@ -519,11 +522,16 @@ def test_scale_to_rms_hits_target_and_leaves_silence_unchanged():
 
 def test_one_fft_convolution_in_the_package():
     # Every convolution goes through audio.convolve_channels or
-    # audio.convolve_sum; no other module imports an FFT module for it.
+    # audio.convolve_sum; no other module imports an FFT module for it,
+    # and only two reach np.fft by attribute, for transforms that are not
+    # convolutions.
     package = pathlib.Path(__file__).resolve().parents[1] / "src" / "clarity_bench"
-    fft_users = set()
+    fft_users, fft_attribute_users = set(), set()
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                fft_attribute_users.add(path.stem)
             if isinstance(node, ast.ImportFrom):
                 modules = [f"{node.module}.{alias.name}" for alias in node.names]
                 modules.append(node.module or "")
@@ -536,3 +544,7 @@ def test_one_fft_convolution_in_the_package():
             if any(m == "numpy.fft" or m.startswith("numpy.fft.") for m in modules):
                 fft_users.add(path.stem)
     assert fft_users == {"audio"}
+    # signals shapes noise by a gain on its spectrum (zero-phase, no
+    # kernel); hearing_aid designs its FIR by frequency sampling, an
+    # inverse FFT of the target response. A new FFT user belongs in audio.
+    assert fft_attribute_users == {"signals", "hearing_aid"}

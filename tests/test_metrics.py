@@ -568,20 +568,26 @@ def test_ear_scores_gather_both_scores_and_the_lags(ears):
 
 
 def test_gammatone_bands_keep_the_bits_of_convolve_channels_across_lengths():
-    # Alternating lengths replaces the memoized spectrum each call; a stale
-    # spectrum would change (or fail to broadcast with) the signal's.
+    # Alternating lengths replaces the bank's memoized spectrum each call;
+    # a stale spectrum would change (or fail to broadcast with) the
+    # signal's. gammatone_bands computes its bands without the bank, so
+    # the bank's rows are checked here too.
     kernels = _gammatone_kernels()
     signals = [speech(0.5, seed=23), speech(0.8, seed=24)]
     for x in signals * 2:
-        assert np.array_equal(gammatone_bands(x), convolve_channels(kernels, x)[:, : x.size])
+        expected = convolve_channels(kernels, x)
+        assert np.array_equal(gammatone_bands(x), expected[:, : x.size])
+        rows = [chunk.copy() for chunk in _GAMMATONE_BANK.convolve_rows(x, metrics.BAND_CHUNK, {})]
+        assert np.array_equal(np.concatenate(rows), expected)
 
 
 def test_gammatone_memo_holds_one_fft_length():
+    # The front end fills the memo; gammatone_bands, its oracle, does not.
     bank = _GAMMATONE_BANK
     taps = _gammatone_kernels().shape[1]
     for seconds in (0.5, 0.8, 0.5):
         x = speech(seconds, seed=25)
-        gammatone_bands(x)
+        _band_features(x, None, {})
         nfft = next_fast_len(x.size + taps - 1, real=True)
         assert set(vars(bank)) == {"kernels", "_memo"}
         memo_nfft, spectrum = bank._memo

@@ -806,6 +806,29 @@ def test_render_takes_array_positions_as_the_reader_does():
 
 
 @pytest.mark.parametrize("which", ["target", "interferers[0]"])
+def test_a_file_source_takes_no_duration(tmp_path, which):
+    # The length of a file source is the file's: a duration_s beside it
+    # would be accepted, checked against the scene limit and then ignored.
+    payload = scene_to_dict(simple_scene())
+    placed = payload["target"] if which == "target" else payload["interferers"][0]
+    placed["source"] = {"kind": placed["source"]["kind"], "file": "talk.wav", "duration_s": 0.5}
+    problem = f"{which}.source.duration_s: a file source takes its length from the file; omit it"
+    with pytest.raises(ValueError) as err:
+        scene_from_dict(payload)
+    assert str(err.value) == problem
+    # A SceneSpec built in code is read back before any file is opened.
+    source = SourceSignal("speech", duration_s=0.5, file=str(tmp_path / "absent.wav"))
+    scene = simple_scene()
+    if which == "target":
+        scene = replace(scene, target=replace(scene.target, source=source))
+    else:
+        scene = replace(scene, interferers=(replace(scene.interferers[0], source=replace(source, kind="noise")),))
+    with pytest.raises(ValueError) as err:
+        render_scene(scene)
+    assert str(err.value) == problem
+
+
+@pytest.mark.parametrize("which", ["target", "interferers[0]"])
 def test_render_rejects_a_file_source_past_the_scene_limit(tmp_path, monkeypatch, which):
     # 29 s of samples from a 1.5 s onset ends at 30.5 s; the check must
     # come before any room impulse response is computed.
