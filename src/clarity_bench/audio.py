@@ -3,7 +3,10 @@
 All internal DSP runs in float64; float32 appears only at file boundaries.
 The program runs at one sample rate, DEFAULT_RATE (16 kHz). Buffers do
 not carry it; read_wav checks it where audio files enter, and write_wav
-writes it into every header.
+writes it into every header. The module holds the two rules that the
+renderer and the scorer share: to_frames, the one frame clock, rounds
+every time in seconds to a frame count or frame index, and
+is_finite_number is the one number rule of every checked input.
 
 This module needs NumPy and the standard library only. Its FFTs are
 numpy.fft's (the pocketfft of NumPy 2), the package's one FFT library.
@@ -42,6 +45,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -59,6 +63,25 @@ WORK_BUDGET = 4 << 20
 # appends it back when it returns; list.pop and list.append are atomic,
 # so no two threads share a buffer.
 _SPARE_WORK = []
+
+
+def to_frames(seconds):
+    """The frame count, or frame index, of a time in seconds at DEFAULT_RATE:
+    seconds * DEFAULT_RATE rounded half to even, a Python int for a number
+    and an int array for an array."""
+    if isinstance(seconds, np.ndarray):
+        return np.round(seconds * DEFAULT_RATE).astype(int)
+    return int(round(seconds * DEFAULT_RATE))
+
+
+def is_finite_number(value):
+    """True for a finite real number that is not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)

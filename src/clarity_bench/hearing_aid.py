@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import DEFAULT_RATE, SampleBuffer, convolve_channels, read_json
-from .room import is_finite_number
+from .audio import DEFAULT_RATE, SampleBuffer, convolve_channels, is_finite_number, read_json
 
 AUDIOGRAM_FREQUENCIES = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 6000.0)
 EARS = ("left", "right")   # the rows of a stereo ear buffer, in order
@@ -27,7 +26,8 @@ DEFAULT_TAPS = 127   # odd, for a whole-sample group delay; >= 63 resolves 250 H
 @dataclass(frozen=True)
 class Audiogram:
     """Hearing levels in dB HL at the six standard frequencies, per ear:
-    finite numbers that are not booleans (`is_finite_number`), in [0, 120]."""
+    finite numbers that are not booleans (`audio.is_finite_number`), in
+    [0, 120]."""
 
     left: tuple
     right: tuple

@@ -4,7 +4,7 @@ Every mirror image of the source contributes a single spike:
 
     amplitude = (-sqrt(1 - absorption)) ** reflections / distance
 
-placed at the nearest sample to distance / SPEED_OF_SOUND, weighted,
+placed at the frame audio.to_frames(distance / SPEED_OF_SOUND), weighted,
 for a source with an aim, by the cardioid gain 0.5 (1 + cos psi) of the
 emission cosine cos psi (the image's mirrored aim dotted with its unit
 vector toward the listener), and panned into the Ambisonic channels by
@@ -31,7 +31,6 @@ and every harmonic per image before any binning.
 import itertools
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
@@ -39,27 +38,18 @@ from .ambisonics import AmbiSignal, num_channels, sh_rows
 # Not called here: perfbench/tracing.py wraps sh_eval at this module, and
 # its traced run fails without the name.
 from .ambisonics import sh_eval  # noqa: F401
-from .audio import DEFAULT_RATE
+from .audio import DEFAULT_RATE, is_finite_number, to_frames
 
 SPEED_OF_SOUND = 343.0
-
-
-def is_finite_number(value):
-    """True for a finite real number that is not a boolean."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:   # an int beyond the float range
-        return False
 
 
 @dataclass(frozen=True)
 class RoomSpec:
     """Rectangular room with uniform, frequency-independent absorption.
 
-    Its rules, on finite non-boolean numbers (`is_finite_number`): three
-    dimensions > 0 and absorption in (0, 1]. Sound travels at SPEED_OF_SOUND."""
+    Its rules, on finite non-boolean numbers (`audio.is_finite_number`):
+    three dimensions > 0 and absorption in (0, 1]. Sound travels at
+    SPEED_OF_SOUND."""
 
     dimensions: tuple
     absorption: float
@@ -109,13 +99,20 @@ class AmbiRir:
     image_count: int
 
 
+def direct_delay(source, listener):
+    """The seconds the direct sound takes from source to listener, in the
+    arithmetic of image_source_rir: its direct spike lands on frame
+    to_frames(direct_delay(source, listener))."""
+    return math.sqrt(sum((s - l) * (s - l) for s, l in zip(source, listener))) / SPEED_OF_SOUND
+
+
 def direct_path_problem(source, listener, time_limit):
     """Why no RIR of time_limit seconds joins the two positions, or None:
     they coincide, or the direct sound arrives after its last frame."""
     if np.allclose(source, listener):
         return "source and listener positions coincide"
-    delay = float(np.linalg.norm(np.subtract(source, listener, dtype=np.float64))) / SPEED_OF_SOUND
-    if round(delay * DEFAULT_RATE) >= round(time_limit * DEFAULT_RATE):
+    delay = direct_delay(source, listener)
+    if to_frames(delay) >= to_frames(time_limit):
         return f"time limit {time_limit} s ends before the direct path arrives ({delay:.4f} s)"
     return None
 
@@ -143,7 +140,7 @@ def image_source_rir(room, source, listener, order, time_limit):
     lis = np.asarray(listener, dtype=np.float64)
     if problem := direct_path_problem(src, lis, time_limit):
         raise ValueError(problem)
-    frames = int(round(time_limit * DEFAULT_RATE))
+    frames = to_frames(time_limit)
 
     beta = -np.sqrt(1.0 - room.absorption)
     reach = SPEED_OF_SOUND * time_limit
@@ -169,7 +166,7 @@ def image_source_rir(room, source, listener, order, time_limit):
         dist = np.sqrt(sq[0][near[0]] + sq[1][near[1]] + sq[2][near[2]])
         if np.any(dist < 1e-9):
             raise ValueError("degenerate geometry: zero-distance image")
-        bins = np.round(dist / SPEED_OF_SOUND * DEFAULT_RATE).astype(int)
+        bins = to_frames(dist / SPEED_OF_SOUND)
         keep = bins < frames
         if not np.any(keep):
             continue

@@ -16,7 +16,10 @@ omnidirectional (W) channel of their impulse responses over the
 target-active frames (the target's onset to the end of its tail),
 giving two signals: the target's W and the interferer sum's W. From
 them mix_at_snr takes one scalar, the interferer gain, which scales the
-interferers' inputs. Rotation and decode are linear and, while the yaw
+interferers' inputs. The reader refuses an snr_db when the interferers
+are synthetic and each is silent over those frames: it ends, its RIR's
+tail included, by the target's onset, or its direct sound arrives after
+their last frame. Rotation and decode are linear and, while the yaw
 is held, time-invariant; so before the listener turns and after the
 turn the ears are the sources convolved with their binaural RIRs (each
 RIR decoded at the held yaw through hrtf.decoder_bank). Over the turn, the
@@ -51,11 +54,11 @@ import numpy as np
 from . import signals
 from .ambisonics import AmbiSignal, acn_index, num_channels
 from .audio import (  # noqa: F401  (convolve_channels: perfbench/tracing.py wraps it by this name)
-    DEFAULT_RATE, REFERENCE_RMS, SampleBuffer, convolve_channels, convolve_sum, read_json,
-    read_wav, rms_array, scale_to_rms, write_wav,
+    DEFAULT_RATE, REFERENCE_RMS, SampleBuffer, convolve_channels, convolve_sum, is_finite_number,
+    read_json, read_wav, rms_array, scale_to_rms, to_frames, write_wav,
 )
 from .hrtf import DEFAULT_TAPS, binaural_decode, decoder_bank
-from .room import SPEED_OF_SOUND, RoomSpec, SourceSpec, direct_path_problem, image_source_rir, is_finite_number
+from .room import SPEED_OF_SOUND, RoomSpec, SourceSpec, direct_delay, direct_path_problem, image_source_rir
 from .workers import ordered_map
 
 PAPER_ROOM = RoomSpec(dimensions=(6.6, 5.8, 2.8), absorption=0.438)
@@ -66,15 +69,6 @@ DEFAULT_RIR_SECONDS = 0.35
 MAX_SCENE_SECONDS = 30.0
 ROTATION_BLOCK_SECONDS = 0.01
 MAX_SCENES = 9999   # the most that the four-digit scene ids S%04d hold
-
-
-def _frames(seconds):
-    """The frame count, or frame index, of a time at DEFAULT_RATE, rounded as a render rounds it."""
-    return int(round(seconds * DEFAULT_RATE))
-
-
-_HOP = _frames(ROTATION_BLOCK_SECONDS)   # frames between rotation block centres
-_RIR_TAPS = _frames(DEFAULT_RIR_SECONDS)   # the length of image_source_rir's RIRs
 
 # Fixed microphone calibration applied to the decoded ear signals. It
 # compensates the free-field spreading loss at desk-scale distances so the
@@ -265,13 +259,21 @@ def is_seed(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _heard(onset_s, frames):
+    """The frames [start, stop) of a source `frames` long at onset_s
+    through an RIR of DEFAULT_RIR_SECONDS, its tail included; for the
+    target, the target-active frames, the W pass's window."""
+    start = to_frames(onset_s)
+    return start, start + frames + to_frames(DEFAULT_RIR_SECONDS) - 1
+
+
 def scene_from_dict(payload, directory=None):
     """Build a SceneSpec from a scene dictionary and check it.
 
     This is the one checker of a scene. It walks the dictionary once and
     collects every problem, prefixed by its path, in field order into one
     ValueError that joins them by "; ". Numbers must be finite and not
-    booleans (`is_finite_number`). RoomSpec and RotationTrajectory keep
+    booleans (`audio.is_finite_number`). RoomSpec and RotationTrajectory keep
     the room's and the trajectory's rules; a room's speed_of_sound, which
     scene_to_dict does not write, must be SPEED_OF_SOUND when given.
     Positions are three numbers inside the room, and the direct sound of
@@ -288,9 +290,12 @@ def scene_from_dict(payload, directory=None):
     given, must equal it. snr_db is None or within MAX_ABS_SNR_DB, the
     fidelity is one of FIDELITY_NAMES and the seed is a non-negative
     integer. When snr_db is given and every interferer is synthetic, one
-    of them must still sound, its RIR's tail included, at the target's
-    first frame or later, where the SNR is set; a file's length is known
-    only to the render.
+    of them must sound over the target-active frames, where the SNR is
+    set (`_heard`): end, its RIR's tail included, after the target's first
+    frame, and, when the target is synthetic too, have its direct sound
+    arrive by their last frame. A file's length is known only to the
+    render, and a source may start in a pause, so the render refuses
+    those scenes (mix_at_snr).
     """
     if not isinstance(payload, dict):
         raise ValueError("scene: must be an object")
@@ -350,17 +355,20 @@ def scene_from_dict(payload, directory=None):
         if file is not None and not isinstance(file, str):
             problems.append(f"{path}.source.file: must be a path string, got {file!r}")
         length = duration if file is None and is_finite_number(duration) and duration > 0 else 0.0
+        fits = onset + length <= MAX_SCENE_SECONDS   # then its frame counts are finite
         if file is not None and duration is not None:
             problems.append(f"{path}.source.duration_s: a file source takes its length from the file; omit it")
         elif file is None and not length:
             problems.append(f"{path}.source.duration_s: a synthetic source needs a finite duration > 0, "
                             f"got {duration!r}")
-        elif file is None and _frames(length) < 1:
+        elif file is None and length <= MAX_SCENE_SECONDS and to_frames(length) < 1:
             problems.append(f"{path}.source.duration_s: {duration!r} s is shorter "
                             f"than one sample at {DEFAULT_RATE} Hz")
-        if file is None and length:   # the frame where its sound, the RIR's tail included, stops
-            stops[path] = _frames(onset) + _frames(length) + _RIR_TAPS - 1
-        if onset + length > MAX_SCENE_SECONDS:
+        if file is None and length and fits:   # the frames a W pass may hear it over, from its direct sound on
+            start, stop = _heard(onset, to_frames(length))
+            direct = 0 if why or hearer is None else to_frames(direct_delay(position, hearer))
+            spans[path] = (start + direct, stop)
+        if not fits:
             problems.append(f"{path}: ends at {onset + length:g} s, after the "
                             f"{MAX_SCENE_SECONDS:g} s scene limit")
         if isinstance(file, str) and directory is not None:
@@ -368,7 +376,7 @@ def scene_from_dict(payload, directory=None):
         position = tuple(position) if isinstance(position, list) else position
         return PlacedSource(position, SourceSignal(given, duration, seed, file), onset)
 
-    stops, target = {}, None
+    spans, target = {}, None
     if (spec := section("target")) is not None:
         target = placed("target", spec)
 
@@ -401,10 +409,15 @@ def scene_from_dict(payload, directory=None):
     snr = payload.get("snr_db")
     if snr is not None and not (is_finite_number(snr) and abs(snr) <= MAX_ABS_SNR_DB):
         problems.append(f"snr_db: must be null or a number within +-{MAX_ABS_SNR_DB:g}, got {snr!r}")
-    heard = [stops.get(f"interferers[{i}]") for i in range(count or 0)]
-    if snr is not None and target and heard and None not in heard and max(heard) <= _frames(target.onset_s):
-        problems.append(f"interferers: each ends, its {DEFAULT_RIR_SECONDS:g} s RIR tail included, "
-                        "before the target starts, so snr_db has no interferer sound to set")
+    heard = [spans.get(f"interferers[{i}]") for i in range(count or 0)]
+    if snr is not None and target and target.onset_s <= MAX_SCENE_SECONDS and heard and None not in heard:
+        begin, end = to_frames(target.onset_s), spans.get("target", (0, math.inf))[1]
+        if max(stop for _, stop in heard) <= begin:
+            problems.append(f"interferers: each ends, its {DEFAULT_RIR_SECONDS:g} s RIR tail included, "
+                            "before the target starts, so snr_db has no interferer sound to set")
+        elif all(stop <= begin or start >= end for start, stop in heard):
+            problems.append(f"interferers: none sounds from the target's start to the end of its "
+                            f"{DEFAULT_RIR_SECONDS:g} s RIR tail, so snr_db has no interferer sound to set")
     if (fidelity := payload.get("fidelity")) not in FIDELITY_NAMES:
         problems.append(f"fidelity: must be one of {FIDELITY_NAMES}")
     if not is_seed(seed := payload.get("seed")):
@@ -455,13 +468,6 @@ def mix_at_snr(target_w, interferer_w, snr_db):
     return target_rms / interferer_rms * 10.0 ** (-snr_db / 20.0)
 
 
-def _block_yaws(trajectory, first, stop):
-    """The listener yaw at the centres k * _HOP of rotation blocks
-    k = first .. stop - 1; block k spans frames (k - 1) * _HOP to
-    (k + 1) * _HOP."""
-    return trajectory.yaw_at(np.arange(first, stop) * _HOP / DEFAULT_RATE)
-
-
 def _turn_pairs(x, cos_m, sin_m):
     """x (K, ...) with each (l, +m), (l, -m) channel pair turned by the
     angle whose cosine and sine are cos_m[m - 1] and sin_m[m - 1]; m = 0
@@ -492,15 +498,17 @@ def apply_trajectory(field, trajectory, start=0):
     the scene, whose block grid starts at frame 0; each frame gets the
     gains it has in a field that starts at 0.
     """
-    hop = _HOP
+    hop = to_frames(ROTATION_BLOCK_SECONDS)
     frames = field.frames
     ramp = (np.arange(hop) + 0.5) / hop
     fade_in, fade_out = ramp, ramp[::-1]
-    # Frame t = k*hop + j lies in the second half of block k (started at
-    # (k-1)*hop) and in the first half of block k + 1.
+    # Block k is centred on frame k*hop. Frame t = k*hop + j lies in the
+    # second half of block k (started at (k-1)*hop) and in the first half
+    # of block k + 1.
     first = start // hop
     hops = -(-(start + frames) // hop) - first
-    angles = -np.outer(np.arange(1, field.order + 1), _block_yaws(trajectory, first, first + hops + 1))
+    yaws = trajectory.yaw_at(np.arange(first, first + hops + 1) * hop / DEFAULT_RATE)
+    angles = -np.outer(np.arange(1, field.order + 1), yaws)
     offset = start - first * hop
 
     def track(per_block):
@@ -591,7 +599,9 @@ def _render_ears(placed, spaced, trajectory, noise=None):
     taps = spacing - history
     frames = placed.shape[1] + taps - 1
     length = frames + history
-    yaws = _block_yaws(trajectory, 0, -(-frames // _HOP) + 1)
+    hop = to_frames(ROTATION_BLOCK_SECONDS)
+    # The yaw of each rotation block, at its centre (apply_trajectory).
+    yaws = trajectory.yaw_at(np.arange(-(-frames // hop) + 1) * hop / DEFAULT_RATE)
     moved = np.flatnonzero(yaws != yaws[0])
     # Ears [0, head) take the first yaw, [tail, length) the last; between
     # them the field is rotated and decoded.
@@ -600,8 +610,8 @@ def _render_ears(placed, spaced, trajectory, noise=None):
     elif not moved.size:
         head, tail = length, length
     else:
-        head = (moved[0] - 1) * _HOP
-        tail = (np.flatnonzero(yaws != yaws[-1])[-1] + 1) * _HOP + history
+        head = (moved[0] - 1) * hop
+        tail = (np.flatnonzero(yaws != yaws[-1])[-1] + 1) * hop + history
         # A field window that reaches the field's end is decoded to the
         # ears' end: past the field there are only zeros.
         tail = tail if tail < frames else length
@@ -675,29 +685,28 @@ def render_scene(scene, profile=None, keep_components=False):
             raise ValueError(f"{where}.source.file {source.file}: ends at {end:g} s, "
                              f"after the {MAX_SCENE_SECONDS:g} s scene limit")
     # The RIRs are held once, laid out as _render_ears reads them.
-    spaced = np.zeros((num_channels(profile.ambisonic_order), len(specs), _RIR_TAPS + DEFAULT_TAPS - 1))
-    rirs = spaced[..., :_RIR_TAPS]   # K x sources x taps
+    taps = to_frames(DEFAULT_RIR_SECONDS)
+    spaced = np.zeros((num_channels(profile.ambisonic_order), len(specs), taps + DEFAULT_TAPS - 1))
+    rirs = spaced[..., :taps]   # K x sources x taps
     for index, spec in enumerate(specs):
         cardioid = index > 0 and profile.interferer_directivity == "cardioid"
         src = SourceSpec(spec.position, listener - np.asarray(spec.position) if cardioid else None)
         rir = image_source_rir(room, src, listener, profile.ambisonic_order, DEFAULT_RIR_SECONDS)
         rirs[:, index] = rir.signal.data
-    onsets = [_frames(spec.onset_s) for spec in specs]
+    onsets = [to_frames(spec.onset_s) for spec in specs]
 
     # Every dry signal sits at its onset in one row of `placed`, so one
     # convolve_sum over `rirs` renders a field.
     placed = np.zeros((len(drys), max(o + d.size for o, d in zip(onsets, drys))))
     for row, onset, dry in zip(placed, onsets, drys):
         row[onset : onset + dry.size] = dry
-    active = (onsets[0], onsets[0] + drys[0].size + _RIR_TAPS - 1)
+    active = _heard(scene.target.onset_s, drys[0].size)
 
     # The W pass gives the target and interferer-sum W signals over the
     # target-active frames, which fix the interferer gain; scaling the
     # interferer inputs by it makes each later pass render the mix.
-    w_kernels = np.zeros((2, *rirs.shape[1:]))
-    w_kernels[0, 0] = rirs[0, 0]
-    w_kernels[1, 1:] = rirs[0, 1:]
-    target_w, interferer_w = convolve_sum(placed, w_kernels, *active)
+    target_w = convolve_sum(placed[:1], rirs[:1, :1], *active)[0]
+    interferer_w = convolve_sum(placed[1:], rirs[:1, 1:], *active)[0]
     interferer_gain = mix_at_snr(target_w, interferer_w, scene.snr_db)
     placed[1:] *= interferer_gain
     noise = None
@@ -707,7 +716,6 @@ def render_scene(scene, profile=None, keep_components=False):
     ears = _render_ears(placed, spaced, trajectory, noise)
 
     reference = SampleBuffer(scale_to_rms(drys[0], REFERENCE_RMS))
-    direct = np.linalg.norm(np.asarray(scene.target.position) - listener)
 
     record = {
         "seed": scene.seed,
@@ -718,7 +726,7 @@ def render_scene(scene, profile=None, keep_components=False):
         "interferer_gain": float(interferer_gain),
         "ear_gain": float(EAR_CALIBRATION_GAIN),
         "target_onset_s": scene.target.onset_s,
-        "target_lag": onsets[0] + _frames(direct / SPEED_OF_SOUND) + DEFAULT_TAPS // 2,
+        "target_lag": onsets[0] + to_frames(direct_delay(scene.target.position, listener)) + DEFAULT_TAPS // 2,
     }
 
     components = None

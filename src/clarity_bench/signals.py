@@ -28,7 +28,7 @@ mostly near the ends, where the wrap-around meets the zero padding.
 
 import numpy as np
 
-from .audio import DEFAULT_RATE, next_fast_len, scale_to_rms
+from .audio import DEFAULT_RATE, next_fast_len, scale_to_rms, to_frames
 
 TARGET_RMS = 0.05  # about -26 dBFS
 TALKER_F0 = 120.0  # Hz, the talker's mean fundamental
@@ -63,7 +63,7 @@ def _syllabic_envelope(n, rng, rate_hz=3.0, gate=0.12):
 def speech_like(duration_s, seed):
     """Modulated harmonic complex with vibrato, pauses and frication."""
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * DEFAULT_RATE))
+    n = to_frames(duration_s)
     t = np.arange(n) / DEFAULT_RATE
 
     vibrato = 1.0 + 0.03 * np.sin(2.0 * np.pi * 5.0 * t + rng.uniform(0, 2 * np.pi))
@@ -90,16 +90,16 @@ def speech_like(duration_s, seed):
 def noise_like(duration_s, seed):
     """Pink-ish stationary noise (spectrum ~ f^-0.5)."""
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * DEFAULT_RATE))
+    n = to_frames(duration_s)
     return scale_to_rms(_shaped_noise(rng.standard_normal(n), _pink_gain), TARGET_RMS)
 
 
 def music_like(duration_s, seed):
     """Tonal arpeggio: plucked notes from a minor chord."""
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * DEFAULT_RATE))
+    n = to_frames(duration_s)
     chord = np.array([220.0, 261.63, 329.63, 440.0])
-    note_len = int(0.18 * DEFAULT_RATE)
+    note_len = to_frames(0.18)
     out = np.zeros(n)
     start = 0
     while start < n:
@@ -129,6 +129,6 @@ def source_signal(kind, duration_s, seed):
         gen = _GENERATORS[kind]
     except KeyError:
         raise ValueError(f"unknown source kind {kind!r}; expected one of {SOURCE_KINDS}")
-    if not duration_s * DEFAULT_RATE > 0.5:   # the generators round to no sample; NaN fails too
+    if not (duration_s > 0 and to_frames(duration_s) > 0):   # NaN fails too
         raise ValueError(f"duration_s {duration_s!r} is shorter than one sample at {DEFAULT_RATE} Hz")
     return gen(duration_s, seed)

@@ -21,10 +21,12 @@ from clarity_bench.audio import (
     SampleBuffer,
     convolve_channels,
     convolve_sum,
+    is_finite_number,
     next_fast_len,
     read_wav,
     rms_array,
     scale_to_rms,
+    to_frames,
     write_wav,
 )
 
@@ -176,6 +178,41 @@ def test_read_wav_lets_a_missing_file_raise_file_not_found(tmp_path):
 def test_next_fast_len_matches_scipy():
     for n in [*range(1, (1 << 17) + 1), 10**6 + 1, 1_048_577, 3 * 10**6 + 7, 123_456_789]:
         assert next_fast_len(n) == scipy_next_fast_len(n, real=True), n
+
+
+def test_to_frames_rounds_half_to_even_to_an_int_or_an_int_array():
+    assert [to_frames(k / 16000) for k in (0.5, 1.5, 2.5, 3.5)] == [0, 2, 2, 4]
+    assert type(to_frames(0.35)) is int and type(to_frames(np.float64(0.35))) is int
+    assert to_frames(0.35) == 5600 and to_frames(3) == 48000
+    frames = to_frames(np.array([0.5, 1.5, 2.5, 3.5]) / 16000)
+    assert frames.dtype == np.int64 and frames.tolist() == [0, 2, 2, 4]
+
+
+def test_is_finite_number_takes_finite_reals_but_not_booleans():
+    assert all(map(is_finite_number, (0, -3, 1.5, np.float64(2.0), np.int64(7), 10**300)))
+    assert not any(map(is_finite_number, (True, False, float("nan"), float("inf"), 10**400, "1", None, 1j)))
+
+
+def test_one_frame_clock_in_the_package():
+    # Every time in seconds becomes frames through audio.to_frames: no
+    # other module rounds an expression that holds DEFAULT_RATE.
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "clarity_bench"
+
+    def rounds(func):
+        if isinstance(func, ast.Name):
+            return func.id == "round"
+        return (isinstance(func, ast.Attribute) and func.attr in ("round", "rint", "around")
+                and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy"))
+
+    def names_the_rate(node):
+        return any(getattr(n, "id", getattr(n, "attr", None)) == "DEFAULT_RATE" for n in ast.walk(node))
+
+    rounding = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and rounds(node.func) and any(map(names_the_rate, node.args)):
+                rounding.add(path.stem)
+    assert rounding == {"audio"}
 
 
 def test_rate_mismatch(tmp_path):

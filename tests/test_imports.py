@@ -60,3 +60,11 @@ def test_score_and_report_never_load_scipy(tmp_path):
     assert scores.exists()
     assert {"clarity_bench.harness", "clarity_bench.metrics"} <= loaded
     assert not scipy_modules(loaded)
+
+
+def test_scorer_loads_no_render_module():
+    # harness -> metrics -> hearing_aid share only audio with the renderer.
+    loaded = loaded_after("import clarity_bench.harness")
+    assert {"clarity_bench.harness", "clarity_bench.metrics", "clarity_bench.audio"} <= loaded
+    render = {f"clarity_bench.{name}" for name in ("ambisonics", "room", "hrtf", "signals", "scenes")}
+    assert not loaded & render

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from clarity_bench.ambisonics import AmbiSignal
 from clarity_bench.audio import REFERENCE_RMS, SampleBuffer, convolve_sum, read_wav, rms_array, scale_to_rms
 from clarity_bench.hrtf import DEFAULT_TAPS, binaural_decode
-from clarity_bench.room import RoomSpec
+from clarity_bench.room import RoomSpec, SourceSpec, image_source_rir
 from clarity_bench.scenes import (
     EAR_CALIBRATION_GAIN,
     FidelityProfile,
@@ -240,6 +240,7 @@ BAD_SOURCE_FIELDS = [
     (("target", "onset_s"), float("nan"), "target.onset_s"),
     (("target", "onset_s"), True, "target.onset_s"),
     (("target", "onset_s"), 1e9, "scene limit"),
+    (("target", "onset_s"), 1e305, "scene limit"),   # beyond the float range in frames
     (("interferers", 0, "onset_s"), -0.5, "interferers[0].onset_s"),
     (("interferers", 0, "onset_s"), 10**400, "interferers[0].onset_s"),
     (("target", "source", "duration_s"), 0.0, "target.source.duration_s"),
@@ -249,6 +250,8 @@ BAD_SOURCE_FIELDS = [
     (("interferers", 0, "source", "duration_s"), 0.5 / 16000, "interferers[0].source.duration_s"),
     (("interferers", 0, "source", "duration_s"), "2", "interferers[0].source.duration_s"),
     (("interferers", 0, "source", "duration_s"), 40.0, "scene limit"),
+    (("interferers", 0, "source", "duration_s"), 1e305, "scene limit"),
+    (("interferers", 0, "onset_s"), 1e305, "scene limit"),
     (("target", "source", "synth_seed"), 1.5, "target.source.synth_seed"),
     (("target", "source", "synth_seed"), "5", "target.source.synth_seed"),
     (("interferers", 0, "source", "synth_seed"), -1, "interferers[0].source.synth_seed"),
@@ -423,6 +426,50 @@ def test_reader_refuses_silent_interferers_to_the_frame(frames, refused):
         assert str(err.value) == SILENT_INTERFERERS
     else:
         assert scene_from_dict(payload).interferers[0].source.duration_s == frames / RATE
+
+
+SILENT_OVER_THE_WINDOW = ("interferers: none sounds from the target's start to the end of its "
+                         "0.35 s RIR tail, so snr_db has no interferer sound to set")
+
+
+def interferer_heard_from(frame):
+    """simple_scene with its noise interferer's direct sound, the first
+    non-zero frame of its RIR's W channel, arriving at `frame`."""
+    scene = simple_scene()
+    noise = scene.interferers[0]
+    rir = image_source_rir(scene.room, SourceSpec(noise.position), scene.listener.position, 1, 0.35)
+    lag = int(np.flatnonzero(rir.signal.data[0])[0])
+    return replace(scene, interferers=(replace(noise, onset_s=(frame - lag) / RATE),))
+
+
+# The last target-active frame of simple_scene: the target's 1 s from
+# frame 4,800, then the RIR's 5,599-frame tail.
+LAST_ACTIVE_FRAME = 4800 + RATE + 5599 - 1
+
+
+@pytest.mark.parametrize("frame, refused", [(LAST_ACTIVE_FRAME, False), (LAST_ACTIVE_FRAME + 1, True)])
+def test_reader_refuses_interferers_after_the_window_to_the_frame(frame, refused):
+    # Heard on the window's last frame, the interferer sets the SNR; one
+    # frame later the W pass hears no interferer, and the reader says so.
+    scene = interferer_heard_from(frame)
+    if refused:
+        for read in (lambda: scene_from_dict(scene_to_dict(scene)), lambda: render_scene(scene)):
+            with pytest.raises(ValueError) as err:
+                read()
+            assert str(err.value) == SILENT_OVER_THE_WINDOW
+    else:
+        # Heard on one frame, the interferer gets a gain in the hundreds; a
+        # window one frame short would hear only overlap-save rounding
+        # noise (about 1e-18) and set a gain near 1e15.
+        assert 0 < render_scene(scene).record["interferer_gain"] < 1e6
+
+
+def test_reader_refuses_interferers_silent_on_both_sides_of_the_window():
+    scene = interferer_before_the_target(0.1)
+    late = replace(simple_scene().interferers[0], onset_s=10.0)
+    with pytest.raises(ValueError) as err:
+        scene_from_dict(scene_to_dict(replace(scene, interferers=(*scene.interferers, late))))
+    assert str(err.value) == SILENT_OVER_THE_WINDOW
 
 
 def test_reader_takes_an_interferer_before_the_target_when_one_is_heard_or_none_is_needed():
