@@ -27,10 +27,14 @@ are views of one float64 buffer, taken from a module-level list of spare
 buffers and put back when the call returns, so the render's many calls
 fault no fresh pages for them; a buffer stays mapped between calls,
 sized by the largest need of the calls it served. convolve_channels is
-one whole-signal FFT convolution with broadcasting that keeps no state;
-the scoring path uses it (the hearing aid and the alignment), because
-the scores are pinned to its output bits and overlap-save rounds
-differently.
+one FFT convolution with broadcasting that keeps no state; the scoring
+path uses it (the hearing aid and the alignment), because the scores are
+pinned to its output bits and overlap-save rounds differently. It also
+computes a window of frames, but at the window's own FFT length, the
+shortest fast length at which no frame of the window wraps around, so
+only the default window, the whole output, keeps the bits of the whole
+convolution: the hearing aid takes all of it, the alignment only the
+lags it searches.
 
 A KernelBank holds the gammatone bank, the one kernel set that never
 changes, and memoizes its spectrum at the last FFT length used, so the
@@ -237,26 +241,50 @@ def next_fast_len(n):
     return best
 
 
-def convolve_channels(data, kernels):
-    """Full linear convolution along the last axis; leading axes broadcast.
+def convolve_channels(data, kernels, start=0, stop=None):
+    """Frames [start, stop) of the full linear convolution along the last
+    axis; leading axes broadcast.
 
-    The result has data.shape[-1] + kernels.shape[-1] - 1 frames: one real
-    FFT of each operand at a fast length, their product, one inverse FFT.
-    These are the transforms of scipy.signal's FFT convolution, and at the
-    package's call sites the outputs agree bit for bit. Swapping the
-    operands changes the rounding of the complex product, so each caller
-    keeps a fixed order. An empty operand raises ValueError.
+    The full convolution has length = data.shape[-1] + kernels.shape[-1] - 1
+    frames, all of them when no window is given; a window outside
+    0 <= start < stop <= length raises ValueError, and so does an empty
+    operand. The frames come from one real FFT of each operand at
+    nfft = next_fast_len(max(stop, length - start)), their product and one
+    inverse FFT: the circular convolution at nfft, in which the frames of
+    the window wrap onto no other frame. An operand longer than nfft is
+    first wrapped onto nfft frames (its frames summed modulo nfft), which
+    changes no frame of the window. These are the transforms of
+    scipy.signal's FFT convolution, and with the default window, at
+    next_fast_len(length), the package's call sites agree with it bit for
+    bit. Any other window runs at its own FFT length, so its frames equal
+    those of the whole output only up to rounding. Swapping the operands
+    changes the rounding of the complex product, so each caller keeps a
+    fixed order.
     """
     data = np.asarray(data, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
     if data.size == 0 or kernels.size == 0:
         raise ValueError("convolve requires non-empty signal and kernel")
     length = data.shape[-1] + kernels.shape[-1] - 1
-    nfft = next_fast_len(length)
+    stop = length if stop is None else stop
+    if not 0 <= start < stop <= length:
+        raise ValueError(f"window [{start}, {stop}) is not within the {length} output frames")
+    nfft = next_fast_len(max(stop, length - start))
     # np.multiply, not `*`: NumPy may compute `a * temporary` in the
     # temporary's buffer as temporary * a, and with fused multiply-adds
     # the swapped complex product rounds differently.
-    return irfft(np.multiply(rfft(data, nfft), rfft(kernels, nfft)), nfft)[..., :length]
+    product = np.multiply(rfft(_wrapped(data, nfft), nfft), rfft(_wrapped(kernels, nfft), nfft))
+    return irfft(product, nfft)[..., start:stop]
+
+
+def _wrapped(x, nfft):
+    """x, or x with its frames summed modulo nfft when it has more."""
+    frames = x.shape[-1]
+    if frames <= nfft:
+        return x
+    padded = np.zeros((*x.shape[:-1], -(-frames // nfft) * nfft))
+    padded[..., :frames] = x
+    return padded.reshape(*x.shape[:-1], -1, nfft).sum(axis=-2)
 
 
 class KernelBank:

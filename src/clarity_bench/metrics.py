@@ -11,11 +11,12 @@ rectification, a 32 Hz second-order low-pass and decimation to 256 Hz by
 linear interpolation give linear band envelopes, and the band RMS the
 long-term band levels. One function, _band_features, is that front end
 for one signal, reference or ear. It streams: the signal is transformed
-once, and its bands are filtered, attenuated, smoothed and reduced
-BAND_CHUNK at a time, so only the envelopes (32 rows at 256 Hz) and the
-32 band levels are kept, never the 32 full-rate bands of a signal. Each
-band row is its own product, inverse FFT, matmul and reduction, so the
-chunking moves no bit; gammatone_bands(signal), the same bands from
+once, and its bands are filtered, attenuated and reduced to envelope
+block states and band levels BAND_CHUNK at a time, so only the block
+states and envelopes (32 rows at 256 Hz) and the 32 band levels are
+kept, never the 32 full-rate bands of a signal. Each band row is its own
+product, inverse FFT, matmul and reduction, so the chunking moves no
+bit; gammatone_bands(signal), the same bands from
 audio.convolve_channels, is the whole-array oracle of that front end.
 Only the dB conversion (-80 dB floor) is per metric, after a gain: 1 for
 the intelligibility score, and for the quality score the gain that
@@ -57,7 +58,13 @@ the front end reads its rows a chunk at a time (KernelBank.convolve_rows).
 It keeps the bits of audio.convolve_channels(kernels, signal), the
 convolution the scores were pinned to, because it multiplies the same
 spectra in the same order. The alignment cross-correlation is
-audio.convolve_channels itself, of all rows at once.
+audio.convolve_channels itself, of all rows at once, and it computes
+only the lags the search reads (those that keep MIN_OVERLAP of the
+reference overlapping), at the FFT length of that window: with a 10 s
+reference and ear about a tenth of the 319,999 lags, at FFT length
+177,147 in place of 320,000. Those values equal the whole correlation's
+up to rounding, so the lags are the whole correlation's except where two
+lags tie to within rounding.
 
 The envelope low-pass is the second-order Butterworth biquad of the
 bilinear transform, its coefficients in closed form, and it is evaluated
@@ -65,12 +72,13 @@ only at the samples the decimation reads. The 62.5-sample frame grid
 repeats every 125 samples, two frames, and the interpolation reads two
 samples per frame, so a block of 125 rectified samples enters through
 one fixed 125 x 6 matrix: the filter state it leaves at the block's end
-and its own part of the four samples read. A doubling scan over the
-blocks carries the state from block to block; it is elementwise, so each
+and its own part of the four samples read. That matmul runs per chunk
+of bands; a doubling scan over the blocks then carries the state from
+block to block, once per signal over all 32 bands, and gives the reads
+and the interpolation. Every step is elementwise or per row, so each
 band row gets the bits it would get alone. On speech bands this stays
 within 1e-12 of the band's peak envelope of scipy.signal's butter and
-lfilter followed by the same decimation, and it takes 0.0053 s per
-32-band call at 51,883 frames (one thread).
+lfilter followed by the same decimation.
 """
 
 import math
@@ -218,22 +226,26 @@ def gammatone_bands(signal):
     return convolve_channels(_GAMMATONE_BANK.kernels, x)[:, : x.size]
 
 
-def _smoothed(bands):
-    """Linear envelopes of band signals (..., frames) at the envelope rate.
-
-    Half-wave rectification, 2nd-order low-pass at the envelope cutoff,
-    then decimation to ENVELOPE_RATE by linear interpolation (np.interp's
-    own formula). The low-pass runs block by block and is evaluated only
-    at the samples the interpolation reads.
-    """
-    projection, step, reads = _ENVELOPE_BLOCKS
+def _block_states(bands):
+    """The per-block part of the envelope low-pass of band signals
+    (..., frames): (..., blocks, 6), each block of _BLOCK rectified
+    samples (zero-padded at the end) through the block projection of
+    _ENVELOPE_BLOCKS, one matmul per band row."""
+    projection = _ENVELOPE_BLOCKS[0]
     shape, n = bands.shape[:-1], bands.shape[-1]
     blocks = -(-n // _BLOCK)
     rectified = np.empty((*shape, blocks * _BLOCK))
     np.maximum(bands, 0.0, out=rectified[..., :n])
     rectified[..., n:] = 0.0
-    # One matmul per band row: each block's end state and samples read.
-    per_block = rectified.reshape(*shape, blocks, _BLOCK) @ projection
+    return rectified.reshape(*shape, blocks, _BLOCK) @ projection
+
+
+def _envelopes(per_block, n):
+    """Linear envelopes at the envelope rate of n-frame band signals from
+    their _block_states: the scan that carries the low-pass state from
+    block to block, the samples read and the interpolation."""
+    _, step, reads = _ENVELOPE_BLOCKS
+    shape, blocks = per_block.shape[:-2], per_block.shape[-2]
     # Block j starts in the state block j - 1 leaves: a doubling scan of
     # the end states, shifted by one block, elementwise so that each row
     # keeps its own bits.
@@ -258,6 +270,21 @@ def _smoothed(bands):
     return np.where(frac == 0.0, lo, (hi - lo) * frac + lo)
 
 
+def _smoothed(bands):
+    """Linear envelopes of band signals (..., frames) at the envelope rate.
+
+    Half-wave rectification, 2nd-order low-pass at the envelope cutoff,
+    then decimation to ENVELOPE_RATE by linear interpolation (np.interp's
+    own formula). The low-pass runs block by block and is evaluated only
+    at the samples the interpolation reads: _block_states is the part
+    within each block, _envelopes the scan across blocks and the reads.
+    Both work on each band row alone, so rows may be split between
+    _block_states calls and joined for one _envelopes call without moving
+    a bit.
+    """
+    return _envelopes(_block_states(bands), bands.shape[-1])
+
+
 def _db(linear, gain=1.0):
     """20*log10(gain * linear) with the FLOOR_DB floor."""
     return 20.0 * np.log10(np.maximum(gain * linear, _FLOOR_LIN))
@@ -270,10 +297,15 @@ def _aligned_slices(r, rows):
     Only lags that leave at least MIN_OVERLAP of the reference overlapping
     are searched; when no such lag exists (rows shorter than that) the
     inputs are rejected, and so are non-finite samples. The lag is the
-    peak of the row's cross-correlation with r; one convolve_channels call
-    gives every row's, so the reversed reference is transformed once, and
-    each row of it equals that row's own call bit for bit. A degenerate
-    row (r or the row all zero) falls back to lag 0.
+    peak of the row's cross-correlation with r over those lags. One
+    convolve_channels call computes every row's correlation at exactly
+    those lags, at the window's FFT length, so the reversed reference is
+    transformed once, and each row of it equals that row's own call bit
+    for bit. The window's values equal those of the whole correlation up
+    to rounding; they pick the same lag unless two lags tie to within
+    rounding (as the lags of a constant or strictly periodic signal tie
+    exactly), where the rounding of either FFT length picks the winner. A
+    degenerate row (r or the row all zero) falls back to lag 0.
     """
     if not (np.isfinite(r).all() and np.isfinite(rows).all()):
         raise ValueError("reference and processed signals must be finite")
@@ -284,16 +316,16 @@ def _aligned_slices(r, rows):
             f"processed signal ({size} samples) cannot overlap {MIN_OVERLAP:.0%} of "
             f"the {r.size}-sample reference at any lag"
         )
-    corr = convolve_channels(rows, r[::-1])
-    center = r.size - 1
-    lo = max(0, center - (r.size - needed))
-    hi = min(corr.shape[1], center + size - needed + 1)
+    # Frame k of the full correlation is lag k - (r.size - 1), so frames
+    # needed - 1 .. r.size + size - needed - 1 are the searched lags,
+    # needed - r.size .. size - needed.
+    corr = convolve_channels(rows, r[::-1], needed - 1, r.size + size - needed)
     norm_r = np.linalg.norm(r)
     slices = []
     for p, c in zip(rows, corr):
         lag = 0
         if norm_r * np.linalg.norm(p) != 0.0:
-            lag = int(np.argmax(c[lo:hi])) + lo - center
+            lag = int(np.argmax(c)) + needed - r.size
         if lag >= 0:
             overlap = min(r.size, size - lag)
             slices.append((slice(0, overlap), slice(lag, lag + overlap)))
@@ -335,22 +367,24 @@ def _band_features(signal, gains, scratch):
     1-D signal, each band scaled by its entry of gains unless gains is
     None.
 
-    The bands are filtered, scaled, smoothed and reduced BAND_CHUNK at a
-    time, and only the envelopes and the RMS are kept. Every step works on
+    The bands are filtered, scaled, reduced to their envelope block
+    states (_block_states) and to their RMS BAND_CHUNK at a time; the
+    block states of all bands then run through one _envelopes scan, so
+    only block states, envelopes and the RMS are kept. Every step works on
     each band row alone, so this equals _smoothed and the RMS of the whole
     gammatone_bands(signal) * gains[:, None] bit for bit. scratch is the
     dict of work arrays of KernelBank.convolve_rows.
     """
     n = signal.size
-    envelopes, levels = [], []
+    states, levels = [], []
     chunks = _GAMMATONE_BANK.convolve_rows(signal, BAND_CHUNK, scratch)
     for row, bands in zip(range(0, BANDS, BAND_CHUNK), chunks):
         bands = bands[:, :n]
         if gains is not None:
             bands *= gains[row : row + BAND_CHUNK, None]
-        envelopes.append(_smoothed(bands))
+        states.append(_block_states(bands))
         levels.append(np.sqrt(np.mean(bands**2, axis=1)))
-    return np.concatenate(envelopes), np.concatenate(levels)
+    return _envelopes(np.concatenate(states), n), np.concatenate(levels)
 
 
 def _rms_gain(x):

@@ -83,6 +83,11 @@ EAR_CALIBRATION_GAIN = 2.0
 # the scene is no longer a speech-in-noise mixture, and far past it the
 # interferer gain overflows (-10000 dB) or rounds to 0 (+10000 dB).
 MAX_ABS_SNR_DB = 60.0
+# An interferer W whose RMS over the target-active frames is at most this
+# share of the target W's (-180 dB) counts as silent: it is the rounding
+# noise (about 1e-18) that overlap-save leaks into the window from sound
+# outside it, and it would set an interferer gain near 1e15.
+SILENT_INTERFERER_SHARE = 1e-9
 
 FIDELITY_NAMES = ("simulated", "measured_like")
 SOURCE_KINDS = signals.SOURCE_KINDS   # _build_scene draws kinds by index in this order
@@ -455,13 +460,16 @@ def mix_at_snr(target_w, interferer_w, snr_db):
     The SNR is defined on the omnidirectional (W) channel, before any
     decoding: target_w and interferer_w are the W signals of the target
     and of the interferer sum over the frames the SNR reads, the
-    target-active ones in a render. snr_db None gives gain 1.
+    target-active ones in a render. snr_db None gives gain 1. An
+    interferer W whose RMS is at most SILENT_INTERFERER_SHARE of the target
+    W's, an all-zero one included, is refused as silent; then an all-zero
+    target W is refused.
     """
     if snr_db is None:
         return 1.0
     target_rms = rms_array(target_w)
     interferer_rms = rms_array(interferer_w)
-    if interferer_rms == 0.0:
+    if interferer_rms <= SILENT_INTERFERER_SHARE * target_rms:
         raise ValueError("interferer sum is silent over the target-active range")
     if target_rms == 0.0:
         raise ValueError("target is silent over the target-active range")

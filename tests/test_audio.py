@@ -304,6 +304,48 @@ def test_convolve_channels_equals_fftconvolve_at_each_call_site(site):
     assert np.array_equal(convolve_channels(data, kernels), expected)
 
 
+# A 1,000-frame signal through 30 taps: 1,029 output frames. The windows
+# take the first and last frames, one short run in the middle (whose FFT
+# length, 640, is shorter than the signal, so the signal is wrapped), and
+# the whole output less a frame at each end.
+WINDOWS = [(0, 5), (400, 420), (1000, 1029), (1, 1028), (0, 1029)]
+
+
+@pytest.mark.parametrize("start, stop", WINDOWS)
+def test_convolve_channels_window_is_the_slice_of_the_whole_output(monkeypatch, start, stop):
+    rng = np.random.default_rng(14)
+    data, kernels = rng.standard_normal((3, 1000)), rng.standard_normal((3, 30))
+    whole = convolve_channels(data, kernels)
+    lengths = []
+
+    def rfft(x, n):
+        lengths.append(n)
+        return np.fft.rfft(x, n)
+
+    monkeypatch.setattr(audio, "rfft", rfft)
+    window = convolve_channels(data, kernels, start, stop)
+    assert window.shape == (3, stop - start)
+    # Its own FFT length rounds differently from the whole output's.
+    assert np.max(np.abs(window - whole[:, start:stop])) <= 1e-12 * np.max(np.abs(whole))
+    assert lengths == [next_fast_len(max(stop, 1029 - start))] * 2
+
+
+def test_convolve_channels_default_window_keeps_the_bits_of_one_fft_product():
+    rng = np.random.default_rng(15)
+    a, b = rng.standard_normal((2, 5000)), rng.standard_normal(127)
+    length = 5000 + 127 - 1
+    m = next_fast_len(length)
+    expected = np.fft.irfft(np.multiply(np.fft.rfft(a, m), np.fft.rfft(b, m)), m)[..., :length]
+    assert np.array_equal(convolve_channels(a, b), expected)
+    assert np.array_equal(convolve_channels(a, b, 0, length), expected)
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 5), (5, 5), (6, 5), (0, 1030), (1029, 1030)])
+def test_convolve_channels_rejects_a_window_outside_the_output(start, stop):
+    with pytest.raises(ValueError, match="not within the 1029 output frames"):
+        convolve_channels(np.ones(1000), np.ones(30), start, stop)
+
+
 def test_kernel_bank_shared_by_threads_never_uses_a_stale_spectrum():
     # Threads alternate between two FFT lengths on one bank, each with its
     # own scratch, while the interpreter switches threads as often as it

@@ -628,3 +628,20 @@ def test_ear_scores_hold_a_chunk_of_bands_not_all_of_them():
         tracemalloc.stop()
     assert [s.lag for s in scores] == [40, 70]
     assert peak <= 12 * 2**20
+
+
+def test_alignment_correlates_only_the_searched_lags():
+    # A 10 s reference and two 10 s ears: the whole cross-correlation
+    # (319,999 lags at FFT length 320,000) traced 12.2 MiB; the 32,001
+    # searched lags run at FFT length 177,147 (3^11).
+    x = speech(10.0, seed=27)
+    ears = two_ears(x, (40, -70), x.size)
+    _aligned_slices(x, ears)
+    tracemalloc.start()
+    try:
+        slices = _aligned_slices(x, ears)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [p.start - r.start for r, p in slices] == [40, -70]
+    assert peak < 9 * 2**20

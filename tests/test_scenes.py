@@ -399,6 +399,11 @@ def test_mix_rejects_silent_interferers():
         mix_at_snr(target, np.zeros(4000), 0.0)
     with pytest.raises(ValueError, match="target is silent"):
         mix_at_snr(np.zeros(4000), target, 0.0)
+    # Below -180 dB of the target an interferer W is rounding noise; at
+    # -60 dB it is heard and sets the SNR.
+    with pytest.raises(ValueError, match="interferer sum is silent"):
+        mix_at_snr(target, 5e-10 * target, 0.0)
+    assert mix_at_snr(target, 1e-3 * target, 0.0) == pytest.approx(1e3, rel=1e-12)
 
 
 def interferer_before_the_target(duration_s):
@@ -462,6 +467,33 @@ def test_reader_refuses_interferers_after_the_window_to_the_frame(frame, refused
         # window one frame short would hear only overlap-save rounding
         # noise (about 1e-18) and set a gain near 1e15.
         assert 0 < render_scene(scene).record["interferer_gain"] < 1e6
+
+
+def from_a_file(scene, tmp_path, scale=1.0):
+    """scene with its one interferer's dry signal read from a WAV file,
+    scaled by `scale`: the reader cannot see where a file's sound ends."""
+    from clarity_bench.audio import write_wav
+
+    (noise,) = scene.interferers
+    path = tmp_path / f"noise_{scale}.wav"
+    write_wav(path, SampleBuffer(scale * noise.source.resolve()))
+    return replace(scene, interferers=(replace(noise, source=SourceSignal("noise", file=str(path))),))
+
+
+def test_render_refuses_a_file_interferer_heard_only_after_the_window(tmp_path):
+    # Its direct sound arrives one frame after the window, so over the
+    # window its W holds only overlap-save rounding noise, which once set
+    # an interferer gain of 5.8e15.
+    scene = from_a_file(interferer_heard_from(LAST_ACTIVE_FRAME + 1), tmp_path)
+    assert scene_from_dict(scene_to_dict(scene)).interferers[0].source.file is not None
+    with pytest.raises(ValueError, match="interferer sum is silent over the target-active range"):
+        render_scene(scene)
+
+
+def test_render_sets_the_snr_of_a_file_interferer_heard_at_minus_60_db(tmp_path):
+    heard = render_scene(from_a_file(simple_scene(), tmp_path)).record["interferer_gain"]
+    quiet = render_scene(from_a_file(simple_scene(), tmp_path, 1e-3)).record["interferer_gain"]
+    assert quiet == pytest.approx(1e3 * heard, rel=1e-5)
 
 
 def test_reader_refuses_interferers_silent_on_both_sides_of_the_window():
